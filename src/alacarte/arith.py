@@ -202,7 +202,8 @@ def eval_of_derivation(d: Derivation) -> Agreement:
     if not verdict:
         raise InvalidDerivationError(verdict.reason)
     e, v = d.root.conclusion
-    return Agreement(v == eval_(e), d.root.conclusion, eval_(e))
+    evaluated = eval_(e)
+    return Agreement(v == evaluated, d.root.conclusion, evaluated)
 
 
 def build_typof_derivation(t: Term) -> Derivation:

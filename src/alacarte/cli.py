@@ -61,7 +61,12 @@ def _parse_tenv(text: str) -> Env:
 
 
 def _default_fuel() -> int:
-    return int(os.environ.get("ALACARTE_FUEL", "50"))
+    """The fuel of commands run without ``--fuel``; ValueError if unparsable."""
+    text = os.environ.get("ALACARTE_FUEL", "50")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"ALACARTE_FUEL must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +203,23 @@ def _cmd_laws(args) -> int:
     return 0
 
 
+_REPLAY_KEYS = ("rho", "sort", "term")
+
+
 def _cmd_fuzz(args) -> int:
     if args.replay:
         with open(args.replay, encoding="utf-8") as fh:
-            case = json.load(fh)
+            try:
+                case = json.load(fh)
+            except ValueError as exc:
+                return _fail(f"replay file is not JSON: {exc}", 2)
+        if not isinstance(case, dict) or not all(
+            isinstance(case.get(k), str) for k in _REPLAY_KEYS
+        ):
+            return _fail(
+                f"replay case must be a JSON object with string keys {', '.join(_REPLAY_KEYS)}",
+                2,
+            )
         steps, cx = testkit.replay_case(case, fuel=args.fuel)
         if cx is None:
             print(f"replay ok: {steps} steps preserved typing")
@@ -285,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("env_file")
     p.add_argument("expr")
     p.add_argument("--sort", choices=("exp", "dec"), default="exp")
-    p.add_argument("--fuel", type=int, default=_default_fuel())
+    p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--emit-derivations", action="store_true")
     p.set_defaults(run=_cmd_lang_trace)
 
@@ -296,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz-preservation", help="subject-reduction fuzzing")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--fuel", type=int, default=_default_fuel())
+    p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--replay", default=None)
     p.set_defaults(run=_cmd_fuzz)
 
@@ -315,9 +333,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fuel = getattr(args, "fuel", None)
-    if fuel is not None and fuel < 0:
-        return _fail("fuel must be non-negative", 2)
+    if hasattr(args, "fuel"):
+        if args.fuel is None:
+            try:
+                args.fuel = _default_fuel()
+            except ValueError as exc:
+                return _fail(str(exc), 2)
+        if args.fuel < 0:
+            return _fail("fuel must be non-negative", 2)
     try:
         return args.run(args)
     except sexpr.SexprError as exc:

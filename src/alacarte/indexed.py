@@ -7,6 +7,17 @@ conclusion index expression.  A :class:`Derivation` is the fixpoint: a
 finite tree of rule instances, self-validating in the sense that ``din``
 rejects any node whose side conditions fail or whose indices disagree.
 
+Each rule instance is checked once.  ``IndexedSignature.dnode`` stamps the
+node with the :class:`Rule` whose expressions computed its indices, so
+``din`` recomputes no index of a stamped node: it runs the side conditions
+and the child links only.  ``din`` certifies the derivation it returns when
+every premise witness is certified too, and ``validate`` stops at certified
+derivations.  Stamp and certificate are invisible to equality, hashing,
+``repr`` and the constructors, so a hand-built :class:`DNode` or
+:class:`Derivation` is always checked in full.  This relies on rule
+expressions being pure: a rule monkeypatched after a derivation was built
+is not re-observed on that derivation.
+
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
 ``rec`` procedure, which also enforces index coherence.
@@ -14,7 +25,7 @@ witnesses as opaque handles and may consume them only through the supplied
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .kernel import ForeignHandleError, Handle
@@ -79,19 +90,21 @@ class IndexedSignature:
             )
         env = dict(params)
         prem = tuple((ix(env), w) for ix, w in zip(r.premises, witnesses))
-        return DNode(
+        node = DNode(
             self,
             rule_name,
             tuple((p, params[p]) for p in r.params),
             prem,
             r.conclusion(env),
         )
+        object.__setattr__(node, "_rule", r)
+        return node
 
     def __repr__(self):
         return f"<IndexedSignature {self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DNode:
     """A rule instance: premises pair a judgment index with a witness."""
 
@@ -100,6 +113,8 @@ class DNode:
     params: tuple[tuple[str, Any], ...]
     premises: tuple[tuple[Any, Any], ...]
     conclusion: Any
+    # the Rule whose expressions computed the indices; set by ``dnode`` only
+    _rule: Rule | None = field(default=None, init=False, compare=False, repr=False)
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
@@ -111,10 +126,12 @@ class DNode:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     sig: IndexedSignature
     root: DNode
+    # every rule instance in the tree passed ``din``; set by ``din`` only
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
@@ -129,23 +146,30 @@ def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
 
 
 def _check_node(n: DNode, path: tuple[int, ...]):
-    """Local validity: schema, side conditions, recomputed indices, child links."""
+    """Local validity: schema, side conditions, recomputed indices, child links.
+
+    A node stamped by ``dnode`` with the signature's current rule has its
+    schema and indices right by construction; only its side conditions and
+    child links are checked.
+    """
     r = n.sig.rules.get(n.rule)
     if r is None:
         return path, f"unknown rule {n.rule!r}"
-    if tuple(k for k, _ in n.params) != r.params:
+    stamped = n._rule is r
+    if not stamped and tuple(k for k, _ in n.params) != r.params:
         return path, f"rule {n.rule}: parameter schema mismatch"
     env = n.params_dict()
     for label, pred in r.side_conditions:
         if not pred(env):
             return path, f"rule {n.rule}: side condition {label!r} failed"
-    if len(n.premises) != len(r.premises):
-        return path, f"rule {n.rule}: wrong number of premises"
-    for i, (ix, (stored, _)) in enumerate(zip(r.premises, n.premises)):
-        if ix(env) != stored:
-            return path, f"rule {n.rule}: premise {i} index mismatch"
-    if r.conclusion(env) != n.conclusion:
-        return path, f"rule {n.rule}: conclusion index mismatch"
+    if not stamped:
+        if len(n.premises) != len(r.premises):
+            return path, f"rule {n.rule}: wrong number of premises"
+        for i, (ix, (stored, _)) in enumerate(zip(r.premises, n.premises)):
+            if ix(env) != stored:
+                return path, f"rule {n.rule}: premise {i} index mismatch"
+        if r.conclusion(env) != n.conclusion:
+            return path, f"rule {n.rule}: conclusion index mismatch"
     for i, (stored, w) in enumerate(n.premises):
         if not isinstance(w, Derivation) or w.sig is not n.sig:
             return path, f"rule {n.rule}: premise {i} witness is not a derivation"
@@ -162,12 +186,16 @@ def din(n: DNode) -> Derivation:
     """Validating constructor: ``dout(din(n)) == n``.
 
     Raises :class:`InvalidDerivationError` naming the failing rule and
-    indices if the node's invariants do not hold.
+    indices if the node's invariants do not hold.  The result is certified
+    when every premise witness is.
     """
     failure = _check_node(n, ())
     if failure is not None:
         raise InvalidDerivationError(failure[1])
-    return Derivation(n.sig, n)
+    d = Derivation(n.sig, n)
+    if all(w._certified for _, w in n.premises):
+        object.__setattr__(d, "_certified", True)
+    return d
 
 
 def dout(d: Derivation) -> DNode:
@@ -185,7 +213,9 @@ class Validity:
 
 
 def validate(d: Derivation) -> Validity:
-    """Recursively check every node; reports the first failing node path."""
+    """Check every node not under a certificate; reports the first failing path."""
+    if d._certified:
+        return Validity(True)
     stack = [(d.root, ())]
     while stack:
         node, path = stack.pop()
@@ -193,7 +223,8 @@ def validate(d: Derivation) -> Validity:
         if failure is not None:
             return Validity(False, failure[0], failure[1])
         for i, (_, w) in reversed(list(enumerate(node.premises))):
-            stack.append((w.root, path + (i,)))
+            if not w._certified:
+                stack.append((w.root, path + (i,)))
     return Validity(True)
 
 

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Optional, Union
 
 from .. import sexpr
 from ..kernel import register_payload_kind
-from ..mutual import BiSignature, BiTerm, in_bi, out_bi
+from ..mutual import BiSignature, BiTerm, biterm_to_json, in_bi, out_bi
 
 
 class DuplicateBindingError(Exception):
@@ -162,13 +162,22 @@ def bindings(p: Pat) -> Env:
 
 # ---------------------------------------------------------------------------
 # the Dec/Exp bi-signature
+#
+# Payload JSON reuses the s-expression data of types and patterns (their
+# printers are defined under "surface syntax" below); environment entries
+# are expression terms, encoded as term JSON.
 
-register_payload_kind("typ", lambda v: isinstance(v, (Ty, Arrow, TypeEnv)))
-register_payload_kind("pat", lambda v: isinstance(v, (PVar, PCon, PApp)))
+register_payload_kind(
+    "typ", lambda v: isinstance(v, (Ty, Arrow, TypeEnv)), encode=lambda t: typ_to_sexpr(t)
+)
+register_payload_kind(
+    "pat", lambda v: isinstance(v, (PVar, PCon, PApp)), encode=lambda p: pat_to_sexpr(p)
+)
 register_payload_kind(
     "envE",
     lambda v: isinstance(v, Env)
     and all(isinstance(e, BiTerm) and e.component == 2 for _, e in v.items()),
+    encode=lambda rho: [[k, biterm_to_json(e)] for k, e in rho.items()],
 )
 
 LANG = BiSignature(

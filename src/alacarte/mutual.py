@@ -11,11 +11,20 @@ The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
 :class:`IndexedBiMendlerAlgebra` with ``hfold_1``/``hfold_2``) represents
 two mutually defined relations over index types K1 and K2; rule premises
 name the family they recurse into.
+
+As in :mod:`alacarte.indexed`, each rule instance is checked once:
+``IndexedBiSignature.dnode`` stamps the node with the :class:`BiRule` it
+instantiated, ``din_bi`` recomputes no index of a stamped node, and
+certifies the derivation it returns when every premise witness is
+certified; ``validate_bi`` stops at certified derivations.  A hand-built
+:class:`BiDNode` or :class:`BiDerivation` is always checked in full.  Rule
+expressions must be pure: a rule monkeypatched after a derivation was built
+is not re-observed on that derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .kernel import (
@@ -234,7 +243,7 @@ class IndexedBiSignature:
         prem = tuple(
             (fam, ix(env), w) for (fam, ix), w in zip(r.premises, witnesses)
         )
-        return BiDNode(
+        node = BiDNode(
             self,
             r.family,
             rule_name,
@@ -242,12 +251,14 @@ class IndexedBiSignature:
             prem,
             r.conclusion(env),
         )
+        object.__setattr__(node, "_rule", r)
+        return node
 
     def __repr__(self):
         return f"<IndexedBiSignature {self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BiDNode:
     sig: IndexedBiSignature
     family: int
@@ -255,6 +266,8 @@ class BiDNode:
     params: tuple[tuple[str, Any], ...]
     premises: tuple[tuple[int, Any, Any], ...]  # (family, index, witness)
     conclusion: Any
+    # the BiRule whose expressions computed the indices; set by ``dnode`` only
+    _rule: BiRule | None = field(default=None, init=False, compare=False, repr=False)
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
@@ -266,34 +279,40 @@ class BiDNode:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BiDerivation:
     sig: IndexedBiSignature
     family: int
     root: BiDNode
+    # every rule instance in the tree passed ``din_bi``; set by ``din_bi`` only
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def _check_binode(n: BiDNode, path):
+    """As ``indexed._check_node``: a stamped node skips schema and indices."""
     r = n.sig.rules.get(n.rule)
     if r is None:
         return path, f"unknown rule {n.rule!r}"
-    if n.family != r.family:
-        return path, f"rule {n.rule}: family mismatch"
-    if tuple(k for k, _ in n.params) != r.params:
-        return path, f"rule {n.rule}: parameter schema mismatch"
+    stamped = n._rule is r
+    if not stamped:
+        if n.family != r.family:
+            return path, f"rule {n.rule}: family mismatch"
+        if tuple(k for k, _ in n.params) != r.params:
+            return path, f"rule {n.rule}: parameter schema mismatch"
     env = n.params_dict()
     for label, pred in r.side_conditions:
         if not pred(env):
             return path, f"rule {n.rule}: side condition {label!r} failed"
-    if len(n.premises) != len(r.premises):
-        return path, f"rule {n.rule}: wrong number of premises"
-    for i, ((fam, ix), (sfam, stored, _)) in enumerate(zip(r.premises, n.premises)):
-        if fam != sfam:
-            return path, f"rule {n.rule}: premise {i} family mismatch"
-        if ix(env) != stored:
-            return path, f"rule {n.rule}: premise {i} index mismatch"
-    if r.conclusion(env) != n.conclusion:
-        return path, f"rule {n.rule}: conclusion index mismatch"
+    if not stamped:
+        if len(n.premises) != len(r.premises):
+            return path, f"rule {n.rule}: wrong number of premises"
+        for i, ((fam, ix), (sfam, stored, _)) in enumerate(zip(r.premises, n.premises)):
+            if fam != sfam:
+                return path, f"rule {n.rule}: premise {i} family mismatch"
+            if ix(env) != stored:
+                return path, f"rule {n.rule}: premise {i} index mismatch"
+        if r.conclusion(env) != n.conclusion:
+            return path, f"rule {n.rule}: conclusion index mismatch"
     for i, (fam, stored, w) in enumerate(n.premises):
         if not isinstance(w, BiDerivation) or w.sig is not n.sig or w.family != fam:
             return path, f"rule {n.rule}: premise {i} witness is not a family-{fam} derivation"
@@ -307,10 +326,14 @@ def _check_binode(n: BiDNode, path):
 
 
 def din_bi(n: BiDNode) -> BiDerivation:
+    """Validating constructor; certified when every premise witness is."""
     failure = _check_binode(n, ())
     if failure is not None:
         raise InvalidDerivationError(failure[1])
-    return BiDerivation(n.sig, n.family, n)
+    d = BiDerivation(n.sig, n.family, n)
+    if all(w._certified for _, _, w in n.premises):
+        object.__setattr__(d, "_certified", True)
+    return d
 
 
 def dout_bi(d: BiDerivation) -> BiDNode:
@@ -318,6 +341,8 @@ def dout_bi(d: BiDerivation) -> BiDNode:
 
 
 def validate_bi(d: BiDerivation) -> Validity:
+    if d._certified:
+        return Validity(True)
     stack = [(d.root, ())]
     while stack:
         node, path = stack.pop()
@@ -325,7 +350,8 @@ def validate_bi(d: BiDerivation) -> Validity:
         if failure is not None:
             return Validity(False, failure[0], failure[1])
         for i, (_, _, w) in reversed(list(enumerate(node.premises))):
-            stack.append((w.root, path + (i,)))
+            if not w._certified:
+                stack.append((w.root, path + (i,)))
     return Validity(True)
 
 

@@ -3,7 +3,8 @@
 import json
 
 from alacarte import cli, testkit
-from alacarte.lang_l import print_dec, print_exp
+from alacarte.lang_l import Ty, cn, print_dec, print_exp
+from alacarte.mutual import biterm_to_json
 
 
 def run(capsys, *argv):
@@ -191,6 +192,36 @@ def test_dump_term_and_signature(capsys):
     code, out, _ = run(capsys, "dump", "--signature", "lang")
     assert code == 0
     assert json.loads(out)["signature"] == "lang_l"
+
+
+def test_dump_exp_and_dec_with_type_pattern_and_env_payloads(capsys):
+    code, out, err = run(capsys, "dump", "--sort", "exp", "(con c (ty a))")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"] == ["c", ["ty", "a"]]
+    dec = "(join (env ((y (con c (ty a))))) (match (pvar x (arrow (ty a) (ty b))) (var f)))"
+    code, out, err = run(capsys, "dump", "--sort", "dec", dec)
+    assert (code, err) == (0, "")
+    env, match = json.loads(out)["rec1"]
+    assert env["payload"] == [[["y", biterm_to_json(cn("c", Ty("a")))]]]
+    assert match["payload"] == [["pvar", "x", ["arrow", ["ty", "a"], ["ty", "b"]]]]
+
+
+def test_unparsable_fuel_variable_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("ALACARTE_FUEL", "abc")
+    code, out, err = run(capsys, "fuzz-preservation", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "ALACARTE_FUEL must be an integer, got 'abc'\n"
+    code, out, err = run(capsys, "arith", "eval", "(lit 1)")  # fuel unused
+    assert (code, out, err) == (0, "(val 1)\n", "")
+
+
+def test_replay_case_missing_key_or_not_json_exit_2(capsys, tmp_path):
+    case_file = tmp_path / "case.json"
+    for text, says in ((json.dumps({"sort": "exp", "term": "(var x)"}), "rho"), ("{", "not JSON")):
+        case_file.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "fuzz-preservation", "--replay", str(case_file))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and says in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,5 +1,7 @@
 """Derivation trees over the evaluation relation of the arithmetic language."""
 
+import dataclasses
+
 import pytest
 
 from alacarte import arith, testkit
@@ -7,6 +9,7 @@ from alacarte.arith import EVAL_SIG, Val, add, lit
 from alacarte.indexed import (
     DNode,
     Derivation,
+    IndexedSignature,
     InvalidDerivationError,
     WrongIndexError,
     derivation_to_json,
@@ -15,6 +18,7 @@ from alacarte.indexed import (
     ifmap,
     ifold,
     istep_once,
+    rule,
     validate,
 )
 
@@ -185,3 +189,110 @@ def test_derivation_json_shape():
     assert js["index"] == ["(add (lit 1) (lit 2))", "(val 3)"]
     assert [p["rule"] for p in js["premises"]] == ["ev1", "ev1"]
     assert js["params"]["v"] == "(val 3)"
+
+
+# ---------------------------------------------------------------------------
+# certificates: din certifies, validate stops at certified derivations
+
+
+class CountingNat:
+    """A throwaway relation ``n`` over naturals whose expressions count calls."""
+
+    def __init__(self):
+        self.calls = {"index": 0, "side": 0}
+        self.sig = IndexedSignature(
+            "CountingNat",
+            [
+                rule("z", conclusion=self._index(lambda P: 0)),
+                rule(
+                    "s",
+                    params=("n",),
+                    premises=(self._index(lambda P: P["n"]),),
+                    side=(("small", self._side(lambda P: P["n"] < 10)),),
+                    conclusion=self._index(lambda P: P["n"] + 1),
+                ),
+            ],
+        )
+
+    def _index(self, f):
+        def counted(P):
+            self.calls["index"] += 1
+            return f(P)
+
+        return counted
+
+    def _side(self, f):
+        def counted(P):
+            self.calls["side"] += 1
+            return f(P)
+
+        return counted
+
+    def build(self, n):
+        d = din(self.sig.dnode("z", {}))
+        for k in range(n):
+            d = din(self.sig.dnode("s", {"n": k}, (d,)))
+        return d
+
+    def reset(self):
+        self.calls.update(index=0, side=0)
+
+
+def test_validate_on_din_built_derivation_calls_no_rule_expression():
+    nat = CountingNat()
+    d = nat.build(5)
+    nat.reset()
+    assert validate(d)
+    assert nat.calls == {"index": 0, "side": 0}
+
+
+def test_din_of_stamped_node_runs_side_conditions_but_no_index():
+    nat = CountingNat()
+    child = nat.build(2)
+    node = nat.sig.dnode("s", {"n": 2}, (child,))
+    nat.reset()
+    din(node)
+    assert nat.calls == {"index": 0, "side": 1}
+
+
+def test_hand_built_root_over_certified_children_is_checked_in_full():
+    nat = CountingNat()
+    good = nat.build(3)
+    nat.reset()
+    n = good.root
+    hand = DNode(n.sig, n.rule, n.params, n.premises, n.conclusion)
+    assert validate(Derivation(nat.sig, hand))
+    assert nat.calls == {"index": 2, "side": 1}  # the root only: children are certified
+
+
+def test_forged_root_over_certified_children_rejected_with_seed_reason():
+    forged = Derivation(EVAL_SIG, ev2_node(lit(1), lit(2), forged_sum=99))
+    assert all(validate(w) for _, w in forged.root.premises)
+    verdict = validate(forged)
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "rule ev2: side condition 'sum' failed",
+    )
+    good = ev2_node(lit(1), lit(2))
+    wrong = DNode(good.sig, good.rule, good.params, good.premises, (lit(3), Val(4)))
+    verdict = validate(Derivation(EVAL_SIG, wrong))
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "rule ev2: conclusion index mismatch",
+    )
+
+
+def test_din_rejects_replaced_conclusion():
+    node = ev2_node(lit(1), lit(2))
+    with pytest.raises(InvalidDerivationError, match="conclusion index mismatch"):
+        din(dataclasses.replace(node, conclusion=(lit(3), Val(3))))
+
+
+def test_din_equals_and_hashes_as_hand_built():
+    for d in eval_derivs(2):
+        n = d.root
+        assert din(n) == Derivation(n.sig, n)
+        assert hash(din(n)) == hash(Derivation(n.sig, n))
+        assert repr(din(n)) == repr(Derivation(n.sig, n))

@@ -1,18 +1,23 @@
 """Bi-functor laws on the Dec/Exp signature and a tiny standalone instance."""
 
+import dataclasses
+
 import pytest
 
 from alacarte import testkit
 from alacarte.lang_l import LANG, EMPTY_ENV, Env, Ty, cn, env_, join_, scope, vr
 from alacarte.mutual import (
     BiMendlerAlgebra,
+    BiDNode,
     BiDerivation,
     IndexedBiMendlerAlgebra,
+    IndexedBiSignature,
     MalformedNodeError,
     WrongComponentError,
     bifmap,
     bifold_1,
     bifold_2,
+    birule,
     bistep_once,
     biterm_to_json,
     din_bi,
@@ -228,3 +233,110 @@ def test_biterm_json_has_component_discriminator():
     js = biterm_to_json(scope(env_(EMPTY_ENV), vr("x")))
     assert js["component"] == 2
     assert js["rec1"][0]["component"] == 1
+
+
+# ---------------------------------------------------------------------------
+# certificates: din_bi certifies, validate_bi stops at certified derivations
+
+
+class CountingParity:
+    """Throwaway mutual relations even (family 1) and odd (family 2) over
+    naturals, whose rule expressions count their calls."""
+
+    def __init__(self):
+        self.calls = {"index": 0, "side": 0}
+        index, side = self._counted("index"), self._counted("side")
+        self.sig = IndexedBiSignature(
+            "CountingParity",
+            [
+                birule(1, "even-z", conclusion=index(lambda P: 0)),
+                birule(
+                    1,
+                    "even-s",
+                    params=("n",),
+                    premises=((2, index(lambda P: P["n"])),),
+                    side=(("small", side(lambda P: P["n"] < 10)),),
+                    conclusion=index(lambda P: P["n"] + 1),
+                ),
+                birule(
+                    2,
+                    "odd-s",
+                    params=("n",),
+                    premises=((1, index(lambda P: P["n"])),),
+                    side=(("small", side(lambda P: P["n"] < 10)),),
+                    conclusion=index(lambda P: P["n"] + 1),
+                ),
+            ],
+        )
+
+    def _counted(self, key):
+        def wrap(f):
+            def counted(P):
+                self.calls[key] += 1
+                return f(P)
+
+            return counted
+
+        return wrap
+
+    def build(self, n):
+        d = din_bi(self.sig.dnode("even-z", {}))
+        for k in range(n):
+            d = din_bi(self.sig.dnode("odd-s" if k % 2 == 0 else "even-s", {"n": k}, (d,)))
+        return d
+
+    def reset(self):
+        self.calls.update(index=0, side=0)
+
+
+def test_validate_bi_on_din_built_derivation_calls_no_rule_expression():
+    par = CountingParity()
+    d = par.build(5)
+    par.reset()
+    assert validate_bi(d)
+    assert par.calls == {"index": 0, "side": 0}
+
+
+def test_din_bi_of_stamped_node_runs_side_conditions_but_no_index():
+    par = CountingParity()
+    child = par.build(2)
+    node = par.sig.dnode("odd-s", {"n": 2}, (child,))
+    par.reset()
+    din_bi(node)
+    assert par.calls == {"index": 0, "side": 1}
+
+
+def test_forged_bi_root_over_certified_children_rejected_with_seed_reason():
+    par = CountingParity()
+    child = par.build(10)  # even, concluding 10
+    forged = BiDerivation(par.sig, 2, par.sig.dnode("odd-s", {"n": 10}, (child,)))
+    assert validate_bi(child)
+    verdict = validate_bi(forged)
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "rule odd-s: side condition 'small' failed",
+    )
+    n = par.build(3).root
+    wrong = BiDNode(n.sig, n.family, n.rule, n.params, n.premises, 7)
+    verdict = validate_bi(BiDerivation(n.sig, n.family, wrong))
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "rule odd-s: conclusion index mismatch",
+    )
+
+
+def test_din_bi_rejects_replaced_conclusion():
+    par = CountingParity()
+    node = dataclasses.replace(par.sig.dnode("odd-s", {"n": 0}, (par.build(0),)), conclusion=5)
+    with pytest.raises(InvalidDerivationError, match="conclusion index mismatch"):
+        din_bi(node)
+
+
+def test_din_bi_equals_and_hashes_as_hand_built():
+    for d in (_axiom_step(), CountingParity().build(4)):
+        n = dout_bi(d)
+        assert din_bi(n) == BiDerivation(n.sig, n.family, n)
+        assert hash(din_bi(n)) == hash(BiDerivation(n.sig, n.family, n))
+        assert repr(din_bi(n)) == repr(BiDerivation(n.sig, n.family, n))
