@@ -4,44 +4,23 @@ Exit codes: 0 success, 1 domain failure (untypable term, invalid
 derivation, law failure, counterexample found), 2 usage or parse error.
 Data goes to stdout, diagnostics to stderr, and identical argument vectors
 produce byte-identical output.
+
+The argument parser is built once per process, and each command imports
+only the modules of its own language: ``arith`` commands never load
+``lang_l``, ``mutual`` or ``testkit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
 
-from . import arith, sexpr, testkit
+from . import sexpr
 from .indexed import InvalidDerivationError, validate
-from .kernel import signature_to_json, term_to_json
-from .lang_l import (
-    LANG,
-    parse_dec,
-    parse_env,
-    parse_exp,
-    parse_pat,
-    parse_typ,
-    print_dec,
-    print_exp,
-    print_pat,
-    print_typ,
-    step_dec,
-    step_exp,
-    step_derivation_json,
-    typecheck_dec,
-    typecheck_exp,
-    typing_derivation_json,
-    untypable_reason,
-)
-from .lang_l.syntax import (
-    Env,
-    tenv_of_sexpr,
-    typ_of_sexpr,
-    _assoc,
-)
-from .mutual import biterm_to_json
 
 
 def _emit(obj) -> str:
@@ -51,13 +30,6 @@ def _emit(obj) -> str:
 def _fail(msg: str, code: int) -> int:
     print(msg, file=sys.stderr)
     return code
-
-
-def _parse_tenv(text: str) -> Env:
-    expr = sexpr.read(text)
-    if isinstance(expr, list) and (not expr or isinstance(expr[0], list)):
-        return Env((k, typ_of_sexpr(v)) for k, v in _assoc(expr))
-    return tenv_of_sexpr(expr)
 
 
 def _default_fuel() -> int:
@@ -74,12 +46,16 @@ def _default_fuel() -> int:
 
 
 def _cmd_arith_eval(args) -> int:
+    from . import arith
+
     t = arith.parse_term(args.expr)
     print(arith.print_val(arith.eval_(t)))
     return 0
 
 
 def _cmd_arith_derive(args) -> int:
+    from . import arith
+
     t = arith.parse_term(args.expr)
     builders = {
         "eval": arith.build_eval_derivation,
@@ -95,6 +71,8 @@ def _cmd_arith_derive(args) -> int:
 
 
 def _cmd_arith_preserve(args) -> int:
+    from . import arith
+
     t = arith.parse_term(args.expr)
     evald = arith.build_eval_derivation(t)
     typd = arith.build_typof_derivation(t)
@@ -112,80 +90,111 @@ def _cmd_arith_preserve(args) -> int:
 # ---------------------------------------------------------------------------
 # lang commands
 
-_PARSERS = {"exp": parse_exp, "dec": parse_dec, "typ": parse_typ, "pat": parse_pat}
-_PRINTERS = {"exp": print_exp, "dec": print_dec, "typ": print_typ, "pat": print_pat}
+
+@contextlib.contextmanager
+def _lang_text():
+    """Report a pattern that binds a variable twice as a parse error."""
+    from .lang_l import DuplicateBindingError
+
+    try:
+        yield
+    except DuplicateBindingError as exc:
+        raise sexpr.SexprError(str(exc)) from None
+
+
+def _lang(op: str, sort: str):
+    """``lang_l.<op>_<sort>``, e.g. ``parse_env``, ``print_pat`` or ``step_dec``."""
+    from . import lang_l
+
+    return getattr(lang_l, f"{op}_{sort}")
+
+
+def _parse_lang(sort: str, text: str):
+    with _lang_text():
+        return _lang("parse", sort)(text)
+
+
+def _parse_tenv(text: str):
+    from .lang_l.syntax import Env, _assoc, tenv_of_sexpr, typ_of_sexpr
+
+    expr = sexpr.read(text)
+    if isinstance(expr, list) and (not expr or isinstance(expr[0], list)):
+        return Env((k, typ_of_sexpr(v)) for k, v in _assoc(expr))
+    return tenv_of_sexpr(expr)
+
+
+def _end_state(sort: str, term) -> str:
+    """How a term that takes no step ends: ``value``, ``terminal`` or ``stuck``."""
+    from .lang_l import is_value
+
+    if sort == "exp" and is_value(term):
+        return "value"
+    if sort == "dec" and term.root.ctor == "env":
+        return "terminal"
+    return "stuck"
 
 
 def _cmd_lang_parse(args) -> int:
-    term = _PARSERS[args.sort](args.expr)
-    print(_PRINTERS[args.sort](term))
+    print(_lang("print", args.sort)(_parse_lang(args.sort, args.expr)))
     return 0
 
 
 def _cmd_lang_typecheck(args) -> int:
+    from . import lang_l
+
     gamma = _parse_tenv(args.env)
-    term = _PARSERS[args.sort](args.expr)
-    res = (typecheck_dec if args.sort == "dec" else typecheck_exp)(gamma, term)
+    term = _parse_lang(args.sort, args.expr)
+    res = _lang("typecheck", args.sort)(gamma, term)
     if res is None:
-        return _fail(f"untypable: {untypable_reason(gamma, term)}", 1)
+        return _fail(f"untypable: {lang_l.untypable_reason(gamma, term)}", 1)
     t, deriv = res
-    print(print_typ(t))
+    print(lang_l.print_typ(t))
     if args.emit_derivation:
-        print(_emit(typing_derivation_json(deriv)))
+        print(_emit(lang_l.typing_derivation_json(deriv)))
     return 0
 
 
 def _cmd_lang_step(args) -> int:
-    rho = parse_env(args.env)
-    term = _PARSERS[args.sort](args.expr)
-    stepper = step_dec if args.sort == "dec" else step_exp
-    printer = _PRINTERS[args.sort]
-    from .lang_l import is_value
+    from . import lang_l
 
-    sub = stepper(rho, term)
+    rho = _parse_lang("env", args.env)
+    term = _parse_lang(args.sort, args.expr)
+    sub = _lang("step", args.sort)(rho, term)
     if sub is None:
-        if args.sort == "exp" and is_value(term):
-            print("value")
-        elif args.sort == "dec" and term.root.ctor == "env":
-            print("terminal")
-        else:
-            print("stuck")
+        print(_end_state(args.sort, term))
         return 0
     succ, deriv = sub
-    print(f"{deriv.root.rule} {printer(succ)}")
+    print(f"{deriv.root.rule} {_lang('print', args.sort)(succ)}")
     if args.emit_derivation:
-        print(_emit(step_derivation_json(deriv)))
+        print(_emit(lang_l.step_derivation_json(deriv)))
     return 0
 
 
 def _cmd_lang_trace(args) -> int:
-    with open(args.env_file, encoding="utf-8") as fh:
-        rho = parse_env(fh.read())
-    term = _PARSERS[args.sort](args.expr)
-    stepper = step_dec if args.sort == "dec" else step_exp
-    printer = _PRINTERS[args.sort]
-    from .lang_l import is_value
+    from . import lang_l
 
-    print(printer(term))
-    fuel = args.fuel
-    for _ in range(fuel):
-        sub = stepper(rho, term)
+    with open(args.env_file, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            return _fail(f"{args.env_file}: not UTF-8 text ({exc.reason} at byte {exc.start})", 2)
+    rho = _parse_lang("env", text)
+    term = _parse_lang(args.sort, args.expr)
+    step, show = _lang("step", args.sort), _lang("print", args.sort)
+    print(show(term))
+    for _ in range(args.fuel):
+        sub = step(rho, term)
         if sub is None:
             break
         term, deriv = sub
-        print(f"--{deriv.root.rule}--> {printer(term)}")
+        print(f"--{deriv.root.rule}--> {show(term)}")
         if args.emit_derivations:
-            print(_emit(step_derivation_json(deriv)))
+            print(_emit(lang_l.step_derivation_json(deriv)))
     else:
-        if stepper(rho, term) is not None:
+        if step(rho, term) is not None:
             print("fuel exhausted")
             return 0
-    if args.sort == "exp" and is_value(term):
-        print("value")
-    elif args.sort == "dec" and term.root.ctor == "env":
-        print("terminal")
-    else:
-        print("stuck")
+    print(_end_state(args.sort, term))
     return 0
 
 
@@ -194,6 +203,8 @@ def _cmd_lang_trace(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from . import testkit
+
     report = testkit.law_suite(args.suite)
     print(_emit(report.to_json()))
     if not report.ok:
@@ -207,6 +218,8 @@ _REPLAY_KEYS = ("rho", "sort", "term")
 
 
 def _cmd_fuzz(args) -> int:
+    from . import testkit
+
     if args.replay:
         with open(args.replay, encoding="utf-8") as fh:
             try:
@@ -220,7 +233,8 @@ def _cmd_fuzz(args) -> int:
                 f"replay case must be a JSON object with string keys {', '.join(_REPLAY_KEYS)}",
                 2,
             )
-        steps, cx = testkit.replay_case(case, fuel=args.fuel)
+        with _lang_text():
+            steps, cx = testkit.replay_case(case, fuel=args.fuel)
         if cx is None:
             print(f"replay ok: {steps} steps preserved typing")
             return 0
@@ -240,22 +254,29 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    if args.signature:
-        if args.signature == "arith":
-            print(_emit(signature_to_json(arith.TRM)))
-        else:
-            from .mutual import bisignature_to_json
+    if args.signature == "arith":
+        from . import arith
+        from .kernel import signature_to_json
 
-            print(_emit(bisignature_to_json(LANG)))
+        print(_emit(signature_to_json(arith.TRM)))
+        return 0
+    if args.signature == "lang":
+        from .lang_l import LANG
+        from .mutual import bisignature_to_json
+
+        print(_emit(bisignature_to_json(LANG)))
         return 0
     if args.expr is None:
         return _fail("dump needs an expression or --signature", 2)
     if args.sort == "arith":
+        from . import arith
+        from .kernel import term_to_json
+
         print(_emit(term_to_json(arith.parse_term(args.expr))))
-    elif args.sort in ("exp", "dec"):
-        print(_emit(biterm_to_json(_PARSERS[args.sort](args.expr))))
     else:
-        return _fail(f"cannot dump sort {args.sort!r} as JSON", 2)
+        from .mutual import biterm_to_json
+
+        print(_emit(biterm_to_json(_parse_lang(args.sort, args.expr))))
     return 0
 
 
@@ -263,7 +284,9 @@ def _cmd_dump(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` never mutates it."""
     top = argparse.ArgumentParser(prog="alacarte")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -328,9 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if hasattr(args, "fuel"):
@@ -345,7 +367,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except sexpr.SexprError as exc:
         return _fail(f"parse error: {exc}", 2)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc), 2)
     except InvalidDerivationError as exc:
         return _fail(f"invalid derivation: {exc}", 1)

@@ -1,7 +1,15 @@
 """Exit codes, stream discipline, round-trips, and byte determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import alacarte
 from alacarte import cli, testkit
 from alacarte.lang_l import Ty, cn, print_dec, print_exp
 from alacarte.mutual import biterm_to_json
@@ -246,3 +254,85 @@ def test_byte_determinism(capsys):
 def test_no_data_on_error_stream(capsys):
     code, out, err = run(capsys, "arith", "eval", "(lit 9)")
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# what a command pays for
+
+
+def test_arith_commands_load_no_lang_modules():
+    src = str(Path(alacarte.__file__).resolve().parent.parent)
+    script = (
+        "import json, sys\n"
+        "from alacarte import cli\n"
+        "codes = [cli.main(['arith', 'eval', '(lit 1)']),\n"
+        "         cli.main(['arith', 'preserve', '(add (lit 1) (lit 2))'])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "alacarte.arith" in loaded
+    unwanted = ("alacarte.lang_l", "alacarte.mutual", "alacarte.testkit")
+    assert [m for m in loaded if m.startswith(unwanted)] == []
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, "arith", "eval", "(lit 1)")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "arith", "eval", "(lit 2)") == (0, "(val 2)\n", "")
+    assert run(capsys, "lang", "parse", "(var x)") == (0, "(var x)\n", "")
+    assert built == []
+
+
+DUP_EXP = "(scope (match (papp (pvar x (ty a)) (pvar x (ty a))) (con c (ty a))) (var x))"
+DUP_DEC = "(match (papp (pvar x (ty a)) (pvar x (ty a))) (con c (ty a)))"
+DUP_ENV = "((f (clos () (papp (pvar x (ty a)) (pvar x (ty a))) (var x))))"
+DUP_LINE = "parse error: pattern binds 'x' twice"
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        pytest.param(["lang", "parse", DUP_EXP], DUP_LINE, id="parse-exp"),
+        pytest.param(["lang", "parse", "--sort", "dec", DUP_DEC], DUP_LINE, id="parse-dec"),
+        pytest.param(["lang", "typecheck", DUP_EXP], DUP_LINE, id="typecheck"),
+        pytest.param(["lang", "step", DUP_EXP], DUP_LINE, id="step"),
+        pytest.param(["lang", "step", "--env", DUP_ENV, "(con c (ty a))"], DUP_LINE, id="step-env"),
+        pytest.param(["lang", "trace", "{env}", DUP_EXP], DUP_LINE, id="trace"),
+        pytest.param(["lang", "trace", "{dup_env}", "(con c (ty a))"], DUP_LINE, id="trace-env-file"),
+        pytest.param(["dump", "--sort", "exp", DUP_EXP], DUP_LINE, id="dump-exp"),
+        pytest.param(["dump", "--sort", "dec", DUP_DEC], DUP_LINE, id="dump-dec"),
+        pytest.param(["fuzz-preservation", "--replay", "{dup_case}"], DUP_LINE, id="replay-case"),
+        pytest.param(["lang", "trace", "{dir}", "(con c (ty a))"], "Is a directory: '{dir}'", id="trace-dir"),
+        pytest.param(["fuzz-preservation", "--replay", "{dir}"], "Is a directory: '{dir}'", id="replay-dir"),
+        pytest.param(["lang", "trace", "{latin1}", "(con c (ty a))"], "{latin1}: not UTF-8 text", id="trace-not-utf8"),
+    ],
+)
+def test_bad_lang_text_and_file_arguments_exit_2_with_one_line(capsys, tmp_path, argv, says):
+    files = {
+        "env": env_file(tmp_path),
+        "dup_env": str(tmp_path / "dup_env.sexpr"),
+        "dup_case": str(tmp_path / "dup_case.json"),
+        "dir": str(tmp_path),
+        "latin1": str(tmp_path / "latin1.sexpr"),
+    }
+    Path(files["dup_env"]).write_text(DUP_ENV, encoding="utf-8")
+    case = {"rho": "()", "sort": "exp", "term": DUP_EXP}
+    Path(files["dup_case"]).write_text(json.dumps(case), encoding="utf-8")
+    Path(files["latin1"]).write_bytes("((x (con caf\xe9 (ty a))))".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert says.format(**files) in err
