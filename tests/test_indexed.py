@@ -1,6 +1,7 @@
 """Derivation trees over the evaluation relation of the arithmetic language."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -296,3 +297,100 @@ def test_din_equals_and_hashes_as_hand_built():
         assert din(n) == Derivation(n.sig, n)
         assert hash(din(n)) == hash(Derivation(n.sig, n))
         assert repr(din(n)) == repr(Derivation(n.sig, n))
+
+
+# ---------------------------------------------------------------------------
+# characterization: every rejection's exact message, path and reason
+
+
+def test_dnode_rejections_exact_messages():
+    leaf = din(ev1_node(1))
+    cases = [
+        (("ev9", {}), "Eval has no rule 'ev9'"),
+        (("ev1", {"x": 1, "y": 2}), "Eval.ev1: params ['x', 'y'] do not match schema ['x']"),
+        (("ev1", {"x": 1}, (leaf,)), "Eval.ev1: expected 0 premise witnesses, got 1"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidDerivationError) as exc:
+            EVAL_SIG.dnode(*args)
+        assert str(exc.value) == message
+
+
+def _eval_rejections():
+    """(label, node, reason) for every reason the checker gives on EVAL_SIG."""
+    good = ev2_node(lit(1), lit(2))
+    (i0, w0), (i1, w1) = good.premises
+    nine = arith.build_eval_derivation(lit(9))
+    typd = arith.build_typof_derivation(lit(2))
+
+    def hand(rule="ev2", params=good.params, premises=good.premises, conclusion=good.conclusion):
+        return DNode(EVAL_SIG, rule, params, premises, conclusion)
+
+    child = f"rule ev2: premise 0 expects conclusion {i0!r}, child concludes {nine.root.conclusion!r}"
+    return [
+        ("unknown rule", hand(rule="ev9"), "unknown rule 'ev9'"),
+        ("schema", hand(params=good.params[::-1]), "rule ev2: parameter schema mismatch"),
+        ("side", ev2_node(lit(1), lit(2), forged_sum=99), "rule ev2: side condition 'sum' failed"),
+        ("count", hand(premises=good.premises[:1]), "rule ev2: wrong number of premises"),
+        ("index", hand(premises=((i0, w0), ((lit(9), Val(9)), w1))), "rule ev2: premise 1 index mismatch"),
+        ("conclusion", hand(conclusion=(lit(3), Val(4))), "rule ev2: conclusion index mismatch"),
+        ("witness node", hand(premises=((i0, w0), (i1, w1.root))), "rule ev2: premise 1 witness is not a derivation"),
+        ("witness sig", hand(premises=((i0, w0), (i1, typd))), "rule ev2: premise 1 witness is not a derivation"),
+        ("stamped witness", EVAL_SIG.dnode("ev2", good.params_dict(), (w0, typd)), "rule ev2: premise 1 witness is not a derivation"),
+        ("child", hand(premises=((i0, nine), (i1, w1))), child),
+        ("stamped child", EVAL_SIG.dnode("ev2", good.params_dict(), (nine, w1)), child),
+    ]
+
+
+def test_checker_rejections_exact_reasons_at_root_and_nested():
+    for label, bad, reason in _eval_rejections():
+        with pytest.raises(InvalidDerivationError) as exc:
+            din(bad)
+        assert str(exc.value) == reason, label
+        verdict = validate(Derivation(EVAL_SIG, bad))
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason), label
+        e, x = bad.conclusion
+        parent = EVAL_SIG.dnode(
+            "ev2",
+            {"e1": lit(0), "e2": e, "x1": Val(0), "x2": x, "v": x},
+            (arith.build_eval_derivation(lit(0)), Derivation(EVAL_SIG, bad)),
+        )
+        verdict = validate(Derivation(EVAL_SIG, parent))
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (1,), reason), label
+
+
+def test_fold_index_errors_exact_messages():
+    d = arith.build_eval_derivation(add(lit(1), lit(2)))
+    with pytest.raises(WrongIndexError) as exc:
+        ifold(lambda rec, w, node: w, (lit(4), Val(4)), d)
+    assert str(exc.value) == f"derivation concludes {d.root.conclusion!r}, not {(lit(4), Val(4))!r}"
+    wrong = lambda rec, w, node: [rec((lit(5), Val(5)), h) for _, h in node.premises]
+    with pytest.raises(WrongIndexError) as exc:
+        ifold(wrong, d.root.conclusion, d)
+    assert str(exc.value) == (
+        f"recursive call at {(lit(5), Val(5))!r} on a derivation concluding {(lit(1), Val(1))!r}"
+    )
+
+
+def test_derivation_json_full_nested_output():
+    d = arith.build_eval_derivation(add(lit(1), lit(2)))
+    leaf = lambda x: {
+        "rule": "ev1",
+        "index": [f"(lit {x})", f"(val {x})"],
+        "params": {"x": x},
+        "premises": [],
+    }
+    expected = {
+        "rule": "ev2",
+        "index": ["(add (lit 1) (lit 2))", "(val 3)"],
+        "params": {
+            "e1": "(lit 1)",
+            "e2": "(lit 2)",
+            "x1": "(val 1)",
+            "x2": "(val 2)",
+            "v": "(val 3)",
+        },
+        "premises": [leaf(1), leaf(2)],
+    }
+    js = derivation_to_json(d, arith.encode_index)
+    assert json.dumps(js) == json.dumps(expected)

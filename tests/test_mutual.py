@@ -1,6 +1,7 @@
 """Bi-functor laws on the Dec/Exp signature and a tiny standalone instance."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -17,18 +18,20 @@ from alacarte.mutual import (
     bifmap,
     bifold_1,
     bifold_2,
+    bi_derivation_to_json,
     birule,
     bistep_once,
     biterm_to_json,
     din_bi,
     dout_bi,
+    hfold_1,
     hfold_2,
     hstep_once,
     in_bi,
     out_bi,
     validate_bi,
 )
-from alacarte.indexed import InvalidDerivationError
+from alacarte.indexed import InvalidDerivationError, WrongIndexError
 
 
 def lang_layers(depth=3):
@@ -340,3 +343,111 @@ def test_din_bi_equals_and_hashes_as_hand_built():
         assert din_bi(n) == BiDerivation(n.sig, n.family, n)
         assert hash(din_bi(n)) == hash(BiDerivation(n.sig, n.family, n))
         assert repr(din_bi(n)) == repr(BiDerivation(n.sig, n.family, n))
+
+
+# ---------------------------------------------------------------------------
+# characterization: every rejection's exact message, path and reason
+
+
+def test_bi_dnode_rejections_exact_messages():
+    par = CountingParity()
+    cases = [
+        (("odd-z", {}), "CountingParity has no rule 'odd-z'"),
+        (("odd-s", {}), "CountingParity.odd-s: params [] do not match schema ['n']"),
+        (("odd-s", {"n": 0}), "CountingParity.odd-s: expected 1 premise witnesses, got 0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidDerivationError) as exc:
+            par.sig.dnode(*args)
+        assert str(exc.value) == message
+
+
+def _parity_rejections(par):
+    """(label, node, reason) for every reason the checker gives on a 2-family signature."""
+    sig = par.sig
+    zero, two = par.build(0), par.build(2)
+    good = sig.dnode("odd-s", {"n": 0}, (zero,))
+
+    def hand(family=2, rule="odd-s", params=good.params, premises=good.premises, conclusion=1):
+        return BiDNode(sig, family, rule, params, premises, conclusion)
+
+    other = CountingParity().build(0)
+    not_fam1 = "rule odd-s: premise 0 witness is not a family-1 derivation"
+    child = "rule odd-s: premise 0 expects conclusion 0, child concludes 2"
+    return [
+        ("unknown rule", hand(rule="odd-z"), "unknown rule 'odd-z'"),
+        ("family", hand(family=1), "rule odd-s: family mismatch"),
+        ("schema", hand(params=(("m", 0),)), "rule odd-s: parameter schema mismatch"),
+        ("side", sig.dnode("odd-s", {"n": 10}, (par.build(10),)), "rule odd-s: side condition 'small' failed"),
+        ("count", hand(premises=()), "rule odd-s: wrong number of premises"),
+        ("premise family", hand(premises=((2, 0, zero),)), "rule odd-s: premise 0 family mismatch"),
+        ("premise index", hand(premises=((1, 5, zero),)), "rule odd-s: premise 0 index mismatch"),
+        ("conclusion", hand(conclusion=7), "rule odd-s: conclusion index mismatch"),
+        ("witness node", hand(premises=((1, 0, zero.root),)), not_fam1),
+        ("witness family", hand(premises=((1, 0, BiDerivation(sig, 2, zero.root)),)), not_fam1),
+        ("witness sig", hand(premises=((1, 0, other),)), not_fam1),
+        ("stamped witness", sig.dnode("odd-s", {"n": 0}, (other,)), not_fam1),
+        ("child", hand(premises=((1, 0, two),)), child),
+        ("stamped child", sig.dnode("odd-s", {"n": 0}, (two,)), child),
+    ]
+
+
+def test_bi_checker_rejections_exact_reasons_at_root_and_nested():
+    par = CountingParity()
+    for label, bad, reason in _parity_rejections(par):
+        with pytest.raises(InvalidDerivationError) as exc:
+            din_bi(bad)
+        assert str(exc.value) == reason, label
+        verdict = validate_bi(BiDerivation(par.sig, 2, bad))
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason), label
+        if bad.conclusion < 10:
+            parent = par.sig.dnode("even-s", {"n": bad.conclusion}, (BiDerivation(par.sig, 2, bad),))
+            verdict = validate_bi(BiDerivation(par.sig, 1, parent))
+            assert (verdict.ok, verdict.path, verdict.reason) == (False, (0,), reason), label
+
+
+def test_bi_fold_entry_errors_exact_messages():
+    par = CountingParity()
+    odd, even = par.build(3), par.build(2)
+    cases = [
+        (lambda: hfold_1(HDEPTH, 3, odd), WrongComponentError, "hfold_1 applied to a family-2 derivation"),
+        (lambda: hfold_2(HDEPTH, 2, even), WrongComponentError, "hfold_2 applied to a family-1 derivation"),
+        (lambda: hfold_2(HDEPTH, 4, odd), WrongIndexError, "derivation concludes 3, not 4"),
+        (lambda: hfold_1(HDEPTH, 5, even), WrongIndexError, "derivation concludes 2, not 5"),
+        (lambda: bifold_1(SIZE, vr("x")), WrongComponentError, "bifold_1 applied to a second-component term"),
+        (lambda: bifold_2(SIZE, env_(EMPTY_ENV)), WrongComponentError, "bifold_2 applied to a first-component term"),
+    ]
+    for run, error, message in cases:
+        with pytest.raises(error) as exc:
+            run()
+        assert str(exc.value) == message
+    wrong = IndexedBiMendlerAlgebra(
+        step1=lambda r1, r2, w, n: [r2(9, h) for _, _, h in n.premises],
+        step2=lambda r1, r2, w, n: [r1(9, h) for _, _, h in n.premises],
+    )
+    with pytest.raises(WrongIndexError) as exc:
+        hfold_2(wrong, 3, odd)
+    assert str(exc.value) == "recursive call at 9 on a derivation concluding 2"
+
+
+def test_bi_derivation_json_full_nested_output():
+    d = CountingParity().build(3)
+
+    def expected(family):
+        js = {"family": family(1), "rule": "even-z", "index": "#0", "params": {}, "premises": []}
+        for n, fam, name in ((0, 2, "odd-s"), (1, 1, "even-s"), (2, 2, "odd-s")):
+            js = {
+                "family": family(fam),
+                "rule": name,
+                "index": f"#{n + 1}",
+                "params": {"n": f"#{n}"},
+                "premises": [js],
+            }
+        return js
+
+    encode = lambda v: f"#{v}"
+    js = bi_derivation_to_json(d, encode)
+    assert json.dumps(js) == json.dumps(expected(lambda f: f))
+    js = bi_derivation_to_json(d, encode, ("Even", "Odd"))
+    assert json.dumps(js) == json.dumps(expected(lambda f: ("Even", "Odd")[f - 1]))
+    assert bi_derivation_to_json(d)["premises"][0]["family"] == 1
