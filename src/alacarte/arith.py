@@ -244,18 +244,14 @@ def _tof1(v: Val) -> Derivation:
 
 
 def _preservation_step(rec, w, node):
-    e, v = w
-    if node.rule == "ev1":
+    """The preservation step of both routes: over ``EVAL_SIG``, at index
+    ``(e, v)``, and over ``ISTRM_SIG``, at index ``e``.
 
-        def transform(td: Derivation) -> Derivation:
-            if td.root.conclusion != (e, N):
-                raise WrongIndexError(
-                    f"typing derivation concludes {td.root.conclusion!r}, "
-                    f"expected {(e, N)!r}"
-                )
-            return _tof1(Val(node.param("x")))
-
-        return transform
+    The evaluation route also checks that its premise transformers agree
+    with the premises' values.
+    """
+    evaluation = node.sig is EVAL_SIG
+    e = w[0] if evaluation else w
 
     def transform(td: Derivation) -> Derivation:
         if td.root.conclusion != (e, N):
@@ -263,6 +259,8 @@ def _preservation_step(rec, w, node):
                 f"typing derivation concludes {td.root.conclusion!r}, "
                 f"expected {(e, N)!r}"
             )
+        if node.rule in ("ev1", "isLit"):
+            return _tof1(Val(node.param("x")))
         tnode = dout(td)
         if tnode.rule != "tof2":
             raise InvalidDerivationError(
@@ -274,7 +272,7 @@ def _preservation_step(rec, w, node):
         out2 = rec(w2, h2)(td2)
         x1 = lit_value(out1.root.conclusion[0])
         x2 = lit_value(out2.root.conclusion[0])
-        if Val(x1) != w1[1] or Val(x2) != w2[1]:
+        if evaluation and (Val(x1) != w1[1] or Val(x2) != w2[1]):
             raise InvalidDerivationError("premise transformers disagreed with indices")
         return _tof1(Val(x1 + x2))
 
@@ -295,42 +293,6 @@ def preservation(d: Derivation, td: Derivation) -> Derivation:
     return out
 
 
-def _istrm_step(rec, w, node):
-    e = w
-    if node.rule == "isLit":
-
-        def transform(td: Derivation) -> Derivation:
-            if td.root.conclusion != (e, N):
-                raise WrongIndexError(
-                    f"typing derivation concludes {td.root.conclusion!r}, "
-                    f"expected {(e, N)!r}"
-                )
-            return _tof1(Val(node.param("x")))
-
-        return transform
-
-    def transform(td: Derivation) -> Derivation:
-        if td.root.conclusion != (e, N):
-            raise WrongIndexError(
-                f"typing derivation concludes {td.root.conclusion!r}, "
-                f"expected {(e, N)!r}"
-            )
-        tnode = dout(td)
-        if tnode.rule != "tof2":
-            raise InvalidDerivationError(
-                f"typing of an addition must end in tof2, got {tnode.rule}"
-            )
-        (w1, h1), (w2, h2) = node.premises
-        (_, td1), (_, td2) = tnode.premises
-        out1 = rec(w1, h1)(td1)
-        out2 = rec(w2, h2)(td2)
-        x1 = lit_value(out1.root.conclusion[0])
-        x2 = lit_value(out2.root.conclusion[0])
-        return _tof1(Val(x1 + x2))
-
-    return transform
-
-
 def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
     """Same goal as :func:`preservation`, by induction on the lifted predicate."""
     for x in (validate(w), validate(td)):
@@ -340,7 +302,7 @@ def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
     e2, t = td.root.conclusion
     if e != e2:
         raise WrongIndexError("lifting and typing derivations disagree on the term")
-    out = ifold(_istrm_step, e, w)(td)
+    out = ifold(_preservation_step, e, w)(td)
     assert out.root.conclusion == (lit(eval_(e).vv), t)
     return out
 

@@ -234,7 +234,10 @@ def _cmd_fuzz(args) -> int:
                 2,
             )
         with _lang_text():
-            steps, cx = testkit.replay_case(case, fuel=args.fuel)
+            try:
+                steps, cx = testkit.replay_case(case, fuel=args.fuel)
+            except testkit.BadReplayCaseError as exc:
+                return _fail(str(exc), 2)
         if cx is None:
             print(f"replay ok: {steps} steps preserved typing")
             return 0

@@ -81,6 +81,20 @@ register_payload_kind("tid", lambda v: isinstance(v, str) and v != "")
 # signatures, nodes, terms
 
 
+def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds) -> dict[str, tuple[str, ...]]:
+    """Constructor -> slot kinds, each one of ``rec_kinds`` or a registered payload kind."""
+    table: dict[str, tuple[str, ...]] = {}
+    for ctor, kinds in ctors.items():
+        kinds = tuple(kinds)
+        for k in kinds:
+            if k not in rec_kinds and k not in _PAYLOAD_KINDS:
+                raise ValueError(f"unknown slot kind {k!r} in {name}.{ctor}")
+        if ctor in table:
+            raise ValueError(f"duplicate constructor {ctor!r} in {name}")
+        table[ctor] = kinds
+    return table
+
+
 class Signature:
     """A one-layer grammar shape: constructor name -> tuple of slot kinds.
 
@@ -90,15 +104,7 @@ class Signature:
 
     def __init__(self, name: str, ctors: Mapping[str, Iterable[str]]):
         self.name = name
-        self.ctors: dict[str, tuple[str, ...]] = {}
-        for ctor, kinds in ctors.items():
-            kinds = tuple(kinds)
-            for k in kinds:
-                if k != REC and k not in _PAYLOAD_KINDS:
-                    raise ValueError(f"unknown slot kind {k!r} in {name}.{ctor}")
-            if ctor in self.ctors:
-                raise ValueError(f"duplicate constructor {ctor!r} in {name}")
-            self.ctors[ctor] = kinds
+        self.ctors = _ctor_table(name, ctors, (REC,))
 
     def node(self, ctor: str, slots: Iterable[Any] = ()) -> "Node":
         """Build a node, validating slot counts and payload kinds.
@@ -202,6 +208,13 @@ class Handle:
         self._brand = brand
 
 
+def open_handle(h, brand):
+    """The value of a handle issued under ``brand``; every Mendler step opens handles here."""
+    if not isinstance(h, Handle) or h._brand is not brand:
+        raise ForeignHandleError("handle consumed outside the fold that issued it")
+    return h._value
+
+
 def step_once(malg, node: Node, recurse):
     """Run one Mendler step on ``node`` with freshly branded handles.
 
@@ -211,13 +224,7 @@ def step_once(malg, node: Node, recurse):
     """
     brand = object()
     wrapped = Node(node.sig, node.ctor, tuple(Handle(v, brand) for v in node.rec), node.payload)
-
-    def rec(h):
-        if not isinstance(h, Handle) or h._brand is not brand:
-            raise ForeignHandleError("handle consumed outside the fold that issued it")
-        return recurse(h._value)
-
-    return malg(rec, wrapped)
+    return malg(lambda h: recurse(open_handle(h, brand)), wrapped)
 
 
 def mfold(malg, t: Term):

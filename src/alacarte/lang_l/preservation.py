@@ -92,9 +92,39 @@ def _rebuild(rule_name, params, witnesses, w, step_rule):
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
+# The one-premise congruence steps: step rule -> (typing rule, child
+# position, rewritten parameter).  The step's premise steps that child of the
+# typing, and the rebuilt typing takes the step's primed parameter (``e1``
+# becomes the step's ``e1p``).
+_CONGRUENCE = {
+    "E-APP1": ("T-APP", 0, "e1"),
+    "E-APP2": ("T-APP", 1, "e2"),
+    "E-SCOPE1": ("T-SCOPE", 0, "d"),
+    "D-MATCH1": ("TD-MATCH", 0, "e"),
+    "D-JOIN1": ("TD-JOIN", 0, "d1"),
+}
+
+
+def _congruence_case(rec1, rec2, w, node, P):
+    typing_rule, pos, param = _CONGRUENCE[node.rule]
+
+    def transform(gamma, envd, typd):
+        an = _expect(typd, typing_rule, w, node.rule)
+        children = list(_children(an))
+        fam, wi, h = node.premises[0]
+        rec = rec1 if fam == 1 else rec2
+        children[pos] = rec(wi, h)(gamma, envd, children[pos])
+        params = {**an.params_dict(), param: P[param + "p"]}
+        return _rebuild(typing_rule, params, tuple(children), w, node.rule)
+
+    return transform
+
+
 def _step_exp_case(rec1, rec2, w, node):
     rho, e1, e2 = w
     P = node.params_dict()
+    if node.rule in _CONGRUENCE:
+        return _congruence_case(rec1, rec2, w, node, P)
 
     def transform(gamma, envd, typd):
         tnode = typd.root
@@ -106,32 +136,6 @@ def _step_exp_case(rec1, rec2, w, node):
             if res is None or res[0] != t:
                 _fail(w, node.rule, "looked-up value does not have the variable's type")
             return res[1]
-
-        if node.rule == "E-APP1":
-            an = _expect(typd, "T-APP", w, node.rule)
-            c1, c2 = _children(an)
-            _, wi, h = node.premises[0]
-            c1p = rec2(wi, h)(gamma, envd, c1)
-            return _rebuild(
-                "T-APP",
-                {**an.params_dict(), "e1": P["e1p"]},
-                (c1p, c2),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "E-APP2":
-            an = _expect(typd, "T-APP", w, node.rule)
-            c1, c2 = _children(an)
-            _, wi, h = node.premises[0]
-            c2p = rec2(wi, h)(gamma, envd, c2)
-            return _rebuild(
-                "T-APP",
-                {**an.params_dict(), "e2": P["e2p"]},
-                (c1, c2p),
-                w,
-                node.rule,
-            )
 
         if node.rule == "E-BETA":
             an = _expect(typd, "T-APP", w, node.rule)
@@ -164,19 +168,6 @@ def _step_exp_case(rec1, rec2, w, node):
                     "t": FP["t2"],
                 },
                 (dd, body_moved),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "E-SCOPE1":
-            an = _expect(typd, "T-SCOPE", w, node.rule)
-            dd, de = _children(an)
-            _, wi, h = node.premises[0]
-            ddp = rec1(wi, h)(gamma, envd, dd)
-            return _rebuild(
-                "T-SCOPE",
-                {**an.params_dict(), "d": P["dp"]},
-                (ddp, de),
                 w,
                 node.rule,
             )
@@ -214,21 +205,10 @@ def _step_exp_case(rec1, rec2, w, node):
 def _step_dec_case(rec1, rec2, w, node):
     rho, d1, d2 = w
     P = node.params_dict()
+    if node.rule in _CONGRUENCE:
+        return _congruence_case(rec1, rec2, w, node, P)
 
     def transform(gamma, envd, typd):
-        if node.rule == "D-MATCH1":
-            an = _expect(typd, "TD-MATCH", w, node.rule)
-            (ce,) = _children(an)
-            _, wi, h = node.premises[0]
-            cep = rec2(wi, h)(gamma, envd, ce)
-            return _rebuild(
-                "TD-MATCH",
-                {**an.params_dict(), "e": P["ep"]},
-                (cep,),
-                w,
-                node.rule,
-            )
-
         if node.rule == "D-MATCH":
             an = _expect(typd, "TD-MATCH", w, node.rule)
             m = patmatch(P["p"], P["v"])
@@ -241,19 +221,6 @@ def _step_dec_case(rec1, rec2, w, node):
                 "TD-ENV",
                 {"gamma": gamma, "rhop": m, "gammap": gammam},
                 (),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "D-JOIN1":
-            an = _expect(typd, "TD-JOIN", w, node.rule)
-            c1, c2 = _children(an)
-            _, wi, h = node.premises[0]
-            c1p = rec1(wi, h)(gamma, envd, c1)
-            return _rebuild(
-                "TD-JOIN",
-                {**an.params_dict(), "d1": P["d1p"]},
-                (c1p, c2),
                 w,
                 node.rule,
             )

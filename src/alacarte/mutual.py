@@ -8,33 +8,30 @@ carries both step procedures and the two folds differ only in their entry
 component.
 
 The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
-:class:`IndexedBiMendlerAlgebra` with ``hfold_1``/``hfold_2``) represents
-two mutually defined relations over index types K1 and K2; rule premises
-name the family they recurse into.
-
-As in :mod:`alacarte.indexed`, each rule instance is checked once:
-``IndexedBiSignature.dnode`` stamps the node with the :class:`BiRule` it
-instantiated, ``din_bi`` recomputes no index of a stamped node, and
-certifies the derivation it returns when every premise witness is
-certified; ``validate_bi`` stops at certified derivations.  A hand-built
-:class:`BiDNode` or :class:`BiDerivation` is always checked in full.  Rule
-expressions must be pure: a rule monkeypatched after a derivation was built
-is not re-observed on that derivation.
+``hfold_1``/``hfold_2``) represents two mutually defined relations over
+index types K1 and K2; rule premises name the family they recurse into.
+It is the two-family case of :mod:`alacarte.indexed` and shares all of its
+machinery; only the layouts of :class:`BiRule` and :class:`BiDNode` differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import (
+from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     ForeignHandleError,
     Handle,
     MalformedNodeError,
+    _ctor_table,
+    open_handle,
     payload_kind,
     _PAYLOAD_KINDS,
 )
-from .indexed import InvalidDerivationError, Validity, WrongIndexError
+from . import indexed
+from .indexed import IndexedSignature, Validity, WrongIndexError, dout
+from .indexed import InvalidDerivationError  # noqa: F401 (raised by ``din_bi``)
 
 REC1 = "rec1"
 REC2 = "rec2"
@@ -49,17 +46,7 @@ class BiSignature:
 
     def __init__(self, name, first: Mapping[str, Iterable[str]], second: Mapping[str, Iterable[str]]):
         self.name = name
-        self.ctors: tuple[dict[str, tuple[str, ...]], ...] = ({}, {})
-        for component, decls in ((1, first), (2, second)):
-            table = self.ctors[component - 1]
-            for ctor, kinds in decls.items():
-                kinds = tuple(kinds)
-                for k in kinds:
-                    if k not in (REC1, REC2) and k not in _PAYLOAD_KINDS:
-                        raise ValueError(f"unknown slot kind {k!r} in {name}.{ctor}")
-                if ctor in table:
-                    raise ValueError(f"duplicate constructor {ctor!r} in {name}")
-                table[ctor] = kinds
+        self.ctors = tuple(_ctor_table(name, decls, (REC1, REC2)) for decls in (first, second))
 
     def arity(self, component: int, ctor: str) -> tuple[str, ...]:
         return self.ctors[component - 1][ctor]
@@ -146,8 +133,11 @@ def out_bi(t: BiTerm) -> BiNode:
 class BiMendlerAlgebra:
     """One value carrying both steps; each step sees both rec procedures."""
 
-    step1: Callable  # (rec1, rec2, BiNode) -> C1
-    step2: Callable  # (rec1, rec2, BiNode) -> C2
+    step1: Callable  # (rec1, rec2, BiNode) -> C1, or (rec1, rec2, w, BiDNode) -> D1(w)
+    step2: Callable  # (rec1, rec2, BiNode) -> C2, or (rec1, rec2, w, BiDNode) -> D2(w)
+
+
+IndexedBiMendlerAlgebra = BiMendlerAlgebra
 
 
 def bistep_once(malg: BiMendlerAlgebra, node: BiNode, recurse1, recurse2):
@@ -160,37 +150,25 @@ def bistep_once(malg: BiMendlerAlgebra, node: BiNode, recurse1, recurse2):
         tuple(Handle(v, b2) for v in node.rec2),
         node.payload,
     )
-
-    def make_rec(brand, recurse):
-        def rec(h):
-            if not isinstance(h, Handle) or h._brand is not brand:
-                raise ForeignHandleError(
-                    "handle consumed outside the fold/component that issued it"
-                )
-            return recurse(h._value)
-
-        return rec
-
+    rec1 = lambda h: recurse1(open_handle(h, b1))
+    rec2 = lambda h: recurse2(open_handle(h, b2))
     step = malg.step1 if node.component == 1 else malg.step2
-    return step(make_rec(b1, recurse1), make_rec(b2, recurse2), wrapped)
+    return step(rec1, rec2, wrapped)
 
 
-def _bifold(malg: BiMendlerAlgebra, t: BiTerm):
-    return bistep_once(
-        malg, t.root, lambda s: _bifold(malg, s), lambda s: _bifold(malg, s)
-    )
+def _bifold(component: int, malg: BiMendlerAlgebra, t: BiTerm):
+    if t.component != component:
+        other = "second" if component == 1 else "first"
+        raise WrongComponentError(f"bifold_{component} applied to a {other}-component term")
+    return bistep_once(malg, t.root, lambda s: _bifold(1, malg, s), lambda s: _bifold(2, malg, s))
 
 
 def bifold_1(malg: BiMendlerAlgebra, t: BiTerm):
-    if t.component != 1:
-        raise WrongComponentError("bifold_1 applied to a second-component term")
-    return _bifold(malg, t)
+    return _bifold(1, malg, t)
 
 
 def bifold_2(malg: BiMendlerAlgebra, t: BiTerm):
-    if t.component != 2:
-        raise WrongComponentError("bifold_2 applied to a first-component term")
-    return _bifold(malg, t)
+    return _bifold(2, malg, t)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +186,10 @@ class BiRule:
     side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
     conclusion: Callable[[Mapping], Any]
 
+    @cached_property
+    def shape(self) -> tuple[tuple[int, Callable[[Mapping], Any]], ...]:
+        return self.premises
+
 
 def birule(family, name, params=(), premises=(), side=(), conclusion=None):
     if conclusion is None:
@@ -215,51 +197,8 @@ def birule(family, name, params=(), premises=(), side=(), conclusion=None):
     return BiRule(family, name, tuple(params), tuple(premises), tuple(side), conclusion)
 
 
-class IndexedBiSignature:
-    def __init__(self, name, rules: Iterable[BiRule]):
-        self.name = name
-        self.rules: dict[str, BiRule] = {}
-        for r in rules:
-            if r.name in self.rules:
-                raise ValueError(f"duplicate rule {r.name!r} in {name}")
-            self.rules[r.name] = r
-
-    def dnode(self, rule_name, params: Mapping[str, Any], witnesses=()) -> "BiDNode":
-        r = self.rules.get(rule_name)
-        if r is None:
-            raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        if set(params) != set(r.params):
-            raise InvalidDerivationError(
-                f"{self.name}.{rule_name}: params {sorted(params)} do not match "
-                f"schema {sorted(r.params)}"
-            )
-        witnesses = tuple(witnesses)
-        if len(witnesses) != len(r.premises):
-            raise InvalidDerivationError(
-                f"{self.name}.{rule_name}: expected {len(r.premises)} premise "
-                f"witnesses, got {len(witnesses)}"
-            )
-        env = dict(params)
-        prem = tuple(
-            (fam, ix(env), w) for (fam, ix), w in zip(r.premises, witnesses)
-        )
-        node = BiDNode(
-            self,
-            r.family,
-            rule_name,
-            tuple((p, params[p]) for p in r.params),
-            prem,
-            r.conclusion(env),
-        )
-        object.__setattr__(node, "_rule", r)
-        return node
-
-    def __repr__(self):
-        return f"<IndexedBiSignature {self.name}>"
-
-
 @dataclass(frozen=True, slots=True)
-class BiDNode:
+class BiDNode(indexed._RuleInstance):
     sig: IndexedBiSignature
     family: int
     rule: str
@@ -269,14 +208,9 @@ class BiDNode:
     # the BiRule whose expressions computed the indices; set by ``dnode`` only
     _rule: BiRule | None = field(default=None, init=False, compare=False, repr=False)
 
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
-    def param(self, name: str):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
+    @property
+    def shape(self) -> tuple[tuple[int, Any, Any], ...]:
+        return self.premises
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,137 +222,65 @@ class BiDerivation:
     _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
 
-def _check_binode(n: BiDNode, path):
-    """As ``indexed._check_node``: a stamped node skips schema and indices."""
-    r = n.sig.rules.get(n.rule)
-    if r is None:
-        return path, f"unknown rule {n.rule!r}"
-    stamped = n._rule is r
-    if not stamped:
-        if n.family != r.family:
-            return path, f"rule {n.rule}: family mismatch"
-        if tuple(k for k, _ in n.params) != r.params:
-            return path, f"rule {n.rule}: parameter schema mismatch"
-    env = n.params_dict()
-    for label, pred in r.side_conditions:
-        if not pred(env):
-            return path, f"rule {n.rule}: side condition {label!r} failed"
-    if not stamped:
-        if len(n.premises) != len(r.premises):
-            return path, f"rule {n.rule}: wrong number of premises"
-        for i, ((fam, ix), (sfam, stored, _)) in enumerate(zip(r.premises, n.premises)):
-            if fam != sfam:
-                return path, f"rule {n.rule}: premise {i} family mismatch"
-            if ix(env) != stored:
-                return path, f"rule {n.rule}: premise {i} index mismatch"
-        if r.conclusion(env) != n.conclusion:
-            return path, f"rule {n.rule}: conclusion index mismatch"
-    for i, (fam, stored, w) in enumerate(n.premises):
-        if not isinstance(w, BiDerivation) or w.sig is not n.sig or w.family != fam:
-            return path, f"rule {n.rule}: premise {i} witness is not a family-{fam} derivation"
-        if w.root.conclusion != stored:
-            return (
-                path,
-                f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
-                f"child concludes {w.root.conclusion!r}",
-            )
-    return None
+class IndexedBiSignature(IndexedSignature):
+    """Two mutually defined relations, families 1 and 2, in one rule table."""
+
+    _derivation = BiDerivation
+    _witness = "a family-{} derivation"
+
+    def dnode(self, rule_name, params: Mapping[str, Any], witnesses=()) -> BiDNode:
+        r, env, params, witnesses = self._instantiate(rule_name, params, witnesses)
+        prem = tuple((fam, ix(env), w) for (fam, ix), w in zip(r.premises, witnesses))
+        node = BiDNode(self, r.family, rule_name, params, prem, r.conclusion(env))
+        object.__setattr__(node, "_rule", r)
+        return node
 
 
 def din_bi(n: BiDNode) -> BiDerivation:
     """Validating constructor; certified when every premise witness is."""
-    failure = _check_binode(n, ())
-    if failure is not None:
-        raise InvalidDerivationError(failure[1])
     d = BiDerivation(n.sig, n.family, n)
-    if all(w._certified for _, _, w in n.premises):
+    if indexed._check_node(n):
         object.__setattr__(d, "_certified", True)
     return d
 
 
-def dout_bi(d: BiDerivation) -> BiDNode:
-    return d.root
+dout_bi = dout
 
 
 def validate_bi(d: BiDerivation) -> Validity:
-    if d._certified:
-        return Validity(True)
-    stack = [(d.root, ())]
-    while stack:
-        node, path = stack.pop()
-        failure = _check_binode(node, path)
-        if failure is not None:
-            return Validity(False, failure[0], failure[1])
-        for i, (_, _, w) in reversed(list(enumerate(node.premises))):
-            if not w._certified:
-                stack.append((w.root, path + (i,)))
-    return Validity(True)
-
-
-@dataclass(frozen=True)
-class IndexedBiMendlerAlgebra:
-    step1: Callable  # (rec1, rec2, w, BiDNode) -> D1(w)
-    step2: Callable  # (rec1, rec2, w, BiDNode) -> D2(w)
+    return indexed._check_tree(d)
 
 
 def hstep_once(malg: IndexedBiMendlerAlgebra, w, node: BiDNode, recurse1, recurse2):
     b1, b2 = object(), object()
-    wrapped = BiDNode(
-        node.sig,
-        node.family,
-        node.rule,
-        node.params,
-        tuple(
-            (fam, ix, Handle(wit, b1 if fam == 1 else b2))
-            for fam, ix, wit in node.premises
-        ),
-        node.conclusion,
+    handles = tuple(
+        (fam, ix, Handle(wit, b1 if fam == 1 else b2)) for fam, ix, wit in node.premises
     )
-
-    def make_rec(brand, recurse):
-        def rec(wi, h):
-            if not isinstance(h, Handle) or h._brand is not brand:
-                raise ForeignHandleError(
-                    "handle consumed outside the fold/family that issued it"
-                )
-            child = h._value
-            if child.root.conclusion != wi:
-                raise WrongIndexError(
-                    f"recursive call at {wi!r} on a derivation concluding "
-                    f"{child.root.conclusion!r}"
-                )
-            return recurse(wi, child)
-
-        return rec
-
+    wrapped = BiDNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     step = malg.step1 if node.family == 1 else malg.step2
-    return step(make_rec(b1, recurse1), make_rec(b2, recurse2), w, wrapped)
+    rec = indexed._index_checking_rec
+    return step(rec(b1, recurse1), rec(b2, recurse2), w, wrapped)
 
 
 def _hfold(malg, w, d: BiDerivation):
-    return hstep_once(
-        malg,
-        w,
-        d.root,
-        lambda wi, di: _hfold(malg, wi, di),
-        lambda wi, di: _hfold(malg, wi, di),
-    )
+    recurse = lambda wi, di: _hfold(malg, wi, di)
+    return hstep_once(malg, w, d.root, recurse, recurse)
+
+
+def _hfold_from(family: int, malg, w, d: BiDerivation):
+    if d.family != family:
+        raise WrongComponentError(f"hfold_{family} applied to a family-{3 - family} derivation")
+    if d.root.conclusion != w:
+        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    return _hfold(malg, w, d)
 
 
 def hfold_1(malg: IndexedBiMendlerAlgebra, w, d: BiDerivation):
-    if d.family != 1:
-        raise WrongComponentError("hfold_1 applied to a family-2 derivation")
-    if d.root.conclusion != w:
-        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    return _hfold(malg, w, d)
+    return _hfold_from(1, malg, w, d)
 
 
 def hfold_2(malg: IndexedBiMendlerAlgebra, w, d: BiDerivation):
-    if d.family != 2:
-        raise WrongComponentError("hfold_2 applied to a family-1 derivation")
-    if d.root.conclusion != w:
-        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    return _hfold(malg, w, d)
+    return _hfold_from(2, malg, w, d)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +315,6 @@ def bisignature_to_json(sig: BiSignature) -> dict:
 
 
 def bi_derivation_to_json(d: BiDerivation, encode=lambda v: v, family_names=None) -> dict:
-    n = d.root
-    family = n.family if family_names is None else family_names[n.family - 1]
-    return {
-        "family": family,
-        "rule": n.rule,
-        "index": encode(n.conclusion),
-        "params": {k: encode(v) for k, v in n.params},
-        "premises": [
-            bi_derivation_to_json(w, encode, family_names) for _, _, w in n.premises
-        ],
-    }
+    if family_names is None:
+        return indexed._walk_json(d, encode, lambda fam: fam)
+    return indexed._walk_json(d, encode, lambda fam: family_names[fam - 1])

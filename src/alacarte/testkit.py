@@ -26,6 +26,7 @@ from .lang_l import (
     CounterexampleError,
     Env,
     EMPTY_ENV,
+    NonValueError,
     PApp,
     PCon,
     PVar,
@@ -427,12 +428,22 @@ def run_preservation_fuzz(seed: int, count: int, fuel: int = 50) -> FuzzReport:
     return report
 
 
+class BadReplayCaseError(ValueError):
+    """A replay case whose ``rho`` is not a typable environment of values."""
+
+
 def replay_case(case: dict, fuel: int = 50) -> tuple[int, Optional[dict]]:
     """Re-run a dumped counterexample case from its serialized form."""
     rho = parse_env(case["rho"])
     parse = parse_dec if case["sort"] == "dec" else parse_exp
     term = parse(case["term"])
-    gamma, envd = typecheck_env(rho)
+    try:
+        typed = typecheck_env(rho)
+    except NonValueError as exc:
+        raise BadReplayCaseError(f"replay case rho: {exc}") from None
+    if typed is None:
+        raise BadReplayCaseError("replay case rho does not typecheck")
+    gamma, envd = typed
     tc = typecheck_dec if case["sort"] == "dec" else typecheck_exp
     res = tc(gamma, term)
     if res is None:

@@ -215,3 +215,29 @@ def test_parse_rejects_garbage():
 
     with pytest.raises(SexprError):
         parse_term("(mul (lit 1) (lit 2))")
+
+
+def test_evaluation_route_checks_premise_transformers_against_premise_values():
+    from alacarte import arith
+    from alacarte.indexed import DNode, ifold
+
+    # a hand-built (never validated) ev2 whose left premise claims the value 5
+    # for (lit 1): the child link holds, but the transformed literal is 1
+    left = DNode(EVAL_SIG, "ev1", (("x", 1),), (), (lit(1), Val(5)))
+    right = build_eval_derivation(lit(2))
+    params = {"e1": lit(1), "e2": lit(2), "x1": Val(5), "x2": Val(2), "v": Val(7)}
+    node = DNode(
+        EVAL_SIG,
+        "ev2",
+        tuple(params.items()),
+        (((lit(1), Val(5)), Derivation(EVAL_SIG, left)), ((lit(2), Val(2)), right)),
+        (add(lit(1), lit(2)), Val(7)),
+    )
+    typd = build_typof_derivation(add(lit(1), lit(2)))
+    run = ifold(arith._preservation_step, node.conclusion, Derivation(EVAL_SIG, node))
+    with pytest.raises(InvalidDerivationError) as exc:
+        run(typd)
+    assert str(exc.value) == "premise transformers disagreed with indices"
+    # the lifted-term route carries no values, so it has nothing to disagree with
+    out = preservation_via_istrm(build_istrm(add(lit(1), lit(2))), typd)
+    assert out.root.conclusion == (lit(3), N)

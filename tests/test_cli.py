@@ -225,7 +225,18 @@ def test_unparsable_fuel_variable_exit_2(capsys, monkeypatch):
 
 def test_replay_case_missing_key_or_not_json_exit_2(capsys, tmp_path):
     case_file = tmp_path / "case.json"
-    for text, says in ((json.dumps({"sort": "exp", "term": "(var x)"}), "rho"), ("{", "not JSON")):
+    cases = (
+        (json.dumps({"sort": "exp", "term": "(var x)"}), "rho"),
+        ("{", "not JSON"),
+        (json.dumps({"rho": "((x (var y)))", "sort": "exp", "term": "(var x)"}), "not a value"),
+        (
+            json.dumps(
+                {"rho": "((x (app (con c (ty a)) (con d (ty a)))))", "sort": "exp", "term": "(var x)"}
+            ),
+            "does not typecheck",
+        ),
+    )
+    for text, says in cases:
         case_file.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "fuzz-preservation", "--replay", str(case_file))
         assert (code, out) == (2, "")

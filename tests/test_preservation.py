@@ -161,3 +161,36 @@ def test_counterexample_reported_under_broken_union(monkeypatch):
     assert not report.ok
     cx = report.counterexamples[0]
     assert {"sort", "rho", "term", "rule", "reason"} <= set(cx)
+
+
+def test_congruence_cases_report_a_mistyped_child_as_a_counterexample():
+    from alacarte.lang_l import TP_ALG, CounterexampleError, print_dec, print_exp
+    from alacarte.mutual import hfold_1, hfold_2
+
+    ty = TY_A
+    redex = apply_(closure(EMPTY_ENV, PVar("x", ty), vr("x")), cn("c", ty))
+    ident = closure(EMPTY_ENV, PVar("y", ty), vr("y"))
+    cases = {
+        "E-APP1": ("exp", apply_(scope(env_(EMPTY_ENV), ident), cn("c", ty)), "T-APP"),
+        "E-APP2": ("exp", apply_(ident, redex), "T-APP"),
+        "E-SCOPE1": ("exp", scope(match_(PVar("z", ty), redex), vr("z")), "T-SCOPE"),
+        "D-MATCH1": ("dec", match_(PVar("z", ty), redex), "TD-MATCH"),
+        "D-JOIN1": ("dec", join_(match_(PVar("z", ty), redex), env_(EMPTY_ENV)), "TD-JOIN"),
+    }
+    gamma, envd = setting(EMPTY_ENV)
+    _, wrong = typecheck_exp(gamma, cn("c", ty))
+    for rule, (sort, term, typing_rule) in cases.items():
+        succ, stepd = (step_dec if sort == "dec" else step_exp)(EMPTY_ENV, term)
+        assert stepd.root.rule == rule
+        fold = hfold_1 if sort == "dec" else hfold_2
+        with pytest.raises(CounterexampleError) as exc:
+            fold(TP_ALG, stepd.root.conclusion, stepd)(gamma, envd, wrong)
+        show = print_dec if sort == "dec" else print_exp
+        assert exc.value.report == {
+            "rule": rule,
+            "rho": "()",
+            "term": show(term),
+            "successor": show(succ),
+            "reason": f"expected a {typing_rule} typing, got T-CON",
+        }
+        run_one(EMPTY_ENV, term, sort)
