@@ -43,15 +43,16 @@ from .kernel import (
     out_,
     project_left,
     project_right,
+    value_class,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Val:
     vv: int
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TypN:
     """The single numeric type."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import ForeignHandleError, Handle, open_handle  # noqa: F401 (raised by ``rec``)
+from .kernel import ForeignHandleError, Handle, open_handle, value_class  # noqa: F401 (raised by ``rec``)
 
 
 class InvalidDerivationError(Exception):
@@ -44,8 +44,18 @@ class WrongIndexError(Exception):
     pass
 
 
+class _Schema:
+    """What :class:`Rule` and ``mutual.BiRule`` derive from their fields, once per rule."""
+
+    __slots__ = ()
+
+    @cached_property
+    def param_set(self) -> frozenset[str]:
+        return frozenset(self.params)
+
+
 @dataclass(frozen=True)
-class Rule:
+class Rule(_Schema):
     """One inference rule.
 
     ``premises`` and ``conclusion`` are index expressions closing over the
@@ -87,7 +97,7 @@ class _RuleInstance:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class DNode(_RuleInstance):
     """A rule instance: premises pair a judgment index with a witness."""
 
@@ -106,7 +116,7 @@ class DNode(_RuleInstance):
         return tuple((1, ix, w) for ix, w in self.premises)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Derivation:
     sig: IndexedSignature
     root: DNode
@@ -132,7 +142,7 @@ class IndexedSignature:
     def dnode(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> DNode:
         """Instantiate a rule; premise and conclusion indices are computed."""
         r, env, params, witnesses = self._instantiate(rule_name, params, witnesses)
-        prem = tuple((ix(env), w) for ix, w in zip(r.premises, witnesses))
+        prem = tuple([(ix(env), w) for ix, w in zip(r.premises, witnesses)])
         node = DNode(self, rule_name, params, prem, r.conclusion(env))
         object.__setattr__(node, "_rule", r)
         return node
@@ -142,7 +152,7 @@ class IndexedSignature:
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        if set(params) != set(r.params):
+        if params.keys() != r.param_set:
             raise InvalidDerivationError(
                 f"{self.name}.{rule_name}: params {sorted(params)} do not match "
                 f"schema {sorted(r.params)}"
@@ -154,7 +164,7 @@ class IndexedSignature:
                 f"witnesses, got {len(witnesses)}"
             )
         env = dict(params)
-        return r, env, tuple((p, env[p]) for p in r.params), witnesses
+        return r, env, tuple([(p, env[p]) for p in r.params]), witnesses
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -292,7 +302,7 @@ def _index_checking_rec(brand, recurse):
 def istep_once(malg, w, node: DNode, recurse):
     """One indexed Mendler step with freshly branded premise handles."""
     brand = object()
-    handles = tuple((ix, Handle(wit, brand)) for ix, wit in node.premises)
+    handles = tuple([(ix, Handle(wit, brand)) for ix, wit in node.premises])
     wrapped = DNode(node.sig, node.rule, node.params, handles, node.conclusion)
     return malg(_index_checking_rec(brand, recurse), w, wrapped)
 
@@ -301,7 +311,13 @@ def ifold(malg, w, d: Derivation):
     """Indexed Mendler fold of ``d``, which must conclude at ``w``."""
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    return istep_once(malg, w, d.root, lambda wi, di: ifold(malg, wi, di))
+    return _ifold(malg, w, d)
+
+
+def _ifold(malg, w, d: Derivation):
+    """``ifold`` below its root check: every ``rec`` has checked its child's index."""
+    recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
+    return recurse(w, d)
 
 
 def derivation_to_json(d: Derivation, encode=lambda v: v) -> dict:

@@ -25,7 +25,7 @@ everything here is safe for concurrent use without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 
@@ -39,6 +39,49 @@ class ForeignHandleError(Exception):
 
 class UnsupportedCarrierError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# immutable value classes
+
+
+def value_class(cls):
+    """``dataclass(frozen=True, slots=True)`` with a straight-line ``__init__``.
+
+    The dataclass ``__init__`` of a frozen class stores each field through
+    ``object.__setattr__``; this one is generated once per class, as the
+    dataclass's own is, and stores each field through its slot descriptor.
+    It takes the same parameters and stores each ``init=False`` field's
+    default, so construction behaves exactly as the dataclass's does;
+    equality, hashing, ``repr``, ``replace``, copying, pickling, ``match``
+    and the frozen ``__setattr__``/``__delattr__`` are the dataclass's own.
+    Nothing is cached across constructions.  A field is either a parameter
+    without a default or an ``init=False`` field with a plain default.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = cls.__init__
+    names, stores, env = [], [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.init != (f.default is MISSING):
+            raise TypeError(f"{cls.__name__}.{f.name}: not a field a value class can take")
+        if f.init:
+            names.append(f.name)
+            value = f.name
+        else:
+            value = f"_default_{f.name}"
+            env[value] = f.default
+        env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
+        stores.append(f"    _set_{f.name}(self, {value})\n")
+    code = generated.__code__
+    if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
+        raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
+    exec(f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +138,30 @@ def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds) -> dict[str
     return table
 
 
+def _node_plan(kinds: tuple[str, ...], groups: tuple[str, ...]):
+    """How ``node`` splits a constructor's slots, computed once per constructor.
+
+    The slot count; for each recursive kind in ``groups``, its positions, or
+    None when it takes every slot; and the payload ``(position, kind)``
+    pairs, in declaration order.
+    """
+    split = []
+    for group in groups:
+        at = tuple(i for i, k in enumerate(kinds) if k == group)
+        split.append(None if len(at) == len(kinds) else at)
+    payload = tuple((i, k) for i, k in enumerate(kinds) if k not in groups)
+    return (len(kinds), *split, payload)
+
+
+def _check_payloads(sig_name, ctor, slots, payload_at):
+    """Reject the first ill-kinded payload; kinds are looked up at call time."""
+    for i, kind in payload_at:
+        if not _PAYLOAD_KINDS[kind].check(slots[i]):
+            raise MalformedNodeError(
+                f"{sig_name}.{ctor}: {slots[i]!r} is not a valid {kind!r} payload"
+            )
+
+
 class Signature:
     """A one-layer grammar shape: constructor name -> tuple of slot kinds.
 
@@ -105,6 +172,7 @@ class Signature:
     def __init__(self, name: str, ctors: Mapping[str, Iterable[str]]):
         self.name = name
         self.ctors = _ctor_table(name, ctors, (REC,))
+        self._plans = {ctor: _node_plan(kinds, (REC,)) for ctor, kinds in self.ctors.items()}
 
     def node(self, ctor: str, slots: Iterable[Any] = ()) -> "Node":
         """Build a node, validating slot counts and payload kinds.
@@ -112,38 +180,26 @@ class Signature:
         ``slots`` are given in declaration order; recursive and payload
         slots are split out according to the constructor's arity.
         """
-        kinds = self.ctors.get(ctor)
-        if kinds is None:
+        plan = self._plans.get(ctor)
+        if plan is None:
             raise MalformedNodeError(f"{self.name} has no constructor {ctor!r}")
-        slots = tuple(slots)
-        if len(slots) != len(kinds):
-            raise MalformedNodeError(
-                f"{self.name}.{ctor} expects {len(kinds)} slots, got {len(slots)}"
-            )
-        rec, payload = [], []
-        for kind, value in zip(kinds, slots):
-            if kind == REC:
-                rec.append(value)
-            else:
-                if not _PAYLOAD_KINDS[kind].check(value):
-                    raise MalformedNodeError(
-                        f"{self.name}.{ctor}: {value!r} is not a valid {kind!r} payload"
-                    )
-                payload.append(value)
-        return Node(self, ctor, tuple(rec), tuple(payload))
-
-    def slots_of(self, node: "Node") -> tuple[Any, ...]:
-        """The node's slots back in declaration order."""
-        rec, payload = iter(node.rec), iter(node.payload)
-        return tuple(
-            next(rec) if k == REC else next(payload) for k in self.ctors[node.ctor]
-        )
+        if slots.__class__ is not tuple:
+            slots = tuple(slots)
+        arity, rec_at, payload_at = plan
+        if len(slots) != arity:
+            raise MalformedNodeError(f"{self.name}.{ctor} expects {arity} slots, got {len(slots)}")
+        if not payload_at:
+            return Node(self, ctor, slots, ())
+        _check_payloads(self.name, ctor, slots, payload_at)
+        if not rec_at:
+            return Node(self, ctor, (), slots)
+        return Node(self, ctor, tuple([slots[i] for i in rec_at]), tuple([slots[i] for i, _ in payload_at]))
 
     def __repr__(self):
         return f"<Signature {self.name}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Node:
     """One constructor application over an arbitrary carrier.
 
@@ -157,7 +213,7 @@ class Node:
     payload: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Term:
     """The recursive closure of a signature: a finite immutable tree."""
 
@@ -167,7 +223,7 @@ class Term:
 
 def fmap(f: Callable[[Any], Any], n: Node) -> Node:
     """Apply ``f`` to every recursive slot; constructor and payloads unchanged."""
-    return Node(n.sig, n.ctor, tuple(f(x) for x in n.rec), n.payload)
+    return Node(n.sig, n.ctor, tuple([f(x) for x in n.rec]), n.payload)
 
 
 def in_(n: Node) -> Term:
@@ -186,8 +242,15 @@ def out_(t: Term) -> Node:
 
 
 def fold_c(alg: Callable[[Node], Any], t: Term):
-    """Conventional fold: ``fold_c(alg, in_(n)) == alg(fmap(fold_c(alg, .), n))``."""
-    return alg(fmap(lambda c: fold_c(alg, c), out_(t)))
+    """Conventional fold: ``fold_c(alg, in_(n)) == alg(fmap(fold_c(alg, .), n))``.
+
+    A node without recursive slots is its own ``fmap`` image and is passed
+    to ``alg`` as it is.
+    """
+    n = t.root
+    if not n.rec:
+        return alg(n)
+    return alg(Node(n.sig, n.ctor, tuple([fold_c(alg, c) for c in n.rec]), n.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +286,14 @@ def step_once(malg, node: Node, recurse):
     checkable: ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
     """
     brand = object()
-    wrapped = Node(node.sig, node.ctor, tuple(Handle(v, brand) for v in node.rec), node.payload)
-    return malg(lambda h: recurse(open_handle(h, brand)), wrapped)
+    if node.rec:  # a node without recursive slots needs no handles
+        node = Node(node.sig, node.ctor, tuple([Handle(v, brand) for v in node.rec]), node.payload)
+    return malg(lambda h: recurse(open_handle(h, brand)), node)
 
 
 def mfold(malg, t: Term):
     """Mendler fold: the step sees subterms only as handles."""
-    return step_once(malg, out_(t), lambda s: mfold(malg, s))
+    return step_once(malg, t.root, lambda s: mfold(malg, s))
 
 
 def lift(alg):
@@ -296,16 +360,20 @@ class CoproductSignature(Signature):
 
     Constructors keep their slot structure and are tagged with the summand
     they came from, so injections are injective and disjoint even when the
-    summands share constructor names.
+    summands share constructor names.  The tags are computed once, into a
+    table per summand and one from a tagged name back to its side (0 for
+    left, 1 for right) and untagged name.
     """
 
     def __init__(self, left: Signature, right: Signature):
-        ctors = {}
-        for name, kinds in left.ctors.items():
-            ctors[_LEFT + name] = kinds
-        for name, kinds in right.ctors.items():
-            ctors[_RIGHT + name] = kinds
+        ctors, tags, self._untag = {}, ({}, {}), {}
+        for side, prefix, summand in ((0, _LEFT, left), (1, _RIGHT, right)):
+            for name, kinds in summand.ctors.items():
+                ctors[prefix + name] = kinds
+                tags[side][name] = prefix + name
+                self._untag[prefix + name] = (side, name)
         super().__init__(f"({left.name}+{right.name})", ctors)
+        self._left_tags, self._right_tags = tags
         self.left = left
         self.right = right
 
@@ -314,27 +382,36 @@ def coproduct(left: Signature, right: Signature) -> CoproductSignature:
     return CoproductSignature(left, right)
 
 
+_UNTAGGED = (None, None)
+
+
 def inject_left(csig: CoproductSignature, n: Node) -> Node:
-    if n.sig is not csig.left:
+    ctor = csig._left_tags.get(n.ctor) if n.sig is csig.left else None
+    if ctor is None:
         raise MalformedNodeError(f"{n.ctor!r} does not belong to the left summand")
-    return Node(csig, _LEFT + n.ctor, n.rec, n.payload)
+    return Node(csig, ctor, n.rec, n.payload)
 
 
 def inject_right(csig: CoproductSignature, n: Node) -> Node:
-    if n.sig is not csig.right:
+    ctor = csig._right_tags.get(n.ctor) if n.sig is csig.right else None
+    if ctor is None:
         raise MalformedNodeError(f"{n.ctor!r} does not belong to the right summand")
-    return Node(csig, _RIGHT + n.ctor, n.rec, n.payload)
+    return Node(csig, ctor, n.rec, n.payload)
 
 
 def project_left(csig: CoproductSignature, n: Node) -> Optional[Node]:
-    if n.sig is csig and n.ctor.startswith(_LEFT):
-        return Node(csig.left, n.ctor[len(_LEFT):], n.rec, n.payload)
+    if n.sig is csig:
+        side, ctor = csig._untag.get(n.ctor, _UNTAGGED)
+        if side == 0:
+            return Node(csig.left, ctor, n.rec, n.payload)
     return None
 
 
 def project_right(csig: CoproductSignature, n: Node) -> Optional[Node]:
-    if n.sig is csig and n.ctor.startswith(_RIGHT):
-        return Node(csig.right, n.ctor[len(_RIGHT):], n.rec, n.payload)
+    if n.sig is csig:
+        side, ctor = csig._untag.get(n.ctor, _UNTAGGED)
+        if side == 1:
+            return Node(csig.right, ctor, n.rec, n.payload)
     return None
 
 

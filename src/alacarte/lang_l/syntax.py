@@ -26,11 +26,10 @@ without runtime type checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Union
 
 from .. import sexpr
-from ..kernel import register_payload_kind
+from ..kernel import register_payload_kind, value_class
 from ..mutual import BiSignature, BiTerm, biterm_to_json, in_bi, out_bi
 
 
@@ -46,18 +45,18 @@ class NonValueError(Exception):
 # types
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Ty:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Arrow:
     dom: "Typ"
     cod: "Typ"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TypeEnv:
     env: "Env"
 
@@ -119,19 +118,19 @@ def env_union(left: Env, right: Env) -> Env:
 # patterns
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class PVar:
     x: str
     typ: Typ
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class PCon:
     x: str
     typ: Typ
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class PApp:
     fn: "Pat"
     arg: "Pat"

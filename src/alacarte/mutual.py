@@ -24,10 +24,12 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     ForeignHandleError,
     Handle,
     MalformedNodeError,
+    _check_payloads,
     _ctor_table,
+    _node_plan,
     open_handle,
     payload_kind,
-    _PAYLOAD_KINDS,
+    value_class,
 )
 from . import indexed
 from .indexed import IndexedSignature, Validity, WrongIndexError, dout
@@ -41,53 +43,47 @@ class WrongComponentError(Exception):
     pass
 
 
+def _gather(slots: tuple, at) -> tuple:
+    """The slots at positions ``at`` of a node plan; None stands for every slot."""
+    if at is None:
+        return slots
+    return tuple([slots[i] for i in at]) if at else ()
+
+
 class BiSignature:
     """Two constructor families over shared slot kinds; compares by identity."""
 
     def __init__(self, name, first: Mapping[str, Iterable[str]], second: Mapping[str, Iterable[str]]):
         self.name = name
         self.ctors = tuple(_ctor_table(name, decls, (REC1, REC2)) for decls in (first, second))
-
-    def arity(self, component: int, ctor: str) -> tuple[str, ...]:
-        return self.ctors[component - 1][ctor]
+        self._plans = tuple(
+            {ctor: _node_plan(kinds, (REC1, REC2)) for ctor, kinds in table.items()}
+            for table in self.ctors
+        )
 
     def node(self, component: int, ctor: str, slots: Iterable[Any] = ()) -> "BiNode":
-        kinds = self.ctors[component - 1].get(ctor)
-        if kinds is None:
+        plan = self._plans[component - 1].get(ctor)
+        if plan is None:
             raise MalformedNodeError(
                 f"{self.name} component {component} has no constructor {ctor!r}"
             )
-        slots = tuple(slots)
-        if len(slots) != len(kinds):
-            raise MalformedNodeError(
-                f"{self.name}.{ctor} expects {len(kinds)} slots, got {len(slots)}"
-            )
-        rec1, rec2, payload = [], [], []
-        for kind, value in zip(kinds, slots):
-            if kind == REC1:
-                rec1.append(value)
-            elif kind == REC2:
-                rec2.append(value)
-            else:
-                if not _PAYLOAD_KINDS[kind].check(value):
-                    raise MalformedNodeError(
-                        f"{self.name}.{ctor}: {value!r} is not a valid {kind!r} payload"
-                    )
-                payload.append(value)
-        return BiNode(self, component, ctor, tuple(rec1), tuple(rec2), tuple(payload))
-
-    def slots_of(self, node: "BiNode") -> tuple[Any, ...]:
-        r1, r2, pl = iter(node.rec1), iter(node.rec2), iter(node.payload)
-        out = []
-        for k in self.ctors[node.component - 1][node.ctor]:
-            out.append(next(r1) if k == REC1 else next(r2) if k == REC2 else next(pl))
-        return tuple(out)
+        if slots.__class__ is not tuple:
+            slots = tuple(slots)
+        arity, rec1_at, rec2_at, payload_at = plan
+        if len(slots) != arity:
+            raise MalformedNodeError(f"{self.name}.{ctor} expects {arity} slots, got {len(slots)}")
+        if payload_at:
+            _check_payloads(self.name, ctor, slots, payload_at)
+            payload = slots if len(payload_at) == arity else tuple([slots[i] for i, _ in payload_at])
+        else:
+            payload = ()
+        return BiNode(self, component, ctor, _gather(slots, rec1_at), _gather(slots, rec2_at), payload)
 
     def __repr__(self):
         return f"<BiSignature {self.name}>"
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class BiNode:
     sig: BiSignature
     component: int
@@ -97,7 +93,7 @@ class BiNode:
     payload: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class BiTerm:
     sig: BiSignature
     component: int
@@ -110,18 +106,19 @@ def bifmap(f1: Callable, f2: Callable, n: BiNode) -> BiNode:
         n.sig,
         n.component,
         n.ctor,
-        tuple(f1(x) for x in n.rec1),
-        tuple(f2(x) for x in n.rec2),
+        tuple([f1(x) for x in n.rec1]),
+        tuple([f2(x) for x in n.rec2]),
         n.payload,
     )
 
 
 def in_bi(n: BiNode) -> BiTerm:
-    for child, comp in [(c, 1) for c in n.rec1] + [(c, 2) for c in n.rec2]:
-        if not isinstance(child, BiTerm) or child.sig is not n.sig or child.component != comp:
-            raise MalformedNodeError(
-                f"{n.sig.name}.{n.ctor}: slot {child!r} is not a component-{comp} term"
-            )
+    for comp, children in ((1, n.rec1), (2, n.rec2)):
+        for child in children:
+            if not isinstance(child, BiTerm) or child.sig is not n.sig or child.component != comp:
+                raise MalformedNodeError(
+                    f"{n.sig.name}.{n.ctor}: slot {child!r} is not a component-{comp} term"
+                )
     return BiTerm(n.sig, n.component, n)
 
 
@@ -146,8 +143,8 @@ def bistep_once(malg: BiMendlerAlgebra, node: BiNode, recurse1, recurse2):
         node.sig,
         node.component,
         node.ctor,
-        tuple(Handle(v, b1) for v in node.rec1),
-        tuple(Handle(v, b2) for v in node.rec2),
+        tuple([Handle(v, b1) for v in node.rec1]),
+        tuple([Handle(v, b2) for v in node.rec2]),
         node.payload,
     )
     rec1 = lambda h: recurse1(open_handle(h, b1))
@@ -176,7 +173,7 @@ def bifold_2(malg: BiMendlerAlgebra, t: BiTerm):
 
 
 @dataclass(frozen=True)
-class BiRule:
+class BiRule(indexed._Schema):
     """As :class:`indexed.Rule`, but premises carry the family they live in."""
 
     family: int
@@ -197,7 +194,7 @@ def birule(family, name, params=(), premises=(), side=(), conclusion=None):
     return BiRule(family, name, tuple(params), tuple(premises), tuple(side), conclusion)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class BiDNode(indexed._RuleInstance):
     sig: IndexedBiSignature
     family: int
@@ -213,7 +210,7 @@ class BiDNode(indexed._RuleInstance):
         return self.premises
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class BiDerivation:
     sig: IndexedBiSignature
     family: int
@@ -230,7 +227,7 @@ class IndexedBiSignature(IndexedSignature):
 
     def dnode(self, rule_name, params: Mapping[str, Any], witnesses=()) -> BiDNode:
         r, env, params, witnesses = self._instantiate(rule_name, params, witnesses)
-        prem = tuple((fam, ix(env), w) for (fam, ix), w in zip(r.premises, witnesses))
+        prem = tuple([(fam, ix(env), w) for (fam, ix), w in zip(r.premises, witnesses)])
         node = BiDNode(self, r.family, rule_name, params, prem, r.conclusion(env))
         object.__setattr__(node, "_rule", r)
         return node
@@ -254,7 +251,7 @@ def validate_bi(d: BiDerivation) -> Validity:
 def hstep_once(malg: IndexedBiMendlerAlgebra, w, node: BiDNode, recurse1, recurse2):
     b1, b2 = object(), object()
     handles = tuple(
-        (fam, ix, Handle(wit, b1 if fam == 1 else b2)) for fam, ix, wit in node.premises
+        [(fam, ix, Handle(wit, b1 if fam == 1 else b2)) for fam, ix, wit in node.premises]
     )
     wrapped = BiDNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     step = malg.step1 if node.family == 1 else malg.step2
@@ -263,8 +260,8 @@ def hstep_once(malg: IndexedBiMendlerAlgebra, w, node: BiDNode, recurse1, recurs
 
 
 def _hfold(malg, w, d: BiDerivation):
-    recurse = lambda wi, di: _hfold(malg, wi, di)
-    return hstep_once(malg, w, d.root, recurse, recurse)
+    recurse = lambda wi, di: hstep_once(malg, wi, di.root, recurse, recurse)
+    return recurse(w, d)
 
 
 def _hfold_from(family: int, malg, w, d: BiDerivation):

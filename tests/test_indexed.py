@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from alacarte import arith, testkit
+from alacarte import arith, indexed, testkit
 from alacarte.arith import EVAL_SIG, Val, add, lit
 from alacarte.indexed import (
     DNode,
@@ -370,6 +370,16 @@ def test_fold_index_errors_exact_messages():
     assert str(exc.value) == (
         f"recursive call at {(lit(5), Val(5))!r} on a derivation concluding {(lit(1), Val(1))!r}"
     )
+
+
+def test_ifold_checks_the_index_at_the_root_only(monkeypatch):
+    d = arith.build_eval_derivation(add(add(lit(1), lit(2)), lit(3)))
+    calls = []
+    public = indexed.ifold
+    monkeypatch.setattr(indexed, "ifold", lambda *a: calls.append(a) or public(*a))
+    depth = lambda rec, w, node: 1 + max((rec(ix, h) for ix, h in node.premises), default=0)
+    assert indexed.ifold(depth, d.root.conclusion, d) == 3
+    assert len(calls) == 1  # the recursion does not re-enter the public, root-checking ifold
 
 
 def test_derivation_json_full_nested_output():

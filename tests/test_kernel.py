@@ -262,6 +262,29 @@ def test_coproduct_allows_shared_ctor_names():
     assert ln != rn
 
 
+def test_self_coproduct_keeps_its_sides_apart():
+    a = kernel.Signature("a", {"mk": ("int",)})
+    c = coproduct(a, a)
+    ln = inject_left(c, a.node("mk", (1,)))
+    rn = inject_right(c, a.node("mk", (1,)))
+    assert (ln.ctor, rn.ctor) == ("inl:mk", "inr:mk")
+    assert project_left(c, ln) == a.node("mk", (1,)) and project_right(c, ln) is None
+    assert project_right(c, rn) == a.node("mk", (1,)) and project_left(c, rn) is None
+    assert project(c, rn) == ("right", a.node("mk", (1,)))
+
+
+def test_injections_reject_constructors_their_summand_does_not_declare():
+    stray = kernel.Node(TRM_G1, "add", (), ())
+    with pytest.raises(MalformedNodeError, match="^'add' does not belong to the left summand$"):
+        inject_left(TRM, stray)
+    with pytest.raises(MalformedNodeError, match="^'lit' does not belong to the right summand$"):
+        inject_right(TRM, kernel.Node(TRM_G2, "lit", (), (1,)))
+    tagged = kernel.Node(TRM, "inl:add", (), ())
+    assert project_left(TRM, tagged) is None and project_right(TRM, tagged) is None
+    with pytest.raises(MalformedNodeError, match="is not a coproduct node"):
+        project(TRM, tagged)
+
+
 # ---------------------------------------------------------------------------
 # fold-carrying representation
 

@@ -18,7 +18,7 @@ import pytest
 
 from alacarte.arith import TRM_G1, N, TypN, Val
 from alacarte.indexed import DNode, Derivation, IndexedSignature, din, rule
-from alacarte.kernel import Node, Signature, Term
+from alacarte.kernel import Node, Signature, Term, value_class
 from alacarte.lang_l import LANG
 from alacarte.lang_l.syntax import Arrow, Env, PApp, PCon, PVar, Ty, TypeEnv
 from alacarte.mutual import BiDerivation, BiDNode, BiNode, BiSignature, BiTerm, IndexedBiSignature, birule
@@ -284,3 +284,64 @@ def test_stamp_and_certificate_are_invisible_and_replace_drops_them():
 
 def test_the_numeric_type_is_a_value():
     assert N == TypN() and hash(N) == hash(TypN())
+
+
+# ---------------------------------------------------------------------------
+# the decorator itself, beside the dataclass it stands for
+
+
+def _twins():
+    """The same class body under ``value_class`` and under the dataclass."""
+
+    def body():
+        class Probe:
+            a: int
+            b: int
+            stamp: object = dataclasses.field(default=None, init=False, compare=False)
+
+        return Probe
+
+    return value_class(body()), dataclasses.dataclass(frozen=True, slots=True)(body())
+
+
+def test_value_class_takes_the_dataclass_parameters():
+    ours, theirs = _twins()
+    assert inspect.signature(ours) == inspect.signature(theirs)
+    assert ours.__init__.__qualname__ == "_twins.<locals>.body.<locals>.Probe.__init__"
+    for args, kwargs in (((1, 2), {}), ((), {"a": 1, "b": 2}), ((1,), {"b": 2})):
+        x, y = ours(*args, **kwargs), theirs(*args, **kwargs)
+        assert (x.a, x.b, x.stamp) == (y.a, y.b, y.stamp) == (1, 2, None)
+        assert repr(x) == repr(y) == "_twins.<locals>.body.<locals>.Probe(a=1, b=2, stamp=None)"
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            ours(*bad)
+        with pytest.raises(TypeError):
+            theirs(*bad)
+
+
+def test_value_class_refuses_what_its_init_does_not_reproduce():
+    class Defaulted:
+        a: int = 1
+
+    class Factory:
+        a: list = dataclasses.field(default_factory=list, init=False)
+
+    class Unset:
+        a: int = dataclasses.field(init=False)
+
+    class PostInit:
+        a: int
+
+        def __post_init__(self):
+            pass
+
+    class KeywordOnly:
+        a: int = dataclasses.field(kw_only=True)
+
+    class WithInitVar:
+        a: int
+        b: dataclasses.InitVar[int]
+
+    for cls in (Defaulted, Factory, Unset, PostInit, KeywordOnly, WithInitVar):
+        with pytest.raises(TypeError, match="value class"):
+            value_class(cls)
