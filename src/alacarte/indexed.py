@@ -308,14 +308,12 @@ def istep_once(malg, w, node: DNode, recurse):
 
 
 def ifold(malg, w, d: Derivation):
-    """Indexed Mendler fold of ``d``, which must conclude at ``w``."""
+    """Indexed Mendler fold of ``d``, which must conclude at ``w``.
+
+    Only the root's index is checked here; ``rec`` checks each child's.
+    """
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    return _ifold(malg, w, d)
-
-
-def _ifold(malg, w, d: Derivation):
-    """``ifold`` below its root check: every ``rec`` has checked its child's index."""
     recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
     return recurse(w, d)
 

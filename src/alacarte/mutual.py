@@ -259,17 +259,13 @@ def hstep_once(malg: IndexedBiMendlerAlgebra, w, node: BiDNode, recurse1, recurs
     return step(rec(b1, recurse1), rec(b2, recurse2), w, wrapped)
 
 
-def _hfold(malg, w, d: BiDerivation):
-    recurse = lambda wi, di: hstep_once(malg, wi, di.root, recurse, recurse)
-    return recurse(w, d)
-
-
 def _hfold_from(family: int, malg, w, d: BiDerivation):
     if d.family != family:
         raise WrongComponentError(f"hfold_{family} applied to a family-{3 - family} derivation")
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    return _hfold(malg, w, d)
+    recurse = lambda wi, di: hstep_once(malg, wi, di.root, recurse, recurse)
+    return recurse(w, d)
 
 
 def hfold_1(malg: IndexedBiMendlerAlgebra, w, d: BiDerivation):
