@@ -261,7 +261,7 @@ def _preservation_step(rec, w, node):
                 f"expected {(e, N)!r}"
             )
         if node.rule in ("ev1", "isLit"):
-            return _tof1(Val(node.param("x")))
+            return td  # validated, and it concludes (lit x, N): tof1 at this literal
         tnode = dout(td)
         if tnode.rule != "tof2":
             raise InvalidDerivationError(

@@ -18,9 +18,15 @@ and the child links only.  ``din`` certifies the derivation it returns when
 every premise witness is certified too, and ``validate`` stops at certified
 derivations.  Stamp and certificate are invisible to equality, hashing,
 ``repr`` and the constructors, so a hand-built :class:`DNode` or
-:class:`Derivation` is always checked in full.  This relies on rule
-expressions being pure: a rule monkeypatched after a derivation was built
-is not re-observed on that derivation.
+:class:`Derivation` is always checked in full.
+
+Each rule is compiled once, lazily, on its first ``dnode``: one ``exec``
+generates the rule's own ``dnode`` body and its own check of the nodes it
+stamped (see :func:`_compile_rule`).  Importing a signature compiles
+nothing.  The compiled code calls the rule's index expressions and side
+conditions; it never inlines them, so what they read is read when they run.
+All of this relies on rule expressions being pure: a rule monkeypatched
+after a derivation was built is not re-observed on that derivation.
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
@@ -50,8 +56,19 @@ class _Schema:
     __slots__ = ()
 
     @cached_property
-    def param_set(self) -> frozenset[str]:
-        return frozenset(self.params)
+    def build(self) -> Callable:
+        """``dnode`` after the rule lookup: ``build(sig, rule_name, params, witnesses)``.
+
+        Compiled on first use, so importing a signature compiles nothing,
+        together with ``check``, the ``_check_node`` of the nodes ``build``
+        stamps (see :func:`_compile_rule`).
+        """
+        build, vars(self)["check"] = self._compile()
+        return build
+
+    def __getstate__(self):
+        """A copy leaves the compiled code behind: that code stamps this rule."""
+        return {k: v for k, v in vars(self).items() if k not in ("build", "check")}
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,9 @@ class Rule(_Schema):
     def shape(self) -> tuple[tuple[int, Callable[[Mapping], Any]], ...]:
         """Each premise as ``(family, index expression)``, as in a ``BiRule``."""
         return tuple((1, ix) for ix in self.premises)
+
+    def _compile(self):
+        return _compile_rule(self, DNode, bi=False)
 
 
 def rule(name, params=(), premises=(), side=(), conclusion=None):
@@ -140,31 +160,15 @@ class IndexedSignature:
             self.rules[r.name] = r
 
     def dnode(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> DNode:
-        """Instantiate a rule; premise and conclusion indices are computed."""
-        r, env, params, witnesses = self._instantiate(rule_name, params, witnesses)
-        prem = tuple([(ix(env), w) for ix, w in zip(r.premises, witnesses)])
-        node = DNode(self, rule_name, params, prem, r.conclusion(env))
-        object.__setattr__(node, "_rule", r)
-        return node
+        """Instantiate a rule; premise and conclusion indices are computed.
 
-    def _instantiate(self, rule_name, params, witnesses):
-        """Rule, parameter mapping and tuple, and witnesses of a checked ``dnode`` call."""
+        The node's layout is the rule's: a :class:`Rule` builds a
+        :class:`DNode`, a ``mutual.BiRule`` a ``mutual.BiDNode``.
+        """
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        if params.keys() != r.param_set:
-            raise InvalidDerivationError(
-                f"{self.name}.{rule_name}: params {sorted(params)} do not match "
-                f"schema {sorted(r.params)}"
-            )
-        witnesses = tuple(witnesses)
-        if len(witnesses) != len(r.premises):
-            raise InvalidDerivationError(
-                f"{self.name}.{rule_name}: expected {len(r.premises)} premise "
-                f"witnesses, got {len(witnesses)}"
-            )
-        env = dict(params)
-        return r, env, tuple([(p, env[p]) for p in r.params]), witnesses
+        return r.build(self, rule_name, params, witnesses)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -185,53 +189,147 @@ class _Rejected(InvalidDerivationError):
     """A rule instance the checker rejects (not an error raised inside a rule)."""
 
 
+def _params_mismatch(sig, rule_name, params, r):
+    return InvalidDerivationError(
+        f"{sig.name}.{rule_name}: params {sorted(params)} do not match schema {sorted(r.params)}"
+    )
+
+
+def _count_mismatch(sig, rule_name, r, witnesses):
+    return InvalidDerivationError(
+        f"{sig.name}.{rule_name}: expected {len(r.shape)} premise witnesses, got {len(witnesses)}"
+    )
+
+
+def _side_failed(n, label):
+    return _Rejected(f"rule {n.rule}: side condition {label!r} failed")
+
+
+def _not_a_witness(n, i, fam):
+    return _Rejected(f"rule {n.rule}: premise {i} witness is not {n.sig._witness.format(fam)}")
+
+
+def _child_mismatch(n, i, stored, w):
+    return _Rejected(
+        f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
+        f"child concludes {w.root.conclusion!r}"
+    )
+
+
+def _compile_rule(r, node: type, bi: bool):
+    """``(build, check)`` for the rule ``r``: straight-line code from one ``exec``.
+
+    ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
+    the witness count, a ``node`` with the parameter, premise and
+    conclusion tuples unrolled, and the stamp, stored through the ``_rule``
+    slot descriptor.  ``check`` is ``_check_node`` of a node that ``r``
+    stamped: the side conditions and child links, unrolled.  ``bi`` selects
+    the ``mutual.BiDNode`` layout, whose node and premises carry families.
+    Index expressions and side conditions are called, never inlined, so
+    each runs exactly where and when the generic path runs it; rejections
+    are raised in the generic path's order, with its messages.
+    """
+    k = len(r.shape)
+    env = {
+        "_Node": node,
+        "_stamp": vars(node)["_rule"].__set__,
+        "_rule": r,
+        "_family": r.family,
+        "_param_set": frozenset(r.params),
+        "_conclusion": r.conclusion,
+        "_params_mismatch": _params_mismatch,
+        "_count_mismatch": _count_mismatch,
+        "_side_failed": _side_failed,
+        "_not_a_witness": _not_a_witness,
+        "_child_mismatch": _child_mismatch,
+    }
+    for i, (family, ix) in enumerate(r.shape):
+        env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
+    params = "".join(f"({p!r}, P[{p!r}]), " for p in r.params)
+    premises = "".join(f"({f'_fam{i}, ' if bi else ''}_ix{i}(P), w{i}), " for i in range(k))
+    src = [
+        "def build(sig, rule_name, P, witnesses):",
+        "    if P.keys() != _param_set:",
+        "        raise _params_mismatch(sig, rule_name, P, _rule)",
+        "    if witnesses.__class__ is not tuple:",
+        "        witnesses = tuple(witnesses)",
+        f"    if len(witnesses) != {k}:",
+        "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
+        *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
+        f"    n = _Node(sig, {'_family, ' if bi else ''}rule_name, ({params}), ({premises}), _conclusion(P))",
+        "    _stamp(n, _rule)",
+        "    return n",
+        "def check(n):",
+    ]
+    if r.side_conditions:
+        src.append("    P = dict(n.params)")
+    for i, (label, pred) in enumerate(r.side_conditions):
+        env[f"_side{i}"], env[f"_label{i}"] = pred, label
+        src += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
+    if k:
+        links = "".join(f"({'_, ' if bi else ''}ix{i}, w{i}), " for i in range(k))
+        src += ["    sig = n.sig", "    derivation = sig._derivation", f"    {links}= n.premises"]
+    for i in range(k):
+        src += [
+            f"    if not isinstance(w{i}, derivation) or w{i}.sig is not sig or w{i}.family != _fam{i}:",
+            f"        raise _not_a_witness(n, {i}, _fam{i})",
+            f"    if w{i}.root.conclusion != ix{i}:",
+            f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
+        ]
+    src.append("    return " + (" and ".join(f"w{i}._certified" for i in range(k)) or "True"))
+    exec("\n".join(src) + "\n", env)
+    for fn in (env["build"], env["check"]):
+        fn.__qualname__ = f"{type(r).__name__}({r.name!r}).{fn.__name__}"
+    return env["build"], env["check"]
+
+
 def _check_node(n) -> bool:
     """Local validity: schema, side conditions, recomputed indices, child links.
 
     Raises :class:`InvalidDerivationError` with the reason, or returns
     whether every premise witness is certified.  A node stamped by ``dnode``
     with the signature's current rule has its family, schema and indices
-    right by construction; only its side conditions and child links are
-    checked.  Premises end in ``(index, witness)`` in both node layouts.
+    right by construction; the rule's compiled ``check`` runs its side
+    conditions and child links only.  Premises end in ``(index, witness)``
+    in both node layouts.
     """
     sig = n.sig
     r = sig.rules.get(n.rule)
     if r is None:
         raise _Rejected(f"unknown rule {n.rule!r}")
-    stamped = n._rule is r
-    if not stamped:
-        if n.family != r.family:
-            raise _Rejected(f"rule {n.rule}: family mismatch")
-        if tuple(k for k, _ in n.params) != r.params:
-            raise _Rejected(f"rule {n.rule}: parameter schema mismatch")
+    if n._rule is r:
+        return r.check(n)
+    if n.family != r.family:
+        raise _Rejected(f"rule {n.rule}: family mismatch")
+    if tuple(k for k, _ in n.params) != r.params:
+        raise _Rejected(f"rule {n.rule}: parameter schema mismatch")
     env = dict(n.params)
     for label, pred in r.side_conditions:
         if not pred(env):
-            raise _Rejected(f"rule {n.rule}: side condition {label!r} failed")
-    if not stamped:
-        if len(n.premises) != len(r.premises):
-            raise _Rejected(f"rule {n.rule}: wrong number of premises")
-        for i, ((fam, ix), (stored_fam, stored, _)) in enumerate(zip(r.shape, n.shape)):
-            if fam != stored_fam:
-                raise _Rejected(f"rule {n.rule}: premise {i} family mismatch")
-            if ix(env) != stored:
-                raise _Rejected(f"rule {n.rule}: premise {i} index mismatch")
-        if r.conclusion(env) != n.conclusion:
-            raise _Rejected(f"rule {n.rule}: conclusion index mismatch")
+            raise _side_failed(n, label)
+    if len(n.premises) != len(r.premises):
+        raise _Rejected(f"rule {n.rule}: wrong number of premises")
+    for i, ((fam, ix), (stored_fam, stored, _)) in enumerate(zip(r.shape, n.shape)):
+        if fam != stored_fam:
+            raise _Rejected(f"rule {n.rule}: premise {i} family mismatch")
+        if ix(env) != stored:
+            raise _Rejected(f"rule {n.rule}: premise {i} index mismatch")
+    if r.conclusion(env) != n.conclusion:
+        raise _Rejected(f"rule {n.rule}: conclusion index mismatch")
     certified = True
     derivation, shape = sig._derivation, r.shape
     for i, premise in enumerate(n.premises):
         stored, w, fam = premise[-2], premise[-1], shape[i][0]
         if not isinstance(w, derivation) or w.sig is not sig or w.family != fam:
-            raise _Rejected(f"rule {n.rule}: premise {i} witness is not {sig._witness.format(fam)}")
+            raise _not_a_witness(n, i, fam)
         if w.root.conclusion != stored:
-            raise _Rejected(
-                f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
-                f"child concludes {w.root.conclusion!r}"
-            )
+            raise _child_mismatch(n, i, stored, w)
         if not w._certified:
             certified = False
     return certified
+
+
+_certify = vars(Derivation)["_certified"].__set__
 
 
 def din(n: DNode) -> Derivation:
@@ -243,7 +341,7 @@ def din(n: DNode) -> Derivation:
     """
     d = Derivation(n.sig, n)
     if _check_node(n):
-        object.__setattr__(d, "_certified", True)
+        _certify(d, True)
     return d
 
 

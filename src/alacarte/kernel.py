@@ -25,7 +25,7 @@ everything here is safe for concurrent use without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 
@@ -53,10 +53,14 @@ def value_class(cls):
     dataclass's own is, and stores each field through its slot descriptor.
     It takes the same parameters and stores each ``init=False`` field's
     default, so construction behaves exactly as the dataclass's does;
-    equality, hashing, ``repr``, ``replace``, copying, pickling, ``match``
-    and the frozen ``__setattr__``/``__delattr__`` are the dataclass's own.
-    Nothing is cached across constructions.  A field is either a parameter
-    without a default or an ``init=False`` field with a plain default.
+    equality, hashing, ``repr``, ``replace``, copying, pickling and
+    ``match`` are the dataclass's own.  ``__setattr__``/``__delattr__``
+    are the dataclass's frozen ones, but refer to the class ``slots=True``
+    returns: Python 3.11's refer to the class it replaced, so assigning or
+    deleting a name that is not a field raised ``TypeError`` instead of
+    :class:`~dataclasses.FrozenInstanceError`.  Nothing is cached across
+    constructions.  A field is either a parameter without a default or an
+    ``init=False`` field with a plain default.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
@@ -81,6 +85,21 @@ def value_class(cls):
     init.__module__ = cls.__module__
     init.__annotations__ = generated.__annotations__
     cls.__init__ = init
+    frozen = frozenset(f.name for f in fields(cls))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (__setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     return cls
 
 

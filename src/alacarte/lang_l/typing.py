@@ -136,15 +136,19 @@ def env_typing(rho: Env) -> Optional[Env]:
     """The typing environment of a value environment, or None.
 
     Total: returns None when some entry is not a value or not typable.
+    Each entry is typed by the typechecker with a node maker that builds
+    nothing, so the type is ``typecheck_exp(EMPTY_ENV, v)[0]`` without
+    its derivation.
     """
     out = []
     for k, v in rho.items():
         if not isinstance(v, Exp) or v.component != 2 or not is_value(v):
             return None
-        res = typecheck_exp(EMPTY_ENV, v)
-        if res is None:
+        try:
+            t, _ = _tc_exp(EMPTY_ENV, v, (), _no_node)
+        except _Untypable:
             return None
-        out.append((k, res[0]))
+        out.append((k, t))
     return Env(out)
 
 
@@ -288,11 +292,19 @@ class _Untypable(Exception):
         self.reason = reason
 
 
+# ``_tc_exp``/``_tc_dec`` make each typing node with ``mk``: ``_tnode``
+# builds and checks it, ``_no_node`` (for ``env_typing``) builds nothing.
+
+
 def _tnode(rule_name, params, witnesses=()) -> BiDerivation:
     return din_bi(TYPING_SIG.dnode(rule_name, params, witnesses))
 
 
-def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
+def _no_node(rule_name, params, witnesses=()) -> None:
+    return None
+
+
+def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDerivation]]:
     node = out_bi(e)
     match node.ctor:
         case "vr":
@@ -300,10 +312,10 @@ def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
             t = gamma.get(x)
             if t is None:
                 raise _Untypable(path, f"unbound variable {x!r}")
-            return t, _tnode("T-VAR", {"gamma": gamma, "x": x})
+            return t, mk("T-VAR", {"gamma": gamma, "x": x})
         case "cn":
             x, tau = node.payload
-            return tau, _tnode("T-CON", {"gamma": gamma, "x": x, "tau": tau})
+            return tau, mk("T-CON", {"gamma": gamma, "x": x, "tau": tau})
         case "closure":
             rho0, p = node.payload
             eb = node.rec2[0]
@@ -313,8 +325,8 @@ def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
             t1 = pat_type(p)
             if t1 is None:
                 raise _Untypable(path + ("clos.pat",), "pattern is not typable")
-            t2, db = _tc_exp(env_union(gamma0, bindings(p)), eb, path + ("clos.body",))
-            d = _tnode(
+            t2, db = _tc_exp(env_union(gamma0, bindings(p)), eb, path + ("clos.body",), mk)
+            d = mk(
                 "T-CLOS",
                 {
                     "gamma": gamma,
@@ -330,15 +342,15 @@ def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
             return Arrow(t1, t2), d
         case "apply":
             e1, e2 = node.rec2
-            tf, d1 = _tc_exp(gamma, e1, path + ("app.fn",))
+            tf, d1 = _tc_exp(gamma, e1, path + ("app.fn",), mk)
             if not isinstance(tf, Arrow):
                 raise _Untypable(path + ("app.fn",), f"not a function type: {tf!r}")
-            ta, d2 = _tc_exp(gamma, e2, path + ("app.arg",))
+            ta, d2 = _tc_exp(gamma, e2, path + ("app.arg",), mk)
             if ta != tf.dom:
                 raise _Untypable(
                     path + ("app.arg",), f"expected {tf.dom!r}, got {ta!r}"
                 )
-            d = _tnode(
+            d = mk(
                 "T-APP",
                 {"gamma": gamma, "e1": e1, "e2": e2, "t1": tf.dom, "t2": tf.cod},
                 (d1, d2),
@@ -347,10 +359,10 @@ def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
         case "scope":
             dd = node.rec1[0]
             body = node.rec2[0]
-            td, d1 = _tc_dec(gamma, dd, path + ("scope.dec",))
+            td, d1 = _tc_dec(gamma, dd, path + ("scope.dec",), mk)
             gammap = td.env
-            t, d2 = _tc_exp(env_union(gamma, gammap), body, path + ("scope.body",))
-            d = _tnode(
+            t, d2 = _tc_exp(env_union(gamma, gammap), body, path + ("scope.body",), mk)
+            d = mk(
                 "T-SCOPE",
                 {"gamma": gamma, "d": dd, "gammap": gammap, "e": body, "t": t},
                 (d1, d2),
@@ -359,7 +371,7 @@ def _tc_exp(gamma: Env, e: Exp, path) -> tuple[Typ, BiDerivation]:
     raise _Untypable(path, f"unknown expression form {node.ctor!r}")
 
 
-def _tc_dec(gamma: Env, d: Dec, path) -> tuple[TypeEnv, BiDerivation]:
+def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDerivation]]:
     node = out_bi(d)
     match node.ctor:
         case "env":
@@ -367,7 +379,7 @@ def _tc_dec(gamma: Env, d: Dec, path) -> tuple[TypeEnv, BiDerivation]:
             gammap = env_typing(rhop)
             if gammap is None:
                 raise _Untypable(path + ("env",), "environment is not typable")
-            return TypeEnv(gammap), _tnode(
+            return TypeEnv(gammap), mk(
                 "TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}
             )
         case "match":
@@ -376,22 +388,22 @@ def _tc_dec(gamma: Env, d: Dec, path) -> tuple[TypeEnv, BiDerivation]:
             t1 = pat_type(p)
             if t1 is None:
                 raise _Untypable(path + ("match.pat",), "pattern is not typable")
-            te, de = _tc_exp(gamma, e, path + ("match.exp",))
+            te, de = _tc_exp(gamma, e, path + ("match.exp",), mk)
             if te != t1:
                 raise _Untypable(
                     path + ("match.exp",), f"expected {t1!r}, got {te!r}"
                 )
-            dd = _tnode(
+            dd = mk(
                 "TD-MATCH", {"gamma": gamma, "p": p, "e": e, "t1": t1}, (de,)
             )
             return TypeEnv(bindings(p)), dd
         case "join":
             d1, d2 = node.rec1
-            te1, dd1 = _tc_dec(gamma, d1, path + ("join.left",))
+            te1, dd1 = _tc_dec(gamma, d1, path + ("join.left",), mk)
             gamma1 = te1.env
-            te2, dd2 = _tc_dec(env_union(gamma, gamma1), d2, path + ("join.right",))
+            te2, dd2 = _tc_dec(env_union(gamma, gamma1), d2, path + ("join.right",), mk)
             gamma2 = te2.env
-            dd = _tnode(
+            dd = mk(
                 "TD-JOIN",
                 {"gamma": gamma, "d1": d1, "gamma1": gamma1, "d2": d2, "gamma2": gamma2},
                 (dd1, dd2),

@@ -21,6 +21,7 @@ from alacarte.arith import (
     print_val,
 )
 from alacarte.indexed import (
+    DNode,
     Derivation,
     InvalidDerivationError,
     WrongIndexError,
@@ -195,6 +196,35 @@ def test_preservation_routes_coincide_sweep():
         a = preservation(build_eval_derivation(t), td)
         b = preservation_via_istrm(build_istrm(t), td)
         assert a.root.conclusion == b.root.conclusion
+
+
+def _unstamped(d: Derivation) -> Derivation:
+    """A hand-built copy of ``d``: no stamp, no certificate, so checked in full."""
+    n = d.root
+    premises = tuple((ix, _unstamped(w)) for ix, w in n.premises)
+    return Derivation(d.sig, DNode(n.sig, n.rule, n.params, premises, n.conclusion))
+
+
+def test_preservation_of_a_literal_returns_its_typing_derivation():
+    for x in (-3, 0, 7):
+        e, td = lit(x), build_typof_derivation(lit(x))
+        for out in (
+            preservation(build_eval_derivation(e), td),
+            preservation_via_istrm(build_istrm(e), td),
+        ):
+            assert out == build_typof_derivation(e) and out._certified
+            assert out is td  # the typing leaf it was handed, not a rebuilt one
+
+
+def test_preservation_results_validate_node_by_node_sweep():
+    for t in enum_terms(3):
+        td = build_typof_derivation(t)
+        for out in (
+            preservation(build_eval_derivation(t), td),
+            preservation_via_istrm(build_istrm(t), td),
+        ):
+            assert out == build_typof_derivation(lit(eval_(t).vv))
+            assert validate(_unstamped(out))
 
 
 # ---------------------------------------------------------------------------

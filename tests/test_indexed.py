@@ -1,7 +1,13 @@
 """Derivation trees over the evaluation relation of the arithmetic language."""
 
+import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +410,100 @@ def test_derivation_json_full_nested_output():
     }
     js = derivation_to_json(d, arith.encode_index)
     assert json.dumps(js) == json.dumps(expected)
+
+
+# ---------------------------------------------------------------------------
+# compiled rules: each rule's dnode and stamped check are its own code,
+# generated on its first dnode
+
+
+def test_importing_the_languages_compiles_no_rule():
+    script = textwrap.dedent(
+        """
+        import sys
+        import alacarte.arith, alacarte.lang_l
+        from alacarte.indexed import IndexedSignature
+
+        sigs = {
+            id(v): v
+            for name, m in list(sys.modules.items()) if name.startswith("alacarte")
+            for v in vars(m).values() if isinstance(v, IndexedSignature)
+        }
+        rules = [r for sig in sigs.values() for r in sig.rules.values()]
+        compiled = lambda: sorted(r.name for r in rules if {"build", "check"} & vars(r).keys())
+        print(len(sigs), len(rules), compiled())
+        alacarte.arith.EVAL_SIG.dnode("ev1", {"x": 1})
+        print(compiled())
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    sigs, rules, before = out[0].split(" ", 2)
+    assert int(sigs) >= 7 and int(rules) >= 30
+    assert before == "[]"
+    assert out[1] == "['ev1']"
+
+
+def test_a_rule_replaced_after_first_use_is_the_one_dnode_instantiates():
+    sig = IndexedSignature("Replaced", [rule("r", params=("x",), conclusion=lambda P: P["x"])])
+    old = sig.dnode("r", {"x": 1})
+    assert old.conclusion == 1 and din(old)._certified
+    sig.rules["r"] = rule("r", params=("x",), conclusion=lambda P: P["x"] * 10)
+    new = sig.dnode("r", {"x": 1})
+    assert new.conclusion == 10 and new._rule is sig.rules["r"]
+    assert din(new)._certified
+    # the old stamp is not the signature's rule any more: checked in full
+    with pytest.raises(InvalidDerivationError) as exc:
+        din(old)
+    assert str(exc.value) == "rule r: conclusion index mismatch"
+
+
+_STEP, _BOUND = 1, 10
+
+
+def test_rule_expressions_read_module_globals_at_call_time(monkeypatch):
+    sig = IndexedSignature(
+        "Globals",
+        [
+            rule("z", conclusion=lambda P: 0),
+            rule(
+                "s",
+                params=("n",),
+                premises=(lambda P: P["n"],),
+                side=(("bounded", lambda P: P["n"] < _BOUND),),
+                conclusion=lambda P: P["n"] + _STEP,
+            ),
+        ],
+    )
+    z = din(sig.dnode("z", {}))
+    assert din(sig.dnode("s", {"n": 0}, (z,))).root.conclusion == 1
+    monkeypatch.setattr(sys.modules[__name__], "_STEP", 5)
+    node = sig.dnode("s", {"n": 0}, (z,))
+    assert node.conclusion == 5 and din(node)._certified
+    monkeypatch.setattr(sys.modules[__name__], "_BOUND", 0)
+    with pytest.raises(InvalidDerivationError) as exc:
+        din(node)
+    assert str(exc.value) == "rule s: side condition 'bounded' failed"
+
+
+def test_a_copied_signature_stamps_its_own_rules():
+    sig = IndexedSignature("Copied", [rule("r", params=("x",), conclusion=lambda P: P["x"])])
+    sig.dnode("r", {"x": 1})
+    for twin in (copy.deepcopy(sig), IndexedSignature("Copied", [copy.copy(sig.rules["r"])])):
+        node = twin.dnode("r", {"x": 1})
+        assert node._rule is twin.rules["r"] is not sig.rules["r"]
+        assert din(node)._certified
+
+
+def test_witnesses_may_be_any_iterable():
+    nat = CountingNat()
+    z = nat.build(0)
+    for witnesses in ((w for w in [z]), [z], iter((z,))):
+        d = din(nat.sig.dnode("s", {"n": 0}, witnesses))
+        assert d._certified and d == nat.build(1)
+    with pytest.raises(InvalidDerivationError) as exc:
+        nat.sig.dnode("s", {"n": 0}, (w for w in [z, z]))
+    assert str(exc.value) == "CountingNat.s: expected 1 premise witnesses, got 2"

@@ -1,6 +1,9 @@
 """Typing rules, determinism, and the transport lemmas."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alacarte import testkit
 from alacarte.lang_l import (
@@ -30,7 +33,8 @@ from alacarte.lang_l import (
     vr,
     weaken,
 )
-from alacarte.lang_l.typing import retype_value
+from alacarte.lang_l import typing as ltyping
+from alacarte.lang_l.typing import env_typing, retype_value
 from alacarte.indexed import validate
 from alacarte.mutual import validate_bi
 
@@ -191,3 +195,56 @@ def test_value_typing_is_context_free_on_corpus():
             r0 = typecheck_exp(EMPTY_ENV, v)
             r1 = typecheck_exp(config.gamma, v)
             assert r0[0] == r1[0]
+
+
+# ---------------------------------------------------------------------------
+# environment typing: types only, no derivations
+
+
+def test_env_typing_of_nested_closures_builds_no_derivation(monkeypatch):
+    calls = []
+    din_bi = ltyping.din_bi
+    monkeypatch.setattr(ltyping, "din_bi", lambda n: calls.append(n.rule) or din_bi(n))
+    inner = Env([("y", cn("c", TY_A))])
+    f = closure(inner, PVar("x", TY_A), vr("y"))  # a -> a
+    g = closure(Env([("f", f)]), PVar("z", TY_A), vr("f"))  # a -> (a -> a)
+    rho = Env([("g", g), ("h", closure(Env([("g", g)]), PVar("z", TY_B), vr("g")))])
+    tg = Arrow(TY_A, Arrow(TY_A, TY_A))
+    assert env_typing(rho) == Env([("g", tg), ("h", Arrow(TY_B, tg))])
+    assert calls == []
+    # the typechecker proper still builds, and its side conditions still run
+    t, td = typecheck_exp(EMPTY_ENV, rho.get("h"))
+    assert t == env_typing(rho).get("h") and validate_bi(td)
+    assert calls.count("T-CLOS") == 1
+
+
+_UNTYPABLE = (
+    apply_(cn("c", AB), cn("d", TY_B)),  # argument of the wrong type
+    closure(Env([("x", apply_(cn("c", AB), cn("d", TY_B)))]), PVar("y", TY_A), vr("y")),
+    closure(EMPTY_ENV, PVar("y", TY_A), vr("unbound")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 3),
+    depth=st.integers(0, 3),
+    nest=st.booleans(),
+    bad=st.sampled_from((None,) + _UNTYPABLE),
+)
+def test_env_typing_agrees_with_typecheck_exp(seed, size, depth, nest, bad):
+    gen = testkit._Gen(random.Random(seed), testkit.GenConfig(seed=seed, count=1))
+    rho = gen.value_env(size, depth)
+    if nest:  # the environment again, one closure deeper
+        rho = Env([*rho.items(), ("w", closure(rho, PVar("q", TY_A), vr("q")))])
+    if bad is not None:
+        rho = Env([*rho.items(), ("bad", bad)])
+    typed = [typecheck_exp(EMPTY_ENV, v) for _, v in rho.items()]
+    gamma = env_typing(rho)
+    if any(res is None for res in typed):
+        assert gamma is None
+    else:
+        assert gamma is not None
+        assert gamma.items() == tuple((k, res[0]) for (k, _), res in zip(rho.items(), typed))
+    assert (gamma is None) == (bad is not None)

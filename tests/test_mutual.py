@@ -451,3 +451,69 @@ def test_bi_derivation_json_full_nested_output():
     js = bi_derivation_to_json(d, encode, ("Even", "Odd"))
     assert json.dumps(js) == json.dumps(expected(lambda f: ("Even", "Odd")[f - 1]))
     assert bi_derivation_to_json(d)["premises"][0]["family"] == 1
+
+
+# ---------------------------------------------------------------------------
+# compiled rules on two families
+
+
+def _pairing():
+    """Family 1 ``pair`` recurses into both families; ``one``/``two`` are axioms."""
+    return IndexedBiSignature(
+        "Pairing",
+        [
+            birule(1, "one", params=("n",), conclusion=lambda P: P["n"]),
+            birule(2, "two", params=("n",), conclusion=lambda P: P["n"]),
+            birule(
+                1,
+                "pair",
+                params=("a", "b"),
+                premises=((1, lambda P: P["a"]), (2, lambda P: P["b"])),
+                conclusion=lambda P: (P["a"], P["b"]),
+            ),
+        ],
+    )
+
+
+def test_bi_rules_build_bi_nodes_through_the_one_dnode():
+    from alacarte.indexed import IndexedSignature
+
+    assert vars(IndexedBiSignature)["dnode"] is IndexedSignature.dnode
+    sig = _pairing()
+    a, b = din_bi(sig.dnode("one", {"n": 1})), din_bi(sig.dnode("two", {"n": 2}))
+    node = sig.dnode("pair", {"a": 1, "b": 2}, (a, b))
+    assert type(node) is BiDNode and node._rule is sig.rules["pair"]
+    assert node == BiDNode(sig, 1, "pair", (("a", 1), ("b", 2)), ((1, 1, a), (2, 2, b)), (1, 2))
+    assert din_bi(node)._certified and (a.family, b.family) == (1, 2)
+
+
+def test_stamped_two_family_child_links_keep_their_exact_reasons():
+    sig = _pairing()
+    one, two = din_bi(sig.dnode("one", {"n": 1})), din_bi(sig.dnode("two", {"n": 2}))
+    three = din_bi(sig.dnode("two", {"n": 3}))
+    cases = [
+        ((one, three), "rule pair: premise 1 expects conclusion 2, child concludes 3"),
+        ((one, din_bi(sig.dnode("one", {"n": 2}))), "rule pair: premise 1 witness is not a family-2 derivation"),
+        ((two, two), "rule pair: premise 0 witness is not a family-1 derivation"),
+        ((one, two.root), "rule pair: premise 1 witness is not a family-2 derivation"),
+    ]
+    for witnesses, reason in cases:
+        node = sig.dnode("pair", {"a": 1, "b": 2}, witnesses)
+        assert node._rule is sig.rules["pair"]
+        with pytest.raises(InvalidDerivationError) as exc:
+            din_bi(node)
+        assert str(exc.value) == reason
+        hand = BiDNode(sig, node.family, node.rule, node.params, node.premises, node.conclusion)
+        verdict = validate_bi(BiDerivation(sig, 1, hand))
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason)
+
+
+def test_a_bi_rule_replaced_after_first_use_is_the_one_dnode_instantiates():
+    sig = _pairing()
+    old = sig.dnode("two", {"n": 4})
+    sig.rules["two"] = birule(2, "two", params=("n",), conclusion=lambda P: -P["n"])
+    new = sig.dnode("two", {"n": 4})
+    assert (old.conclusion, new.conclusion) == (4, -4) and din_bi(new)._certified
+    with pytest.raises(InvalidDerivationError) as exc:
+        din_bi(old)
+    assert str(exc.value) == "rule two: conclusion index mismatch"
