@@ -366,6 +366,8 @@ def main(argv=None) -> int:
                 return _fail(str(exc), 2)
         if args.fuel < 0:
             return _fail("fuel must be non-negative", 2)
+    if getattr(args, "count", 0) < 0:
+        return _fail("count must be non-negative", 2)
     try:
         return args.run(args)
     except sexpr.SexprError as exc:

@@ -20,8 +20,8 @@ derivations.  Stamp and certificate are invisible to equality, hashing,
 ``repr`` and the constructors, so a hand-built :class:`DNode` or
 :class:`Derivation` is always checked in full.
 
-Each rule is compiled once, lazily, on its first ``dnode``: one ``exec``
-generates the rule's own ``dnode`` body and its own check of the nodes it
+Each rule is compiled once, lazily, on its first ``dnode``: one generated
+source gives the rule's own ``dnode`` body and its own check of the nodes it
 stamped (see :func:`_compile_rule`).  Importing a signature compiles
 nothing.  The compiled code calls the rule's index expressions and side
 conditions; it never inlines them, so what they read is read when they run.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import ForeignHandleError, Handle, open_handle, value_class  # noqa: F401 (raised by ``rec``)
+from .kernel import ForeignHandleError, Handle, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
 
 
 class InvalidDerivationError(Exception):
@@ -217,7 +217,7 @@ def _child_mismatch(n, i, stored, w):
 
 
 def _compile_rule(r, node: type, bi: bool):
-    """``(build, check)`` for the rule ``r``: straight-line code from one ``exec``.
+    """``(build, check)`` for the rule ``r``: straight-line code from one generated source.
 
     ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
     the witness count, a ``node`` with the parameter, premise and
@@ -227,7 +227,9 @@ def _compile_rule(r, node: type, bi: bool):
     the ``mutual.BiDNode`` layout, whose node and premises carry families.
     Index expressions and side conditions are called, never inlined, so
     each runs exactly where and when the generic path runs it; rejections
-    are raised in the generic path's order, with its messages.
+    are raised in the generic path's order, with its messages.  Rules of
+    the same shape generate the same source, which ``run_generated``
+    compiles once.
     """
     k = len(r.shape)
     env = {
@@ -277,7 +279,7 @@ def _compile_rule(r, node: type, bi: bool):
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
         ]
     src.append("    return " + (" and ".join(f"w{i}._certified" for i in range(k)) or "True"))
-    exec("\n".join(src) + "\n", env)
+    run_generated("\n".join(src) + "\n", env)
     for fn in (env["build"], env["check"]):
         fn.__qualname__ = f"{type(r).__name__}({r.name!r}).{fn.__name__}"
     return env["build"], env["check"]

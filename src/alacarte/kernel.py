@@ -13,6 +13,17 @@ Two algebra styles interpret terms:
   ``mfold``.  ``lift`` turns a conventional algebra into the canonical
   Mendler one, and ``mfold(lift(alg), t) == fold_c(alg, t)``.
 
+``Signature.constructor(ctor)`` generates a constructor's straight-line
+function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
+what ``node`` and then ``in_`` check, in their order and with their
+messages, and builds the term in one call.  On a coproduct a tagged
+constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
+``lang_l``'s term constructors (``vr``, ``scope``, ...) are such functions;
+folds, enumerators, JSON decoding, the laws and ``arith.lit``/``add`` build
+through ``node`` and ``in_``.  Generated code (these constructors, the
+value classes' ``__init__`` and the compiled rules) goes through
+``run_generated``, which compiles each distinct source once.
+
 Handles are branded with a per-fold nonce; consuming a handle under a
 different fold (or inspecting it at all) is a contract violation and fails
 fast.  A second, fold-carrying term representation (:class:`FoldTerm`, a term
@@ -39,6 +50,31 @@ class ForeignHandleError(Exception):
 
 class UnsupportedCarrierError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# generated code
+
+_COMPILED: dict[str, Any] = {}  # generated source -> its code object
+
+
+def run_generated(src: str, env: dict) -> dict:
+    """Execute generated source in ``env`` and return ``env``.
+
+    Each distinct source is compiled once per process, so generators whose
+    outputs coincide (two rules of the same shape, say) share one code
+    object; every run still binds its own functions in its own ``env``.
+    """
+    code = _COMPILED.get(src)
+    if code is None:
+        code = _COMPILED[src] = compile(src, "<generated>", "exec")
+    exec(code, env)
+    return env
+
+
+def _tuple_src(names) -> str:
+    """A tuple display of the given expressions: ``()``, ``(a, )``, ``(a, b, )``."""
+    return "(" + "".join(f"{n}, " for n in names) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +115,7 @@ def value_class(cls):
     code = generated.__code__
     if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
         raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
-    exec(f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n", env)
+    run_generated(f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n", env)
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
@@ -172,13 +208,49 @@ def _node_plan(kinds: tuple[str, ...], groups: tuple[str, ...]):
     return (len(kinds), *split, payload)
 
 
+def _bad_payload(sig_name, ctor, value, kind):
+    return MalformedNodeError(f"{sig_name}.{ctor}: {value!r} is not a valid {kind!r} payload")
+
+
+def _not_a_term(sig_name, ctor, child):
+    return MalformedNodeError(
+        f"{sig_name}.{ctor}: recursive slot {child!r} is not a term of this signature"
+    )
+
+
 def _check_payloads(sig_name, ctor, slots, payload_at):
     """Reject the first ill-kinded payload; kinds are looked up at call time."""
     for i, kind in payload_at:
         if not _PAYLOAD_KINDS[kind].check(slots[i]):
-            raise MalformedNodeError(
-                f"{sig_name}.{ctor}: {slots[i]!r} is not a valid {kind!r} payload"
-            )
+            raise _bad_payload(sig_name, ctor, slots[i], kind)
+
+
+def _generate_constructor(name, kinds, groups, site, checks, result, env):
+    """A straight-line constructor over the slots ``s0, s1, ...`` from one generated source.
+
+    Each payload slot (a kind not in ``groups``) is checked first, in
+    declaration order, against its kind as registered at call time; a
+    rejection names ``site``, a ``(signature, constructor)`` pair.  Then
+    come the lines of ``checks``, and the function returns ``result``.
+    ``env`` binds the names ``checks`` and ``result`` use.  The function
+    is called ``name``; called with the wrong number of slots it raises
+    Python's ``TypeError``, as a hand-written function would.
+    """
+    slots = [f"s{i}" for i in range(len(kinds))]
+    src = [f"def constructor({', '.join(slots)}):"]
+    for s, kind in zip(slots, kinds):
+        if kind not in groups:
+            src += [
+                f"    if not _kinds[{kind!r}].check({s}):",
+                f"        raise _bad_payload(_site.name, _site_ctor, {s}, {kind!r})",
+            ]
+    src += [*checks, f"    return {result}"]
+    env.update(
+        __name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _site=site[0], _site_ctor=site[1]
+    )
+    fn = run_generated("\n".join(src) + "\n", env)["constructor"]
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
 class Signature:
@@ -213,6 +285,37 @@ class Signature:
         if not rec_at:
             return Node(self, ctor, (), slots)
         return Node(self, ctor, tuple([slots[i] for i in rec_at]), tuple([slots[i] for i, _ in payload_at]))
+
+    def constructor(self, ctor: str, name: str | None = None) -> Callable[..., "Term"]:
+        """A function of the constructor's slots equal to ``in_(self.node(ctor, slots))``.
+
+        Generated once, straight-line: the payload kinds are checked in
+        declaration order (looked up at call time), then each recursive
+        slot, with the messages ``node`` and ``in_`` raise, and the term is
+        built in one call.  On a coproduct a tagged constructor equals
+        ``in_(inject_*(self, summand.node(untagged, slots)))``, so a payload
+        rejection names the summand.  The function is called ``name``, by
+        default the (untagged) constructor name.
+        """
+        kinds = self.ctors.get(ctor)
+        if kinds is None:
+            raise MalformedNodeError(f"{self.name} has no constructor {ctor!r}")
+        site = self._payload_site(ctor)
+        rec = [f"s{i}" for i, k in enumerate(kinds) if k == REC]
+        payload = [f"s{i}" for i, k in enumerate(kinds) if k != REC]
+        checks = []
+        for s in rec:
+            checks += [
+                f"    if not isinstance({s}, _Term) or {s}.sig is not _sig:",
+                f"        raise _not_a_term(_sig.name, _ctor, {s})",
+            ]
+        env = {"_sig": self, "_ctor": ctor, "_Term": Term, "_Node": Node, "_not_a_term": _not_a_term}
+        result = f"_Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))"
+        return _generate_constructor(name or site[1], kinds, (REC,), site, checks, result, env)
+
+    def _payload_site(self, ctor):
+        """The signature and constructor that a payload rejection of ``ctor`` names."""
+        return self, ctor
 
     def __repr__(self):
         return f"<Signature {self.name}>"
@@ -249,10 +352,7 @@ def in_(n: Node) -> Term:
     """Wrap a node whose recursive slots are terms; inverse of ``out_``."""
     for child in n.rec:
         if not isinstance(child, Term) or child.sig is not n.sig:
-            raise MalformedNodeError(
-                f"{n.sig.name}.{n.ctor}: recursive slot {child!r} is not a term "
-                f"of this signature"
-            )
+            raise _not_a_term(n.sig.name, n.ctor, child)
     return Term(n.sig, n)
 
 
@@ -395,6 +495,10 @@ class CoproductSignature(Signature):
         self._left_tags, self._right_tags = tags
         self.left = left
         self.right = right
+
+    def _payload_site(self, ctor):
+        side, name = self._untag[ctor]
+        return (self.left, self.right)[side], name
 
 
 def coproduct(left: Signature, right: Signature) -> CoproductSignature:

@@ -4,7 +4,9 @@ The two transition relations are one indexed bi-signature over the index
 types (env, dec, dec) and (env, exp, exp).  ``step_dec``/``step_exp``
 return the unique successor under the left-to-right call-by-value strategy
 together with a validating derivation, or None when the configuration is a
-value or stuck.  Stuck configurations (unbound variables, failed pattern
+value or stuck.  The successor is the third index of the step
+derivation's conclusion, the term the rule built, not a second copy.
+Stuck configurations (unbound variables, failed pattern
 matches, applications of non-closures) are a legal outcome: nothing here
 promises progress.
 """
@@ -206,8 +208,10 @@ STEP_SIG = IndexedBiSignature(
 )
 
 
-def _dstep(rule_name, params, witnesses=()) -> BiDerivation:
-    return din_bi(STEP_SIG.dnode(rule_name, params, witnesses))
+def _dstep(rule_name, params, witnesses=()) -> tuple[Dec | Exp, BiDerivation]:
+    """The successor the rule's conclusion built, and the step derivation."""
+    d = din_bi(STEP_SIG.dnode(rule_name, params, witnesses))
+    return d.root.conclusion[2], d
 
 
 def step_exp(rho: Env, e: Exp) -> Optional[tuple[Exp, BiDerivation]]:
@@ -216,11 +220,9 @@ def step_exp(rho: Env, e: Exp) -> Optional[tuple[Exp, BiDerivation]]:
     match node.ctor:
         case "vr":
             x = node.payload[0]
-            v = rho.get(x)
-            if v is None:
+            if rho.get(x) is None:
                 return None  # stuck: unbound variable
-            d = _dstep("E-VAR", {"rho": rho, "x": x})
-            return v, d
+            return _dstep("E-VAR", {"rho": rho, "x": x})
         case "cn" | "closure":
             return None  # values do not step
         case "apply":
@@ -228,62 +230,40 @@ def step_exp(rho: Env, e: Exp) -> Optional[tuple[Exp, BiDerivation]]:
             sub = step_exp(rho, e1)
             if sub is not None:
                 e1p, d1 = sub
-                d = _dstep(
-                    "E-APP1",
-                    {"rho": rho, "e1": e1, "e1p": e1p, "e2": e2},
-                    (d1,),
-                )
-                return apply_(e1p, e2), d
+                return _dstep("E-APP1", {"rho": rho, "e1": e1, "e1p": e1p, "e2": e2}, (d1,))
             if not is_value(e1):
                 return None  # stuck function position
             sub = step_exp(rho, e2)
             if sub is not None:
                 e2p, d2 = sub
-                d = _dstep(
-                    "E-APP2",
-                    {"rho": rho, "v1": e1, "e2": e2, "e2p": e2p},
-                    (d2,),
-                )
-                return apply_(e1, e2p), d
+                return _dstep("E-APP2", {"rho": rho, "v1": e1, "e2": e2, "e2p": e2p}, (d2,))
             if not is_value(e2):
                 return None
             n1 = out_bi(e1)
             if n1.ctor != "closure":
                 return None  # a data-value application is itself a value
             rho0, p = n1.payload
-            eb = n1.rec2[0]
-            m = patmatch(p, e2)
-            if m is None:
+            if patmatch(p, e2) is None:
                 return None  # stuck: pattern matching failure
-            d = _dstep(
-                "E-BETA", {"rho": rho, "rho0": rho0, "p": p, "eb": eb, "v": e2}
-            )
-            return scope(env_(env_union(rho0, m)), eb), d
+            return _dstep("E-BETA", {"rho": rho, "rho0": rho0, "p": p, "eb": n1.rec2[0], "v": e2})
         case "scope":
             dd = node.rec1[0]
             body = node.rec2[0]
             sub = step_dec(rho, dd)
             if sub is not None:
                 dp, d1 = sub
-                d = _dstep(
-                    "E-SCOPE1", {"rho": rho, "d": dd, "dp": dp, "e": body}, (d1,)
-                )
-                return scope(dp, body), d
+                return _dstep("E-SCOPE1", {"rho": rho, "d": dd, "dp": dp, "e": body}, (d1,))
             dn = out_bi(dd)
             if dn.ctor != "env":
                 return None  # stuck declaration
             rho1 = dn.payload[0]
             if is_value(body):
-                d = _dstep("E-SCOPE3", {"rho": rho, "rho1": rho1, "v": body})
-                return body, d
+                return _dstep("E-SCOPE3", {"rho": rho, "rho1": rho1, "v": body})
             sub = step_exp(env_union(rho, rho1), body)
             if sub is None:
                 return None
             ep, d2 = sub
-            d = _dstep(
-                "E-SCOPE2", {"rho": rho, "rho1": rho1, "e": body, "ep": ep}, (d2,)
-            )
-            return scope(env_(rho1), ep), d
+            return _dstep("E-SCOPE2", {"rho": rho, "rho1": rho1, "e": body, "ep": ep}, (d2,))
     return None
 
 
@@ -299,43 +279,30 @@ def step_dec(rho: Env, d: Dec) -> Optional[tuple[Dec, BiDerivation]]:
             sub = step_exp(rho, e)
             if sub is not None:
                 ep, de = sub
-                dd = _dstep(
-                    "D-MATCH1", {"rho": rho, "p": p, "e": e, "ep": ep}, (de,)
-                )
-                return match_(p, ep), dd
+                return _dstep("D-MATCH1", {"rho": rho, "p": p, "e": e, "ep": ep}, (de,))
             if not is_value(e):
                 return None
-            m = patmatch(p, e)
-            if m is None:
+            if patmatch(p, e) is None:
                 return None  # stuck: pattern matching failure
-            dd = _dstep("D-MATCH", {"rho": rho, "p": p, "v": e})
-            return env_(m), dd
+            return _dstep("D-MATCH", {"rho": rho, "p": p, "v": e})
         case "join":
             d1, d2 = node.rec1
             sub = step_dec(rho, d1)
             if sub is not None:
                 d1p, dd1 = sub
-                dd = _dstep(
-                    "D-JOIN1", {"rho": rho, "d1": d1, "d1p": d1p, "d2": d2}, (dd1,)
-                )
-                return join_(d1p, d2), dd
+                return _dstep("D-JOIN1", {"rho": rho, "d1": d1, "d1p": d1p, "d2": d2}, (dd1,))
             n1 = out_bi(d1)
             if n1.ctor != "env":
                 return None
             rho1 = n1.payload[0]
             n2 = out_bi(d2)
             if n2.ctor == "env":
-                rho2 = n2.payload[0]
-                dd = _dstep("D-JOIN3", {"rho": rho, "rho1": rho1, "rho2": rho2})
-                return env_(env_union(rho1, rho2)), dd
+                return _dstep("D-JOIN3", {"rho": rho, "rho1": rho1, "rho2": n2.payload[0]})
             sub = step_dec(env_union(rho, rho1), d2)
             if sub is None:
                 return None
             d2p, dd2 = sub
-            dd = _dstep(
-                "D-JOIN2", {"rho": rho, "rho1": rho1, "d2": d2, "d2p": d2p}, (dd2,)
-            )
-            return join_(env_(rho1), d2p), dd
+            return _dstep("D-JOIN2", {"rho": rho, "rho1": rho1, "d2": d2, "d2p": d2p}, (dd2,))
     return None
 
 

@@ -30,7 +30,7 @@ from typing import Any, Iterable, Optional, Union
 
 from .. import sexpr
 from ..kernel import register_payload_kind, value_class
-from ..mutual import BiSignature, BiTerm, biterm_to_json, in_bi, out_bi
+from ..mutual import BiSignature, BiTerm, biterm_to_json, out_bi
 
 
 class DuplicateBindingError(Exception):
@@ -110,8 +110,15 @@ EMPTY_ENV = Env()
 
 
 def env_union(left: Env, right: Env) -> Env:
-    """Right-biased union; the one bias used by both stepping and typing."""
-    return Env(left.items() + right.items())
+    """Right-biased union; the one bias used by both stepping and typing.
+
+    An empty side leaves the other side as it is, which is that union.
+    """
+    if not right._entries:
+        return left
+    if not left._entries:
+        return right
+    return Env(left._entries + right._entries)
 
 
 # ---------------------------------------------------------------------------
@@ -199,38 +206,25 @@ Dec = BiTerm
 Exp = BiTerm
 
 
-def env_(rho: Env) -> Dec:
-    return in_bi(LANG.node(1, "env", (rho,)))
+# each is in_bi(LANG.node(component, ctor, slots)) in one call
+env_ = LANG.constructor(1, "env", "env_")
+join_ = LANG.constructor(1, "join", "join_")
+vr = LANG.constructor(2, "vr")
+cn = LANG.constructor(2, "cn")
+apply_ = LANG.constructor(2, "apply", "apply_")
+scope = LANG.constructor(2, "scope")
+_match_term = LANG.constructor(1, "match")
+_closure_term = LANG.constructor(2, "closure")
 
 
 def match_(p: Pat, e: Exp) -> Dec:
     bindings(p)  # patterns entering match rules must be linear
-    return in_bi(LANG.node(1, "match", (p, e)))
-
-
-def join_(d1: Dec, d2: Dec) -> Dec:
-    return in_bi(LANG.node(1, "join", (d1, d2)))
-
-
-def vr(x: str) -> Exp:
-    return in_bi(LANG.node(2, "vr", (x,)))
-
-
-def cn(x: str, t: Typ) -> Exp:
-    return in_bi(LANG.node(2, "cn", (x, t)))
+    return _match_term(p, e)
 
 
 def closure(rho: Env, p: Pat, body: Exp) -> Exp:
     bindings(p)
-    return in_bi(LANG.node(2, "closure", (rho, p, body)))
-
-
-def apply_(e1: Exp, e2: Exp) -> Exp:
-    return in_bi(LANG.node(2, "apply", (e1, e2)))
-
-
-def scope(d: Dec, e: Exp) -> Exp:
-    return in_bi(LANG.node(2, "scope", (d, e)))
+    return _closure_term(rho, p, body)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +402,14 @@ def dec_of_sexpr(expr) -> Dec:
 
 
 def _assoc(entries):
+    """The ``(key value)`` bindings of an environment literal, each key once."""
+    seen = set()
     for entry in entries:
         match entry:
             case [str(k), v]:
+                if k in seen:
+                    raise sexpr.SexprError(f"environment binds {k!r} twice")
+                seen.add(k)
                 yield k, v
             case _:
                 raise sexpr.SexprError(f"not a binding: {sexpr.write(entry)}")

@@ -3,9 +3,12 @@
 A :class:`BiSignature` declares two constructor families over slot kinds
 ``rec1`` (first component), ``rec2`` (second component) and payload kinds
 from the kernel registry.  :class:`BiTerm` is the paired fixpoint; each term
-knows which component it inhabits.  One shared :class:`BiMendlerAlgebra`
-carries both step procedures and the two folds differ only in their entry
-component.
+knows which component it inhabits.  ``BiSignature.constructor(component,
+ctor)`` is ``kernel.Signature.constructor`` for one component: a generated
+function equal to ``in_bi(sig.node(component, ctor, slots))`` that checks
+the payloads, then the rec1 slots, then the rec2 slots.  One shared
+:class:`BiMendlerAlgebra` carries both step procedures and the two folds
+differ only in their entry component.
 
 The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
 ``hfold_1``/``hfold_2``) represents two mutually defined relations over
@@ -26,7 +29,9 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     MalformedNodeError,
     _check_payloads,
     _ctor_table,
+    _generate_constructor,
     _node_plan,
+    _tuple_src,
     open_handle,
     payload_kind,
     value_class,
@@ -79,6 +84,41 @@ class BiSignature:
             payload = ()
         return BiNode(self, component, ctor, _gather(slots, rec1_at), _gather(slots, rec2_at), payload)
 
+    def constructor(self, component: int, ctor: str, name: str | None = None) -> Callable[..., "BiTerm"]:
+        """A function of the constructor's slots equal to ``in_bi(self.node(component, ctor, slots))``.
+
+        As ``kernel.Signature.constructor``: generated once, straight-line,
+        with the payload kinds checked first in declaration order, then the
+        rec1 slots, then the rec2 slots, with the messages ``node`` and
+        ``in_bi`` raise.  The function is called ``name``, by default
+        ``ctor``.
+        """
+        kinds = self.ctors[component - 1].get(ctor)
+        if kinds is None:
+            raise MalformedNodeError(
+                f"{self.name} component {component} has no constructor {ctor!r}"
+            )
+        rec1, rec2 = ([f"s{i}" for i, k in enumerate(kinds) if k == kind] for kind in (REC1, REC2))
+        payload = [f"s{i}" for i, k in enumerate(kinds) if k not in (REC1, REC2)]
+        checks = []
+        for comp, names in ((1, rec1), (2, rec2)):
+            for s in names:
+                checks += [
+                    f"    if not isinstance({s}, _BiTerm) or {s}.sig is not _sig or {s}.component != {comp}:",
+                    f"        raise _not_a_component_term(_sig.name, _ctor, {s}, {comp})",
+                ]
+        env = {
+            "_sig": self,
+            "_component": component,
+            "_ctor": ctor,
+            "_BiTerm": BiTerm,
+            "_BiNode": BiNode,
+            "_not_a_component_term": _not_a_component_term,
+        }
+        slots = ", ".join(_tuple_src(names) for names in (rec1, rec2, payload))
+        result = f"_BiTerm(_sig, _component, _BiNode(_sig, _component, _ctor, {slots}))"
+        return _generate_constructor(name or ctor, kinds, (REC1, REC2), (self, ctor), checks, result, env)
+
     def __repr__(self):
         return f"<BiSignature {self.name}>"
 
@@ -112,13 +152,15 @@ def bifmap(f1: Callable, f2: Callable, n: BiNode) -> BiNode:
     )
 
 
+def _not_a_component_term(sig_name, ctor, child, comp):
+    return MalformedNodeError(f"{sig_name}.{ctor}: slot {child!r} is not a component-{comp} term")
+
+
 def in_bi(n: BiNode) -> BiTerm:
     for comp, children in ((1, n.rec1), (2, n.rec2)):
         for child in children:
             if not isinstance(child, BiTerm) or child.sig is not n.sig or child.component != comp:
-                raise MalformedNodeError(
-                    f"{n.sig.name}.{n.ctor}: slot {child!r} is not a component-{comp} term"
-                )
+                raise _not_a_component_term(n.sig.name, n.ctor, child, comp)
     return BiTerm(n.sig, n.component, n)
 
 

@@ -347,3 +347,37 @@ def test_bad_lang_text_and_file_arguments_exit_2_with_one_line(capsys, tmp_path,
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert says.format(**files) in err
+
+
+DUP_KEY_LINE = "parse error: environment binds 'x' twice"
+TWICE = "((x (con c (ty a))) (x (con d (ty a))))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["lang", "parse", "--sort", "dec", f"(env {TWICE})"], id="parse-env-dec"),
+        pytest.param(["lang", "parse", f"(clos {TWICE} (pvar y (ty a)) (var y))"], id="parse-closure"),
+        pytest.param(["lang", "step", "--env", TWICE, "(var x)"], id="step-env"),
+        pytest.param(["lang", "typecheck", "--env", "((x (ty a)) (x (ty b)))", "(var x)"], id="typecheck-env"),
+        pytest.param(["lang", "typecheck", "--env", "(tenv ((x (ty a)) (x (ty b))))", "(var x)"], id="typecheck-tenv"),
+        pytest.param(["lang", "parse", "(con f (arrow (tenv ((x (ty a)) (x (ty a)))) (ty a)))"], id="parse-tenv-type"),
+        pytest.param(["dump", "--sort", "dec", f"(env {TWICE})"], id="dump-dec"),
+    ],
+)
+def test_an_environment_literal_binding_a_key_twice_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", DUP_KEY_LINE + "\n")
+
+
+def test_an_environment_literal_binding_each_key_once_still_prints_as_parsed(capsys):
+    text = "(env ((x (con c (ty a))) (y (con d (ty a)))))"
+    assert run(capsys, "lang", "parse", "--sort", "dec", text) == (0, text + "\n", "")
+
+
+def test_negative_count_exits_2(capsys):
+    code, out, err = run(capsys, "fuzz-preservation", "--count", "-3")
+    assert (code, out, err) == (2, "", "count must be non-negative\n")
+    code, out, err = run(capsys, "fuzz-preservation", "--count", "0", "--fuel", "5")
+    assert (code, err) == (0, "")
+    assert "checked 0 configurations" in out

@@ -447,6 +447,24 @@ def test_importing_the_languages_compiles_no_rule():
     assert out[1] == "['ev1']"
 
 
+def test_generated_sources_of_one_shape_are_compiled_once():
+    from alacarte.lang_l import PCon, PVar
+
+    ev1, is_lit = arith.EVAL_SIG.rules["ev1"], arith.ISTRM_SIG.rules["isLit"]
+    tof2, is_add = arith.TYPOF_SIG.rules["tof2"], arith.ISTRM_SIG.rules["isAdd"]
+    for a, b in ((ev1, is_lit), (tof2, is_add)):
+        assert a.build.__code__ is b.build.__code__
+        assert a.check.__code__ is b.check.__code__
+        assert a.build is not b.build  # each stamps its own rule
+    assert (ev1.build.__qualname__, is_lit.build.__qualname__) == ("Rule('ev1').build", "Rule('isLit').build")
+    d = arith.ISTRM_SIG.dnode("isLit", {"x": 3})
+    assert d._rule is is_lit and din(d)._certified
+    assert arith.EVAL_SIG.dnode("ev1", {"x": 3})._rule is ev1
+    # two value classes with the same fields share their __init__'s code
+    assert PVar.__init__.__code__ is PCon.__init__.__code__
+    assert PVar.__init__ is not PCon.__init__
+
+
 def test_a_rule_replaced_after_first_use_is_the_one_dnode_instantiates():
     sig = IndexedSignature("Replaced", [rule("r", params=("x",), conclusion=lambda P: P["x"])])
     old = sig.dnode("r", {"x": 1})

@@ -1,5 +1,7 @@
 """Small-step semantics: per-rule instances plus determinism sweeps."""
 
+import pytest
+
 from alacarte import testkit
 from alacarte.lang_l import (
     Arrow,
@@ -16,6 +18,7 @@ from alacarte.lang_l import (
     is_value,
     join_,
     match_,
+    patmatch,
     scope,
     step_dec,
     step_exp,
@@ -185,3 +188,91 @@ def test_determinism_repeated_runs():
         assert (s1 is None) == (s2 is None)
         if s1 is not None:
             assert s1[0] == s2[0] and s1[1] == s2[1]
+
+
+# ---------------------------------------------------------------------------
+# the successor is the one the rule's conclusion built
+
+
+def old_union(left, right):
+    return Env(left.items() + right.items())
+
+
+def rebuilt_successor(d):
+    """The successor as ``step_*`` built it apart from the rule, from the rule's parameters."""
+    P = d.root.params_dict()
+    match d.root.rule:
+        case "E-VAR":
+            return P["rho"].get(P["x"])
+        case "E-APP1":
+            return apply_(P["e1p"], P["e2"])
+        case "E-APP2":
+            return apply_(P["v1"], P["e2p"])
+        case "E-BETA":
+            return scope(env_(old_union(P["rho0"], patmatch(P["p"], P["v"]))), P["eb"])
+        case "E-SCOPE1":
+            return scope(P["dp"], P["e"])
+        case "E-SCOPE2":
+            return scope(env_(P["rho1"]), P["ep"])
+        case "E-SCOPE3":
+            return P["v"]
+        case "D-MATCH1":
+            return match_(P["p"], P["ep"])
+        case "D-MATCH":
+            return env_(patmatch(P["p"], P["v"]))
+        case "D-JOIN1":
+            return join_(P["d1p"], P["d2"])
+        case "D-JOIN2":
+            return join_(env_(P["rho1"]), P["d2p"])
+        case "D-JOIN3":
+            return env_(old_union(P["rho1"], P["rho2"]))
+    raise AssertionError(d.root.rule)
+
+
+C, Y = cn("c", TY_A), PVar("y", TY_A)
+ID_Y = closure(EMPTY_ENV, Y, vr("y"))
+RHO_Y = Env([("y", C)])
+EVERY_RULE = [
+    ("E-VAR", "exp", vr("x")),
+    ("E-APP1", "exp", apply_(vr("x"), C)),
+    ("E-APP2", "exp", apply_(ID_Y, vr("x"))),
+    ("E-BETA", "exp", apply_(ID_Y, C)),
+    ("E-SCOPE1", "exp", scope(match_(Y, vr("x")), vr("y"))),
+    ("E-SCOPE2", "exp", scope(env_(RHO_Y), vr("y"))),
+    ("E-SCOPE3", "exp", scope(env_(EMPTY_ENV), C)),
+    ("D-MATCH1", "dec", match_(Y, vr("x"))),
+    ("D-MATCH", "dec", match_(Y, C)),
+    ("D-JOIN1", "dec", join_(match_(Y, C), env_(EMPTY_ENV))),
+    ("D-JOIN2", "dec", join_(env_(RHO_Y), match_(PVar("z", TY_A), vr("y")))),
+    ("D-JOIN3", "dec", join_(env_(RHO_Y), env_(Env([("z", C)])))),
+]
+
+
+@pytest.mark.parametrize("rule, sort, term", EVERY_RULE, ids=[r for r, _, _ in EVERY_RULE])
+def test_each_rule_returns_the_successor_its_conclusion_built(rule, sort, term):
+    step = step_dec if sort == "dec" else step_exp
+    succ, d = step(rho1(), term)
+    assert d.root.rule == rule
+    assert succ is d.root.conclusion[2]
+    assert d.root.conclusion[:2] == (rho1(), term)
+    assert succ == rebuilt_successor(d)
+    assert validate_bi(d)
+
+
+def test_successors_equal_the_rebuilt_ones_over_a_seeded_corpus():
+    corpus = testkit.gen_well_typed_config(testkit.GenConfig(seed=11, count=200))
+    rules = set()
+    for config in corpus:
+        step = step_dec if config.sort == "dec" else step_exp
+        term = config.term
+        for _ in range(50):
+            sub = step(config.rho, term)
+            if sub is None:
+                break
+            succ, d = sub
+            assert succ is d.root.conclusion[2]
+            assert succ == rebuilt_successor(d)
+            assert d.root.conclusion[:2] == (config.rho, term)
+            rules.add(d.root.rule)
+            term = succ
+    assert len(rules) == 12  # every step rule fires in this corpus

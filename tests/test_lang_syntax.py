@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alacarte.sexpr import SexprError
+
 from alacarte.lang_l import (
     Arrow,
     DuplicateBindingError,
@@ -25,6 +27,7 @@ from alacarte.lang_l import (
     join_,
     match_,
     parse_dec,
+    parse_env,
     parse_exp,
     parse_pat,
     parse_typ,
@@ -57,6 +60,22 @@ def test_env_union_right_biased():
     a = Env([("x", 1), ("y", 2)])
     b = Env([("y", 3), ("z", 4)])
     assert env_union(a, b) == Env([("x", 1), ("y", 3), ("z", 4)])
+
+
+def test_env_union_with_an_empty_side_is_the_other_side():
+    a = Env([("x", 1), ("y", 2)])
+    assert env_union(a, EMPTY_ENV) is a
+    assert env_union(EMPTY_ENV, a) is a
+    assert env_union(a, Env()) is a and env_union(Env(), a) is a
+    assert env_union(EMPTY_ENV, Env()) == EMPTY_ENV
+
+
+def test_env_union_right_bias_on_every_overlapping_key():
+    a = Env([("x", 1), ("y", 2), ("w", 0)])
+    b = Env([("y", 3), ("x", 4), ("z", 5)])
+    assert env_union(a, b).items() == (("w", 0), ("x", 4), ("y", 3), ("z", 5))
+    assert env_union(b, a).items() == (("w", 0), ("x", 1), ("y", 2), ("z", 5))
+    assert env_union(a, a) == a
 
 
 def test_env_union_associative():
@@ -234,3 +253,31 @@ def test_exp_roundtrip(e):
 @given(decs())
 def test_dec_roundtrip(d):
     assert parse_dec(print_dec(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# environment literals bind each key once
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_dec, "(env ((x (con c (ty a))) (x (con d (ty a)))))"),
+        (parse_exp, "(clos ((y (con c (ty a))) (y (con c (ty a)))) (pvar x (ty a)) (var x))"),
+        (parse_exp, "(scope (env ((x (var a)) (z (var b)) (x (var c)))) (var x))"),
+        (parse_env, "((x (con c (ty a))) (x (con d (ty a))))"),
+        (parse_typ, "(tenv ((x (ty a)) (x (ty b))))"),
+        (parse_pat, "(pvar f (arrow (tenv ((x (ty a)) (x (ty a)))) (ty a)))"),
+    ],
+)
+def test_an_environment_literal_binding_a_key_twice_is_rejected(parse, text):
+    key = "y" if "(y (con" in text else "x"
+    with pytest.raises(SexprError) as info:
+        parse(text)
+    assert str(info.value) == f"environment binds {key!r} twice"
+
+
+def test_environment_literals_with_distinct_keys_round_trip():
+    text = "(env ((x (con c (ty a))) (y (con d (ty a)))))"
+    assert print_dec(parse_dec(text)) == text
+    assert parse_typ("(tenv ((x (ty a)) (y (ty b))))") == TypeEnv(Env([("x", TY_A), ("y", TY_B)]))
