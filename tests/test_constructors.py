@@ -162,6 +162,10 @@ def test_rejections_name_the_summand_for_payloads_and_the_coproduct_for_slots():
     rejects(lambda: syntax.cn("", "t"), "lang_l.cn: '' is not a valid 'id' payload")
     rejects(lambda: TRM.constructor("lit"), "(trm_g1+trm_g2) has no constructor 'lit'")
     rejects(lambda: LANG.constructor(1, "vr"), "lang_l component 1 has no constructor 'vr'")
+    rejects(lambda: LANG.constructor(2, "join"), "lang_l component 2 has no constructor 'join'")
+    rejects(lambda: LANG.constructor(1, "nope"), "lang_l component 1 has no constructor 'nope'")
+    rejects(lambda: BIMIXED.constructor(2, "d"), "bimixed component 2 has no constructor 'd'")
+    rejects(lambda: MIXED.constructor("nope"), "mixed has no constructor 'nope'")
 
 
 def test_constructors_keep_their_names():

@@ -50,6 +50,10 @@ def test_coproduct_node_rejections():
 def test_bisignature_node_rejections():
     rejects(lambda: LANG.node(1, "vr", ("x",)), "lang_l component 1 has no constructor 'vr'")
     rejects(lambda: LANG.node(2, "join", ()), "lang_l component 2 has no constructor 'join'")
+    rejects(lambda: LANG.node(1, "nope", ()), "lang_l component 1 has no constructor 'nope'")
+    rejects(lambda: LANG.node(2, "nope", ("x",)), "lang_l component 2 has no constructor 'nope'")
+    rejects(lambda: BIMIXED.node(2, "d", (1, None, "x")), "bimixed component 2 has no constructor 'd'")
+    rejects(lambda: BIMIXED.node(1, "e", (None,)), "bimixed component 1 has no constructor 'e'")
     rejects(lambda: LANG.node(2, "apply", (vr("x"),)), "lang_l.apply expects 2 slots, got 1")
     rejects(lambda: LANG.node(1, "env", ()), "lang_l.env expects 1 slots, got 0")
     rejects(lambda: LANG.node(2, "vr", ("",)), "lang_l.vr: '' is not a valid 'id' payload")

@@ -108,6 +108,54 @@ def test_gen_same_seed_identical():
 # law suites
 
 
+LAWS = {
+    "kernel": (
+        152315,
+        {
+            "fmap-identity": [30, 0],
+            "fmap-composition": [1000, 0],
+            "in-out": [21612, 0],
+            "out-in": [21612, 0],
+            "fold-computation": [21612, 0],
+            "mfold-computation": [21612, 0],
+            "lift-coherence": [21612, 0],
+            "uniqueness-oracle": [1, 0],
+            "coproduct-surjective": [21612, 0],
+            "coproduct-disjoint": [21612, 0],
+        },
+    ),
+    "indexed": (
+        882,
+        {
+            "ifmap-identity": [147, 0],
+            "ifmap-composition": [147, 0],
+            "din-dout": [147, 0],
+            "validate-sound-for-din": [147, 0],
+            "ifold-computation": [147, 0],
+            "ifold-index-coherence": [147, 0],
+        },
+    ),
+    "mutual": (
+        26064,
+        {
+            "bifmap-identity": [600, 0],
+            "bifmap-composition": [600, 0],
+            "bi-in-out": [8288, 0],
+            "bifold-computation": [8288, 0],
+            "bifold-rebuild-identity": [8288, 0],
+        },
+    ),
+}
+
+
+def assert_pinned(report, suite):
+    """The report's JSON and per-law counts are exactly the pinned ones."""
+    checked, laws = LAWS[suite]
+    js = report.to_json()
+    assert json.dumps(js) == json.dumps({"suite": suite, "checked": checked, "failed": 0, "witnesses": []})
+    assert json.dumps(report.laws) == json.dumps(laws)
+
+
 def test_law_suite_kernel_passes():
     report = testkit.law_suite("kernel")
     assert report.ok
@@ -115,6 +163,7 @@ def test_law_suite_kernel_passes():
     js = report.to_json()
     assert set(js) == {"suite", "checked", "failed", "witnesses"}
     json.dumps(js)  # machine-readable
+    assert_pinned(report, "kernel")
 
 
 def test_law_suite_catches_swapped_fmap():
@@ -129,11 +178,13 @@ def test_law_suite_catches_swapped_fmap():
 def test_law_suite_indexed_passes():
     report = testkit.law_suite("indexed")
     assert report.ok
+    assert_pinned(report, "indexed")
 
 
 def test_law_suite_mutual_passes():
     report = testkit.law_suite("mutual")
     assert report.ok
+    assert_pinned(report, "mutual")
 
 
 def test_law_report_lines():
