@@ -376,6 +376,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except InvalidDerivationError as exc:
         return _fail(f"invalid derivation: {exc}", 1)
+    except RecursionError:
+        return _fail("input nested too deeply", 1)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,17 @@
-"""Signature functors, coproducts, fixpoints, and folds.
+"""Signature functors, coproducts, fixpoints, and folds: one term core for any number of sorts.
 
-A :class:`Signature` is one layer of a recursive grammar: named constructors
-whose slots are either recursive positions or payloads drawn from a closed
-registry of payload kinds.  :class:`Term` is the recursive closure of a
-signature, a materialized immutable tree with an ``in_``/``out_`` bijection.
+A :class:`Signature` is one layer of a recursive grammar of one or more
+mutually recursive sorts: per sort, named constructors whose slots are
+either recursive positions or payloads drawn from a closed registry of
+payload kinds.  A one-sort signature's recursive kind is ``"rec"``; a
+signature of N sorts has ``"rec1"`` ... ``"recN"``, naming the sort a slot
+holds.  A constructor name belongs to one sort only, so every node has the
+one layout ``Node(sig, ctor, rec, payload)``: ``rec`` holds the recursive
+slots of every sort in declaration order, and the constructor's plan
+records its own sort and each slot's.  :class:`Term` is the recursive
+closure of a signature, a materialized immutable tree with an
+``in_``/``out_`` bijection; ``in_`` checks that each slot holds a term of
+its sort.  ``mutual`` is the 2-sort case, with its own call shapes.
 
 Two algebra styles interpret terms:
 
@@ -11,7 +19,9 @@ Two algebra styles interpret terms:
 - a Mendler algebra is a callable ``(rec, Node[Handle]) -> C`` that receives
   recursive positions as opaque handles usable only through ``rec``, run by
   ``mfold``.  ``lift`` turns a conventional algebra into the canonical
-  Mendler one, and ``mfold(lift(alg), t) == fold_c(alg, t)``.
+  Mendler one, and ``mfold(lift(alg), t) == fold_c(alg, t)``.  A
+  :class:`SortedAlgebra` has one step per sort, each given one ``rec`` per
+  sort, run by ``mfold_by_sort``.
 
 ``Signature.constructor(ctor)`` generates a constructor's straight-line
 function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
@@ -24,11 +34,12 @@ through ``node`` and ``in_``.  Generated code (these constructors, the
 value classes' ``__init__`` and the compiled rules) goes through
 ``run_generated``, which compiles each distinct source once.
 
-Handles are branded with a per-fold nonce; consuming a handle under a
-different fold (or inspecting it at all) is a contract violation and fails
-fast.  A second, fold-carrying term representation (:class:`FoldTerm`, a term
-is whatever can run any Mendler algebra) lives behind the same in/out/fold
-interface with ``reflect``/``reify`` conversions.
+Handles are branded with a per-fold nonce (one per sort in a sorted step);
+consuming a handle under a different fold or sort (or inspecting it at
+all) is a contract violation and fails fast.  A second, fold-carrying term
+representation (:class:`FoldTerm`, a term is whatever can run any Mendler
+algebra) lives behind the same in/out/fold interface with
+``reflect``/``reify`` conversions.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without synchronization.
@@ -37,7 +48,7 @@ everything here is safe for concurrent use without synchronization.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
 class MalformedNodeError(Exception):
@@ -193,29 +204,37 @@ def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds) -> dict[str
     return table
 
 
-def _node_plan(kinds: tuple[str, ...], groups: tuple[str, ...]):
+class _Plan(NamedTuple):
+    """What a signature precomputes for one constructor, besides ``node``'s split."""
+
+    kinds: tuple[str, ...]  # the slot kinds, in declaration order
+    sort: int  # the sort the constructor builds, from 1
+    rec_sorts: tuple[int, ...]  # the sort of each recursive slot, in ``rec`` order
+    checks: tuple[tuple[int, int], ...]  # (``rec`` index, sort) in check order: by sort, then position
+    groups: tuple[tuple[str, tuple[int, ...]], ...]  # each recursive kind with its ``rec`` indices
+    payload_kinds: tuple[str, ...]  # the payload slot kinds, in declaration order
+    head: tuple[tuple[str, int], ...]  # the term JSON's leading entries: a many-sorted term's component
+
+
+def _split(kinds: tuple[str, ...], rec_kinds: tuple[str, ...]):
     """How ``node`` splits a constructor's slots, computed once per constructor.
 
-    The slot count; for each recursive kind in ``groups``, its positions, or
-    None when it takes every slot; and the payload ``(position, kind)``
-    pairs, in declaration order.
+    The slot count; the recursive positions, or None when every slot is
+    recursive; and the payload ``(position, kind)`` pairs, in declaration
+    order.
     """
-    split = []
-    for group in groups:
-        at = tuple(i for i, k in enumerate(kinds) if k == group)
-        split.append(None if len(at) == len(kinds) else at)
-    payload = tuple((i, k) for i, k in enumerate(kinds) if k not in groups)
-    return (len(kinds), *split, payload)
+    rec_at = tuple(i for i, k in enumerate(kinds) if k in rec_kinds)
+    payload = tuple((i, k) for i, k in enumerate(kinds) if k not in rec_kinds)
+    return len(kinds), None if len(rec_at) == len(kinds) else rec_at, payload
 
 
 def _bad_payload(sig_name, ctor, value, kind):
     return MalformedNodeError(f"{sig_name}.{ctor}: {value!r} is not a valid {kind!r} payload")
 
 
-def _not_a_term(sig_name, ctor, child):
-    return MalformedNodeError(
-        f"{sig_name}.{ctor}: recursive slot {child!r} is not a term of this signature"
-    )
+def _bad_slot(sig, ctor, child, sort):
+    """The rejection of a recursive slot of ``sig.ctor`` that holds no term of its sort."""
+    return MalformedNodeError(sig._slot_message.format(sig.name, ctor, child, sort))
 
 
 def _check_payloads(sig_name, ctor, slots, payload_at):
@@ -225,45 +244,52 @@ def _check_payloads(sig_name, ctor, slots, payload_at):
             raise _bad_payload(sig_name, ctor, slots[i], kind)
 
 
-def _generate_constructor(name, kinds, groups, site, checks, result, env):
-    """A straight-line constructor over the slots ``s0, s1, ...`` from one generated source.
-
-    Each payload slot (a kind not in ``groups``) is checked first, in
-    declaration order, against its kind as registered at call time; a
-    rejection names ``site``, a ``(signature, constructor)`` pair.  Then
-    come the lines of ``checks``, and the function returns ``result``.
-    ``env`` binds the names ``checks`` and ``result`` use.  The function
-    is called ``name``; called with the wrong number of slots it raises
-    Python's ``TypeError``, as a hand-written function would.
-    """
-    slots = [f"s{i}" for i in range(len(kinds))]
-    src = [f"def constructor({', '.join(slots)}):"]
-    for s, kind in zip(slots, kinds):
-        if kind not in groups:
-            src += [
-                f"    if not _kinds[{kind!r}].check({s}):",
-                f"        raise _bad_payload(_site.name, _site_ctor, {s}, {kind!r})",
-            ]
-    src += [*checks, f"    return {result}"]
-    env.update(
-        __name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _site=site[0], _site_ctor=site[1]
-    )
-    fn = run_generated("\n".join(src) + "\n", env)["constructor"]
-    fn.__name__ = fn.__qualname__ = name
-    return fn
-
-
 class Signature:
-    """A one-layer grammar shape: constructor name -> tuple of slot kinds.
+    """A grammar of one or more mutually recursive sorts.
 
-    Slot kinds are ``"rec"`` or a registered payload kind.  Signatures
-    compare by identity; all nodes of a term share one signature object.
+    Each sort is a table from constructor name to a tuple of slot kinds.
+    A slot kind is a registered payload kind or a recursive kind: ``"rec"``
+    in a one-sort signature, and ``"rec1"`` ... ``"recN"`` (a term of sort
+    1 ... N) in a signature of N sorts.  A constructor name belongs to one
+    sort only, so a node's constructor tells its sort.  ``ctors`` maps every
+    constructor to its slot kinds and ``sorts`` holds the per-sort tables.
+    Signatures compare by identity; all nodes of a term share one signature
+    object.
     """
 
-    def __init__(self, name: str, ctors: Mapping[str, Iterable[str]]):
+    def __init__(self, name: str, *sorts: Mapping[str, Iterable[str]]):
+        if not sorts:
+            raise ValueError(f"{name} declares no sort")
+        many = len(sorts) > 1
         self.name = name
-        self.ctors = _ctor_table(name, ctors, (REC,))
-        self._plans = {ctor: _node_plan(kinds, (REC,)) for ctor, kinds in self.ctors.items()}
+        self.rec_kinds = tuple(f"{REC}{k}" for k in range(1, len(sorts) + 1)) if many else (REC,)
+        self.sorts = tuple(_ctor_table(name, decls, self.rec_kinds) for decls in sorts)
+        self.ctors: dict[str, tuple[str, ...]] = {}
+        self._plans: dict[str, _Plan] = {}
+        sort_of_kind = {kind: k for k, kind in enumerate(self.rec_kinds, 1)}
+        for sort, table in enumerate(self.sorts, 1):
+            for ctor, kinds in table.items():
+                if ctor in self.ctors:
+                    raise ValueError(f"constructor {ctor!r} is declared in more than one sort of {name}")
+                self.ctors[ctor] = kinds
+                rec_sorts = tuple(sort_of_kind[k] for k in kinds if k in sort_of_kind)
+                self._plans[ctor] = _Plan(
+                    kinds,
+                    sort,
+                    rec_sorts,
+                    tuple(sorted(enumerate(rec_sorts), key=lambda c: (c[1], c[0]))),
+                    tuple((kind, tuple(i for i, s in enumerate(rec_sorts) if s == k)) for kind, k in sort_of_kind.items()),
+                    tuple(k for k in kinds if k not in sort_of_kind),
+                    (("component", sort),) if many else (),
+                )
+        self._splits = {ctor: _split(kinds, self.rec_kinds) for ctor, kinds in self.ctors.items()}
+        # the constructors whose recursive slots could hold a term of another sort
+        self._sort_checked = frozenset(c for c, plan in self._plans.items() if many and plan.rec_sorts)
+        self._slot_message = (
+            "{}.{}: slot {!r} is not a component-{} term"
+            if many
+            else "{}.{}: recursive slot {!r} is not a term of this signature"
+        )
 
     def node(self, ctor: str, slots: Iterable[Any] = ()) -> "Node":
         """Build a node, validating slot counts and payload kinds.
@@ -271,12 +297,12 @@ class Signature:
         ``slots`` are given in declaration order; recursive and payload
         slots are split out according to the constructor's arity.
         """
-        plan = self._plans.get(ctor)
-        if plan is None:
+        split = self._splits.get(ctor)
+        if split is None:
             raise MalformedNodeError(f"{self.name} has no constructor {ctor!r}")
         if slots.__class__ is not tuple:
             slots = tuple(slots)
-        arity, rec_at, payload_at = plan
+        arity, rec_at, payload_at = split
         if len(slots) != arity:
             raise MalformedNodeError(f"{self.name}.{ctor} expects {arity} slots, got {len(slots)}")
         if not payload_at:
@@ -289,29 +315,54 @@ class Signature:
     def constructor(self, ctor: str, name: str | None = None) -> Callable[..., "Term"]:
         """A function of the constructor's slots equal to ``in_(self.node(ctor, slots))``.
 
-        Generated once, straight-line: the payload kinds are checked in
-        declaration order (looked up at call time), then each recursive
-        slot, with the messages ``node`` and ``in_`` raise, and the term is
-        built in one call.  On a coproduct a tagged constructor equals
-        ``in_(inject_*(self, summand.node(untagged, slots)))``, so a payload
-        rejection names the summand.  The function is called ``name``, by
-        default the (untagged) constructor name.
+        Generated once, straight-line, from one source: the payload kinds
+        are checked in declaration order (looked up at call time), then the
+        recursive slots in ``in_``'s order, with the messages ``node`` and
+        ``in_`` raise, and the term is built in one call.  On a coproduct a
+        tagged constructor equals ``in_(inject_*(self, summand.node(untagged,
+        slots)))``, so a payload rejection names the summand.  The function
+        is called ``name``, by default the (untagged) constructor name;
+        called with the wrong number of slots it raises Python's
+        ``TypeError``, as a hand-written function would.
         """
-        kinds = self.ctors.get(ctor)
-        if kinds is None:
+        plan = self._plans.get(ctor)
+        if plan is None:
             raise MalformedNodeError(f"{self.name} has no constructor {ctor!r}")
-        site = self._payload_site(ctor)
-        rec = [f"s{i}" for i, k in enumerate(kinds) if k == REC]
-        payload = [f"s{i}" for i, k in enumerate(kinds) if k != REC]
-        checks = []
-        for s in rec:
-            checks += [
-                f"    if not isinstance({s}, _Term) or {s}.sig is not _sig:",
-                f"        raise _not_a_term(_sig.name, _ctor, {s})",
+        site, site_ctor = self._payload_site(ctor)
+        slots = [f"s{i}" for i in range(len(plan.kinds))]
+        rec = [s for s, kind in zip(slots, plan.kinds) if kind in self.rec_kinds]
+        payload = [s for s, kind in zip(slots, plan.kinds) if kind not in self.rec_kinds]
+        src = [f"def constructor({', '.join(slots)}):"]
+        for s, kind in zip(slots, plan.kinds):
+            if kind not in self.rec_kinds:
+                src += [
+                    f"    if not _kinds[{kind!r}].check({s}):",
+                    f"        raise _bad_payload(_site.name, _site_ctor, {s}, {kind!r})",
+                ]
+        wrong_sort = " or _plans[{}.root.ctor].sort != {}" if ctor in self._sort_checked else ""
+        for i, sort in plan.checks:
+            s = rec[i]
+            src += [
+                f"    if not isinstance({s}, _Term) or {s}.sig is not _sig{wrong_sort.format(s, sort)}:",
+                f"        raise _bad_slot(_sig, _ctor, {s}, {sort})",
             ]
-        env = {"_sig": self, "_ctor": ctor, "_Term": Term, "_Node": Node, "_not_a_term": _not_a_term}
-        result = f"_Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))"
-        return _generate_constructor(name or site[1], kinds, (REC,), site, checks, result, env)
+        src.append(f"    return _Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
+        env = {
+            "__name__": __name__,
+            "_kinds": _PAYLOAD_KINDS,
+            "_bad_payload": _bad_payload,
+            "_bad_slot": _bad_slot,
+            "_site": site,
+            "_site_ctor": site_ctor,
+            "_sig": self,
+            "_ctor": ctor,
+            "_plans": self._plans,
+            "_Term": Term,
+            "_Node": Node,
+        }
+        fn = run_generated("\n".join(src) + "\n", env)["constructor"]
+        fn.__name__ = fn.__qualname__ = name or site_ctor
+        return fn
 
     def _payload_site(self, ctor):
         """The signature and constructor that a payload rejection of ``ctor`` names."""
@@ -325,14 +376,29 @@ class Signature:
 class Node:
     """One constructor application over an arbitrary carrier.
 
-    ``rec`` holds the values sitting in recursive slots, ``payload`` the
-    payload values, each in declaration order.
+    ``rec`` holds the values sitting in recursive slots, of every sort, and
+    ``payload`` the payload values, each in declaration order.
+    ``component``, ``rec1`` and ``rec2`` are read-only views computed from
+    the constructor's plan.
     """
 
     sig: Signature
     ctor: str
     rec: tuple
     payload: tuple
+
+    @property
+    def component(self) -> int:
+        """The sort of the constructor, from 1."""
+        return self.sig._plans[self.ctor].sort
+
+    def rec_of(self, sort: int) -> tuple:
+        """The recursive slots of the given sort, in declaration order."""
+        rec = self.rec
+        return tuple([rec[i] for i in self.sig._plans[self.ctor].groups[sort - 1][1]])
+
+    rec1 = property(lambda self: self.rec_of(1), doc="The recursive slots of sort 1.")
+    rec2 = property(lambda self: self.rec_of(2), doc="The recursive slots of sort 2.")
 
 
 @value_class
@@ -342,18 +408,58 @@ class Term:
     sig: Signature
     root: Node
 
+    @property
+    def component(self) -> int:
+        """The sort of the term, from 1."""
+        return self.sig._plans[self.root.ctor].sort
+
 
 def fmap(f: Callable[[Any], Any], n: Node) -> Node:
     """Apply ``f`` to every recursive slot; constructor and payloads unchanged."""
     return Node(n.sig, n.ctor, tuple([f(x) for x in n.rec]), n.payload)
 
 
+def fmap_by_sort(fs, n: Node) -> Node:
+    """``fmap`` with one function per sort: ``fs[k - 1]`` maps the slots of sort k."""
+    sorts = n.sig._plans[n.ctor].rec_sorts
+    return Node(n.sig, n.ctor, tuple([fs[s - 1](x) for x, s in zip(n.rec, sorts)]), n.payload)
+
+
 def in_(n: Node) -> Term:
-    """Wrap a node whose recursive slots are terms; inverse of ``out_``."""
+    """Wrap a node whose recursive slots are terms of their sorts; inverse of ``out_``.
+
+    The first slot that holds no term of its sort is reported, in check
+    order: by sort, then by position.
+    """
+    sig = n.sig
     for child in n.rec:
-        if not isinstance(child, Term) or child.sig is not n.sig:
-            raise _not_a_term(n.sig.name, n.ctor, child)
-    return Term(n.sig, n)
+        if not isinstance(child, Term) or child.sig is not sig:
+            raise _first_bad_slot(n)
+    if n.ctor in sig._sort_checked:
+        bad = _first_bad_slot(n)
+        if bad is not None:
+            raise bad
+    return Term(sig, n)
+
+
+def _first_bad_slot(n: Node):
+    """The rejection of the first slot of ``n`` that holds no term of its sort, or None."""
+    sig = n.sig
+    plans = sig._plans
+    plan = plans.get(n.ctor)
+    if plan is not None and len(plan.rec_sorts) == len(n.rec):
+        checks = plan.checks
+    else:  # a hand-built node with slots its constructor does not declare
+        checks = [(i, None) for i in range(len(n.rec))]
+    for i, sort in checks:
+        child = n.rec[i]
+        if (
+            not isinstance(child, Term)
+            or child.sig is not sig
+            or sort is not None and n.ctor in sig._sort_checked and plans[child.root.ctor].sort != sort
+        ):
+            return _bad_slot(sig, n.ctor, child, sort)
+    return None
 
 
 def out_(t: Term) -> Node:
@@ -413,6 +519,45 @@ def step_once(malg, node: Node, recurse):
 def mfold(malg, t: Term):
     """Mendler fold: the step sees subterms only as handles."""
     return step_once(malg, t.root, lambda s: mfold(malg, s))
+
+
+@dataclass(frozen=True)
+class SortedAlgebra:
+    """A Mendler algebra of a many-sorted signature, one step per sort.
+
+    ``steps[k - 1]`` runs on the nodes of sort k as ``step(rec_1, ...,
+    rec_N, node)``, where ``rec_j`` consumes only the handles of sort-j
+    slots.
+    """
+
+    steps: tuple
+
+
+def step_once_by_sort(malg, node: Node, recurses):
+    """One Mendler step with a fresh brand and a ``rec`` per sort.
+
+    ``malg`` has ``steps``, one per sort; ``recurses[j - 1]`` is invoked on
+    the value a sort-j handle wraps, and a handle passed to another sort's
+    ``rec`` raises :class:`ForeignHandleError`.  ``mfold_by_sort`` is the
+    knot-tied instance.
+    """
+    plan = node.sig._plans[node.ctor]
+    brands = [object() for _ in recurses]
+    if node.rec:
+        handles = tuple([Handle(v, brands[s - 1]) for v, s in zip(node.rec, plan.rec_sorts)])
+        node = Node(node.sig, node.ctor, handles, node.payload)
+    recs = [_opener(brand, recurse) for brand, recurse in zip(brands, recurses)]
+    return malg.steps[plan.sort - 1](*recs, node)
+
+
+def _opener(brand, recurse):
+    return lambda h: recurse(open_handle(h, brand))
+
+
+def mfold_by_sort(malg, t: Term):
+    """Mendler fold with one step per sort: the step of the root's sort sees its subterms as handles."""
+    recurse = lambda s: mfold_by_sort(malg, s)
+    return step_once_by_sort(malg, t.root, (recurse,) * len(malg.steps))
 
 
 def lift(alg):
@@ -601,30 +746,36 @@ def term_to_json(t: Term) -> dict:
 
 
 def _node_to_json(n: Node) -> dict:
-    kinds = [k for k in n.sig.ctors[n.ctor] if k != REC]
-    return {
-        "ctor": n.ctor,
-        "rec": [_node_to_json(c.root) for c in n.rec],
-        "payload": [payload_kind(k).encode(v) for k, v in zip(kinds, n.payload)],
-    }
+    """``ctor``, then the children of each recursive kind under its name, then ``payload``.
+
+    A many-sorted term's JSON leads with its ``component``.
+    """
+    plan = n.sig._plans[n.ctor]
+    js = dict(plan.head)
+    js["ctor"] = n.ctor
+    for kind, at in plan.groups:
+        js[kind] = [_node_to_json(n.rec[i].root) for i in at]
+    js["payload"] = [payload_kind(k).encode(v) for k, v in zip(plan.payload_kinds, n.payload)]
+    return js
 
 
 def term_from_json(sig: Signature, obj: dict) -> Term:
-    kinds = sig.ctors.get(obj["ctor"])
-    if kinds is None:
-        raise MalformedNodeError(f"{sig.name} has no constructor {obj['ctor']!r}")
-    rec = iter(term_from_json(sig, c) for c in obj["rec"])
+    ctor = obj["ctor"]
+    plan = sig._plans.get(ctor)
+    if plan is None:
+        raise MalformedNodeError(f"{sig.name} has no constructor {ctor!r}")
+    for key, value in plan.head:
+        if obj.get(key) != value:
+            raise MalformedNodeError(f"{sig.name}.{ctor} builds {key} {value}, not {obj.get(key)!r}")
+    rec = {kind: iter(term_from_json(sig, c) for c in obj[kind]) for kind, _ in plan.groups}
     payload = iter(obj["payload"])
-    slots = [
-        next(rec) if k == REC else payload_kind(k).decode(next(payload)) for k in kinds
-    ]
-    return in_(sig.node(obj["ctor"], slots))
+    slots = [next(rec[k]) if k in rec else payload_kind(k).decode(next(payload)) for k in plan.kinds]
+    return in_(Signature.node(sig, ctor, slots))
 
 
 def signature_to_json(sig: Signature) -> dict:
-    return {
-        "signature": sig.name,
-        "constructors": [
-            {"name": name, "slots": list(kinds)} for name, kinds in sig.ctors.items()
-        ],
-    }
+    """A one-sort signature lists its constructors; a many-sorted one lists them per component."""
+    tables = [[{"name": name, "slots": list(kinds)} for name, kinds in table.items()] for table in sig.sorts]
+    if len(tables) == 1:
+        return {"signature": sig.name, "constructors": tables[0]}
+    return {"signature": sig.name, "components": tables}

@@ -226,7 +226,7 @@ def step_exp(rho: Env, e: Exp) -> Optional[tuple[Exp, BiDerivation]]:
         case "cn" | "closure":
             return None  # values do not step
         case "apply":
-            e1, e2 = node.rec2
+            e1, e2 = node.rec
             sub = step_exp(rho, e1)
             if sub is not None:
                 e1p, d1 = sub
@@ -245,10 +245,9 @@ def step_exp(rho: Env, e: Exp) -> Optional[tuple[Exp, BiDerivation]]:
             rho0, p = n1.payload
             if patmatch(p, e2) is None:
                 return None  # stuck: pattern matching failure
-            return _dstep("E-BETA", {"rho": rho, "rho0": rho0, "p": p, "eb": n1.rec2[0], "v": e2})
+            return _dstep("E-BETA", {"rho": rho, "rho0": rho0, "p": p, "eb": n1.rec[0], "v": e2})
         case "scope":
-            dd = node.rec1[0]
-            body = node.rec2[0]
+            dd, body = node.rec
             sub = step_dec(rho, dd)
             if sub is not None:
                 dp, d1 = sub
@@ -275,7 +274,7 @@ def step_dec(rho: Env, d: Dec) -> Optional[tuple[Dec, BiDerivation]]:
             return None  # terminal
         case "match":
             p = node.payload[0]
-            e = node.rec2[0]
+            e = node.rec[0]
             sub = step_exp(rho, e)
             if sub is not None:
                 ep, de = sub
@@ -286,7 +285,7 @@ def step_dec(rho: Env, d: Dec) -> Optional[tuple[Dec, BiDerivation]]:
                 return None  # stuck: pattern matching failure
             return _dstep("D-MATCH", {"rho": rho, "p": p, "v": e})
         case "join":
-            d1, d2 = node.rec1
+            d1, d2 = node.rec
             sub = step_dec(rho, d1)
             if sub is not None:
                 d1p, dd1 = sub

@@ -182,7 +182,7 @@ register_payload_kind(
 register_payload_kind(
     "envE",
     lambda v: isinstance(v, Env)
-    and all(isinstance(e, BiTerm) and e.component == 2 for _, e in v.items()),
+    and all(isinstance(e, BiTerm) and e.sig is LANG and e.root.ctor in _EXPS for _, e in v.items()),
     encode=lambda rho: [[k, biterm_to_json(e)] for k, e in rho.items()],
 )
 
@@ -204,6 +204,7 @@ LANG = BiSignature(
 
 Dec = BiTerm
 Exp = BiTerm
+_EXPS = LANG.sorts[1]  # the expression constructors: a term's constructor tells its sort
 
 
 # each is in_bi(LANG.node(component, ctor, slots)) in one call
@@ -236,13 +237,13 @@ def is_data_value(e: Exp) -> bool:
     if node.ctor == "cn":
         return True
     if node.ctor == "apply":
-        h, v = node.rec2
+        h, v = node.rec
         return is_data_value(h) and is_value(v)
     return False
 
 
 def is_value(e: Exp) -> bool:
-    if e.component != 2:
+    if e.root.ctor not in _EXPS:
         return False
     return out_bi(e).ctor == "closure" or is_data_value(e)
 
@@ -273,7 +274,7 @@ def _match(p: Pat, v: Exp) -> Optional[Env]:
         case PApp(pf, pa):
             if node.ctor != "apply" or not is_data_value(v):
                 return None
-            h, va = node.rec2
+            h, va = node.rec
             m1 = _match_head(pf, h)
             if m1 is None:
                 return None
@@ -353,12 +354,12 @@ def exp_to_sexpr(e: Exp):
                 "clos",
                 [[k, exp_to_sexpr(v)] for k, v in rho.items()],
                 pat_to_sexpr(p),
-                exp_to_sexpr(node.rec2[0]),
+                exp_to_sexpr(node.rec[0]),
             ]
         case "apply":
-            return ["app", exp_to_sexpr(node.rec2[0]), exp_to_sexpr(node.rec2[1])]
+            return ["app", exp_to_sexpr(node.rec[0]), exp_to_sexpr(node.rec[1])]
         case "scope":
-            return ["scope", dec_to_sexpr(node.rec1[0]), exp_to_sexpr(node.rec2[0])]
+            return ["scope", dec_to_sexpr(node.rec[0]), exp_to_sexpr(node.rec[1])]
     raise sexpr.SexprError(f"not an expression: {node.ctor}")
 
 
@@ -384,9 +385,9 @@ def dec_to_sexpr(d: Dec):
         case "env":
             return ["env", [[k, exp_to_sexpr(v)] for k, v in node.payload[0].items()]]
         case "match":
-            return ["match", pat_to_sexpr(node.payload[0]), exp_to_sexpr(node.rec2[0])]
+            return ["match", pat_to_sexpr(node.payload[0]), exp_to_sexpr(node.rec[0])]
         case "join":
-            return ["join", dec_to_sexpr(node.rec1[0]), dec_to_sexpr(node.rec1[1])]
+            return ["join", dec_to_sexpr(node.rec[0]), dec_to_sexpr(node.rec[1])]
     raise sexpr.SexprError(f"not a declaration: {node.ctor}")
 
 

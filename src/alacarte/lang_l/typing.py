@@ -142,7 +142,7 @@ def env_typing(rho: Env) -> Optional[Env]:
     """
     out = []
     for k, v in rho.items():
-        if not isinstance(v, Exp) or v.component != 2 or not is_value(v):
+        if not isinstance(v, Exp) or not is_value(v):
             return None
         try:
             t, _ = _tc_exp(EMPTY_ENV, v, (), _no_node)
@@ -318,7 +318,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
             return tau, mk("T-CON", {"gamma": gamma, "x": x, "tau": tau})
         case "closure":
             rho0, p = node.payload
-            eb = node.rec2[0]
+            eb = node.rec[0]
             gamma0 = env_typing(rho0)
             if gamma0 is None:
                 raise _Untypable(path + ("clos.env",), "environment is not typable")
@@ -341,7 +341,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
             )
             return Arrow(t1, t2), d
         case "apply":
-            e1, e2 = node.rec2
+            e1, e2 = node.rec
             tf, d1 = _tc_exp(gamma, e1, path + ("app.fn",), mk)
             if not isinstance(tf, Arrow):
                 raise _Untypable(path + ("app.fn",), f"not a function type: {tf!r}")
@@ -357,8 +357,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
             )
             return tf.cod, d
         case "scope":
-            dd = node.rec1[0]
-            body = node.rec2[0]
+            dd, body = node.rec
             td, d1 = _tc_dec(gamma, dd, path + ("scope.dec",), mk)
             gammap = td.env
             t, d2 = _tc_exp(env_union(gamma, gammap), body, path + ("scope.body",), mk)
@@ -384,7 +383,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
             )
         case "match":
             p = node.payload[0]
-            e = node.rec2[0]
+            e = node.rec[0]
             t1 = pat_type(p)
             if t1 is None:
                 raise _Untypable(path + ("match.pat",), "pattern is not typable")
@@ -398,7 +397,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
             )
             return TypeEnv(bindings(p)), dd
         case "join":
-            d1, d2 = node.rec1
+            d1, d2 = node.rec
             te1, dd1 = _tc_dec(gamma, d1, path + ("join.left",), mk)
             gamma1 = te1.env
             te2, dd2 = _tc_dec(env_union(gamma, gamma1), d2, path + ("join.right",), mk)

@@ -1,20 +1,25 @@
-"""Bi-functor machinery for mutually recursive datatypes and relations.
+"""The two-sort case of the kernel, for mutually recursive datatypes and relations.
 
-A :class:`BiSignature` declares two constructor families over slot kinds
-``rec1`` (first component), ``rec2`` (second component) and payload kinds
-from the kernel registry.  :class:`BiTerm` is the paired fixpoint; each term
-knows which component it inhabits.  ``BiSignature.constructor(component,
-ctor)`` is ``kernel.Signature.constructor`` for one component: a generated
-function equal to ``in_bi(sig.node(component, ctor, slots))`` that checks
-the payloads, then the rec1 slots, then the rec2 slots.  One shared
-:class:`BiMendlerAlgebra` carries both step procedures and the two folds
-differ only in their entry component.
+A :class:`BiSignature` is a :class:`kernel.Signature` of two sorts, here
+called components: declarations over slot kinds ``rec1`` (a component-1
+term), ``rec2`` (a component-2 term) and payload kinds from the kernel
+registry.  Its nodes and terms are kernel ``Node``s and ``Term``s
+(``BiNode`` and ``BiTerm`` name the same classes), whose ``component``,
+``rec1`` and ``rec2`` are read-only views.  What this module adds is
+2-sort call shapes over the kernel's N-sort core: ``BiSignature.node`` and
+``.constructor`` take the component as well, and ``bifmap``, ``in_bi``,
+``bistep_once``, ``bifold_1``/``bifold_2`` and ``biterm_to_json`` wrap
+``fmap_by_sort``, ``in_``, ``step_once_by_sort``, ``mfold_by_sort`` and
+``term_to_json``.  One shared :class:`BiMendlerAlgebra` carries both step
+procedures and the two folds differ only in their entry component.
 
 The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
-``hfold_1``/``hfold_2``) represents two mutually defined relations over
-index types K1 and K2; rule premises name the family they recurse into.
-It is the two-family case of :mod:`alacarte.indexed` and shares all of its
+``hfold_1``/``hfold_2``) represents mutually defined relations over index
+types, one per family; rule premises name the family they recurse into.
+It is the many-family case of :mod:`alacarte.indexed` and shares all of its
 machinery; only the layouts of :class:`BiRule` and :class:`BiDNode` differ.
+``hstep_once`` and ``hfold`` issue one brand and one ``rec`` per family, so
+any number of families can be folded.
 """
 
 from __future__ import annotations
@@ -27,13 +32,16 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     ForeignHandleError,
     Handle,
     MalformedNodeError,
-    _check_payloads,
-    _ctor_table,
-    _generate_constructor,
-    _node_plan,
-    _tuple_src,
-    open_handle,
-    payload_kind,
+    Node,
+    Signature,
+    Term,
+    fmap_by_sort,
+    in_,
+    mfold_by_sort,
+    out_,
+    signature_to_json,
+    step_once_by_sort,
+    term_to_json,
     value_class,
 )
 from . import indexed
@@ -48,124 +56,52 @@ class WrongComponentError(Exception):
     pass
 
 
-def _gather(slots: tuple, at) -> tuple:
-    """The slots at positions ``at`` of a node plan; None stands for every slot."""
-    if at is None:
-        return slots
-    return tuple([slots[i] for i in at]) if at else ()
+class BiSignature(Signature):
+    """Two constructor families over shared slot kinds; compares by identity.
 
-
-class BiSignature:
-    """Two constructor families over shared slot kinds; compares by identity."""
+    ``ctors[c - 1]`` is component c's table.
+    """
 
     def __init__(self, name, first: Mapping[str, Iterable[str]], second: Mapping[str, Iterable[str]]):
-        self.name = name
-        self.ctors = tuple(_ctor_table(name, decls, (REC1, REC2)) for decls in (first, second))
-        self._plans = tuple(
-            {ctor: _node_plan(kinds, (REC1, REC2)) for ctor, kinds in table.items()}
-            for table in self.ctors
-        )
+        super().__init__(name, first, second)
+        self.ctors = self.sorts
 
-    def node(self, component: int, ctor: str, slots: Iterable[Any] = ()) -> "BiNode":
-        plan = self._plans[component - 1].get(ctor)
-        if plan is None:
-            raise MalformedNodeError(
-                f"{self.name} component {component} has no constructor {ctor!r}"
-            )
-        if slots.__class__ is not tuple:
-            slots = tuple(slots)
-        arity, rec1_at, rec2_at, payload_at = plan
-        if len(slots) != arity:
-            raise MalformedNodeError(f"{self.name}.{ctor} expects {arity} slots, got {len(slots)}")
-        if payload_at:
-            _check_payloads(self.name, ctor, slots, payload_at)
-            payload = slots if len(payload_at) == arity else tuple([slots[i] for i, _ in payload_at])
-        else:
-            payload = ()
-        return BiNode(self, component, ctor, _gather(slots, rec1_at), _gather(slots, rec2_at), payload)
+    def _check_component(self, component: int, ctor: str):
+        if ctor not in self.sorts[component - 1]:
+            raise MalformedNodeError(f"{self.name} component {component} has no constructor {ctor!r}")
 
-    def constructor(self, component: int, ctor: str, name: str | None = None) -> Callable[..., "BiTerm"]:
-        """A function of the constructor's slots equal to ``in_bi(self.node(component, ctor, slots))``.
+    def node(self, component: int, ctor: str, slots: Iterable[Any] = ()) -> Node:
+        """``Signature.node`` for a constructor of the given component."""
+        self._check_component(component, ctor)
+        return Signature.node(self, ctor, slots)
 
-        As ``kernel.Signature.constructor``: generated once, straight-line,
-        with the payload kinds checked first in declaration order, then the
-        rec1 slots, then the rec2 slots, with the messages ``node`` and
-        ``in_bi`` raise.  The function is called ``name``, by default
-        ``ctor``.
+    def constructor(self, component: int, ctor: str, name: str | None = None) -> Callable[..., Term]:
+        """``Signature.constructor`` for a constructor of the given component.
+
+        The function equals ``in_bi(self.node(component, ctor, slots))``:
+        it checks the payloads, then the rec1 slots, then the rec2 slots.
         """
-        kinds = self.ctors[component - 1].get(ctor)
-        if kinds is None:
-            raise MalformedNodeError(
-                f"{self.name} component {component} has no constructor {ctor!r}"
-            )
-        rec1, rec2 = ([f"s{i}" for i, k in enumerate(kinds) if k == kind] for kind in (REC1, REC2))
-        payload = [f"s{i}" for i, k in enumerate(kinds) if k not in (REC1, REC2)]
-        checks = []
-        for comp, names in ((1, rec1), (2, rec2)):
-            for s in names:
-                checks += [
-                    f"    if not isinstance({s}, _BiTerm) or {s}.sig is not _sig or {s}.component != {comp}:",
-                    f"        raise _not_a_component_term(_sig.name, _ctor, {s}, {comp})",
-                ]
-        env = {
-            "_sig": self,
-            "_component": component,
-            "_ctor": ctor,
-            "_BiTerm": BiTerm,
-            "_BiNode": BiNode,
-            "_not_a_component_term": _not_a_component_term,
-        }
-        slots = ", ".join(_tuple_src(names) for names in (rec1, rec2, payload))
-        result = f"_BiTerm(_sig, _component, _BiNode(_sig, _component, _ctor, {slots}))"
-        return _generate_constructor(name or ctor, kinds, (REC1, REC2), (self, ctor), checks, result, env)
+        self._check_component(component, ctor)
+        return Signature.constructor(self, ctor, name)
 
     def __repr__(self):
         return f"<BiSignature {self.name}>"
 
 
-@value_class
-class BiNode:
-    sig: BiSignature
-    component: int
-    ctor: str
-    rec1: tuple
-    rec2: tuple
-    payload: tuple
+BiNode = Node
+BiTerm = Term
 
 
-@value_class
-class BiTerm:
-    sig: BiSignature
-    component: int
-    root: BiNode
-
-
-def bifmap(f1: Callable, f2: Callable, n: BiNode) -> BiNode:
+def bifmap(f1: Callable, f2: Callable, n: Node) -> Node:
     """Slot-kind-respecting map: ``f1`` over rec1 slots, ``f2`` over rec2."""
-    return BiNode(
-        n.sig,
-        n.component,
-        n.ctor,
-        tuple([f1(x) for x in n.rec1]),
-        tuple([f2(x) for x in n.rec2]),
-        n.payload,
-    )
+    return fmap_by_sort((f1, f2), n)
 
 
-def _not_a_component_term(sig_name, ctor, child, comp):
-    return MalformedNodeError(f"{sig_name}.{ctor}: slot {child!r} is not a component-{comp} term")
+def in_bi(n: Node) -> Term:
+    return in_(n)
 
 
-def in_bi(n: BiNode) -> BiTerm:
-    for comp, children in ((1, n.rec1), (2, n.rec2)):
-        for child in children:
-            if not isinstance(child, BiTerm) or child.sig is not n.sig or child.component != comp:
-                raise _not_a_component_term(n.sig.name, n.ctor, child, comp)
-    return BiTerm(n.sig, n.component, n)
-
-
-def out_bi(t: BiTerm) -> BiNode:
-    return t.root
+out_bi = out_
 
 
 @dataclass(frozen=True)
@@ -175,38 +111,30 @@ class BiMendlerAlgebra:
     step1: Callable  # (rec1, rec2, BiNode) -> C1, or (rec1, rec2, w, BiDNode) -> D1(w)
     step2: Callable  # (rec1, rec2, BiNode) -> C2, or (rec1, rec2, w, BiDNode) -> D2(w)
 
+    @property
+    def steps(self) -> tuple[Callable, Callable]:
+        return self.step1, self.step2
+
 
 IndexedBiMendlerAlgebra = BiMendlerAlgebra
 
 
-def bistep_once(malg: BiMendlerAlgebra, node: BiNode, recurse1, recurse2):
-    b1, b2 = object(), object()
-    wrapped = BiNode(
-        node.sig,
-        node.component,
-        node.ctor,
-        tuple([Handle(v, b1) for v in node.rec1]),
-        tuple([Handle(v, b2) for v in node.rec2]),
-        node.payload,
-    )
-    rec1 = lambda h: recurse1(open_handle(h, b1))
-    rec2 = lambda h: recurse2(open_handle(h, b2))
-    step = malg.step1 if node.component == 1 else malg.step2
-    return step(rec1, rec2, wrapped)
+def bistep_once(malg: BiMendlerAlgebra, node: Node, recurse1, recurse2):
+    return step_once_by_sort(malg, node, (recurse1, recurse2))
 
 
-def _bifold(component: int, malg: BiMendlerAlgebra, t: BiTerm):
+def _bifold(component: int, malg: BiMendlerAlgebra, t: Term):
     if t.component != component:
         other = "second" if component == 1 else "first"
         raise WrongComponentError(f"bifold_{component} applied to a {other}-component term")
-    return bistep_once(malg, t.root, lambda s: _bifold(1, malg, s), lambda s: _bifold(2, malg, s))
+    return mfold_by_sort(malg, t)
 
 
-def bifold_1(malg: BiMendlerAlgebra, t: BiTerm):
+def bifold_1(malg: BiMendlerAlgebra, t: Term):
     return _bifold(1, malg, t)
 
 
-def bifold_2(malg: BiMendlerAlgebra, t: BiTerm):
+def bifold_2(malg: BiMendlerAlgebra, t: Term):
     return _bifold(2, malg, t)
 
 
@@ -293,63 +221,47 @@ def validate_bi(d: BiDerivation) -> Validity:
     return indexed._check_tree(d)
 
 
-def hstep_once(malg: IndexedBiMendlerAlgebra, w, node: BiDNode, recurse1, recurse2):
-    b1, b2 = object(), object()
-    handles = tuple(
-        [(fam, ix, Handle(wit, b1 if fam == 1 else b2)) for fam, ix, wit in node.premises]
-    )
+def hstep_once(malg, w, node: BiDNode, *recurses):
+    """One indexed Mendler step with a fresh brand and an index-checking ``rec`` per family.
+
+    ``recurses[f - 1]`` recurses into family f, and ``malg.steps[f - 1]``
+    is family f's step, called as ``step(rec_1, ..., rec_N, w, node)``.
+    """
+    brands = [object() for _ in recurses]
+    handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in node.premises])
     wrapped = BiDNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
-    step = malg.step1 if node.family == 1 else malg.step2
-    rec = indexed._index_checking_rec
-    return step(rec(b1, recurse1), rec(b2, recurse2), w, wrapped)
+    recs = [indexed._index_checking_rec(brand, recurse) for brand, recurse in zip(brands, recurses)]
+    return malg.steps[node.family - 1](*recs, w, wrapped)
 
 
-def _hfold_from(family: int, malg, w, d: BiDerivation):
+def hfold(family: int, malg, w, d: BiDerivation):
+    """Indexed Mendler fold of a family-``family`` derivation that concludes at ``w``."""
     if d.family != family:
-        raise WrongComponentError(f"hfold_{family} applied to a family-{3 - family} derivation")
+        raise WrongComponentError(f"hfold_{family} applied to a family-{d.family} derivation")
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
-    recurse = lambda wi, di: hstep_once(malg, wi, di.root, recurse, recurse)
+    recurse = lambda wi, di: hstep_once(malg, wi, di.root, *recurses)
+    recurses = (recurse,) * len(malg.steps)
     return recurse(w, d)
 
 
 def hfold_1(malg: IndexedBiMendlerAlgebra, w, d: BiDerivation):
-    return _hfold_from(1, malg, w, d)
+    return hfold(1, malg, w, d)
 
 
 def hfold_2(malg: IndexedBiMendlerAlgebra, w, d: BiDerivation):
-    return _hfold_from(2, malg, w, d)
+    return hfold(2, malg, w, d)
 
 
 # ---------------------------------------------------------------------------
 # JSON
 
 
-def biterm_to_json(t: BiTerm) -> dict:
-    return _binode_to_json(t.root)
+def biterm_to_json(t: Term) -> dict:
+    return term_to_json(t)
 
 
-def _binode_to_json(n: BiNode) -> dict:
-    kinds = [
-        k for k in n.sig.ctors[n.component - 1][n.ctor] if k not in (REC1, REC2)
-    ]
-    return {
-        "component": n.component,
-        "ctor": n.ctor,
-        "rec1": [_binode_to_json(c.root) for c in n.rec1],
-        "rec2": [_binode_to_json(c.root) for c in n.rec2],
-        "payload": [payload_kind(k).encode(v) for k, v in zip(kinds, n.payload)],
-    }
-
-
-def bisignature_to_json(sig: BiSignature) -> dict:
-    return {
-        "signature": sig.name,
-        "components": [
-            [{"name": name, "slots": list(kinds)} for name, kinds in table.items()]
-            for table in sig.ctors
-        ],
-    }
+bisignature_to_json = signature_to_json
 
 
 def bi_derivation_to_json(d: BiDerivation, encode=lambda v: v, family_names=None) -> dict:

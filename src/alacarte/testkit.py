@@ -19,8 +19,8 @@ from typing import Any, Iterator, Optional
 from . import arith
 from .arith import Val
 from .indexed import Derivation, InvalidDerivationError, WrongIndexError
-from .kernel import REC, Signature, Term, in_
-from .mutual import REC1, REC2, BiDerivation, BiSignature, BiTerm, in_bi
+from .kernel import Signature, Term, in_
+from .mutual import BiDerivation, BiTerm
 from .lang_l import (
     Arrow,
     CounterexampleError,
@@ -75,30 +75,42 @@ class EnumSpec:
     pools: dict[str, tuple]  # payload kind -> candidate values, in pool order
 
 
+BiEnumSpec = EnumSpec
+
+
 def term_layers(spec: EnumSpec) -> list[list[Term]]:
-    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms."""
+    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms.
+
+    Every sort is enumerated jointly by depth: within a layer the terms of
+    sort 1 come first, then those of sort 2, and so on.
+    """
     sig = spec.signature
     layers: list[list[Term]] = [[] for _ in range(spec.max_depth + 1)]
-    below: list[Term] = []
+    below: dict[str, list[Term]] = {kind: [] for kind in sig.rec_kinds}  # per sort, by its slot kind
     depth_of: dict[int, int] = {}
     for d in range(1, spec.max_depth + 1):
-        layer = []
-        for ctor, kinds in sig.ctors.items():
-            rec_positions = [i for i, k in enumerate(kinds) if k == REC]
-            if (d == 1) != (not rec_positions):
-                continue
-            candidates = [
-                below if k == REC else list(spec.pools[k]) for k in kinds
-            ]
-            for slots in _product(candidates):
-                if rec_positions and (
-                    max(depth_of[id(slots[i])] for i in rec_positions) != d - 1
-                ):
+        new = []
+        for table in sig.sorts:
+            made = []
+            for ctor, kinds in table.items():
+                rec_positions = [i for i, k in enumerate(kinds) if k in below]
+                if (d == 1) != (not rec_positions):
                     continue
-                layer.append(in_(sig.node(ctor, slots)))
-        for t in layer:
-            depth_of[id(t)] = d
-        below.extend(layer)
+                candidates = [below[k] if k in below else list(spec.pools[k]) for k in kinds]
+                for slots in _product(candidates):
+                    if rec_positions and (
+                        max(depth_of[id(slots[i])] for i in rec_positions) != d - 1
+                    ):
+                        continue
+                    made.append(in_(Signature.node(sig, ctor, slots)))
+            new.append(made)
+        for kind, made in zip(sig.rec_kinds, new):
+            for t in made:
+                depth_of[id(t)] = d
+            below[kind].extend(made)
+        layer, *rest = new
+        for made in rest:
+            layer += made
         layers[d] = layer
     return layers
 
@@ -119,49 +131,15 @@ def _product(candidate_lists):
             yield (x,) + tail
 
 
-@dataclass(frozen=True)
-class BiEnumSpec:
-    signature: BiSignature
-    max_depth: int
-    pools: dict[str, tuple]
+def biterm_layers(spec: EnumSpec) -> list[tuple[list[Term], list[Term]]]:
+    """``term_layers`` of a two-sort signature, each layer split by component."""
+    return [
+        tuple([t for t in layer if t.component == component] for component in (1, 2))
+        for layer in term_layers(spec)
+    ]
 
 
-def biterm_layers(spec: BiEnumSpec) -> list[tuple[list[BiTerm], list[BiTerm]]]:
-    """Both components enumerated jointly by total depth."""
-    sig = spec.signature
-    layers: list[tuple[list, list]] = [([], []) for _ in range(spec.max_depth + 1)]
-    below = ([], [])  # per component
-    depth_of: dict[int, int] = {}
-    for d in range(1, spec.max_depth + 1):
-        new = ([], [])
-        for component in (1, 2):
-            for ctor, kinds in sig.ctors[component - 1].items():
-                rec_positions = [i for i, k in enumerate(kinds) if k in (REC1, REC2)]
-                if (d == 1) != (not rec_positions):
-                    continue
-                candidates = []
-                for k in kinds:
-                    if k == REC1:
-                        candidates.append(below[0])
-                    elif k == REC2:
-                        candidates.append(below[1])
-                    else:
-                        candidates.append(list(spec.pools[k]))
-                for slots in _product(candidates):
-                    if rec_positions and (
-                        max(depth_of[id(slots[i])] for i in rec_positions) != d - 1
-                    ):
-                        continue
-                    new[component - 1].append(in_bi(sig.node(component, ctor, slots)))
-        for component in (1, 2):
-            for t in new[component - 1]:
-                depth_of[id(t)] = d
-            below[component - 1].extend(new[component - 1])
-        layers[d] = new
-    return layers
-
-
-def enumerate_biterms(spec: BiEnumSpec) -> Iterator[BiTerm]:
+def enumerate_biterms(spec: EnumSpec) -> Iterator[Term]:
     for decs, exps in biterm_layers(spec):
         yield from decs
         yield from exps

@@ -381,3 +381,32 @@ def test_negative_count_exits_2(capsys):
     code, out, err = run(capsys, "fuzz-preservation", "--count", "0", "--fuel", "5")
     assert (code, err) == (0, "")
     assert "checked 0 configurations" in out
+
+
+# ---------------------------------------------------------------------------
+# input nested deeper than the recursion limit
+
+
+def _left_nested_adds(depth: int) -> str:
+    return "(add " * depth + "(lit 1)" + "".join(f" (lit {k}))" for k in range(depth))
+
+
+def _apps(depth: int) -> str:
+    return "(app " * depth + "(var f)" + " (var x))" * depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["arith", "eval", _left_nested_adds(3000)], id="arith-eval"),
+        pytest.param(["lang", "parse", _apps(1500)], id="lang-parse"),
+        pytest.param(["dump", "--sort", "exp", _apps(1500)], id="dump-exp"),
+    ],
+)
+def test_input_nested_too_deeply_exits_1_with_one_line(argv):
+    src = str(Path(alacarte.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "alacarte.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "input nested too deeply\n")

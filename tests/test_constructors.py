@@ -3,7 +3,8 @@
 ``Signature.constructor(ctor)`` is ``in_(sig.node(ctor, slots))`` in one
 call, and on a coproduct tag ``in_(inject_*(csig, summand.node(...)))``;
 ``BiSignature.constructor(component, ctor)`` is
-``in_bi(sig.node(component, ctor, slots))``.  Every slot tuple drawn from a
+``in_bi(sig.node(component, ctor, slots))``; the constructors of the
+three-sort ``PARITY`` block are ``in_(sig.node(ctor, slots))`` too.  Every slot tuple drawn from a
 pool of good and bad values must give the same term, or the same exception
 type with the same text, both ways.
 """
@@ -26,6 +27,7 @@ from alacarte.lang_l import LANG, EMPTY_ENV, Env, PApp, PCon, PVar, Ty, syntax
 from alacarte.mutual import BiSignature, in_bi
 
 from test_node_rejection import BIMIXED, MIXED
+from test_three_sorts import PARITY
 
 
 def node_in(sig, ctor):
@@ -56,6 +58,9 @@ DEC = syntax.env_(EMPTY_ENV)
 MIXED_Q = in_(MIXED.node("q"))
 BI_Z = in_bi(BIMIXED.node(1, "z"))
 BI_E = in_bi(BIMIXED.node(2, "e", (BI_Z,)))
+EVEN = in_(PARITY.node("zero"))
+ODD = in_(PARITY.node("succ_o", (EVEN,)))
+TEST = in_(PARITY.node("is_zero", (EVEN,)))
 POOL = [
     5,
     None,
@@ -75,6 +80,9 @@ POOL = [
     DEC,
     BI_Z,
     BI_E,
+    EVEN,
+    ODD,
+    TEST,
 ]
 
 # (name, generated constructor, the composition it stands for)
@@ -96,6 +104,7 @@ CONSTRUCTORS = [
     ("closure", LANG.constructor(2, "closure"), node_in_bi(LANG, 2, "closure")),
     ("apply_", syntax.apply_, node_in_bi(LANG, 2, "apply")),
     ("scope", syntax.scope, node_in_bi(LANG, 2, "scope")),
+    *((f"PARITY.{c}", PARITY.constructor(c), node_in(PARITY, c)) for c in PARITY.ctors),
 ]
 
 # one valid slot tuple per constructor, so every pool value is tried beside
@@ -118,6 +127,12 @@ VALID = {
     "closure": (Env([("x", EXP)]), PVar("y", A), syntax.vr("y")),
     "apply_": (syntax.vr("f"), EXP),
     "scope": (DEC, EXP),
+    "PARITY.zero": (),
+    "PARITY.succ_e": (ODD,),
+    "PARITY.succ_o": (EVEN,),
+    "PARITY.is_zero": (EVEN,),
+    "PARITY.odd_test": (3, ODD, "x"),
+    "PARITY.both": (TEST, EVEN, TEST),
 }
 
 IDS = [name for name, _, _ in CONSTRUCTORS]

@@ -84,8 +84,8 @@ def test_in_bi_rejects_children_of_another_component_or_signature():
     d = env_(EMPTY_ENV)
     rejects(
         lambda: in_bi(LANG.node(1, "join", (d, vr("x")))),
-        "lang_l.join: slot BiTerm(sig=<BiSignature lang_l>, component=2, root=BiNode(sig=<BiSignature "
-        "lang_l>, component=2, ctor='vr', rec1=(), rec2=(), payload=('x',))) is not a component-1 term",
+        "lang_l.join: slot Term(sig=<BiSignature lang_l>, root=Node(sig=<BiSignature lang_l>, ctor='vr', "
+        "rec=(), payload=('x',))) is not a component-1 term",
     )
     rejects(lambda: in_bi(LANG.node(2, "apply", (5, vr("x")))), "lang_l.apply: slot 5 is not a component-2 term")
     rejects(lambda: in_bi(LANG.node(2, "apply", (vr("x"), d))), "lang_l.apply: slot " + repr(d) + " is not a component-2 term")
@@ -97,10 +97,9 @@ def test_in_bi_rejects_children_of_another_component_or_signature():
     assert foreign.component == 2
     rejects(
         lambda: in_bi(LANG.node(2, "apply", (foreign, vr("x")))),
-        "lang_l.apply: slot BiTerm(sig=<BiSignature bimixed>, component=2, root=BiNode(sig=<BiSignature "
-        "bimixed>, component=2, ctor='e', rec1=(BiTerm(sig=<BiSignature bimixed>, component=1, "
-        "root=BiNode(sig=<BiSignature bimixed>, component=1, ctor='z', rec1=(), rec2=(), payload=())),), "
-        "rec2=(), payload=())) is not a component-2 term",
+        "lang_l.apply: slot Term(sig=<BiSignature bimixed>, root=Node(sig=<BiSignature bimixed>, ctor='e', "
+        "rec=(Term(sig=<BiSignature bimixed>, root=Node(sig=<BiSignature bimixed>, ctor='z', rec=(), "
+        "payload=())),), payload=())) is not a component-2 term",
     )
     rejects(
         lambda: in_bi(BIMIXED.node(2, "e", (d,))),

@@ -22,7 +22,7 @@ from alacarte.indexed import DNode, Derivation, IndexedSignature, din, rule
 from alacarte.kernel import Node, Signature, Term, value_class
 from alacarte.lang_l import LANG
 from alacarte.lang_l.syntax import Arrow, Env, PApp, PCon, PVar, Ty, TypeEnv
-from alacarte.mutual import BiDerivation, BiDNode, BiNode, BiSignature, BiTerm, IndexedBiSignature, birule
+from alacarte.mutual import BiDerivation, BiDNode, BiSignature, IndexedBiSignature, birule
 
 REL = IndexedSignature("rel", [rule("r", params=("x",), conclusion=lambda P: P["x"])])
 BIREL = IndexedBiSignature("birel", [birule(1, "b", params=("x",), conclusion=lambda P: P["x"])])
@@ -37,82 +37,92 @@ def _dnode():
 
 
 def _binode():
-    return BiNode(LANG, 2, "vr", (), (), ("x",))
+    """A node of the two-sort ``LANG``: the same class as a one-sort node."""
+    return Node(LANG, "vr", (), ("x",))
 
 
 def _bidnode():
     return BiDNode(BIREL, 1, "b", (("x", 1),), (), 1)
 
 
-# class -> (parameter names, factory of a fresh sample, the sample's repr)
+# case -> (class, parameter names, factory of a fresh sample, the sample's repr)
 SAMPLES = {
-    Node: (
+    "Node": (
+        Node,
         ("sig", "ctor", "rec", "payload"),
         _node,
         "Node(sig=<Signature trm_g1>, ctor='lit', rec=(), payload=(3,))",
     ),
-    Term: (
+    "Term": (
+        Term,
         ("sig", "root"),
         lambda: Term(TRM_G1, _node()),
         "Term(sig=<Signature trm_g1>, root=Node(sig=<Signature trm_g1>, ctor='lit', rec=(), payload=(3,)))",
     ),
-    DNode: (
+    "DNode": (
+        DNode,
         ("sig", "rule", "params", "premises", "conclusion"),
         _dnode,
         "DNode(sig=<IndexedSignature rel>, rule='r', params=(('x', 1),), premises=(), conclusion=1)",
     ),
-    Derivation: (
+    "Derivation": (
+        Derivation,
         ("sig", "root"),
         lambda: Derivation(REL, _dnode()),
         "Derivation(sig=<IndexedSignature rel>, root=DNode(sig=<IndexedSignature rel>, rule='r', "
         "params=(('x', 1),), premises=(), conclusion=1))",
     ),
-    BiNode: (
-        ("sig", "component", "ctor", "rec1", "rec2", "payload"),
+    "BiNode": (
+        Node,
+        ("sig", "ctor", "rec", "payload"),
         _binode,
-        "BiNode(sig=<BiSignature lang_l>, component=2, ctor='vr', rec1=(), rec2=(), payload=('x',))",
+        "Node(sig=<BiSignature lang_l>, ctor='vr', rec=(), payload=('x',))",
     ),
-    BiTerm: (
-        ("sig", "component", "root"),
-        lambda: BiTerm(LANG, 2, _binode()),
-        "BiTerm(sig=<BiSignature lang_l>, component=2, root=BiNode(sig=<BiSignature lang_l>, "
-        "component=2, ctor='vr', rec1=(), rec2=(), payload=('x',)))",
+    "BiTerm": (
+        Term,
+        ("sig", "root"),
+        lambda: Term(LANG, _binode()),
+        "Term(sig=<BiSignature lang_l>, root=Node(sig=<BiSignature lang_l>, ctor='vr', rec=(), payload=('x',)))",
     ),
-    BiDNode: (
+    "BiDNode": (
+        BiDNode,
         ("sig", "family", "rule", "params", "premises", "conclusion"),
         _bidnode,
         "BiDNode(sig=<IndexedBiSignature birel>, family=1, rule='b', params=(('x', 1),), "
         "premises=(), conclusion=1)",
     ),
-    BiDerivation: (
+    "BiDerivation": (
+        BiDerivation,
         ("sig", "family", "root"),
         lambda: BiDerivation(BIREL, 1, _bidnode()),
         "BiDerivation(sig=<IndexedBiSignature birel>, family=1, root=BiDNode(sig=<IndexedBiSignature "
         "birel>, family=1, rule='b', params=(('x', 1),), premises=(), conclusion=1))",
     ),
-    Val: (("vv",), lambda: Val(3), "Val(vv=3)"),
-    TypN: ((), TypN, "TypN()"),
-    Ty: (("name",), lambda: Ty("a"), "Ty(name='a')"),
-    Arrow: (
+    "Val": (Val, ("vv",), lambda: Val(3), "Val(vv=3)"),
+    "TypN": (TypN, (), TypN, "TypN()"),
+    "Ty": (Ty, ("name",), lambda: Ty("a"), "Ty(name='a')"),
+    "Arrow": (
+        Arrow,
         ("dom", "cod"),
         lambda: Arrow(Ty("a"), Ty("b")),
         "Arrow(dom=Ty(name='a'), cod=Ty(name='b'))",
     ),
-    TypeEnv: (("env",), lambda: TypeEnv(Env([("x", Ty("a"))])), "TypeEnv(env={x: Ty(name='a')})"),
-    PVar: (("x", "typ"), lambda: PVar("x", Ty("a")), "PVar(x='x', typ=Ty(name='a'))"),
-    PCon: (("x", "typ"), lambda: PCon("c", Ty("a")), "PCon(x='c', typ=Ty(name='a'))"),
-    PApp: (
+    "TypeEnv": (TypeEnv, ("env",), lambda: TypeEnv(Env([("x", Ty("a"))])), "TypeEnv(env={x: Ty(name='a')})"),
+    "PVar": (PVar, ("x", "typ"), lambda: PVar("x", Ty("a")), "PVar(x='x', typ=Ty(name='a'))"),
+    "PCon": (PCon, ("x", "typ"), lambda: PCon("c", Ty("a")), "PCon(x='c', typ=Ty(name='a'))"),
+    "PApp": (
+        PApp,
         ("fn", "arg"),
         lambda: PApp(PCon("c", Ty("a")), PVar("x", Ty("b"))),
         "PApp(fn=PCon(x='c', typ=Ty(name='a')), arg=PVar(x='x', typ=Ty(name='b')))",
     ),
 }
-CLASSES = list(SAMPLES)
-ids = [cls.__name__ for cls in CLASSES]
+CASES = list(SAMPLES)
+CLASSES = list(dict.fromkeys(cls for cls, *_ in SAMPLES.values()))
 
 
 def fields_of(value):
-    return tuple(getattr(value, name) for name in SAMPLES[type(value)][0])
+    return tuple(getattr(value, name) for name in SAMPLES[type(value).__name__][1])
 
 
 def pickle_roundtrip(value):
@@ -142,17 +152,17 @@ def test_every_value_class_is_a_frozen_slotted_dataclass():
         assert "__slots__" in vars(cls)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_parameters_and_match_args(cls):
-    names, _, _ = SAMPLES[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_parameters_and_match_args(case):
+    cls, names, _, _ = SAMPLES[case]
     assert tuple(inspect.signature(cls).parameters) == names
     assert cls.__match_args__ == names
     assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_positional_and_keyword_construction_agree(cls):
-    names, make, _ = SAMPLES[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_positional_and_keyword_construction_agree(case):
+    cls, names, make, _ = SAMPLES[case]
     args = fields_of(make())
     by_position = cls(*args)
     by_keyword = cls(**dict(zip(names, args)))
@@ -167,9 +177,9 @@ def test_positional_and_keyword_construction_agree(cls):
             cls(*args, **{names[0]: args[0]})
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_eq_hash_repr_match_an_independent_instance(cls):
-    _, make, expected_repr = SAMPLES[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_eq_hash_repr_match_an_independent_instance(case):
+    cls, _, make, expected_repr = SAMPLES[case]
     a, b = make(), make()
     assert a is not b
     assert a == b and not (a != b)
@@ -177,9 +187,9 @@ def test_eq_hash_repr_match_an_independent_instance(cls):
     assert repr(a) == repr(b) == expected_repr
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_fields_can_be_neither_assigned_nor_deleted(cls):
-    names, make, _ = SAMPLES[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_fields_can_be_neither_assigned_nor_deleted(case):
+    cls, names, make, _ = SAMPLES[case]
     value = make()
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -194,9 +204,9 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls):
     assert value == make()
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_replace_copy_and_pickle_round_trips(cls):
-    names, make, expected_repr = SAMPLES[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_replace_copy_and_pickle_round_trips(case):
+    cls, names, make, expected_repr = SAMPLES[case]
     value = make()
     for twin in (
         dataclasses.replace(value),
@@ -224,10 +234,6 @@ def _match(value):
             return sig, name, params, premises, conclusion
         case Derivation(sig, root):
             return sig, root
-        case BiNode(sig, component, ctor, rec1, rec2, payload):
-            return sig, component, ctor, rec1, rec2, payload
-        case BiTerm(sig, component, root):
-            return sig, component, root
         case BiDNode(sig, family, name, params, premises, conclusion):
             return sig, family, name, params, premises, conclusion
         case BiDerivation(sig, family, root):
@@ -251,9 +257,10 @@ def _match(value):
     return None
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_match_binds_the_fields_in_order(cls):
-    value = SAMPLES[cls][1]()
+@pytest.mark.parametrize("case", CASES)
+def test_match_binds_the_fields_in_order(case):
+    cls, _, make, _ = SAMPLES[case]
+    value = make()
     captured = _match(value)
     if cls in (PVar, PCon):
         assert captured == (cls.__name__, *fields_of(value))
@@ -264,7 +271,7 @@ def test_match_binds_the_fields_in_order(cls):
 def test_hand_built_relation_values_carry_no_stamp_or_certificate():
     for make in (_dnode, _bidnode):
         assert make()._rule is None
-    for d in (SAMPLES[Derivation][1](), SAMPLES[BiDerivation][1]()):
+    for d in (SAMPLES["Derivation"][2](), SAMPLES["BiDerivation"][2]()):
         assert d._certified is False
     with pytest.raises(TypeError):
         DNode(REL, "r", (("x", 1),), (), 1, _rule=None)
