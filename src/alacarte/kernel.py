@@ -1,17 +1,12 @@
 """Signature functors, coproducts, fixpoints, and folds: one term core for any number of sorts.
 
-A :class:`Signature` is one layer of a recursive grammar of one or more
-mutually recursive sorts: per sort, named constructors whose slots are
-either recursive positions or payloads drawn from a closed registry of
-payload kinds.  A one-sort signature's recursive kind is ``"rec"``; a
-signature of N sorts has ``"rec1"`` ... ``"recN"``, naming the sort a slot
-holds.  A constructor name belongs to one sort only, so every node has the
-one layout ``Node(sig, ctor, rec, payload)``: ``rec`` holds the recursive
-slots of every sort in declaration order, and the constructor's plan
-records its own sort and each slot's.  :class:`Term` is the recursive
-closure of a signature, a materialized immutable tree with an
-``in_``/``out_`` bijection; ``in_`` checks that each slot holds a term of
-its sort.  ``mutual`` is the 2-sort case, with its own call shapes.
+A :class:`Signature` is one layer of a grammar of one or more mutually
+recursive sorts: named constructors whose slots are either recursive
+positions of a given sort or payloads drawn from a closed registry of
+payload kinds.  :class:`Term` is the recursive closure of a signature, a
+materialized immutable tree with an ``in_``/``out_`` bijection.  Every node
+is ``Node(sig, ctor, rec, payload)`` whatever the sort count; the sort of a
+node and of each of its slots lives in its constructor's plan.
 
 Two algebra styles interpret terms:
 
@@ -20,8 +15,7 @@ Two algebra styles interpret terms:
   recursive positions as opaque handles usable only through ``rec``, run by
   ``mfold``.  ``lift`` turns a conventional algebra into the canonical
   Mendler one, and ``mfold(lift(alg), t) == fold_c(alg, t)``.  A
-  :class:`SortedAlgebra` has one step per sort, each given one ``rec`` per
-  sort, run by ``mfold_by_sort``.
+  :class:`SortedAlgebra` has a step per sort, each given a ``rec`` per sort.
 
 ``Signature.constructor(ctor)`` generates a constructor's straight-line
 function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
@@ -34,9 +28,9 @@ through ``node`` and ``in_``.  Generated code (these constructors, the
 value classes' ``__init__`` and the compiled rules) goes through
 ``run_generated``, which compiles each distinct source once.
 
-Handles are branded with a per-fold nonce (one per sort in a sorted step);
-consuming a handle under a different fold or sort (or inspecting it at
-all) is a contract violation and fails fast.  A second, fold-carrying term
+Handles are branded with a per-fold (and per-sort) nonce; consuming a
+handle under a different fold or sort (or inspecting it at all) is a
+contract violation and fails fast.  A second, fold-carrying term
 representation (:class:`FoldTerm`, a term is whatever can run any Mendler
 algebra) lives behind the same in/out/fold interface with
 ``reflect``/``reify`` conversions.
@@ -205,14 +199,12 @@ def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds) -> dict[str
 
 
 class _Plan(NamedTuple):
-    """What a signature precomputes for one constructor, besides ``node``'s split."""
+    """What a signature precomputes for a constructor besides ``node``'s split; sorts count from 1."""
 
     kinds: tuple[str, ...]  # the slot kinds, in declaration order
-    sort: int  # the sort the constructor builds, from 1
-    rec_sorts: tuple[int, ...]  # the sort of each recursive slot, in ``rec`` order
-    checks: tuple[tuple[int, int], ...]  # (``rec`` index, sort) in check order: by sort, then position
-    groups: tuple[tuple[str, tuple[int, ...]], ...]  # each recursive kind with its ``rec`` indices
-    payload_kinds: tuple[str, ...]  # the payload slot kinds, in declaration order
+    sort: int  # the sort the constructor builds
+    rec_sorts: tuple[int, ...]  # each recursive slot's sort, in ``rec`` order
+    checks: tuple[tuple[int, int], ...]  # (``rec`` index, sort) in ``in_``'s order: by sort, then position
     head: tuple[tuple[str, int], ...]  # the term JSON's leading entries: a many-sorted term's component
 
 
@@ -232,8 +224,10 @@ def _bad_payload(sig_name, ctor, value, kind):
     return MalformedNodeError(f"{sig_name}.{ctor}: {value!r} is not a valid {kind!r} payload")
 
 
+_SORT_MESSAGE = "{}.{}: slot {!r} is not a component-{} term"
+
+
 def _bad_slot(sig, ctor, child, sort):
-    """The rejection of a recursive slot of ``sig.ctor`` that holds no term of its sort."""
     return MalformedNodeError(sig._slot_message.format(sig.name, ctor, child, sort))
 
 
@@ -245,16 +239,12 @@ def _check_payloads(sig_name, ctor, slots, payload_at):
 
 
 class Signature:
-    """A grammar of one or more mutually recursive sorts.
+    """Per sort, a grammar shape: constructor name -> tuple of slot kinds.
 
-    Each sort is a table from constructor name to a tuple of slot kinds.
-    A slot kind is a registered payload kind or a recursive kind: ``"rec"``
-    in a one-sort signature, and ``"rec1"`` ... ``"recN"`` (a term of sort
-    1 ... N) in a signature of N sorts.  A constructor name belongs to one
-    sort only, so a node's constructor tells its sort.  ``ctors`` maps every
-    constructor to its slot kinds and ``sorts`` holds the per-sort tables.
-    Signatures compare by identity; all nodes of a term share one signature
-    object.
+    Slot kinds are ``"rec"`` (``"rec1"`` ... ``"recN"`` with N sorts, naming
+    the sort of the slot) or a registered payload kind.  A constructor name
+    belongs to one sort only.  Signatures compare by identity; all nodes of
+    a term share one signature object.
     """
 
     def __init__(self, name: str, *sorts: Mapping[str, Iterable[str]]):
@@ -266,30 +256,18 @@ class Signature:
         self.sorts = tuple(_ctor_table(name, decls, self.rec_kinds) for decls in sorts)
         self.ctors: dict[str, tuple[str, ...]] = {}
         self._plans: dict[str, _Plan] = {}
-        sort_of_kind = {kind: k for k, kind in enumerate(self.rec_kinds, 1)}
         for sort, table in enumerate(self.sorts, 1):
             for ctor, kinds in table.items():
                 if ctor in self.ctors:
                     raise ValueError(f"constructor {ctor!r} is declared in more than one sort of {name}")
                 self.ctors[ctor] = kinds
-                rec_sorts = tuple(sort_of_kind[k] for k in kinds if k in sort_of_kind)
-                self._plans[ctor] = _Plan(
-                    kinds,
-                    sort,
-                    rec_sorts,
-                    tuple(sorted(enumerate(rec_sorts), key=lambda c: (c[1], c[0]))),
-                    tuple((kind, tuple(i for i, s in enumerate(rec_sorts) if s == k)) for kind, k in sort_of_kind.items()),
-                    tuple(k for k in kinds if k not in sort_of_kind),
-                    (("component", sort),) if many else (),
-                )
+                rec_sorts = tuple(self.rec_kinds.index(k) + 1 for k in kinds if k in self.rec_kinds)
+                checks = tuple(sorted(enumerate(rec_sorts), key=lambda check: check[::-1]))
+                self._plans[ctor] = _Plan(kinds, sort, rec_sorts, checks, (("component", sort),) if many else ())
         self._splits = {ctor: _split(kinds, self.rec_kinds) for ctor, kinds in self.ctors.items()}
         # the constructors whose recursive slots could hold a term of another sort
         self._sort_checked = frozenset(c for c, plan in self._plans.items() if many and plan.rec_sorts)
-        self._slot_message = (
-            "{}.{}: slot {!r} is not a component-{} term"
-            if many
-            else "{}.{}: recursive slot {!r} is not a term of this signature"
-        )
+        self._slot_message = _SORT_MESSAGE if many else "{}.{}: recursive slot {!r} is not a term of this signature"
 
     def node(self, ctor: str, slots: Iterable[Any] = ()) -> "Node":
         """Build a node, validating slot counts and payload kinds.
@@ -347,19 +325,8 @@ class Signature:
                 f"        raise _bad_slot(_sig, _ctor, {s}, {sort})",
             ]
         src.append(f"    return _Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
-        env = {
-            "__name__": __name__,
-            "_kinds": _PAYLOAD_KINDS,
-            "_bad_payload": _bad_payload,
-            "_bad_slot": _bad_slot,
-            "_site": site,
-            "_site_ctor": site_ctor,
-            "_sig": self,
-            "_ctor": ctor,
-            "_plans": self._plans,
-            "_Term": Term,
-            "_Node": Node,
-        }
+        env = dict(__name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _bad_slot=_bad_slot)
+        env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _plans=self._plans, _Term=Term, _Node=Node)
         fn = run_generated("\n".join(src) + "\n", env)["constructor"]
         fn.__name__ = fn.__qualname__ = name or site_ctor
         return fn
@@ -377,9 +344,8 @@ class Node:
     """One constructor application over an arbitrary carrier.
 
     ``rec`` holds the values sitting in recursive slots, of every sort, and
-    ``payload`` the payload values, each in declaration order.
-    ``component``, ``rec1`` and ``rec2`` are read-only views computed from
-    the constructor's plan.
+    ``payload`` the payload values, each in declaration order.  The sort is
+    no field: ``component``, ``rec1`` and ``rec2`` are read-only views.
     """
 
     sig: Signature
@@ -387,18 +353,13 @@ class Node:
     rec: tuple
     payload: tuple
 
-    @property
-    def component(self) -> int:
-        """The sort of the constructor, from 1."""
-        return self.sig._plans[self.ctor].sort
+    component = property(lambda self: self.sig._plans[self.ctor].sort, doc="The constructor's sort.")
+    rec1 = property(lambda self: self.rec_of(1), doc="The recursive slots of sort 1.")
+    rec2 = property(lambda self: self.rec_of(2), doc="The recursive slots of sort 2.")
 
     def rec_of(self, sort: int) -> tuple:
         """The recursive slots of the given sort, in declaration order."""
-        rec = self.rec
-        return tuple([rec[i] for i in self.sig._plans[self.ctor].groups[sort - 1][1]])
-
-    rec1 = property(lambda self: self.rec_of(1), doc="The recursive slots of sort 1.")
-    rec2 = property(lambda self: self.rec_of(2), doc="The recursive slots of sort 2.")
+        return tuple([x for x, s in zip(self.rec, self.sig._plans[self.ctor].rec_sorts) if s == sort])
 
 
 @value_class
@@ -408,10 +369,7 @@ class Term:
     sig: Signature
     root: Node
 
-    @property
-    def component(self) -> int:
-        """The sort of the term, from 1."""
-        return self.sig._plans[self.root.ctor].sort
+    component = property(lambda self: self.root.component, doc="The term's sort.")
 
 
 def fmap(f: Callable[[Any], Any], n: Node) -> Node:
@@ -426,40 +384,22 @@ def fmap_by_sort(fs, n: Node) -> Node:
 
 
 def in_(n: Node) -> Term:
-    """Wrap a node whose recursive slots are terms of their sorts; inverse of ``out_``.
+    """Wrap a node whose recursive slots hold terms of their sorts; inverse of ``out_``.
 
-    The first slot that holds no term of its sort is reported, in check
-    order: by sort, then by position.
+    The first bad slot in check order (by sort, then position) is reported.
     """
     sig = n.sig
     for child in n.rec:
         if not isinstance(child, Term) or child.sig is not sig:
-            raise _first_bad_slot(n)
-    if n.ctor in sig._sort_checked:
-        bad = _first_bad_slot(n)
-        if bad is not None:
-            raise bad
-    return Term(sig, n)
-
-
-def _first_bad_slot(n: Node):
-    """The rejection of the first slot of ``n`` that holds no term of its sort, or None."""
-    sig = n.sig
-    plans = sig._plans
-    plan = plans.get(n.ctor)
-    if plan is not None and len(plan.rec_sorts) == len(n.rec):
-        checks = plan.checks
-    else:  # a hand-built node with slots its constructor does not declare
-        checks = [(i, None) for i in range(len(n.rec))]
-    for i, sort in checks:
+            break
+    else:
+        if n.ctor not in sig._sort_checked:
+            return Term(sig, n)
+    for i, sort in sig._plans[n.ctor].checks:
         child = n.rec[i]
-        if (
-            not isinstance(child, Term)
-            or child.sig is not sig
-            or sort is not None and n.ctor in sig._sort_checked and plans[child.root.ctor].sort != sort
-        ):
-            return _bad_slot(sig, n.ctor, child, sort)
-    return None
+        if not isinstance(child, Term) or child.sig is not sig or sig._plans[child.root.ctor].sort != sort:
+            raise _bad_slot(sig, n.ctor, child, sort)
+    return Term(sig, n)
 
 
 def out_(t: Term) -> Node:
@@ -523,39 +463,23 @@ def mfold(malg, t: Term):
 
 @dataclass(frozen=True)
 class SortedAlgebra:
-    """A Mendler algebra of a many-sorted signature, one step per sort.
-
-    ``steps[k - 1]`` runs on the nodes of sort k as ``step(rec_1, ...,
-    rec_N, node)``, where ``rec_j`` consumes only the handles of sort-j
-    slots.
-    """
+    """A many-sorted Mendler algebra: ``steps[k - 1]`` is ``(rec_1, ..., rec_N, node) -> C_k``."""
 
     steps: tuple
 
 
 def step_once_by_sort(malg, node: Node, recurses):
-    """One Mendler step with a fresh brand and a ``rec`` per sort.
-
-    ``malg`` has ``steps``, one per sort; ``recurses[j - 1]`` is invoked on
-    the value a sort-j handle wraps, and a handle passed to another sort's
-    ``rec`` raises :class:`ForeignHandleError`.  ``mfold_by_sort`` is the
-    knot-tied instance.
-    """
+    """One Mendler step with a fresh brand per sort: ``rec_j`` opens sort-j handles for ``recurses[j - 1]``."""
     plan = node.sig._plans[node.ctor]
     brands = [object() for _ in recurses]
     if node.rec:
         handles = tuple([Handle(v, brands[s - 1]) for v, s in zip(node.rec, plan.rec_sorts)])
         node = Node(node.sig, node.ctor, handles, node.payload)
-    recs = [_opener(brand, recurse) for brand, recurse in zip(brands, recurses)]
+    recs = [lambda h, b=b, r=r: r(open_handle(h, b)) for b, r in zip(brands, recurses)]
     return malg.steps[plan.sort - 1](*recs, node)
 
 
-def _opener(brand, recurse):
-    return lambda h: recurse(open_handle(h, brand))
-
-
 def mfold_by_sort(malg, t: Term):
-    """Mendler fold with one step per sort: the step of the root's sort sees its subterms as handles."""
     recurse = lambda s: mfold_by_sort(malg, s)
     return step_once_by_sort(malg, t.root, (recurse,) * len(malg.steps))
 
@@ -746,16 +670,12 @@ def term_to_json(t: Term) -> dict:
 
 
 def _node_to_json(n: Node) -> dict:
-    """``ctor``, then the children of each recursive kind under its name, then ``payload``.
-
-    A many-sorted term's JSON leads with its ``component``.
-    """
-    plan = n.sig._plans[n.ctor]
-    js = dict(plan.head)
-    js["ctor"] = n.ctor
-    for kind, at in plan.groups:
-        js[kind] = [_node_to_json(n.rec[i].root) for i in at]
-    js["payload"] = [payload_kind(k).encode(v) for k, v in zip(plan.payload_kinds, n.payload)]
+    """A many-sorted term's ``component``, ``ctor``, the children under each recursive kind, ``payload``."""
+    sig, plan = n.sig, n.sig._plans[n.ctor]
+    js = dict(plan.head, ctor=n.ctor)
+    for k, kind in enumerate(sig.rec_kinds, 1):
+        js[kind] = [_node_to_json(c.root) for c, s in zip(n.rec, plan.rec_sorts) if s == k]
+    js["payload"] = [payload_kind(k).encode(v) for (_, k), v in zip(sig._splits[n.ctor][2], n.payload)]
     return js
 
 
@@ -767,7 +687,7 @@ def term_from_json(sig: Signature, obj: dict) -> Term:
     for key, value in plan.head:
         if obj.get(key) != value:
             raise MalformedNodeError(f"{sig.name}.{ctor} builds {key} {value}, not {obj.get(key)!r}")
-    rec = {kind: iter(term_from_json(sig, c) for c in obj[kind]) for kind, _ in plan.groups}
+    rec = {kind: iter(term_from_json(sig, c) for c in obj[kind]) for kind in sig.rec_kinds}
     payload = iter(obj["payload"])
     slots = [next(rec[k]) if k in rec else payload_kind(k).decode(next(payload)) for k in plan.kinds]
     return in_(Signature.node(sig, ctor, slots))

@@ -1,25 +1,18 @@
 """The two-sort case of the kernel, for mutually recursive datatypes and relations.
 
-A :class:`BiSignature` is a :class:`kernel.Signature` of two sorts, here
-called components: declarations over slot kinds ``rec1`` (a component-1
-term), ``rec2`` (a component-2 term) and payload kinds from the kernel
-registry.  Its nodes and terms are kernel ``Node``s and ``Term``s
-(``BiNode`` and ``BiTerm`` name the same classes), whose ``component``,
-``rec1`` and ``rec2`` are read-only views.  What this module adds is
-2-sort call shapes over the kernel's N-sort core: ``BiSignature.node`` and
-``.constructor`` take the component as well, and ``bifmap``, ``in_bi``,
-``bistep_once``, ``bifold_1``/``bifold_2`` and ``biterm_to_json`` wrap
-``fmap_by_sort``, ``in_``, ``step_once_by_sort``, ``mfold_by_sort`` and
-``term_to_json``.  One shared :class:`BiMendlerAlgebra` carries both step
-procedures and the two folds differ only in their entry component.
+A :class:`BiSignature` is a two-sort ``kernel.Signature`` over slot kinds
+``rec1`` (first component), ``rec2`` (second component) and payload kinds
+from the kernel registry; its nodes and terms are kernel ``Node``s and
+``Term``s (``BiNode``, ``BiTerm``).  This module keeps the 2-sort call
+shapes: ``BiSignature.node``/``constructor`` take the component, and
+``bifmap``, ``in_bi``, ``bistep_once``, ``bifold_1``/``bifold_2`` and
+``biterm_to_json`` wrap the kernel's sorted functions.
 
 The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
-``hfold_1``/``hfold_2``) represents mutually defined relations over index
-types, one per family; rule premises name the family they recurse into.
-It is the many-family case of :mod:`alacarte.indexed` and shares all of its
-machinery; only the layouts of :class:`BiRule` and :class:`BiDNode` differ.
-``hstep_once`` and ``hfold`` issue one brand and one ``rec`` per family, so
-any number of families can be folded.
+``hfold``) represents mutually defined relations, one family each; rule
+premises name the family they recurse into.  It is the many-family case of
+:mod:`alacarte.indexed` and shares all of its machinery; only the layouts
+of :class:`BiRule` and :class:`BiDNode` differ.
 """
 
 from __future__ import annotations
@@ -57,10 +50,7 @@ class WrongComponentError(Exception):
 
 
 class BiSignature(Signature):
-    """Two constructor families over shared slot kinds; compares by identity.
-
-    ``ctors[c - 1]`` is component c's table.
-    """
+    """Two constructor families over shared slot kinds; ``ctors[c - 1]`` is component c's."""
 
     def __init__(self, name, first: Mapping[str, Iterable[str]], second: Mapping[str, Iterable[str]]):
         super().__init__(name, first, second)
@@ -76,11 +66,7 @@ class BiSignature(Signature):
         return Signature.node(self, ctor, slots)
 
     def constructor(self, component: int, ctor: str, name: str | None = None) -> Callable[..., Term]:
-        """``Signature.constructor`` for a constructor of the given component.
-
-        The function equals ``in_bi(self.node(component, ctor, slots))``:
-        it checks the payloads, then the rec1 slots, then the rec2 slots.
-        """
+        """``Signature.constructor``: payloads, then rec1 slots, then rec2 slots are checked."""
         self._check_component(component, ctor)
         return Signature.constructor(self, ctor, name)
 
@@ -193,7 +179,7 @@ class BiDerivation:
 
 
 class IndexedBiSignature(IndexedSignature):
-    """Two mutually defined relations, families 1 and 2, in one rule table."""
+    """Mutually defined relations, families 1, 2, ..., in one rule table."""
 
     _derivation = BiDerivation
     _witness = "a family-{} derivation"
@@ -224,8 +210,7 @@ def validate_bi(d: BiDerivation) -> Validity:
 def hstep_once(malg, w, node: BiDNode, *recurses):
     """One indexed Mendler step with a fresh brand and an index-checking ``rec`` per family.
 
-    ``recurses[f - 1]`` recurses into family f, and ``malg.steps[f - 1]``
-    is family f's step, called as ``step(rec_1, ..., rec_N, w, node)``.
+    Family f's step is ``malg.steps[f - 1](rec_1, ..., rec_N, w, node)``.
     """
     brands = [object() for _ in recurses]
     handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in node.premises])

@@ -79,11 +79,7 @@ BiEnumSpec = EnumSpec
 
 
 def term_layers(spec: EnumSpec) -> list[list[Term]]:
-    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms.
-
-    Every sort is enumerated jointly by depth: within a layer the terms of
-    sort 1 come first, then those of sort 2, and so on.
-    """
+    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms, sort 1's first."""
     sig = spec.signature
     layers: list[list[Term]] = [[] for _ in range(spec.max_depth + 1)]
     below: dict[str, list[Term]] = {kind: [] for kind in sig.rec_kinds}  # per sort, by its slot kind
@@ -584,18 +580,10 @@ def _mutual_laws(report: LawReport, rng=None):
         report.record("bifmap-composition", lhs == n, n.ctor)
     for t in decs + exps:
         report.record("bi-in-out", mutual.in_bi(mutual.out_bi(t)) == t, t.component)
-    size_alg = mutual.BiMendlerAlgebra(
-        step1=lambda r1, r2, n: 1
-        + sum(r1(h) for h in n.rec1)
-        + sum(r2(h) for h in n.rec2),
-        step2=lambda r1, r2, n: 1
-        + sum(r1(h) for h in n.rec1)
-        + sum(r2(h) for h in n.rec2),
-    )
-    rebuild = mutual.BiMendlerAlgebra(
-        step1=lambda r1, r2, n: mutual.in_bi(mutual.bifmap(r1, r2, n)),
-        step2=lambda r1, r2, n: mutual.in_bi(mutual.bifmap(r1, r2, n)),
-    )
+    size = lambda r1, r2, n: 1 + sum(r1(h) for h in n.rec1) + sum(r2(h) for h in n.rec2)
+    size_alg = mutual.BiMendlerAlgebra(step1=size, step2=size)
+    rebuild_step = lambda r1, r2, n: mutual.in_bi(mutual.bifmap(r1, r2, n))
+    rebuild = mutual.BiMendlerAlgebra(step1=rebuild_step, step2=rebuild_step)
     for t in decs + exps:
         fold = mutual.bifold_1 if t.component == 1 else mutual.bifold_2
         lhs = fold(size_alg, t)
