@@ -224,7 +224,11 @@ def _bad_payload(sig_name, ctor, value, kind):
     return MalformedNodeError(f"{sig_name}.{ctor}: {value!r} is not a valid {kind!r} payload")
 
 
-_SORT_MESSAGE = "{}.{}: slot {!r} is not a component-{} term"
+# how ``in_`` rejects a slot, in a one-sort and in a many-sorted signature
+_SLOT_MESSAGES = (
+    "{}.{}: recursive slot {!r} is not a term of this signature",
+    "{}.{}: slot {!r} is not a component-{} term",
+)
 
 
 def _bad_slot(sig, ctor, child, sort):
@@ -267,7 +271,7 @@ class Signature:
         self._splits = {ctor: _split(kinds, self.rec_kinds) for ctor, kinds in self.ctors.items()}
         # the constructors whose recursive slots could hold a term of another sort
         self._sort_checked = frozenset(c for c, plan in self._plans.items() if many and plan.rec_sorts)
-        self._slot_message = _SORT_MESSAGE if many else "{}.{}: recursive slot {!r} is not a term of this signature"
+        self._slot_message = _SLOT_MESSAGES[many]
 
     def node(self, ctor: str, slots: Iterable[Any] = ()) -> "Node":
         """Build a node, validating slot counts and payload kinds.
@@ -395,9 +399,15 @@ def in_(n: Node) -> Term:
     else:
         if n.ctor not in sig._sort_checked:
             return Term(sig, n)
-    for i, sort in sig._plans[n.ctor].checks:
+    plan = sig._plans.get(n.ctor)
+    fits = plan is not None and len(plan.rec_sorts) == len(n.rec)  # False for some hand-built nodes
+    for i, sort in plan.checks if fits else enumerate([None] * len(n.rec)):
         child = n.rec[i]
-        if not isinstance(child, Term) or child.sig is not sig or sig._plans[child.root.ctor].sort != sort:
+        if (
+            not isinstance(child, Term)
+            or child.sig is not sig
+            or sort is not None and sig._plans[child.root.ctor].sort != sort
+        ):
             raise _bad_slot(sig, n.ctor, child, sort)
     return Term(sig, n)
 

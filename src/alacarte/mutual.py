@@ -83,6 +83,8 @@ def bifmap(f1: Callable, f2: Callable, n: Node) -> Node:
     return fmap_by_sort((f1, f2), n)
 
 
+# ``in_bi`` and ``biterm_to_json`` are functions of their own, not aliases, so
+# that ``perfbench/tracer.py`` can count them apart from the kernel's
 def in_bi(n: Node) -> Term:
     return in_(n)
 
