@@ -184,17 +184,17 @@ register_payload_kind("tid", lambda v: isinstance(v, str) and v != "")
 # signatures, nodes, terms
 
 
-def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds) -> dict[str, tuple[str, ...]]:
-    """Constructor -> slot kinds, each one of ``rec_kinds`` or a registered payload kind."""
+def _ctor_table(name, ctors: Mapping[str, Iterable[str]], rec_kinds, seen: dict) -> dict[str, tuple[str, ...]]:
+    """Constructor -> slot kinds, each a ``rec_kinds`` or payload kind; each name must be new to ``seen``."""
     table: dict[str, tuple[str, ...]] = {}
     for ctor, kinds in ctors.items():
         kinds = tuple(kinds)
         for k in kinds:
             if k not in rec_kinds and k not in _PAYLOAD_KINDS:
                 raise ValueError(f"unknown slot kind {k!r} in {name}.{ctor}")
-        if ctor in table:
+        if ctor in seen:
             raise ValueError(f"duplicate constructor {ctor!r} in {name}")
-        table[ctor] = kinds
+        table[ctor] = seen[ctor] = kinds
     return table
 
 
@@ -252,19 +252,14 @@ class Signature:
     """
 
     def __init__(self, name: str, *sorts: Mapping[str, Iterable[str]]):
-        if not sorts:
-            raise ValueError(f"{name} declares no sort")
         many = len(sorts) > 1
         self.name = name
         self.rec_kinds = tuple(f"{REC}{k}" for k in range(1, len(sorts) + 1)) if many else (REC,)
-        self.sorts = tuple(_ctor_table(name, decls, self.rec_kinds) for decls in sorts)
         self.ctors: dict[str, tuple[str, ...]] = {}
+        self.sorts = tuple(_ctor_table(name, decls, self.rec_kinds, self.ctors) for decls in sorts)
         self._plans: dict[str, _Plan] = {}
         for sort, table in enumerate(self.sorts, 1):
             for ctor, kinds in table.items():
-                if ctor in self.ctors:
-                    raise ValueError(f"constructor {ctor!r} is declared in more than one sort of {name}")
-                self.ctors[ctor] = kinds
                 rec_sorts = tuple(self.rec_kinds.index(k) + 1 for k in kinds if k in self.rec_kinds)
                 checks = tuple(sorted(enumerate(rec_sorts), key=lambda check: check[::-1]))
                 self._plans[ctor] = _Plan(kinds, sort, rec_sorts, checks, (("component", sort),) if many else ())

@@ -136,9 +136,7 @@ def biterm_layers(spec: EnumSpec) -> list[tuple[list[Term], list[Term]]]:
 
 
 def enumerate_biterms(spec: EnumSpec) -> Iterator[Term]:
-    for decs, exps in biterm_layers(spec):
-        yield from decs
-        yield from exps
+    yield from enumerate_terms(spec)
 
 
 # ---------------------------------------------------------------------------
