@@ -232,7 +232,8 @@ _SLOT_MESSAGES = (
 
 
 def _bad_slot(sig, ctor, child, sort):
-    return MalformedNodeError(sig._slot_message.format(sig.name, ctor, child, sort))
+    message = _SLOT_MESSAGES[0] if sort is None else sig._slot_message  # None: a node its constructor does not fit
+    return MalformedNodeError(message.format(sig.name, ctor, child, sort))
 
 
 def _check_payloads(sig_name, ctor, slots, payload_at):
@@ -316,7 +317,7 @@ class Signature:
                     f"    if not _kinds[{kind!r}].check({s}):",
                     f"        raise _bad_payload(_site.name, _site_ctor, {s}, {kind!r})",
                 ]
-        wrong_sort = " or _plans[{}.root.ctor].sort != {}" if ctor in self._sort_checked else ""
+        wrong_sort = " or {}.root.ctor not in _sort{}" if ctor in self._sort_checked else ""
         for i, sort in plan.checks:
             s = rec[i]
             src += [
@@ -325,7 +326,8 @@ class Signature:
             ]
         src.append(f"    return _Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
         env = dict(__name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _bad_slot=_bad_slot)
-        env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _plans=self._plans, _Term=Term, _Node=Node)
+        env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _Term=Term, _Node=Node)
+        env.update((f"_sort{k}", table) for k, table in enumerate(self.sorts, 1))
         fn = run_generated("\n".join(src) + "\n", env)["constructor"]
         fn.__name__ = fn.__qualname__ = name or site_ctor
         return fn
@@ -401,7 +403,7 @@ def in_(n: Node) -> Term:
         if (
             not isinstance(child, Term)
             or child.sig is not sig
-            or sort is not None and sig._plans[child.root.ctor].sort != sort
+            or sort is not None and child.root.ctor not in sig.sorts[sort - 1]
         ):
             raise _bad_slot(sig, n.ctor, child, sort)
     return Term(sig, n)
@@ -466,8 +468,7 @@ def mfold(malg, t: Term):
     return step_once(malg, t.root, lambda s: mfold(malg, s))
 
 
-@dataclass(frozen=True)
-class SortedAlgebra:
+class SortedAlgebra(NamedTuple):
     """A many-sorted Mendler algebra: ``steps[k - 1]`` is ``(rec_1, ..., rec_N, node) -> C_k``."""
 
     steps: tuple

@@ -57,7 +57,7 @@ class BiSignature(Signature):
         self.ctors = self.sorts
 
     def _check_component(self, component: int, ctor: str):
-        if ctor not in self.sorts[component - 1]:
+        if not 0 < component <= len(self.sorts) or ctor not in self.sorts[component - 1]:
             raise MalformedNodeError(f"{self.name} component {component} has no constructor {ctor!r}")
 
     def node(self, component: int, ctor: str, slots: Iterable[Any] = ()) -> Node:

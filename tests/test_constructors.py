@@ -180,6 +180,7 @@ def test_rejections_name_the_summand_for_payloads_and_the_coproduct_for_slots():
     rejects(lambda: LANG.constructor(2, "join"), "lang_l component 2 has no constructor 'join'")
     rejects(lambda: LANG.constructor(1, "nope"), "lang_l component 1 has no constructor 'nope'")
     rejects(lambda: BIMIXED.constructor(2, "d"), "bimixed component 2 has no constructor 'd'")
+    rejects(lambda: LANG.constructor(0, "vr"), "lang_l component 0 has no constructor 'vr'")
     rejects(lambda: MIXED.constructor("nope"), "mixed has no constructor 'nope'")
 
 

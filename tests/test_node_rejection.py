@@ -11,7 +11,7 @@ import pytest
 
 from alacarte import kernel
 from alacarte.arith import ADD, LIT, TRM, TRM_G1, TRM_G2, add, lit
-from alacarte.kernel import MalformedNodeError, Signature, in_, register_payload_kind
+from alacarte.kernel import MalformedNodeError, Node, Signature, in_, register_payload_kind
 from alacarte.lang_l import LANG, EMPTY_ENV, Ty, cn, env_, vr
 from alacarte.mutual import BiSignature, in_bi
 
@@ -54,6 +54,9 @@ def test_bisignature_node_rejections():
     rejects(lambda: LANG.node(2, "nope", ("x",)), "lang_l component 2 has no constructor 'nope'")
     rejects(lambda: BIMIXED.node(2, "d", (1, None, "x")), "bimixed component 2 has no constructor 'd'")
     rejects(lambda: BIMIXED.node(1, "e", (None,)), "bimixed component 1 has no constructor 'e'")
+    rejects(lambda: LANG.node(0, "vr", ("x",)), "lang_l component 0 has no constructor 'vr'")
+    rejects(lambda: LANG.node(-1, "env", (EMPTY_ENV,)), "lang_l component -1 has no constructor 'env'")
+    rejects(lambda: LANG.node(3, "vr", ("x",)), "lang_l component 3 has no constructor 'vr'")
     rejects(lambda: LANG.node(2, "apply", (vr("x"),)), "lang_l.apply expects 2 slots, got 1")
     rejects(lambda: LANG.node(1, "env", ()), "lang_l.env expects 1 slots, got 0")
     rejects(lambda: LANG.node(2, "vr", ("",)), "lang_l.vr: '' is not a valid 'id' payload")
@@ -105,6 +108,11 @@ def test_in_bi_rejects_children_of_another_component_or_signature():
         lambda: in_bi(BIMIXED.node(2, "e", (d,))),
         "bimixed.e: slot " + repr(d) + " is not a component-1 term",
     )
+    # a hand-built node its constructor does not fit is checked slot by slot
+    misfit = Node(LANG, "apply", (vr("x"), vr("y"), 5), ())
+    rejects(lambda: in_bi(misfit), "lang_l.apply: recursive slot 5 is not a term of this signature")
+    misfit = Node(TRM, ADD, (lit(1), lit(2), 5), ())
+    rejects(lambda: in_(misfit), "(trm_g1+trm_g2).inr:add: recursive slot 5 is not a term of this signature")
 
 
 def test_generator_slots_are_accepted():

@@ -405,10 +405,13 @@ def test_the_three_family_relation_json():
     d = derive(is_zero(numeral(2)))
     encode = lambda v: repr(v[1]) if isinstance(v, tuple) else v.root.ctor if isinstance(v, Term) else v
     js = bi_derivation_to_json(d, encode, ("Even", "Odd", "Test"))
-    zero_js = {"family": "Even", "rule": "v-zero", "index": "0", "params": {"t": "zero"}, "premises": []}
-    one_js = {"family": "Odd", "rule": "v-succ-o", "index": "1", "params": {"t": "succ_o", "n": 0}, "premises": [zero_js]}
-    two_js = {"family": "Even", "rule": "v-succ-e", "index": "2", "params": {"t": "succ_e", "n": 1}, "premises": [one_js]}
-    expected = {"family": "Test", "rule": "t-is-zero", "index": "False", "params": {"t": "is_zero", "n": 2}, "premises": [two_js]}
+    node = lambda family, rule, index, params, *premises: dict(
+        family=family, rule=rule, index=index, params=params, premises=list(premises)
+    )
+    zero_js = node("Even", "v-zero", "0", {"t": "zero"})
+    one_js = node("Odd", "v-succ-o", "1", {"t": "succ_o", "n": 0}, zero_js)
+    two_js = node("Even", "v-succ-e", "2", {"t": "succ_e", "n": 1}, one_js)
+    expected = node("Test", "t-is-zero", "False", {"t": "is_zero", "n": 2}, two_js)
     assert json.dumps(js) == json.dumps(expected)
     assert bi_derivation_to_json(d, encode)["premises"][0]["family"] == 1
 
