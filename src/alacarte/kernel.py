@@ -394,7 +394,7 @@ def in_(n: Node) -> Term:
         if not isinstance(child, Term) or child.sig is not sig:
             break
     else:
-        if n.ctor not in sig._sort_checked:
+        if not sig._sort_checked or n.ctor not in sig._sort_checked:
             return Term(sig, n)
     plan = sig._plans.get(n.ctor)
     fits = plan is not None and len(plan.rec_sorts) == len(n.rec)  # False for some hand-built nodes

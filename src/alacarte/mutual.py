@@ -99,7 +99,7 @@ class BiMendlerAlgebra:
     step1: Callable  # (rec1, rec2, BiNode) -> C1, or (rec1, rec2, w, BiDNode) -> D1(w)
     step2: Callable  # (rec1, rec2, BiNode) -> C2, or (rec1, rec2, w, BiDNode) -> D2(w)
 
-    @property
+    @cached_property
     def steps(self) -> tuple[Callable, Callable]:
         return self.step1, self.step2
 
@@ -217,7 +217,7 @@ def hstep_once(malg, w, node: BiDNode, *recurses):
     brands = [object() for _ in recurses]
     handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in node.premises])
     wrapped = BiDNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
-    recs = [indexed._index_checking_rec(brand, recurse) for brand, recurse in zip(brands, recurses)]
+    recs = map(indexed._index_checking_rec, brands, recurses)
     return malg.steps[node.family - 1](*recs, w, wrapped)
 
 
