@@ -14,7 +14,6 @@ from alacarte import indexed
 from alacarte.kernel import (
     ForeignHandleError,
     MalformedNodeError,
-    Node,
     Signature,
     SortedAlgebra,
     Term,
