@@ -1,4 +1,4 @@
-"""Pinned outputs of the term core: term JSON and signature JSON.
+"""Pinned outputs: term JSON, signature JSON, and the arith derivation JSON.
 
 Each value below is the exact output the library gives; any change to the
 term representation must leave them byte-for-byte as they are.
@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from alacarte import cli
 from alacarte.arith import TRM
 from alacarte.kernel import signature_to_json
 from alacarte.lang_l import EMPTY_ENV, LANG, Env, PApp, PCon, PVar, Ty, syntax
@@ -68,3 +69,23 @@ def test_signature_json_is_pinned():
     assert same_text(bisignature_to_json(LANG), SIGNATURE_JSON["lang_l"])
     assert same_text(signature_to_json(TRM), SIGNATURE_JSON["trm"])
 
+
+
+# ---------------------------------------------------------------------------
+# the arith derivations and the preserved typing the CLI prints
+
+ARITH_TERM = "(add (add (lit 1) (lit -2)) (lit 3))"
+
+ARITH_STDOUT = {
+    ("derive", "--relation", "eval"): '{"index": ["(add (add (lit 1) (lit -2)) (lit 3))", "(val 2)"], "params": {"e1": "(add (lit 1) (lit -2))", "e2": "(lit 3)", "v": "(val 2)", "x1": "(val -1)", "x2": "(val 3)"}, "premises": [{"index": ["(add (lit 1) (lit -2))", "(val -1)"], "params": {"e1": "(lit 1)", "e2": "(lit -2)", "v": "(val -1)", "x1": "(val 1)", "x2": "(val -2)"}, "premises": [{"index": ["(lit 1)", "(val 1)"], "params": {"x": 1}, "premises": [], "rule": "ev1"}, {"index": ["(lit -2)", "(val -2)"], "params": {"x": -2}, "premises": [], "rule": "ev1"}], "rule": "ev2"}, {"index": ["(lit 3)", "(val 3)"], "params": {"x": 3}, "premises": [], "rule": "ev1"}], "rule": "ev2"}',
+    ("derive", "--relation", "typof"): '{"index": ["(add (add (lit 1) (lit -2)) (lit 3))", "N"], "params": {"e1": "(add (lit 1) (lit -2))", "e2": "(lit 3)"}, "premises": [{"index": ["(add (lit 1) (lit -2))", "N"], "params": {"e1": "(lit 1)", "e2": "(lit -2)"}, "premises": [{"index": ["(lit 1)", "N"], "params": {"v": "(val 1)"}, "premises": [], "rule": "tof1"}, {"index": ["(lit -2)", "N"], "params": {"v": "(val -2)"}, "premises": [], "rule": "tof1"}], "rule": "tof2"}, {"index": ["(lit 3)", "N"], "params": {"v": "(val 3)"}, "premises": [], "rule": "tof1"}], "rule": "tof2"}',
+    ("derive", "--relation", "istrm"): '{"index": "(add (add (lit 1) (lit -2)) (lit 3))", "params": {"e1": "(add (lit 1) (lit -2))", "e2": "(lit 3)"}, "premises": [{"index": "(add (lit 1) (lit -2))", "params": {"e1": "(lit 1)", "e2": "(lit -2)"}, "premises": [{"index": "(lit 1)", "params": {"x": 1}, "premises": [], "rule": "isLit"}, {"index": "(lit -2)", "params": {"x": -2}, "premises": [], "rule": "isLit"}], "rule": "isAdd"}, {"index": "(lit 3)", "params": {"x": 3}, "premises": [], "rule": "isLit"}], "rule": "isAdd"}',
+    ("preserve",): '{"index": ["(lit 2)", "N"], "params": {"v": "(val 2)"}, "premises": [], "rule": "tof1"}',
+}
+
+
+@pytest.mark.parametrize("command", list(ARITH_STDOUT), ids=" ".join)
+def test_arith_derivation_and_preservation_json_is_pinned(capsys, command):
+    code = cli.main(["arith", *command, ARITH_TERM])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, ARITH_STDOUT[command] + "\n", "")

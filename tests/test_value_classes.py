@@ -1,7 +1,8 @@
 """The construction contract of every immutable value class.
 
 Each class is a frozen, slotted dataclass: positional and keyword
-construction with the declared parameters, value equality and hashing,
+construction with the declared parameters, value equality (field by
+field, in declaration order, each field identity first) and hashing,
 the dataclass ``repr``, ``dataclasses.replace``, copying, pickling and
 ``match`` all behave as the dataclass defines them, and no name, field or
 not, can be assigned or deleted.  ``init=False`` fields (the ``dnode``
@@ -17,7 +18,7 @@ import pickle
 
 import pytest
 
-from alacarte.arith import TRM_G1, N, TypN, Val
+from alacarte.arith import TRM_G1, TRM_G2, N, TypN, Val
 from alacarte.indexed import DNode, Derivation, IndexedSignature, din, rule
 from alacarte.kernel import Node, Signature, Term, value_class
 from alacarte.lang_l import LANG
@@ -355,3 +356,102 @@ def test_value_class_refuses_what_its_init_does_not_reproduce():
     for cls in (Defaulted, Factory, Unset, PostInit, KeywordOnly, WithInitVar):
         with pytest.raises(TypeError, match="value class"):
             value_class(cls)
+
+
+# ---------------------------------------------------------------------------
+# equality field by field
+
+OTHER_REL = IndexedSignature("other", [rule("s", params=("y",), conclusion=lambda P: P["y"])])
+OTHER_BIREL = IndexedBiSignature("otherbi", [birule(1, "c", params=("y",), conclusion=lambda P: P["y"])])
+OTHER_BISIG = BiSignature("otherbisig", {"a": ()}, {"b": ()})
+
+# case -> per parameter, a value that differs from the sample's
+OTHER = {
+    "Node": (TRM_G2, "add", (1,), (4,)),
+    "Term": (TRM_G2, Node(TRM_G1, "lit", (), (4,))),
+    "DNode": (OTHER_REL, "s", (("x", 2),), ((1, None),), 2),
+    "Derivation": (OTHER_REL, DNode(REL, "r", (("x", 2),), (), 2)),
+    "BiNode": (OTHER_BISIG, "cn", (1,), ("y",)),
+    "BiTerm": (OTHER_BISIG, Node(LANG, "vr", (), ("y",))),
+    "BiDNode": (OTHER_BIREL, 2, "c", (("x", 2),), ((1, 1, None),), 2),
+    "BiDerivation": (OTHER_BIREL, 2, BiDNode(BIREL, 1, "b", (("x", 2),), (), 2)),
+    "Val": (4,),
+    "TypN": (),
+    "Ty": ("b",),
+    "Arrow": (Ty("b"), Ty("a")),
+    "TypeEnv": (Env([("x", Ty("b"))]),),
+    "PVar": ("y", Ty("b")),
+    "PCon": ("d", Ty("b")),
+    "PApp": (PCon("d", Ty("a")), PVar("y", Ty("b"))),
+}
+
+
+def test_every_case_has_an_other_value_per_parameter():
+    assert list(OTHER) == CASES
+    for case, (_, names, make, _) in SAMPLES.items():
+        assert len(OTHER[case]) == len(names)
+        assert all(other != value for other, value in zip(OTHER[case], fields_of(make())))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_changing_any_one_compared_field_makes_the_values_unequal(case):
+    cls, names, make, _ = SAMPLES[case]
+    value = make()
+    for name, other in zip(names, OTHER[case]):
+        changed = dataclasses.replace(value, **{name: other})
+        for a, b in ((value, changed), (changed, value)):
+            assert a.__eq__(b) is False
+            assert (a == b) is False and (a != b) is True
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_equality_is_reflexive_and_returns_a_bool_or_not_implemented(case):
+    cls, _, make, _ = SAMPLES[case]
+    a, b = make(), make()
+    assert a.__eq__(a) is True and (a == a) is True
+    assert a.__eq__(b) is True and b.__eq__(a) is True
+    assert a.__eq__(object()) is NotImplemented
+    assert a.__eq__(None) is NotImplemented
+    assert (a == object()) is False and (a != object()) is True
+
+
+def test_a_subclass_instance_is_not_equal_to_its_base():
+    class Sub(Val):
+        __slots__ = ()
+
+    assert Val(3).__eq__(Sub(3)) is NotImplemented and Sub(3).__eq__(Val(3)) is NotImplemented
+    assert Val(3) != Sub(3)
+
+
+@pytest.mark.parametrize("case", ["DNode", "BiDNode", "Derivation", "BiDerivation"])
+def test_the_stamp_and_the_certificate_take_no_part_in_equality(case):
+    cls, _, make, _ = SAMPLES[case]
+    hidden = "_rule" if case.endswith("DNode") else "_certified"
+    a, b = make(), make()
+    vars(cls)[hidden].__set__(a, object())
+    assert getattr(a, hidden) is not getattr(b, hidden)
+    assert a.__eq__(b) is True and b.__eq__(a) is True and hash(a) == hash(b)
+
+
+def test_fields_compare_in_declaration_order_each_identity_first():
+    """A field equal to itself by identity is equal even when its ``==`` says not."""
+    calls = []
+
+    class Probe:
+        def __init__(self, name, equal):
+            self.name, self.equal = name, equal
+
+        def __eq__(self, other):
+            calls.append(self.name)
+            return self.equal
+
+        __hash__ = object.__hash__
+
+    nan = float("nan")
+    assert Arrow(nan, Ty("a")) == Arrow(nan, Ty("a"))
+    first, second = Probe("dom", []), Probe("cod", 1)
+    assert Arrow(first, second).__eq__(Arrow(Probe("x", 0), second)) is False
+    assert calls == ["dom"]
+    calls.clear()
+    assert Arrow(Probe("dom", "yes"), Probe("cod", 1)).__eq__(Arrow(Ty("a"), Ty("b"))) is True
+    assert calls == ["dom", "cod"]
