@@ -76,6 +76,13 @@ def add(a: Term, b: Term) -> Term:
     return in_(inject_right(TRM, TRM_G2.node("add", (a, b))))
 
 
+# The rule conclusions and the preservation postconditions build their terms
+# in one call each.  ``lit``/``add`` build the same terms, with the same
+# checks and messages, through the modular injection path.
+_lit = TRM.constructor(LIT, "lit")
+_add = TRM.constructor(ADD, "add")
+
+
 def lit_value(t: Term) -> int:
     """Payload of a literal term."""
     node = out_(t)
@@ -117,7 +124,7 @@ EVAL_SIG = IndexedSignature(
         rule(
             "ev1",
             params=("x",),
-            conclusion=lambda P: (lit(P["x"]), Val(P["x"])),
+            conclusion=lambda P: (_lit(P["x"]), Val(P["x"])),
         ),
         rule(
             "ev2",
@@ -129,7 +136,7 @@ EVAL_SIG = IndexedSignature(
             side=(
                 ("sum", lambda P: P["v"].vv == P["x1"].vv + P["x2"].vv),
             ),
-            conclusion=lambda P: (add(P["e1"], P["e2"]), P["v"]),
+            conclusion=lambda P: (_add(P["e1"], P["e2"]), P["v"]),
         ),
     ],
 )
@@ -140,7 +147,7 @@ TYPOF_SIG = IndexedSignature(
         rule(
             "tof1",
             params=("v",),
-            conclusion=lambda P: (lit(P["v"].vv), N),
+            conclusion=lambda P: (_lit(P["v"].vv), N),
         ),
         rule(
             "tof2",
@@ -149,7 +156,7 @@ TYPOF_SIG = IndexedSignature(
                 lambda P: (P["e1"], N),
                 lambda P: (P["e2"], N),
             ),
-            conclusion=lambda P: (add(P["e1"], P["e2"]), N),
+            conclusion=lambda P: (_add(P["e1"], P["e2"]), N),
         ),
     ],
 )
@@ -157,12 +164,12 @@ TYPOF_SIG = IndexedSignature(
 ISTRM_SIG = IndexedSignature(
     "IsTrm",
     [
-        rule("isLit", params=("x",), conclusion=lambda P: lit(P["x"])),
+        rule("isLit", params=("x",), conclusion=lambda P: _lit(P["x"])),
         rule(
             "isAdd",
             params=("e1", "e2"),
             premises=(lambda P: P["e1"], lambda P: P["e2"]),
-            conclusion=lambda P: add(P["e1"], P["e2"]),
+            conclusion=lambda P: _add(P["e1"], P["e2"]),
         ),
     ],
 )
@@ -290,7 +297,7 @@ def preservation(d: Derivation, td: Derivation) -> Derivation:
     if e != e2:
         raise WrongIndexError("evaluation and typing derivations disagree on the term")
     out = ifold(_preservation_step, (e, v), d)(td)
-    assert out.root.conclusion == (lit(v.vv), t)
+    assert out.root.conclusion == (_lit(v.vv), t)
     return out
 
 
@@ -304,7 +311,7 @@ def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
     if e != e2:
         raise WrongIndexError("lifting and typing derivations disagree on the term")
     out = ifold(_preservation_step, e, w)(td)
-    assert out.root.conclusion == (lit(eval_(e).vv), t)
+    assert out.root.conclusion == (_lit(eval_(e).vv), t)
     return out
 
 

@@ -87,15 +87,20 @@ def _tuple_src(names) -> str:
 
 
 def value_class(cls):
-    """``dataclass(frozen=True, slots=True)`` with a straight-line ``__init__``.
+    """``dataclass(frozen=True, slots=True)`` with a straight-line ``__init__`` and ``__eq__``.
 
     The dataclass ``__init__`` of a frozen class stores each field through
     ``object.__setattr__``; this one is generated once per class, as the
     dataclass's own is, and stores each field through its slot descriptor.
     It takes the same parameters and stores each ``init=False`` field's
-    default, so construction behaves exactly as the dataclass's does;
-    equality, hashing, ``repr``, ``replace``, copying, pickling and
-    ``match`` are the dataclass's own.  ``__setattr__``/``__delattr__``
+    default, so construction behaves exactly as the dataclass's does.
+    The dataclass ``__eq__`` compares two tuples of the compared fields,
+    built on each call; this one, generated in the same source, compares
+    field by field in declaration order, each as ``a is b or a == b``, after
+    ``True`` for ``self is other`` and ``NotImplemented`` for another
+    class.  Tuple comparison tests each element's identity first too, so
+    both give the same ``bool`` for every pair.  Hashing, ``repr``,
+    ``replace``, copying, pickling and ``match`` are the dataclass's own.  ``__setattr__``/``__delattr__``
     are the dataclass's frozen ones, but refer to the class ``slots=True``
     returns: Python 3.11's refer to the class it replaced, so assigning or
     deleting a name that is not a field raised ``TypeError`` instead of
@@ -120,12 +125,24 @@ def value_class(cls):
     code = generated.__code__
     if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
         raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
-    run_generated(f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n", env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    init.__annotations__ = generated.__annotations__
-    cls.__init__ = init
+    compares = [
+        f"    if (a := self.{f.name}) is not (b := other.{f.name}) and not a == b:\n        return False\n"
+        for f in fields(cls)
+        if f.compare
+    ]
+    run_generated(
+        f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n"
+        "def __eq__(self, other):\n"
+        "    if self is other:\n        return True\n"
+        "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
+        f"{''.join(compares)}    return True\n",
+        env,
+    )
+    env["__init__"].__annotations__ = generated.__annotations__
+    for method in (env["__init__"], env["__eq__"]):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        setattr(cls, method.__name__, method)
     frozen = frozenset(f.name for f in fields(cls))
 
     def __setattr__(self, name, value):
@@ -550,7 +567,7 @@ _RIGHT = "inr:"
 
 
 class CoproductSignature(Signature):
-    """Tagged union of two signatures' constructor sets.
+    """Tagged union of two one-sort signatures' constructor sets.
 
     Constructors keep their slot structure and are tagged with the summand
     they came from, so injections are injective and disjoint even when the

@@ -1,5 +1,7 @@
 """Evaluation, relations, and the two preservation routes."""
 
+import random
+
 import pytest
 
 from alacarte import testkit
@@ -271,3 +273,73 @@ def test_evaluation_route_checks_premise_transformers_against_premise_values():
     # the lifted-term route carries no values, so it has nothing to disagree with
     out = preservation_via_istrm(build_istrm(add(lit(1), lit(2))), typd)
     assert out.root.conclusion == (lit(3), N)
+
+
+def _counting_node(monkeypatch):
+    """Count the calls of ``Signature.node`` from here on."""
+    from alacarte import kernel
+
+    calls = []
+    node = kernel.Signature.node
+
+    def counted(self, ctor, slots=()):
+        calls.append(ctor)
+        return node(self, ctor, slots)
+
+    monkeypatch.setattr(kernel.Signature, "node", counted)
+    return calls
+
+
+def test_rule_conclusions_and_preservation_build_no_node(monkeypatch):
+    rng = random.Random(20)
+    t = lit(rng.randint(-9, 9))
+    for _ in range(19):
+        leaf = lit(rng.randint(-9, 9))
+        t = add(t, leaf) if rng.random() < 0.5 else add(leaf, t)
+    calls = _counting_node(monkeypatch)
+    evald, typd, istrm = build_eval_derivation(t), build_typof_derivation(t), build_istrm(t)
+    out, alt = preservation(evald, typd), preservation_via_istrm(istrm, typd)
+    assert calls == []
+    assert out.root.conclusion == alt.root.conclusion == (lit(eval_(t).vv), N)
+    assert evald.root.conclusion == (t, eval_(t)) and istrm.root.conclusion == t
+
+
+def test_the_public_term_builders_still_go_through_node(monkeypatch):
+    calls = _counting_node(monkeypatch)
+    t = add(lit(4), lit(5))
+    assert calls == ["lit", "lit", "add"]
+    assert t == parse_term("(add (lit 4) (lit 5))")
+
+
+@pytest.mark.parametrize(
+    "relation, rule_name, params, public, message",
+    [
+        ("eval", "ev1", {"x": "7"}, lambda: lit("7"), "trm_g1.lit: '7' is not a valid 'int' payload"),
+        ("typof", "tof1", {"v": Val(True)}, lambda: lit(True), "trm_g1.lit: True is not a valid 'int' payload"),
+        ("istrm", "isLit", {"x": 1.5}, lambda: lit(1.5), "trm_g1.lit: 1.5 is not a valid 'int' payload"),
+        (
+            "istrm",
+            "isAdd",
+            {"e1": lit(1), "e2": 2},
+            lambda: add(lit(1), 2),
+            "(trm_g1+trm_g2).inr:add: recursive slot 2 is not a term of this signature",
+        ),
+        (
+            "typof",
+            "tof2",
+            {"e1": Val(1), "e2": lit(2)},
+            lambda: add(Val(1), lit(2)),
+            "(trm_g1+trm_g2).inr:add: recursive slot Val(vv=1) is not a term of this signature",
+        ),
+    ],
+)
+def test_rule_conclusions_reject_as_the_public_builders_do(relation, rule_name, params, public, message):
+    from alacarte import arith
+    from alacarte.kernel import MalformedNodeError
+
+    sig = {"eval": EVAL_SIG, "typof": arith.TYPOF_SIG, "istrm": arith.ISTRM_SIG}[relation]
+    witnesses = (None,) * len(sig.rules[rule_name].premises)
+    for build in (lambda: sig.dnode(rule_name, params, witnesses), public):
+        with pytest.raises(MalformedNodeError) as got:
+            build()
+        assert str(got.value) == message
