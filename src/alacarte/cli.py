@@ -372,6 +372,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except sexpr.SexprError as exc:
         return _fail(f"parse error: {exc}", 2)
+    except sexpr.IntTooLongError as exc:
+        return _fail(f"result too long to print: {exc}", 1)
     except OSError as exc:
         return _fail(str(exc), 2)
     except InvalidDerivationError as exc:

@@ -577,6 +577,12 @@ class CoproductSignature(Signature):
     """
 
     def __init__(self, left: Signature, right: Signature):
+        for summand in (left, right):
+            if len(summand.sorts) != 1:
+                raise ValueError(
+                    f"coproduct summand {summand.name} has {len(summand.sorts)} sorts; "
+                    "only one-sort signatures can be summands"
+                )
         ctors, tags, self._untag = {}, ({}, {}), {}
         for side, prefix, summand in ((0, _LEFT, left), (1, _RIGHT, right)):
             for name, kinds in summand.ctors.items():

@@ -8,6 +8,7 @@ Surface syntax for terms is whitespace-insensitive UTF-8 s-expressions.
 from __future__ import annotations
 
 import re
+import sys
 
 _INT = re.compile(r"[+-]?\d+$")
 _DELIMS = "()"
@@ -15,6 +16,10 @@ _DELIMS = "()"
 
 class SexprError(Exception):
     pass
+
+
+class IntTooLongError(ValueError):
+    """An integer has more digits than ``sys.get_int_max_str_digits()`` lets Python print."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -53,7 +58,13 @@ def _read_one(tokens: list[str], pos: int):
     if tok == ")":
         raise SexprError("unexpected ')'")
     if _INT.match(tok):
-        return int(tok), pos + 1
+        try:
+            return int(tok), pos + 1
+        except ValueError:  # more digits than Python converts
+            digits = len(tok.lstrip("+-"))
+            raise SexprError(
+                f"integer literal has {digits} digits, more than the limit of {sys.get_int_max_str_digits()}"
+            ) from None
     return tok, pos + 1
 
 
@@ -74,7 +85,12 @@ def write(expr) -> str:
     if isinstance(expr, bool):
         raise SexprError("booleans are not part of the surface syntax")
     if isinstance(expr, int):
-        return str(expr)
+        try:
+            return str(expr)
+        except ValueError:
+            raise IntTooLongError(
+                f"an integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     if isinstance(expr, str):
         if expr == "" or any(ch.isspace() or ch in _DELIMS for ch in expr):
             raise SexprError(f"unprintable atom: {expr!r}")

@@ -410,3 +410,43 @@ def test_input_nested_too_deeply_exits_1_with_one_line(argv):
         [sys.executable, "-m", "alacarte.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "input nested too deeply\n")
+
+
+# ---------------------------------------------------------------------------
+# integers past the interpreter's digit limit
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="integer digit limit is off")
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+LONGEST = "9" * DIGIT_LIMIT
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["arith", "eval", f"(lit {TOO_LONG})"], id="arith-eval"),
+        pytest.param(["arith", "derive", f"(add (lit 1) (lit -{TOO_LONG}))"], id="arith-derive"),
+        pytest.param(["arith", "preserve", f"(lit +{TOO_LONG})"], id="arith-preserve"),
+        pytest.param(["dump", f"(lit {TOO_LONG})"], id="dump"),
+        pytest.param(["lang", "parse", f"(var {TOO_LONG})"], id="lang-parse"),
+    ],
+)
+def test_an_integer_literal_past_the_digit_limit_exits_2_with_one_line(capsys, argv):
+    message = f"parse error: integer literal has {DIGIT_LIMIT + 1} digits, more than the limit of {DIGIT_LIMIT}\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [["eval"], ["derive"], ["derive", "--relation", "eval"], ["preserve"]])
+def test_a_result_past_the_digit_limit_exits_1_with_one_line(capsys, argv):
+    message = f"result too long to print: an integer has more than {DIGIT_LIMIT} digits\n"
+    assert run(capsys, "arith", *argv, f"(add (lit {LONGEST}) (lit {LONGEST}))") == (1, "", message)
+
+
+@needs_digit_limit
+def test_literals_at_the_digit_limit_still_parse_and_print(capsys):
+    code, out, err = run(capsys, "arith", "eval", f"(add (lit {LONGEST}) (lit -{LONGEST}))")
+    assert (code, out, err) == (0, "(val 0)\n", "")
+    code, out, err = run(capsys, "arith", "derive", "--relation", "typof", f"(add (lit {LONGEST}) (lit {LONGEST}))")
+    assert (code, err) == (0, "") and json.loads(out)["premises"][0]["index"] == [f"(lit {LONGEST})", "N"]

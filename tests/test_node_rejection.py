@@ -145,3 +145,28 @@ def test_a_payload_kind_re_registered_after_its_signature_is_still_used():
         assert bisig.node(1, "p", (2,)).payload == (2,)
     finally:
         kernel._PAYLOAD_KINDS.pop("probe", None)
+
+
+TWO_SORTS = Signature("two", {"a": ("rec1",)}, {"b": ("rec2", "int")})
+
+
+@pytest.mark.parametrize(
+    "left, right, named",
+    [
+        (LANG, TRM_G1, "lang_l"),
+        (TRM_G1, LANG, "lang_l"),
+        (TWO_SORTS, TRM_G1, "two"),
+        (TRM_G2, TWO_SORTS, "two"),
+        (LANG, TWO_SORTS, "lang_l"),
+    ],
+)
+def test_a_coproduct_refuses_a_summand_of_many_sorts(left, right, named):
+    with pytest.raises(ValueError) as info:
+        kernel.coproduct(left, right)
+    assert str(info.value) == f"coproduct summand {named} has 2 sorts; only one-sort signatures can be summands"
+
+
+def test_a_coproduct_of_a_coproduct_is_still_a_one_sort_coproduct():
+    nested = kernel.coproduct(TRM, MIXED)
+    assert nested.name == "((trm_g1+trm_g2)+mixed)"
+    assert list(nested.ctors) == ["inl:inl:lit", "inl:inr:add", "inr:p", "inr:q"]
