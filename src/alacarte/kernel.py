@@ -22,11 +22,12 @@ function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
 what ``node`` and then ``in_`` check, in their order and with their
 messages, and builds the term in one call.  On a coproduct a tagged
 constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
-``lang_l``'s term constructors (``vr``, ``scope``, ...) are such functions;
-folds, enumerators, JSON decoding, the laws and ``arith.lit``/``add`` build
-through ``node`` and ``in_``.  Generated code (these constructors, the
-value classes' ``__init__`` and the compiled rules) goes through
-``run_generated``, which compiles each distinct source once.
+``lang_l``'s term constructors (``vr``, ``scope``, ...) and the terms of
+``arith``'s rule conclusions are built by such functions; folds,
+enumerators, JSON decoding, the laws and the public ``arith.lit``/``add``
+build through ``node`` and ``in_``.  Generated code (these constructors,
+the value classes' ``__init__`` and ``__eq__`` and the compiled rules) goes
+through ``run_generated``, which compiles each distinct source once.
 
 Handles are branded with a per-fold (and per-sort) nonce; consuming a
 handle under a different fold or sort (or inspecting it at all) is a
@@ -96,18 +97,22 @@ def value_class(cls):
     default, so construction behaves exactly as the dataclass's does.
     The dataclass ``__eq__`` compares two tuples of the compared fields,
     built on each call; this one, generated in the same source, compares
-    field by field in declaration order, each as ``a is b or a == b``, after
-    ``True`` for ``self is other`` and ``NotImplemented`` for another
+    field by field in declaration order, each as ``a is b or a == b``,
+    after ``True`` for ``self is other`` and ``NotImplemented`` for another
     class.  Tuple comparison tests each element's identity first too, so
     both give the same ``bool`` for every pair.  Hashing, ``repr``,
-    ``replace``, copying, pickling and ``match`` are the dataclass's own.  ``__setattr__``/``__delattr__``
-    are the dataclass's frozen ones, but refer to the class ``slots=True``
-    returns: Python 3.11's refer to the class it replaced, so assigning or
-    deleting a name that is not a field raised ``TypeError`` instead of
+    ``replace``, copying, pickling and ``match`` are the dataclass's own.
+    ``__setattr__``/``__delattr__`` are the dataclass's frozen ones, but
+    refer to the class ``slots=True`` returns: Python 3.11's refer to the
+    class it replaced, so assigning or deleting a name that is not a field
+    raised ``TypeError`` instead of
     :class:`~dataclasses.FrozenInstanceError`.  Nothing is cached across
     constructions.  A field is either a parameter without a default or an
-    ``init=False`` field with a plain default.
+    ``init=False`` field with a plain default, and the class defines no
+    ``__eq__`` of its own (the dataclass would keep it).
     """
+    if "__eq__" in vars(cls):
+        raise TypeError(f"{cls.__name__}: a value class generates its own __eq__")
     cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
     names, stores, env = [], [], {}
@@ -125,17 +130,14 @@ def value_class(cls):
     code = generated.__code__
     if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
         raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
-    compares = [
-        f"    if (a := self.{f.name}) is not (b := other.{f.name}) and not a == b:\n        return False\n"
-        for f in fields(cls)
-        if f.compare
-    ]
+    compared = [f.name for f in fields(cls) if f.compare]
+    same = " and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in compared)
     run_generated(
         f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n"
         "def __eq__(self, other):\n"
         "    if self is other:\n        return True\n"
         "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
-        f"{''.join(compares)}    return True\n",
+        + (f"    if {same}:\n        return True\n    return False\n" if same else "    return True\n"),
         env,
     )
     env["__init__"].__annotations__ = generated.__annotations__

@@ -455,3 +455,28 @@ def test_fields_compare_in_declaration_order_each_identity_first():
     calls.clear()
     assert Arrow(Probe("dom", "yes"), Probe("cod", 1)).__eq__(Arrow(Ty("a"), Ty("b"))) is True
     assert calls == ["dom", "cod"]
+
+
+def test_value_class_refuses_a_class_with_its_own_eq():
+    class OwnEq:
+        a: int
+
+        def __eq__(self, other):
+            return True
+
+    with pytest.raises(TypeError, match="value class generates its own __eq__"):
+        value_class(OwnEq)
+
+
+def test_generated_eq_matches_the_dataclass_eq_on_mixed_pairs():
+    ours, theirs = _twins()
+    values = [(1, 2), (1, 3), (2, 2), (1.0, 2), (float("nan"), 2), (True, 2)]
+    for x in values:
+        for y in values:
+            a, b = ours(*x), ours(*y)
+            c, d = theirs(*x), theirs(*y)
+            assert a.__eq__(b) is c.__eq__(d)
+            assert (a == b) is (c == d) and (a != b) is (c != d)
+    shared = float("nan")
+    assert ours(shared, 1) == ours(shared, 1) and theirs(shared, 1) == theirs(shared, 1)
+    assert ours(1, 2).__eq__(theirs(1, 2)) is NotImplemented
