@@ -10,6 +10,12 @@ rejects any node whose side conditions fail or whose indices disagree.
 This is the one relation core: a single relation is family 1 of 1, and
 :class:`alacarte.mutual.IndexedBiSignature` is the two-family case of the
 same rule table, ``dnode`` preamble, checker, validator and JSON walker.
+:class:`Derivation` is the one derivation class of every family
+(``mutual.BiDerivation`` is another name for it).  A derivation's relation
+and family are its root node's: the checker reads them from the root, a
+premise witness must be a derivation of the parent's signature whose root
+is of that signature and of the premise's family, and ``validate`` rejects
+a derivation whose ``sig`` is not its root's.
 
 Each rule instance is checked once.  ``IndexedSignature.dnode`` stamps the
 node with the :class:`Rule` whose expressions computed its indices, so
@@ -138,17 +144,22 @@ class DNode(_RuleInstance):
 
 @value_class
 class Derivation:
+    """A derivation tree of any family; ``sig`` must be its root's signature."""
+
     sig: IndexedSignature
     root: DNode
     # every rule instance in the tree passed ``din``; set by ``din`` only
     _certified: bool = field(default=False, init=False, compare=False, repr=False)
-    family = 1
+
+    @property
+    def family(self) -> int:
+        """The root's family: 1 for a :class:`DNode`, its field for a ``BiDNode``."""
+        return self.root.family
 
 
 class IndexedSignature:
     """Rule names must be unique; compares by identity."""
 
-    _derivation = Derivation  # the type of a premise witness
     _witness = "a derivation"  # how the checker names a witness of family {}
 
     def __init__(self, name: str, rules: Iterable[Rule]):
@@ -244,6 +255,7 @@ def _compile_rule(r, node: type, bi: bool):
         "_side_failed": _side_failed,
         "_not_a_witness": _not_a_witness,
         "_child_mismatch": _child_mismatch,
+        "_Derivation": Derivation,
     }
     for i, (family, ix) in enumerate(r.shape):
         env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
@@ -270,12 +282,13 @@ def _compile_rule(r, node: type, bi: bool):
         src += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
     if k:
         links = "".join(f"({'_, ' if bi else ''}ix{i}, w{i}), " for i in range(k))
-        src += ["    sig = n.sig", "    derivation = sig._derivation", f"    {links}= n.premises"]
+        src += ["    sig = n.sig", f"    {links}= n.premises"]
     for i in range(k):
         src += [
-            f"    if not isinstance(w{i}, derivation) or w{i}.sig is not sig or w{i}.family != _fam{i}:",
+            f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
+            f" or (r{i} := w{i}.root).sig is not sig or r{i}.family != _fam{i}):",
             f"        raise _not_a_witness(n, {i}, _fam{i})",
-            f"    if w{i}.root.conclusion != ix{i}:",
+            f"    if r{i}.conclusion != ix{i}:",
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
         ]
     src.append("    return " + (" and ".join(f"w{i}._certified" for i in range(k)) or "True"))
@@ -319,10 +332,10 @@ def _check_node(n) -> bool:
     if r.conclusion(env) != n.conclusion:
         raise _Rejected(f"rule {n.rule}: conclusion index mismatch")
     certified = True
-    derivation, shape = sig._derivation, r.shape
+    shape = r.shape
     for i, premise in enumerate(n.premises):
         stored, w, fam = premise[-2], premise[-1], shape[i][0]
-        if not isinstance(w, derivation) or w.sig is not sig or w.family != fam:
+        if not isinstance(w, Derivation) or w.sig is not sig or w.root.sig is not sig or w.root.family != fam:
             raise _not_a_witness(n, i, fam)
         if w.root.conclusion != stored:
             raise _child_mismatch(n, i, stored, w)
@@ -370,6 +383,8 @@ def _check_tree(d) -> Validity:
     """The tree validator of ``validate`` and ``mutual.validate_bi``."""
     if d._certified:
         return Validity(True)
+    if d.root.sig is not d.sig:
+        return Validity(False, (), f"derivation of {d.sig.name} has a root of {d.root.sig.name}")
     stack = [(d.root, ())]
     while stack:
         node, path = stack.pop()

@@ -8,11 +8,14 @@ shapes: ``BiSignature.node``/``constructor`` take the component, and
 ``bifmap``, ``in_bi``, ``bistep_once``, ``bifold_1``/``bifold_2`` and
 ``biterm_to_json`` wrap the kernel's sorted functions.
 
-The indexed analogue (:class:`IndexedBiSignature`, :class:`BiDerivation`,
-``hfold``) represents mutually defined relations, one family each; rule
-premises name the family they recurse into.  It is the many-family case of
-:mod:`alacarte.indexed` and shares all of its machinery; only the layouts
-of :class:`BiRule` and :class:`BiDNode` differ.
+The indexed analogue (:class:`IndexedBiSignature`, ``hfold``) represents
+mutually defined relations, one family each; rule premises name the family
+they recurse into.  It is the many-family case of :mod:`alacarte.indexed`
+and shares all of its machinery, the derivation class included
+(``BiDerivation`` is ``indexed.Derivation``, built as
+``BiDerivation(sig, root)``); only the layouts of :class:`BiRule` and
+:class:`BiDNode` differ.  A derivation's family is its root's
+``BiDNode.family``.
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     value_class,
 )
 from . import indexed
-from .indexed import IndexedSignature, Validity, WrongIndexError, dout
+from .indexed import Derivation, IndexedSignature, Validity, WrongIndexError, dout
 from .indexed import InvalidDerivationError  # noqa: F401 (raised by ``din_bi``)
-
-REC1 = "rec1"
-REC2 = "rec2"
 
 
 class WrongComponentError(Exception):
@@ -171,19 +171,12 @@ class BiDNode(indexed._RuleInstance):
         return self.premises
 
 
-@value_class
-class BiDerivation:
-    sig: IndexedBiSignature
-    family: int
-    root: BiDNode
-    # every rule instance in the tree passed ``din_bi``; set by ``din_bi`` only
-    _certified: bool = field(default=False, init=False, compare=False, repr=False)
+BiDerivation = Derivation
 
 
 class IndexedBiSignature(IndexedSignature):
     """Mutually defined relations, families 1, 2, ..., in one rule table."""
 
-    _derivation = BiDerivation
     _witness = "a family-{} derivation"
 
     # the one ``dnode``, bound here too so that it can be traced apart
@@ -191,14 +184,13 @@ class IndexedBiSignature(IndexedSignature):
     dnode = IndexedSignature.dnode
 
 
-_certify = vars(BiDerivation)["_certified"].__set__
-
-
-def din_bi(n: BiDNode) -> BiDerivation:
+# a function of its own, not an alias of ``din``, so that
+# ``perfbench/tracer.py`` can count it apart
+def din_bi(n: BiDNode) -> Derivation:
     """Validating constructor; certified when every premise witness is."""
-    d = BiDerivation(n.sig, n.family, n)
+    d = Derivation(n.sig, n)
     if indexed._check_node(n):
-        _certify(d, True)
+        indexed._certify(d, True)
     return d
 
 

@@ -220,13 +220,7 @@ def test_din_bi_validates():
 
 
 def test_din_bi_rejects_forged_family():
-    d = _axiom_step()
-    node = dout_bi(d)
-    forged = BiDerivation(node.sig, 1, node)
-    verdict = validate_bi(forged)
-    assert verdict  # root node itself is fine...
-    from alacarte.mutual import BiDNode
-
+    node = dout_bi(_axiom_step())
     bad = BiDNode(node.sig, 1, node.rule, node.params, node.premises, node.conclusion)
     with pytest.raises(InvalidDerivationError, match="family"):
         din_bi(bad)
@@ -312,7 +306,7 @@ def test_din_bi_of_stamped_node_runs_side_conditions_but_no_index():
 def test_forged_bi_root_over_certified_children_rejected_with_seed_reason():
     par = CountingParity()
     child = par.build(10)  # even, concluding 10
-    forged = BiDerivation(par.sig, 2, par.sig.dnode("odd-s", {"n": 10}, (child,)))
+    forged = BiDerivation(par.sig, par.sig.dnode("odd-s", {"n": 10}, (child,)))
     assert validate_bi(child)
     verdict = validate_bi(forged)
     assert (verdict.ok, verdict.path, verdict.reason) == (
@@ -322,7 +316,7 @@ def test_forged_bi_root_over_certified_children_rejected_with_seed_reason():
     )
     n = par.build(3).root
     wrong = BiDNode(n.sig, n.family, n.rule, n.params, n.premises, 7)
-    verdict = validate_bi(BiDerivation(n.sig, n.family, wrong))
+    verdict = validate_bi(BiDerivation(n.sig, wrong))
     assert (verdict.ok, verdict.path, verdict.reason) == (
         False,
         (),
@@ -340,9 +334,9 @@ def test_din_bi_rejects_replaced_conclusion():
 def test_din_bi_equals_and_hashes_as_hand_built():
     for d in (_axiom_step(), CountingParity().build(4)):
         n = dout_bi(d)
-        assert din_bi(n) == BiDerivation(n.sig, n.family, n)
-        assert hash(din_bi(n)) == hash(BiDerivation(n.sig, n.family, n))
-        assert repr(din_bi(n)) == repr(BiDerivation(n.sig, n.family, n))
+        assert din_bi(n) == BiDerivation(n.sig, n)
+        assert hash(din_bi(n)) == hash(BiDerivation(n.sig, n))
+        assert repr(din_bi(n)) == repr(BiDerivation(n.sig, n))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,7 @@ def _parity_rejections(par):
         ("premise index", hand(premises=((1, 5, zero),)), "rule odd-s: premise 0 index mismatch"),
         ("conclusion", hand(conclusion=7), "rule odd-s: conclusion index mismatch"),
         ("witness node", hand(premises=((1, 0, zero.root),)), not_fam1),
-        ("witness family", hand(premises=((1, 0, BiDerivation(sig, 2, zero.root)),)), not_fam1),
+        ("witness family", hand(premises=((1, 0, par.build(1)),)), not_fam1),
         ("witness sig", hand(premises=((1, 0, other),)), not_fam1),
         ("stamped witness", sig.dnode("odd-s", {"n": 0}, (other,)), not_fam1),
         ("child", hand(premises=((1, 0, two),)), child),
@@ -398,12 +392,16 @@ def test_bi_checker_rejections_exact_reasons_at_root_and_nested():
         with pytest.raises(InvalidDerivationError) as exc:
             din_bi(bad)
         assert str(exc.value) == reason, label
-        verdict = validate_bi(BiDerivation(par.sig, 2, bad))
+        verdict = validate_bi(BiDerivation(par.sig, bad))
         assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason), label
         if bad.conclusion < 10:
-            parent = par.sig.dnode("even-s", {"n": bad.conclusion}, (BiDerivation(par.sig, 2, bad),))
-            verdict = validate_bi(BiDerivation(par.sig, 1, parent))
-            assert (verdict.ok, verdict.path, verdict.reason) == (False, (0,), reason), label
+            parent = par.sig.dnode("even-s", {"n": bad.conclusion}, (BiDerivation(par.sig, bad),))
+            verdict = validate_bi(BiDerivation(par.sig, parent))
+            if bad.family != 2:  # the parent reads the child's family from its root
+                path, reason = (), "rule even-s: premise 0 witness is not a family-2 derivation"
+            else:
+                path = (0,)
+            assert (verdict.ok, verdict.path, verdict.reason) == (False, path, reason), label
 
 
 def test_bi_fold_entry_errors_exact_messages():
@@ -504,7 +502,7 @@ def test_stamped_two_family_child_links_keep_their_exact_reasons():
             din_bi(node)
         assert str(exc.value) == reason
         hand = BiDNode(sig, node.family, node.rule, node.params, node.premises, node.conclusion)
-        verdict = validate_bi(BiDerivation(sig, 1, hand))
+        verdict = validate_bi(BiDerivation(sig, hand))
         assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason)
 
 

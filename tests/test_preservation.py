@@ -131,7 +131,6 @@ def test_rejects_invalid_inputs():
     _, stepd = step_exp(rho, vr("x"))
     forged = BiDerivation(
         stepd.sig,
-        stepd.family,
         stepd.root.__class__(
             stepd.root.sig,
             stepd.root.family,

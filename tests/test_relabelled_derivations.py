@@ -88,7 +88,7 @@ def test_a_derivation_whose_root_is_another_relations_is_rejected():
 
 def test_even_one_from_odd_zero_is_rejected():
     zero = din_bi(PARITY.dnode("even-z", {}))  # even 0, family 1
-    forged = BiDerivation(PARITY, 2, zero.root)  # claimed as "odd 0"
+    forged = BiDerivation(PARITY, zero.root)  # offered as "odd 0"
     node = PARITY.dnode("even-s", {"n": 0}, (forged,))
     reason = "rule even-s: premise 0 witness is not a family-2 derivation"
     with pytest.raises(InvalidDerivationError) as exc:
@@ -96,7 +96,7 @@ def test_even_one_from_odd_zero_is_rejected():
     assert str(exc.value) == reason
     hand = BiDNode(node.sig, node.family, node.rule, node.params, node.premises, node.conclusion)
     for root in (node, hand):
-        verdict = validate_bi(BiDerivation(PARITY, 1, root))
+        verdict = validate_bi(BiDerivation(PARITY, root))
         assert _verdict(verdict) == (False, (), reason)
 
 
@@ -161,8 +161,9 @@ def _lang_cases():
             yield sub[1], TYPING_SIG
 
 
-@pytest.mark.parametrize("cases, check", [(_arith_cases, validate), (_lang_cases, validate_bi)])
-def test_relabelling_any_one_wrapper_fails_at_its_parent(cases, check):
+# the arith cases are all 90 wrappers of 36 derivations; the lang cases 299 of 83
+@pytest.mark.parametrize("cases, check, least", [(_arith_cases, validate, 90), (_lang_cases, validate_bi, 250)])
+def test_relabelling_any_one_wrapper_fails_at_its_parent(cases, check, least):
     checked = 0
     for d, other in cases():
         copy = _unstamped(d)
@@ -171,4 +172,4 @@ def test_relabelling_any_one_wrapper_fails_at_its_parent(cases, check):
             verdict = check(_relabel(copy, path, other))
             assert _verdict(verdict) == _expected(copy, path, other), path
             checked += 1
-    assert checked > 100
+    assert checked >= least

@@ -94,9 +94,9 @@ SAMPLES = {
     ),
     "BiDerivation": (
         BiDerivation,
-        ("sig", "family", "root"),
-        lambda: BiDerivation(BIREL, 1, _bidnode()),
-        "BiDerivation(sig=<IndexedBiSignature birel>, family=1, root=BiDNode(sig=<IndexedBiSignature "
+        ("sig", "root"),
+        lambda: BiDerivation(BIREL, _bidnode()),
+        "Derivation(sig=<IndexedBiSignature birel>, root=BiDNode(sig=<IndexedBiSignature "
         "birel>, family=1, rule='b', params=(('x', 1),), premises=(), conclusion=1))",
     ),
     "Val": (Val, ("vv",), lambda: Val(3), "Val(vv=3)"),
@@ -237,8 +237,6 @@ def _match(value):
             return sig, root
         case BiDNode(sig, family, name, params, premises, conclusion):
             return sig, family, name, params, premises, conclusion
-        case BiDerivation(sig, family, root):
-            return sig, family, root
         case Val(vv):
             return (vv,)
         case TypN():
@@ -277,7 +275,7 @@ def test_hand_built_relation_values_carry_no_stamp_or_certificate():
     with pytest.raises(TypeError):
         DNode(REL, "r", (("x", 1),), (), 1, _rule=None)
     with pytest.raises(TypeError):
-        BiDerivation(BIREL, 1, _bidnode(), _certified=True)
+        BiDerivation(BIREL, _bidnode(), _certified=True)
 
 
 def test_stamp_and_certificate_are_invisible_and_replace_drops_them():
@@ -374,7 +372,7 @@ OTHER = {
     "BiNode": (OTHER_BISIG, "cn", (1,), ("y",)),
     "BiTerm": (OTHER_BISIG, Node(LANG, "vr", (), ("y",))),
     "BiDNode": (OTHER_BIREL, 2, "c", (("x", 2),), ((1, 1, None),), 2),
-    "BiDerivation": (OTHER_BIREL, 2, BiDNode(BIREL, 1, "b", (("x", 2),), (), 2)),
+    "BiDerivation": (OTHER_BIREL, BiDNode(BIREL, 1, "b", (("x", 2),), (), 2)),
     "Val": (4,),
     "TypN": (),
     "Ty": ("b",),
