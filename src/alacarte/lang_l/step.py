@@ -45,23 +45,14 @@ DEC_STEP = 1
 EXP_STEP = 2
 
 
-def _beta_match(P) -> Env:
+def _matched_env(P, rule: str, subject: str) -> Env:
+    """What pattern ``P["p"]`` binds in the value ``P["v"]``, the ``rule``'s ``subject``."""
     v = P["v"]
     if not is_value(v):
-        raise InvalidDerivationError("beta: argument is not a value")
+        raise InvalidDerivationError(f"{rule}: {subject} is not a value")
     m = patmatch(P["p"], v)
     if m is None:
-        raise InvalidDerivationError("beta: pattern does not match")
-    return m
-
-
-def _match_result(P) -> Env:
-    v = P["v"]
-    if not is_value(v):
-        raise InvalidDerivationError("match: subject is not a value")
-    m = patmatch(P["p"], v)
-    if m is None:
-        raise InvalidDerivationError("match: pattern does not match")
+        raise InvalidDerivationError(f"{rule}: pattern does not match")
     return m
 
 
@@ -86,12 +77,12 @@ STEP_SIG = IndexedBiSignature(
             params=("rho", "p", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                ("match", lambda P: is_value(P["v"]) and patmatch(P["p"], P["v"]) is not None),
+                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
             conclusion=lambda P: (
                 P["rho"],
                 match_(P["p"], P["v"]),
-                env_(_match_result(P)),
+                env_(_matched_env(P, "match", "subject")),
             ),
         ),
         birule(
@@ -165,12 +156,12 @@ STEP_SIG = IndexedBiSignature(
             params=("rho", "rho0", "p", "eb", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                ("match", lambda P: is_value(P["v"]) and patmatch(P["p"], P["v"]) is not None),
+                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
             conclusion=lambda P: (
                 P["rho"],
                 apply_(closure(P["rho0"], P["p"], P["eb"]), P["v"]),
-                scope(env_(env_union(P["rho0"], _beta_match(P))), P["eb"]),
+                scope(env_(env_union(P["rho0"], _matched_env(P, "beta", "argument"))), P["eb"]),
             ),
         ),
         birule(

@@ -21,6 +21,7 @@ from ..indexed import (
     Derivation,
     IndexedSignature,
     InvalidDerivationError,
+    derivation_to_json,
     din,
     rule,
 )
@@ -114,10 +115,10 @@ def build_typopat(p: Pat) -> Optional[Derivation]:
         case PApp(fn, arg):
             d1 = build_typopat(fn)
             d2 = build_typopat(arg)
-            tf = pat_type(fn)
-            if d1 is None or d2 is None or not isinstance(tf, Arrow):
+            if d1 is None or d2 is None:
                 return None
-            if pat_type(arg) != tf.dom:
+            tf = d1.root.conclusion[1]  # pat_type(fn), which d1 concludes
+            if not isinstance(tf, Arrow) or d2.root.conclusion[1] != tf.dom:
                 return None
             return din(
                 TYPOPAT_SIG.dnode(
@@ -484,13 +485,13 @@ def typing_derivation_json(d: BiDerivation) -> dict:
     return bi_derivation_to_json(d, encode_index, ("TypODec", "TypOExp"))
 
 
-def typopat_derivation_json(d: Derivation) -> dict:
-    from ..indexed import derivation_to_json
+def _named_derivation_json(family: str, d: Derivation) -> dict:
+    return {"family": family, **derivation_to_json(d, encode_index)}
 
-    return {"family": "TypOPat", **derivation_to_json(d, encode_index)}
+
+def typopat_derivation_json(d: Derivation) -> dict:
+    return _named_derivation_json("TypOPat", d)
 
 
 def typoenv_derivation_json(d: Derivation) -> dict:
-    from ..indexed import derivation_to_json
-
-    return {"family": "TypOEnv", **derivation_to_json(d, encode_index)}
+    return _named_derivation_json("TypOEnv", d)

@@ -24,6 +24,8 @@ from alacarte.lang_l import (
     step_exp,
     vr,
 )
+from alacarte.indexed import InvalidDerivationError
+from alacarte.lang_l.step import STEP_SIG
 from alacarte.mutual import validate_bi
 
 TY_A = Ty("a")
@@ -98,6 +100,24 @@ def test_scope_shadows_outer_env():
 def test_beta_match_failure_is_stuck():
     redex = apply_(closure(EMPTY_ENV, PCon("c", TY_A), vr("x")), cn("d", TY_A))
     assert step_exp(EMPTY_ENV, redex) is None
+
+
+@pytest.mark.parametrize(
+    "rule, v, message",
+    [
+        ("E-BETA", vr("x"), "beta: argument is not a value"),
+        ("E-BETA", cn("d", TY_A), "beta: pattern does not match"),
+        ("D-MATCH", vr("x"), "match: subject is not a value"),
+        ("D-MATCH", cn("d", TY_A), "match: pattern does not match"),
+    ],
+)
+def test_a_conclusion_that_cannot_match_names_its_rule(rule, v, message):
+    params = {"rho": EMPTY_ENV, "p": PCon("c", TY_A), "v": v}
+    if rule == "E-BETA":
+        params.update(rho0=EMPTY_ENV, eb=vr("y"))
+    with pytest.raises(InvalidDerivationError) as exc:
+        STEP_SIG.dnode(rule, params)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,64 @@ def test_pat_type_domain_mismatch():
     assert build_typopat(PApp(PCon("c", AB), PVar("x", TY_B))) is None
 
 
+def _reference_typopat(p):
+    """``build_typopat`` as it read before it took each child's type from the child's derivation."""
+    match p:
+        case PVar(x, t):
+            return ltyping.din(ltyping.TYPOPAT_SIG.dnode("tp_var", {"x": x, "tau": t}))
+        case PCon(x, t):
+            return ltyping.din(ltyping.TYPOPAT_SIG.dnode("tp_con", {"x": x, "tau": t}))
+        case PApp(fn, arg):
+            d1, d2, tf = _reference_typopat(fn), _reference_typopat(arg), pat_type(fn)
+            if d1 is None or d2 is None or not isinstance(tf, Arrow) or pat_type(arg) != tf.dom:
+                return None
+            params = {"p1": fn, "p2": arg, "t1": tf.dom, "t2": tf.cod}
+            return ltyping.din(ltyping.TYPOPAT_SIG.dnode("tp_app", params, (d1, d2)))
+
+
+def _curried_chain(depth):
+    """``c`` of a curried ``depth``-argument type applied to ``depth`` constructors."""
+    tys = [Ty(f"t{i}") for i in range(depth + 1)]
+    t = tys[-1]
+    for dom in reversed(tys[:-1]):
+        t = Arrow(dom, t)
+    p = PCon("c", t)
+    for i in range(depth):
+        p = PApp(p, PCon(f"k{i}", tys[i]))
+    return p
+
+
+PATTERNS = [
+    PVar("x", TY_A),
+    PCon("c", AB),
+    PApp(PCon("c", AB), PVar("x", TY_A)),
+    PApp(PCon("c", AB), PVar("x", TY_B)),
+    PApp(PVar("f", TY_A), PVar("x", TY_A)),
+    PApp(PApp(PCon("c", AB), PVar("x", TY_A)), PVar("y", TY_A)),
+    PApp(PCon("c", Arrow(AB, TY_A)), PApp(PCon("d", AB), PVar("x", TY_A))),
+    PApp(PCon("c", Arrow(TY_B, TY_A)), PApp(PCon("d", AB), PVar("x", TY_B))),
+    PApp(PApp(PCon("c", AB), PVar("x", TY_B)), PVar("y", TY_A)),
+    _curried_chain(3),
+    PApp(_curried_chain(3), PVar("x", TY_A)),
+]
+
+
+@pytest.mark.parametrize("p", PATTERNS)
+def test_build_typopat_equals_the_reference(p):
+    d, expected = build_typopat(p), _reference_typopat(p)
+    assert d == expected
+    if d is not None:
+        assert d.root.conclusion == (p, pat_type(p)) and validate(d)
+
+
+def test_build_typopat_computes_no_pattern_type(monkeypatch):
+    calls, real = [], pat_type
+    monkeypatch.setattr(ltyping, "pat_type", lambda p: calls.append(p) or real(p))
+    p = _curried_chain(40)
+    d = build_typopat(p)
+    assert calls == [] and d.root.conclusion == (p, Ty("t40"))
+
+
 # ---------------------------------------------------------------------------
 # typecheck_exp
 
