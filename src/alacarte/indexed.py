@@ -10,12 +10,10 @@ rejects any node whose side conditions fail or whose indices disagree.
 This is the one relation core: a single relation is family 1 of 1, and
 :class:`alacarte.mutual.IndexedBiSignature` is the two-family case of the
 same rule table, ``dnode`` preamble, checker, validator and JSON walker.
-:class:`Derivation` is the one derivation class of every family
-(``mutual.BiDerivation`` is another name for it).  A derivation's relation
-and family are its root node's: the checker reads them from the root, a
-premise witness must be a derivation of the parent's signature whose root
-is of that signature and of the premise's family, and ``validate`` rejects
-a derivation whose ``sig`` is not its root's.
+:class:`Derivation` is the one derivation class of every family, and a
+derivation's relation and family are its root node's: a premise witness and
+its root are of the parent's signature, the root of the premise's family,
+and ``validate`` rejects a derivation whose ``sig`` is not its root's.
 
 Each rule instance is checked once.  ``IndexedSignature.dnode`` stamps the
 node with the :class:`Rule` whose expressions computed its indices, so
@@ -116,12 +114,6 @@ class _RuleInstance:
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
-    def param(self, name: str):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
-
 
 @value_class
 class DNode(_RuleInstance):
@@ -153,8 +145,7 @@ class Derivation:
 
     @property
     def family(self) -> int:
-        """The root's family: 1 for a :class:`DNode`, its field for a ``BiDNode``."""
-        return self.root.family
+        return self.root.family  # 1 for a ``DNode``, its field for a ``BiDNode``
 
 
 class IndexedSignature:

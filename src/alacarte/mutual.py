@@ -11,11 +11,9 @@ shapes: ``BiSignature.node``/``constructor`` take the component, and
 The indexed analogue (:class:`IndexedBiSignature`, ``hfold``) represents
 mutually defined relations, one family each; rule premises name the family
 they recurse into.  It is the many-family case of :mod:`alacarte.indexed`
-and shares all of its machinery, the derivation class included
-(``BiDerivation`` is ``indexed.Derivation``, built as
-``BiDerivation(sig, root)``); only the layouts of :class:`BiRule` and
-:class:`BiDNode` differ.  A derivation's family is its root's
-``BiDNode.family``.
+and shares all of its machinery, the derivation class included:
+``BiDerivation(sig, root)`` is an ``indexed.Derivation``, whose family is
+its root's.  Only the layouts of :class:`BiRule` and :class:`BiDNode` differ.
 """
 
 from __future__ import annotations
@@ -184,10 +182,8 @@ class IndexedBiSignature(IndexedSignature):
     dnode = IndexedSignature.dnode
 
 
-# a function of its own, not an alias of ``din``, so that
-# ``perfbench/tracer.py`` can count it apart
 def din_bi(n: BiDNode) -> Derivation:
-    """Validating constructor; certified when every premise witness is."""
+    """``din``, as a function of its own so that ``perfbench/tracer.py`` counts it apart."""
     d = Derivation(n.sig, n)
     if indexed._check_node(n):
         indexed._certify(d, True)
