@@ -35,14 +35,13 @@ from .kernel import (
     Node,
     Signature,
     Term,
+    case,
     coproduct,
     fold_c,
     in_,
     inject_left,
     inject_right,
     out_,
-    project_left,
-    project_right,
     value_class,
 )
 
@@ -92,7 +91,7 @@ def lit_value(t: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: per-summand algebras composed by coproduct dispatch
+# evaluation: per-summand algebras copaired over the coproduct
 
 
 def eval_g1(n: Node) -> Val:
@@ -104,11 +103,8 @@ def eval_g2(n: Node) -> Val:
     return Val(x1.vv + x2.vv)
 
 
-def eval_g(n: Node) -> Val:
-    inner = project_left(TRM, n)
-    if inner is not None:
-        return eval_g1(inner)
-    return eval_g2(project_right(TRM, n))
+eval_g = case(TRM, eval_g1, eval_g2)
+eval_g.__name__ = eval_g.__qualname__ = "eval_g"
 
 
 def eval_(t: Term) -> Val:

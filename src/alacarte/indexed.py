@@ -247,6 +247,7 @@ def _compile_rule(r, node: type, bi: bool):
         "_not_a_witness": _not_a_witness,
         "_child_mismatch": _child_mismatch,
         "_Derivation": Derivation,
+        "_RuleInstance": _RuleInstance,
     }
     for i, (family, ix) in enumerate(r.shape):
         env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
@@ -277,7 +278,8 @@ def _compile_rule(r, node: type, bi: bool):
     for i in range(k):
         src += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
-            f" or (r{i} := w{i}.root).sig is not sig or r{i}.family != _fam{i}):",
+            f" or not isinstance(r{i} := w{i}.root, _RuleInstance)"
+            f" or r{i}.sig is not sig or r{i}.family != _fam{i}):",
             f"        raise _not_a_witness(n, {i}, _fam{i})",
             f"    if r{i}.conclusion != ix{i}:",
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
@@ -326,7 +328,13 @@ def _check_node(n) -> bool:
     shape = r.shape
     for i, premise in enumerate(n.premises):
         stored, w, fam = premise[-2], premise[-1], shape[i][0]
-        if not isinstance(w, Derivation) or w.sig is not sig or w.root.sig is not sig or w.root.family != fam:
+        if (
+            not isinstance(w, Derivation)
+            or w.sig is not sig
+            or not isinstance(w.root, _RuleInstance)
+            or w.root.sig is not sig
+            or w.root.family != fam
+        ):
             raise _not_a_witness(n, i, fam)
         if w.root.conclusion != stored:
             raise _child_mismatch(n, i, stored, w)
@@ -374,6 +382,8 @@ def _check_tree(d) -> Validity:
     """The tree validator of ``validate`` and ``mutual.validate_bi``."""
     if d._certified:
         return Validity(True)
+    if not isinstance(d.root, _RuleInstance):
+        return Validity(False, (), f"derivation of {d.sig.name} has no rule instance at its root")
     if d.root.sig is not d.sig:
         return Validity(False, (), f"derivation of {d.sig.name} has a root of {d.root.sig.name}")
     stack = [(d.root, ())]

@@ -36,6 +36,12 @@ representation (:class:`FoldTerm`, a term is whatever can run any Mendler
 algebra) lives behind the same in/out/fold interface with
 ``reflect``/``reify`` conversions.
 
+A :class:`CoproductSignature` joins two one-sort signatures, and
+``case(csig, f, g)`` is the copairing ``[f, g]`` of an algebra per summand:
+one table lookup per node hands the node, as its summand's node, to that
+summand's algebra.  ``project_left``/``project_right``/``project`` stay as
+the specification ``case`` is tested against, and for the laws.
+
 All values are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without synchronization.
 """
@@ -393,7 +399,12 @@ class Term:
 
 
 def fmap(f: Callable[[Any], Any], n: Node) -> Node:
-    """Apply ``f`` to every recursive slot; constructor and payloads unchanged."""
+    """Apply ``f`` to every recursive slot; constructor and payloads unchanged.
+
+    A node without recursive slots is its own image and is returned as it is.
+    """
+    if not n.rec:
+        return n
     return Node(n.sig, n.ctor, tuple([f(x) for x in n.rec]), n.payload)
 
 
@@ -638,6 +649,10 @@ def project_right(csig: CoproductSignature, n: Node) -> Optional[Node]:
     return None
 
 
+def _not_a_coproduct_node(csig: CoproductSignature, n: Node) -> MalformedNodeError:
+    return MalformedNodeError(f"{n.ctor!r} is not a coproduct node of {csig.name}")
+
+
 def project(csig: CoproductSignature, n: Node) -> tuple[str, Node]:
     """Total projection: every coproduct node is a left or a right node."""
     inner = project_left(csig, n)
@@ -646,7 +661,32 @@ def project(csig: CoproductSignature, n: Node) -> tuple[str, Node]:
     inner = project_right(csig, n)
     if inner is not None:
         return ("right", inner)
-    raise MalformedNodeError(f"{n.ctor!r} is not a coproduct node of {csig.name}")
+    raise _not_a_coproduct_node(csig, n)
+
+
+def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: Callable[[Node], Any]):
+    """The copairing ``[left_alg, right_alg]``: an algebra over ``csig`` from one per summand.
+
+    A node of ``csig`` is handed, as its summand's node, to that summand's
+    algebra; it equals ``left_alg(project_left(csig, n))`` on a left node
+    and ``right_alg(project_right(csig, n))`` on a right one.  The table
+    from tagged constructor to summand, untagged name and algebra is built
+    here, once, so each node costs one lookup and one summand node.  A
+    node that is not of ``csig`` raises ``project``'s error.
+    """
+    table = {
+        tagged: ((csig.left, csig.right)[side], ctor, (left_alg, right_alg)[side])
+        for tagged, (side, ctor) in csig._untag.items()
+    }
+
+    def copair(n: Node):
+        entry = table.get(n.ctor) if n.sig is csig else None
+        if entry is None:
+            raise _not_a_coproduct_node(csig, n)
+        sig, ctor, alg = entry
+        return alg(Node(sig, ctor, n.rec, n.payload))
+
+    return copair
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Kernel laws and operations, checked on the arithmetic signature."""
 
+import re
+
 import pytest
 
 from alacarte import arith, kernel, testkit
@@ -7,7 +9,9 @@ from alacarte.arith import ADD, LIT, TRM, TRM_G1, TRM_G2, Val, add, lit
 from alacarte.kernel import (
     ForeignHandleError,
     MalformedNodeError,
+    Signature,
     UnsupportedCarrierError,
+    case,
     check_uniqueness,
     coproduct,
     fmap,
@@ -63,6 +67,11 @@ def test_fmap_negate_slotwise():
 def test_fmap_leaves_payload_alone():
     n = TRM.node(LIT, (3,))
     assert fmap(lambda x: x + 1, n) == n
+
+
+def test_fmap_returns_a_leaf_itself():
+    n = TRM.node(LIT, (3,))
+    assert fmap(lambda x: x + 1, n) is n
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,13 @@ def test_lift_coherence_on_enumeration():
 
 def test_lift_on_lit_zero():
     assert mfold(lift(arith.eval_g), lit(0)) == Val(0)
+
+
+def test_lift_hands_a_leaf_to_the_algebra_as_it_is():
+    seen = []
+    t = lit(3)
+    assert mfold(lift(lambda n: seen.append(n) or 3), t) == 3
+    assert len(seen) == 1 and seen[0] is out_(t)
 
 
 def test_lift_identity_rebuild():
@@ -242,6 +258,66 @@ def test_composed_algebra_dispatches_per_summand():
     right = TRM.node(ADD, (Val(1), Val(2)))
     assert arith.eval_g(left) == arith.eval_g1(project_left(TRM, left))
     assert arith.eval_g(right) == arith.eval_g2(project_right(TRM, right))
+    assert arith.eval_g.__name__ == "eval_g"
+
+
+def _projection_copair(csig, left_alg, right_alg):
+    """The copairing by trial projection: the specification ``case`` is checked against."""
+
+    def alg(n):
+        inner = project_left(csig, n)
+        if inner is not None:
+            return left_alg(inner)
+        return right_alg(project_right(csig, n))
+
+    return alg
+
+
+def test_case_equals_the_projection_copairing_on_every_node():
+    by_case = case(TRM, arith.eval_g1, arith.eval_g2)
+    by_projection = _projection_copair(TRM, arith.eval_g1, arith.eval_g2)
+    terms = small_terms(3)
+    assert len(terms) == 147  # closed under subterms: every node of every term is some root
+    for t in terms:
+        n = fmap(testkit.oracle_eval, out_(t))  # Val children
+        assert by_case(n) == by_projection(n) == arith.eval_g(n)
+
+
+def test_case_gives_each_side_its_own_node_under_shared_ctor_names():
+    a = Signature("a", {"mk": ("int",)})
+    b = Signature("b", {"mk": ("int",)})
+    for c, right in ((coproduct(a, b), b), (coproduct(a, a), a)):
+        alg = case(c, lambda n: ("left", n), lambda n: ("right", n))
+        assert alg(inject_left(c, a.node("mk", (1,)))) == ("left", a.node("mk", (1,)))
+        assert alg(inject_right(c, right.node("mk", (2,)))) == ("right", right.node("mk", (2,)))
+        assert alg(inject_right(c, right.node("mk", (2,))))[1].sig is right
+
+
+def test_nested_coproducts_dispatch_through_two_cases():
+    num = Signature("num", {"lit": ("int",)})
+    plus = Signature("plus", {"add": ("rec", "rec")})
+    times = Signature("times", {"mul": ("rec", "rec")})
+    inner = coproduct(num, plus)
+    outer = coproduct(inner, times)
+    evaluate = case(
+        outer,
+        case(inner, lambda n: n.payload[0], lambda n: n.rec[0] + n.rec[1]),
+        lambda n: n.rec[0] * n.rec[1],
+    )
+    num_ = lambda x: in_(inject_left(outer, inject_left(inner, num.node("lit", (x,)))))
+    add_ = lambda a, b: in_(inject_left(outer, inject_right(inner, plus.node("add", (a, b)))))
+    mul_ = lambda a, b: in_(inject_right(outer, times.node("mul", (a, b))))
+    t = mul_(add_(num_(2), num_(3)), add_(num_(4), mul_(num_(1), num_(5))))
+    assert fold_c(evaluate, t) == 45 == mfold(lift(evaluate), t)
+    with pytest.raises(MalformedNodeError, match=re.escape("'inl:lit' is not a coproduct node of ((num+plus)+times)")):
+        evaluate(inject_left(inner, num.node("lit", (1,))))
+
+
+def test_eval_g_rejects_a_node_that_is_not_a_trm_node():
+    for n in (TRM_G1.node("lit", (3,)), kernel.Node(TRM, "bogus", (), ())):
+        message = f"{n.ctor!r} is not a coproduct node of (trm_g1+trm_g2)"
+        with pytest.raises(MalformedNodeError, match=f"^{re.escape(message)}$"):
+            arith.eval_g(n)
 
 
 def test_injections_jointly_surjective_and_disjoint():

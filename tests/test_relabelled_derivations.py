@@ -101,6 +101,52 @@ def test_even_one_from_odd_zero_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# a root that is no rule instance gets a verdict, not an AttributeError
+
+
+def test_validate_rejects_a_root_that_is_no_rule_instance():
+    reason = "derivation of Eval has no rule instance at its root"
+    assert _verdict(validate(Derivation(EVAL_SIG, "x"))) == (False, (), reason)
+    bad = Derivation(EVAL_SIG, "x")
+    node = EVAL_SIG.dnode(
+        "ev2",
+        {"e1": lit(1), "e2": lit(2), "x1": Val(1), "x2": Val(2), "v": Val(3)},
+        (bad, arith.build_eval_derivation(lit(2))),
+    )
+    reason = "rule ev2: premise 0 witness is not a derivation"
+    for root in (node, dataclasses.replace(node)):  # stamped, then checked in full
+        assert _verdict(validate(Derivation(EVAL_SIG, root))) == (False, (), reason)
+
+
+def test_validate_bi_rejects_a_root_that_is_no_rule_instance():
+    reason = "derivation of Parity has no rule instance at its root"
+    assert _verdict(validate_bi(BiDerivation(PARITY, None))) == (False, (), reason)
+    node = PARITY.dnode("odd-s", {"n": 0}, (BiDerivation(PARITY, 0),))
+    reason = "rule odd-s: premise 0 witness is not a family-1 derivation"
+    hand = BiDNode(node.sig, node.family, node.rule, node.params, node.premises, node.conclusion)
+    for root in (node, hand):
+        assert _verdict(validate_bi(BiDerivation(PARITY, root))) == (False, (), reason)
+
+
+def test_din_rejects_a_witness_whose_root_is_no_rule_instance():
+    params = {"e1": lit(1), "e2": lit(2), "x1": Val(1), "x2": Val(2), "v": Val(3)}
+    node = EVAL_SIG.dnode("ev2", params, (Derivation(EVAL_SIG, "x"), arith.build_eval_derivation(lit(2))))
+    for root in (node, dataclasses.replace(node)):  # the compiled check, then the generic one
+        with pytest.raises(InvalidDerivationError) as exc:
+            din(root)
+        assert str(exc.value) == "rule ev2: premise 0 witness is not a derivation"
+
+
+def test_din_bi_rejects_a_witness_whose_root_is_no_rule_instance():
+    node = PARITY.dnode("even-s", {"n": 0}, (BiDerivation(PARITY, "odd 0"),))
+    hand = BiDNode(node.sig, node.family, node.rule, node.params, node.premises, node.conclusion)
+    for root in (node, hand):
+        with pytest.raises(InvalidDerivationError) as exc:
+            din_bi(root)
+        assert str(exc.value) == "rule even-s: premise 0 witness is not a family-2 derivation"
+
+
+# ---------------------------------------------------------------------------
 # property: relabelling any one wrapper of a valid derivation invalidates it
 
 
