@@ -270,8 +270,8 @@ def _preservation_step(rec, w, node):
             raise InvalidDerivationError(
                 f"typing of an addition must end in tof2, got {tnode.rule}"
             )
-        (w1, h1), (w2, h2) = node.premises
-        (_, td1), (_, td2) = tnode.premises
+        (_, w1, h1), (_, w2, h2) = node.premises
+        (_, _, td1), (_, _, td2) = tnode.premises
         out1 = rec(w1, h1)(td1)
         out2 = rec(w2, h2)(td2)
         x1 = lit_value(out1.root.conclusion[0])

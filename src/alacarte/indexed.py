@@ -8,9 +8,13 @@ finite tree of rule instances, self-validating in the sense that ``din``
 rejects any node whose side conditions fail or whose indices disagree.
 
 This is the one relation core: a single relation is family 1 of 1, and
-:class:`alacarte.mutual.IndexedBiSignature` is the two-family case of the
-same rule table, ``dnode`` preamble, checker, validator and JSON walker.
-:class:`Derivation` is the one derivation class of every family, and a
+:class:`alacarte.mutual.IndexedBiSignature` is the many-family case of the
+same rule table, ``dnode``, checker, validator and JSON walker.  There is
+one :class:`Rule` class and one rule-instance layout for every family: a
+rule's premises are ``(family, index expression)`` pairs, and a
+:class:`DNode`'s premises are ``(family, index, witness)`` triples.
+:func:`rule` is the family-1 case, whose premises all recurse into family
+1.  :class:`Derivation` is the one derivation class of every family, and a
 derivation's relation and family are its root node's: a premise witness and
 its root are of the parent's signature, the root of the premise's family,
 and ``validate`` rejects a derivation whose ``sig`` is not its root's.
@@ -54,10 +58,23 @@ class WrongIndexError(Exception):
     pass
 
 
-class _Schema:
-    """What :class:`Rule` and ``mutual.BiRule`` derive from their fields, once per rule."""
+@dataclass(frozen=True)
+class Rule:
+    """One inference rule of the family ``family``.
 
-    __slots__ = ()
+    ``premises`` are ``(family, index expression)`` pairs: the family the
+    premise recurses into, and its index as a callable on a params mapping
+    that closes over the declared parameters.  ``side_conditions`` are
+    named decidable predicates over the same mapping, and ``conclusion``
+    is the conclusion's index expression.
+    """
+
+    family: int
+    name: str
+    params: tuple[str, ...]
+    premises: tuple[tuple[int, Callable[[Mapping], Any]], ...]
+    side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
+    conclusion: Callable[[Mapping], Any]
 
     @cached_property
     def build(self) -> Callable:
@@ -67,7 +84,7 @@ class _Schema:
         together with ``check``, the ``_check_node`` of the nodes ``build``
         stamps (see :func:`_compile_rule`).
         """
-        build, vars(self)["check"] = self._compile()
+        build, vars(self)["check"] = _compile_rule(self)
         return build
 
     def __getstate__(self):
@@ -75,63 +92,36 @@ class _Schema:
         return {k: v for k, v in vars(self).items() if k not in ("build", "check")}
 
 
-@dataclass(frozen=True)
-class Rule(_Schema):
-    """One inference rule.
-
-    ``premises`` and ``conclusion`` are index expressions closing over the
-    declared parameters (callables on a params mapping); ``side_conditions``
-    are named decidable predicates over the same mapping.
-    """
-
-    name: str
-    params: tuple[str, ...]
-    premises: tuple[Callable[[Mapping], Any], ...]
-    side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
-    conclusion: Callable[[Mapping], Any]
-    family = 1  # a single relation is family 1 of 1
-
-    @cached_property
-    def shape(self) -> tuple[tuple[int, Callable[[Mapping], Any]], ...]:
-        """Each premise as ``(family, index expression)``, as in a ``BiRule``."""
-        return tuple((1, ix) for ix in self.premises)
-
-    def _compile(self):
-        return _compile_rule(self, DNode, bi=False)
+def birule(family, name, params=(), premises=(), side=(), conclusion=None):
+    """A rule of ``family`` whose ``premises`` are ``(family, index expression)`` pairs."""
+    if conclusion is None:
+        raise ValueError(f"rule {name!r} needs a conclusion expression")
+    return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion)
 
 
 def rule(name, params=(), premises=(), side=(), conclusion=None):
-    if conclusion is None:
-        raise ValueError(f"rule {name!r} needs a conclusion expression")
-    return Rule(name, tuple(params), tuple(premises), tuple(side), conclusion)
+    """A family-1 rule whose premise index expressions all recurse into family 1."""
+    return birule(1, name, params, [(1, ix) for ix in premises], side, conclusion)
 
 
-class _RuleInstance:
-    """Parameter access shared by :class:`DNode` and ``mutual.BiDNode``."""
+@value_class
+class DNode:
+    """A rule instance of ``family``: each premise is ``(family, index, witness)``."""
 
-    __slots__ = ()
+    sig: IndexedSignature
+    family: int
+    rule: str
+    params: tuple[tuple[str, Any], ...]
+    premises: tuple[tuple[int, Any, Any], ...]
+    conclusion: Any
+    # the Rule whose expressions computed the indices; set by ``dnode`` only
+    _rule: Rule | None = field(default=None, init=False, compare=False, repr=False)
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
 
-@value_class
-class DNode(_RuleInstance):
-    """A rule instance: premises pair a judgment index with a witness."""
-
-    sig: IndexedSignature
-    rule: str
-    params: tuple[tuple[str, Any], ...]
-    premises: tuple[tuple[Any, Any], ...]
-    conclusion: Any
-    # the Rule whose expressions computed the indices; set by ``dnode`` only
-    _rule: Rule | None = field(default=None, init=False, compare=False, repr=False)
-    family = 1
-
-    @property
-    def shape(self) -> tuple[tuple[int, Any, Any], ...]:
-        """Each premise as ``(family, index, witness)``, as in a ``BiDNode``."""
-        return tuple((1, ix, w) for ix, w in self.premises)
+_stamp = vars(DNode)["_rule"].__set__
 
 
 @value_class
@@ -145,7 +135,7 @@ class Derivation:
 
     @property
     def family(self) -> int:
-        return self.root.family  # 1 for a ``DNode``, its field for a ``BiDNode``
+        return self.root.family
 
 
 class IndexedSignature:
@@ -162,11 +152,7 @@ class IndexedSignature:
             self.rules[r.name] = r
 
     def dnode(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> DNode:
-        """Instantiate a rule; premise and conclusion indices are computed.
-
-        The node's layout is the rule's: a :class:`Rule` builds a
-        :class:`DNode`, a ``mutual.BiRule`` a ``mutual.BiDNode``.
-        """
+        """Instantiate a rule; premise and conclusion indices are computed."""
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
@@ -180,9 +166,10 @@ def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
     """Map witnesses index-correctly; rule, parameters and indices unchanged."""
     return DNode(
         n.sig,
+        n.family,
         n.rule,
         n.params,
-        tuple((w, f(w, a)) for w, a in n.premises),
+        tuple((fam, w, f(w, a)) for fam, w, a in n.premises),
         n.conclusion,
     )
 
@@ -199,7 +186,7 @@ def _params_mismatch(sig, rule_name, params, r):
 
 def _count_mismatch(sig, rule_name, r, witnesses):
     return InvalidDerivationError(
-        f"{sig.name}.{rule_name}: expected {len(r.shape)} premise witnesses, got {len(witnesses)}"
+        f"{sig.name}.{rule_name}: expected {len(r.premises)} premise witnesses, got {len(witnesses)}"
     )
 
 
@@ -218,25 +205,24 @@ def _child_mismatch(n, i, stored, w):
     )
 
 
-def _compile_rule(r, node: type, bi: bool):
+def _compile_rule(r):
     """``(build, check)`` for the rule ``r``: straight-line code from one generated source.
 
     ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
-    the witness count, a ``node`` with the parameter, premise and
+    the witness count, a :class:`DNode` with the parameter, premise and
     conclusion tuples unrolled, and the stamp, stored through the ``_rule``
     slot descriptor.  ``check`` is ``_check_node`` of a node that ``r``
-    stamped: the side conditions and child links, unrolled.  ``bi`` selects
-    the ``mutual.BiDNode`` layout, whose node and premises carry families.
-    Index expressions and side conditions are called, never inlined, so
-    each runs exactly where and when the generic path runs it; rejections
-    are raised in the generic path's order, with its messages.  Rules of
-    the same shape generate the same source, which ``run_generated``
-    compiles once.
+    stamped: the side conditions and child links, unrolled.  Index
+    expressions and side conditions are called, never inlined, so each
+    runs exactly where and when the generic path runs it; rejections are
+    raised in the generic path's order, with its messages.  Rules of the
+    same shape generate the same source, which ``run_generated`` compiles
+    once.
     """
-    k = len(r.shape)
+    k = len(r.premises)
     env = {
-        "_Node": node,
-        "_stamp": vars(node)["_rule"].__set__,
+        "_DNode": DNode,
+        "_stamp": _stamp,
         "_rule": r,
         "_family": r.family,
         "_param_set": frozenset(r.params),
@@ -247,12 +233,11 @@ def _compile_rule(r, node: type, bi: bool):
         "_not_a_witness": _not_a_witness,
         "_child_mismatch": _child_mismatch,
         "_Derivation": Derivation,
-        "_RuleInstance": _RuleInstance,
     }
-    for i, (family, ix) in enumerate(r.shape):
+    for i, (family, ix) in enumerate(r.premises):
         env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
     params = "".join(f"({p!r}, P[{p!r}]), " for p in r.params)
-    premises = "".join(f"({f'_fam{i}, ' if bi else ''}_ix{i}(P), w{i}), " for i in range(k))
+    premises = "".join(f"(_fam{i}, _ix{i}(P), w{i}), " for i in range(k))
     src = [
         "def build(sig, rule_name, P, witnesses):",
         "    if P.keys() != _param_set:",
@@ -262,7 +247,7 @@ def _compile_rule(r, node: type, bi: bool):
         f"    if len(witnesses) != {k}:",
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
-        f"    n = _Node(sig, {'_family, ' if bi else ''}rule_name, ({params}), ({premises}), _conclusion(P))",
+        f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), _conclusion(P))",
         "    _stamp(n, _rule)",
         "    return n",
         "def check(n):",
@@ -273,12 +258,12 @@ def _compile_rule(r, node: type, bi: bool):
         env[f"_side{i}"], env[f"_label{i}"] = pred, label
         src += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
     if k:
-        links = "".join(f"({'_, ' if bi else ''}ix{i}, w{i}), " for i in range(k))
+        links = "".join(f"(_, ix{i}, w{i}), " for i in range(k))
         src += ["    sig = n.sig", f"    {links}= n.premises"]
     for i in range(k):
         src += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
-            f" or not isinstance(r{i} := w{i}.root, _RuleInstance)"
+            f" or not isinstance(r{i} := w{i}.root, _DNode)"
             f" or r{i}.sig is not sig or r{i}.family != _fam{i}):",
             f"        raise _not_a_witness(n, {i}, _fam{i})",
             f"    if r{i}.conclusion != ix{i}:",
@@ -287,19 +272,21 @@ def _compile_rule(r, node: type, bi: bool):
     src.append("    return " + (" and ".join(f"w{i}._certified" for i in range(k)) or "True"))
     run_generated("\n".join(src) + "\n", env)
     for fn in (env["build"], env["check"]):
-        fn.__qualname__ = f"{type(r).__name__}({r.name!r}).{fn.__name__}"
+        fn.__qualname__ = f"Rule({r.name!r}).{fn.__name__}"
     return env["build"], env["check"]
 
 
 def _check_node(n) -> bool:
-    """Local validity: schema, side conditions, recomputed indices, child links.
+    """Local validity: layout, schema, side conditions, recomputed indices, child links.
 
     Raises :class:`InvalidDerivationError` with the reason, or returns
     whether every premise witness is certified.  A node stamped by ``dnode``
-    with the signature's current rule has its family, schema and indices
-    right by construction; the rule's compiled ``check`` runs its side
-    conditions and child links only.  Premises end in ``(index, witness)``
-    in both node layouts.
+    with the signature's current rule has its layout, family, schema and
+    indices right by construction; the rule's compiled ``check`` runs its
+    side conditions and child links only.  Any other node is checked in
+    full, its layout first where it is read: ``params`` a tuple of
+    ``(name, value)`` pairs and ``premises`` a tuple of
+    ``(family, index, witness)`` triples.
     """
     sig = n.sig
     r = sig.rules.get(n.rule)
@@ -309,15 +296,17 @@ def _check_node(n) -> bool:
         return r.check(n)
     if n.family != r.family:
         raise _Rejected(f"rule {n.rule}: family mismatch")
+    _check_layout(n, "params", "parameter", 2, "(name, value) pair")
     if tuple(k for k, _ in n.params) != r.params:
         raise _Rejected(f"rule {n.rule}: parameter schema mismatch")
     env = dict(n.params)
     for label, pred in r.side_conditions:
         if not pred(env):
             raise _side_failed(n, label)
+    _check_layout(n, "premises", "premise", 3, "(family, index, witness) triple")
     if len(n.premises) != len(r.premises):
         raise _Rejected(f"rule {n.rule}: wrong number of premises")
-    for i, ((fam, ix), (stored_fam, stored, _)) in enumerate(zip(r.shape, n.shape)):
+    for i, ((fam, ix), (stored_fam, stored, _)) in enumerate(zip(r.premises, n.premises)):
         if fam != stored_fam:
             raise _Rejected(f"rule {n.rule}: premise {i} family mismatch")
         if ix(env) != stored:
@@ -325,13 +314,11 @@ def _check_node(n) -> bool:
     if r.conclusion(env) != n.conclusion:
         raise _Rejected(f"rule {n.rule}: conclusion index mismatch")
     certified = True
-    shape = r.shape
-    for i, premise in enumerate(n.premises):
-        stored, w, fam = premise[-2], premise[-1], shape[i][0]
+    for i, ((fam, _), (_, stored, w)) in enumerate(zip(r.premises, n.premises)):
         if (
             not isinstance(w, Derivation)
             or w.sig is not sig
-            or not isinstance(w.root, _RuleInstance)
+            or not isinstance(w.root, DNode)
             or w.root.sig is not sig
             or w.root.family != fam
         ):
@@ -341,6 +328,16 @@ def _check_node(n) -> bool:
         if not w._certified:
             certified = False
     return certified
+
+
+def _check_layout(n, attr, item, width, what):
+    """Reject ``n`` unless its field ``attr`` is a tuple of ``width``-tuples."""
+    items = getattr(n, attr)
+    if not isinstance(items, tuple):
+        raise _Rejected(f"rule {n.rule}: {attr} are not a tuple")
+    for i, x in enumerate(items):
+        if not isinstance(x, tuple) or len(x) != width:
+            raise _Rejected(f"rule {n.rule}: {item} {i} is not a {what}")
 
 
 _certify = vars(Derivation)["_certified"].__set__
@@ -382,7 +379,7 @@ def _check_tree(d) -> Validity:
     """The tree validator of ``validate`` and ``mutual.validate_bi``."""
     if d._certified:
         return Validity(True)
-    if not isinstance(d.root, _RuleInstance):
+    if not isinstance(d.root, DNode):
         return Validity(False, (), f"derivation of {d.sig.name} has no rule instance at its root")
     if d.root.sig is not d.sig:
         return Validity(False, (), f"derivation of {d.sig.name} has a root of {d.root.sig.name}")
@@ -393,8 +390,7 @@ def _check_tree(d) -> Validity:
             _check_node(node)
         except _Rejected as exc:
             return Validity(False, path, str(exc))
-        for i, premise in reversed(list(enumerate(node.premises))):
-            w = premise[-1]
+        for i, (_, _, w) in reversed(tuple(enumerate(node.premises))):
             if not w._certified:
                 stack.append((w.root, path + (i,)))
     return Validity(True)
@@ -416,10 +412,10 @@ def _index_checking_rec(brand, recurse):
 
 
 def istep_once(malg, w, node: DNode, recurse):
-    """One indexed Mendler step with freshly branded premise handles."""
+    """One indexed Mendler step with freshly branded premise handles, one brand for every family."""
     brand = object()
-    handles = tuple([(ix, Handle(wit, brand)) for ix, wit in node.premises])
-    wrapped = DNode(node.sig, node.rule, node.params, handles, node.conclusion)
+    handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in node.premises])
+    wrapped = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     return malg(_index_checking_rec(brand, recurse), w, wrapped)
 
 
@@ -445,5 +441,5 @@ def _walk_json(d, encode, family) -> dict:
     js["rule"] = n.rule
     js["index"] = encode(n.conclusion)
     js["params"] = {k: encode(v) for k, v in n.params}
-    js["premises"] = [_walk_json(premise[-1], encode, family) for premise in n.premises]
+    js["premises"] = [_walk_json(w, encode, family) for _, _, w in n.premises]
     return js

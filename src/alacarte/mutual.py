@@ -11,14 +11,18 @@ shapes: ``BiSignature.node``/``constructor`` take the component, and
 The indexed analogue (:class:`IndexedBiSignature`, ``hfold``) represents
 mutually defined relations, one family each; rule premises name the family
 they recurse into.  It is the many-family case of :mod:`alacarte.indexed`
-and shares all of its machinery, the derivation class included:
-``BiDerivation(sig, root)`` is an ``indexed.Derivation``, whose family is
-its root's.  Only the layouts of :class:`BiRule` and :class:`BiDNode` differ.
+and shares all of its machinery: ``BiRule``, ``BiDNode`` and
+``BiDerivation`` are other names of the one ``indexed.Rule``, ``DNode``
+and ``Derivation``, whose premises are ``(family, index, witness)``
+triples, and ``birule`` is ``indexed.birule``.  ``din_bi``,
+``validate_bi`` and ``IndexedBiSignature.dnode`` stay bound apart from
+``din``, ``validate`` and ``IndexedSignature.dnode`` only so that
+``perfbench/tracer.py`` counts the two-family calls apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
@@ -36,11 +40,10 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     signature_to_json,
     step_once_by_sort,
     term_to_json,
-    value_class,
 )
 from . import indexed
-from .indexed import Derivation, IndexedSignature, Validity, WrongIndexError, dout
-from .indexed import InvalidDerivationError  # noqa: F401 (raised by ``din_bi``)
+from .indexed import DNode, Derivation, IndexedSignature, Rule, Validity, WrongIndexError, dout
+from .indexed import InvalidDerivationError, birule  # noqa: F401 (raised by ``din_bi``; re-exported)
 
 
 class WrongComponentError(Exception):
@@ -128,47 +131,8 @@ def bifold_2(malg: BiMendlerAlgebra, t: Term):
 # indexed bi-signatures: mutually defined relations
 
 
-@dataclass(frozen=True)
-class BiRule(indexed._Schema):
-    """As :class:`indexed.Rule`, but premises carry the family they live in."""
-
-    family: int
-    name: str
-    params: tuple[str, ...]
-    premises: tuple[tuple[int, Callable[[Mapping], Any]], ...]
-    side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
-    conclusion: Callable[[Mapping], Any]
-
-    @cached_property
-    def shape(self) -> tuple[tuple[int, Callable[[Mapping], Any]], ...]:
-        return self.premises
-
-    def _compile(self):
-        return indexed._compile_rule(self, BiDNode, bi=True)
-
-
-def birule(family, name, params=(), premises=(), side=(), conclusion=None):
-    if conclusion is None:
-        raise ValueError(f"rule {name!r} needs a conclusion expression")
-    return BiRule(family, name, tuple(params), tuple(premises), tuple(side), conclusion)
-
-
-@value_class
-class BiDNode(indexed._RuleInstance):
-    sig: IndexedBiSignature
-    family: int
-    rule: str
-    params: tuple[tuple[str, Any], ...]
-    premises: tuple[tuple[int, Any, Any], ...]  # (family, index, witness)
-    conclusion: Any
-    # the BiRule whose expressions computed the indices; set by ``dnode`` only
-    _rule: BiRule | None = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def shape(self) -> tuple[tuple[int, Any, Any], ...]:
-        return self.premises
-
-
+BiRule = Rule
+BiDNode = DNode
 BiDerivation = Derivation
 
 
@@ -204,7 +168,7 @@ def hstep_once(malg, w, node: BiDNode, *recurses):
     """
     brands = [object() for _ in recurses]
     handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in node.premises])
-    wrapped = BiDNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    wrapped = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     recs = map(indexed._index_checking_rec, brands, recurses)
     return malg.steps[node.family - 1](*recs, w, wrapped)
 

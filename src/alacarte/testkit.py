@@ -546,7 +546,7 @@ def _indexed_laws(report: LawReport, rng=None):
         report.record("din-dout", indexed.din(indexed.dout(d)) == d, n.conclusion)
         report.record("validate-sound-for-din", bool(indexed.validate(d)), n.conclusion)
     depth_alg = lambda rec, w, node: 1 + max(
-        (rec(wi, h) for wi, h in node.premises), default=0
+        (rec(wi, h) for _, wi, h in node.premises), default=0
     )
     concl_alg = lambda rec, w, node: w
     for d in derivs:

@@ -241,7 +241,7 @@ def test_criterion_3_computation_rules(small_terms, lang_terms):
                 lifted, n, lambda s: mfold(lifted, s)
             )
         depth_alg = lambda rec, w, node: 1 + max(
-            (rec(wi, h) for wi, h in node.premises), default=0
+            (rec(wi, h) for _, wi, h in node.premises), default=0
         )
         for t in small_terms:
             d = arith.build_eval_derivation(t)
@@ -499,7 +499,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
         # (value = eval of the term) catches it
         rules = [EVAL_SIG.rules["ev1"]]
         ev2 = EVAL_SIG.rules["ev2"]
-        rules.append(rule("ev2", ev2.params, ev2.premises, (), ev2.conclusion))
+        rules.append(rule("ev2", ev2.params, [ix for _, ix in ev2.premises], (), ev2.conclusion))
         mutant = IndexedSignature("Eval-without-sum-check", rules)
         forged = Derivation(
             mutant,
@@ -526,9 +526,10 @@ def _re_sign(d, sig):
     node = d.root
     moved = DNode(
         sig,
+        node.family,
         node.rule,
         node.params,
-        tuple((ix, _re_sign(w, sig)) for ix, w in node.premises),
+        tuple((fam, ix, _re_sign(w, sig)) for fam, ix, w in node.premises),
         node.conclusion,
     )
     return Derivation(sig, moved)

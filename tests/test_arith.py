@@ -69,7 +69,7 @@ def test_build_eval_derivation_lit():
 def test_build_eval_derivation_add():
     d = build_eval_derivation(add(lit(1), lit(2)))
     assert d.root.rule == "ev2"
-    assert [w.root.rule for _, w in d.root.premises] == ["ev1", "ev1"]
+    assert [w.root.rule for _, _, w in d.root.premises] == ["ev1", "ev1"]
     assert validate(d)
 
 
@@ -124,7 +124,7 @@ def test_typof_lit():
 def test_typof_add():
     d = build_typof_derivation(add(lit(1), lit(2)))
     assert d.root.rule == "tof2"
-    assert [w.root.rule for _, w in d.root.premises] == ["tof1", "tof1"]
+    assert [w.root.rule for _, _, w in d.root.premises] == ["tof1", "tof1"]
     assert validate(d)
 
 
@@ -203,8 +203,8 @@ def test_preservation_routes_coincide_sweep():
 def _unstamped(d: Derivation) -> Derivation:
     """A hand-built copy of ``d``: no stamp, no certificate, so checked in full."""
     n = d.root
-    premises = tuple((ix, _unstamped(w)) for ix, w in n.premises)
-    return Derivation(d.sig, DNode(n.sig, n.rule, n.params, premises, n.conclusion))
+    premises = tuple((fam, ix, _unstamped(w)) for fam, ix, w in n.premises)
+    return Derivation(d.sig, DNode(n.sig, n.family, n.rule, n.params, premises, n.conclusion))
 
 
 def test_preservation_of_a_literal_returns_its_typing_derivation():
@@ -255,14 +255,15 @@ def test_evaluation_route_checks_premise_transformers_against_premise_values():
 
     # a hand-built (never validated) ev2 whose left premise claims the value 5
     # for (lit 1): the child link holds, but the transformed literal is 1
-    left = DNode(EVAL_SIG, "ev1", (("x", 1),), (), (lit(1), Val(5)))
+    left = DNode(EVAL_SIG, 1, "ev1", (("x", 1),), (), (lit(1), Val(5)))
     right = build_eval_derivation(lit(2))
     params = {"e1": lit(1), "e2": lit(2), "x1": Val(5), "x2": Val(2), "v": Val(7)}
     node = DNode(
         EVAL_SIG,
+        1,
         "ev2",
         tuple(params.items()),
-        (((lit(1), Val(5)), Derivation(EVAL_SIG, left)), ((lit(2), Val(2)), right)),
+        ((1, (lit(1), Val(5)), Derivation(EVAL_SIG, left)), (1, (lit(2), Val(2)), right)),
         (add(lit(1), lit(2)), Val(7)),
     )
     typd = build_typof_derivation(add(lit(1), lit(2)))

@@ -61,7 +61,7 @@ def test_ifmap_identity():
 def test_ifmap_maps_both_ev2_witnesses():
     n = ev2_node(lit(1), lit(2))
     mapped = ifmap(lambda w, a: ("tagged", w), n)
-    assert [a for _, a in mapped.premises] == [
+    assert [a for _, _, a in mapped.premises] == [
         ("tagged", (lit(1), Val(1))),
         ("tagged", (lit(2), Val(2))),
     ]
@@ -100,9 +100,10 @@ def test_din_rejects_child_conclusion_mismatch():
     good = ev2_node(lit(1), lit(2))
     bad = DNode(
         good.sig,
+        good.family,
         good.rule,
         good.params,
-        ((good.premises[0][0], arith.build_eval_derivation(lit(9))),) + good.premises[1:],
+        ((*good.premises[0][:2], arith.build_eval_derivation(lit(9))),) + good.premises[1:],
         good.conclusion,
     )
     with pytest.raises(InvalidDerivationError, match="premise 0"):
@@ -115,7 +116,7 @@ def test_din_rejects_child_conclusion_mismatch():
 
 def test_ifold_depth_algebra_on_ev1():
     depth_alg = lambda rec, w, node: 1 + max(
-        (rec(wi, h) for wi, h in node.premises), default=0
+        (rec(wi, h) for _, wi, h in node.premises), default=0
     )
     assert ifold(depth_alg, (lit(3), Val(3)), din(ev1_node(3))) == 1
 
@@ -135,7 +136,7 @@ def test_ifold_wrong_index():
 
 def test_ifold_computation_rule():
     depth_alg = lambda rec, w, node: 1 + max(
-        (rec(wi, h) for wi, h in node.premises), default=0
+        (rec(wi, h) for _, wi, h in node.premises), default=0
     )
     for d in eval_derivs(3):
         w = d.root.conclusion
@@ -267,14 +268,14 @@ def test_hand_built_root_over_certified_children_is_checked_in_full():
     good = nat.build(3)
     nat.reset()
     n = good.root
-    hand = DNode(n.sig, n.rule, n.params, n.premises, n.conclusion)
+    hand = DNode(n.sig, n.family, n.rule, n.params, n.premises, n.conclusion)
     assert validate(Derivation(nat.sig, hand))
     assert nat.calls == {"index": 2, "side": 1}  # the root only: children are certified
 
 
 def test_forged_root_over_certified_children_rejected_with_seed_reason():
     forged = Derivation(EVAL_SIG, ev2_node(lit(1), lit(2), forged_sum=99))
-    assert all(validate(w) for _, w in forged.root.premises)
+    assert all(validate(w) for _, _, w in forged.root.premises)
     verdict = validate(forged)
     assert (verdict.ok, verdict.path, verdict.reason) == (
         False,
@@ -282,7 +283,7 @@ def test_forged_root_over_certified_children_rejected_with_seed_reason():
         "rule ev2: side condition 'sum' failed",
     )
     good = ev2_node(lit(1), lit(2))
-    wrong = DNode(good.sig, good.rule, good.params, good.premises, (lit(3), Val(4)))
+    wrong = DNode(good.sig, good.family, good.rule, good.params, good.premises, (lit(3), Val(4)))
     verdict = validate(Derivation(EVAL_SIG, wrong))
     assert (verdict.ok, verdict.path, verdict.reason) == (
         False,
@@ -325,25 +326,29 @@ def test_dnode_rejections_exact_messages():
 def _eval_rejections():
     """(label, node, reason) for every reason the checker gives on EVAL_SIG."""
     good = ev2_node(lit(1), lit(2))
-    (i0, w0), (i1, w1) = good.premises
+    (_, i0, w0), (_, i1, w1) = good.premises
     nine = arith.build_eval_derivation(lit(9))
     typd = arith.build_typof_derivation(lit(2))
 
     def hand(rule="ev2", params=good.params, premises=good.premises, conclusion=good.conclusion):
-        return DNode(EVAL_SIG, rule, params, premises, conclusion)
+        return DNode(EVAL_SIG, 1, rule, params, premises, conclusion)
 
     child = f"rule ev2: premise 0 expects conclusion {i0!r}, child concludes {nine.root.conclusion!r}"
     return [
         ("unknown rule", hand(rule="ev9"), "unknown rule 'ev9'"),
+        ("params", hand(params=7), "rule ev2: params are not a tuple"),
+        ("param pair", hand(params=(1, 2, 3)), "rule ev2: parameter 0 is not a (name, value) pair"),
         ("schema", hand(params=good.params[::-1]), "rule ev2: parameter schema mismatch"),
         ("side", ev2_node(lit(1), lit(2), forged_sum=99), "rule ev2: side condition 'sum' failed"),
+        ("premises", hand(premises=7), "rule ev2: premises are not a tuple"),
+        ("premise triple", hand(premises=((i0, w0), (i1, w1))), "rule ev2: premise 0 is not a (family, index, witness) triple"),
         ("count", hand(premises=good.premises[:1]), "rule ev2: wrong number of premises"),
-        ("index", hand(premises=((i0, w0), ((lit(9), Val(9)), w1))), "rule ev2: premise 1 index mismatch"),
+        ("index", hand(premises=((1, i0, w0), (1, (lit(9), Val(9)), w1))), "rule ev2: premise 1 index mismatch"),
         ("conclusion", hand(conclusion=(lit(3), Val(4))), "rule ev2: conclusion index mismatch"),
-        ("witness node", hand(premises=((i0, w0), (i1, w1.root))), "rule ev2: premise 1 witness is not a derivation"),
-        ("witness sig", hand(premises=((i0, w0), (i1, typd))), "rule ev2: premise 1 witness is not a derivation"),
+        ("witness node", hand(premises=((1, i0, w0), (1, i1, w1.root))), "rule ev2: premise 1 witness is not a derivation"),
+        ("witness sig", hand(premises=((1, i0, w0), (1, i1, typd))), "rule ev2: premise 1 witness is not a derivation"),
         ("stamped witness", EVAL_SIG.dnode("ev2", good.params_dict(), (w0, typd)), "rule ev2: premise 1 witness is not a derivation"),
-        ("child", hand(premises=((i0, nine), (i1, w1))), child),
+        ("child", hand(premises=((1, i0, nine), (1, i1, w1))), child),
         ("stamped child", EVAL_SIG.dnode("ev2", good.params_dict(), (nine, w1)), child),
     ]
 
@@ -370,7 +375,7 @@ def test_fold_index_errors_exact_messages():
     with pytest.raises(WrongIndexError) as exc:
         ifold(lambda rec, w, node: w, (lit(4), Val(4)), d)
     assert str(exc.value) == f"derivation concludes {d.root.conclusion!r}, not {(lit(4), Val(4))!r}"
-    wrong = lambda rec, w, node: [rec((lit(5), Val(5)), h) for _, h in node.premises]
+    wrong = lambda rec, w, node: [rec((lit(5), Val(5)), h) for _, _, h in node.premises]
     with pytest.raises(WrongIndexError) as exc:
         ifold(wrong, d.root.conclusion, d)
     assert str(exc.value) == (
@@ -383,7 +388,7 @@ def test_ifold_checks_the_index_at_the_root_only(monkeypatch):
     calls = []
     public = indexed.ifold
     monkeypatch.setattr(indexed, "ifold", lambda *a: calls.append(a) or public(*a))
-    depth = lambda rec, w, node: 1 + max((rec(ix, h) for ix, h in node.premises), default=0)
+    depth = lambda rec, w, node: 1 + max((rec(ix, h) for _, ix, h in node.premises), default=0)
     assert indexed.ifold(depth, d.root.conclusion, d) == 3
     assert len(calls) == 1  # the recursion does not re-enter the public, root-checking ifold
 

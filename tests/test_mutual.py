@@ -373,6 +373,7 @@ def _parity_rejections(par):
         ("family", hand(family=1), "rule odd-s: family mismatch"),
         ("schema", hand(params=(("m", 0),)), "rule odd-s: parameter schema mismatch"),
         ("side", sig.dnode("odd-s", {"n": 10}, (par.build(10),)), "rule odd-s: side condition 'small' failed"),
+        ("premise triple", hand(premises=((0, zero),)), "rule odd-s: premise 0 is not a (family, index, witness) triple"),
         ("count", hand(premises=()), "rule odd-s: wrong number of premises"),
         ("premise family", hand(premises=((2, 0, zero),)), "rule odd-s: premise 0 family mismatch"),
         ("premise index", hand(premises=((1, 5, zero),)), "rule odd-s: premise 0 index mismatch"),
@@ -515,3 +516,28 @@ def test_a_bi_rule_replaced_after_first_use_is_the_one_dnode_instantiates():
     with pytest.raises(InvalidDerivationError) as exc:
         din_bi(old)
     assert str(exc.value) == "rule two: conclusion index mismatch"
+
+
+# ---------------------------------------------------------------------------
+# one rule class and one rule-instance layout for every family
+
+
+def test_one_rule_class_and_one_node_class_for_every_family():
+    from alacarte.arith import EVAL_SIG
+    from alacarte.indexed import DNode, Rule, rule
+    from alacarte.lang_l.step import STEP_SIG, step_exp
+    from alacarte.mutual import BiRule
+
+    assert DNode is BiDNode and Rule is BiRule
+    params, ix, side, concl = ("n",), lambda P: P["n"], (("small", lambda P: P["n"] < 9),), lambda P: P["n"] + 1
+    one, bi = rule("s", params, (ix,), side, concl), birule(1, "s", params, ((1, ix),), side, concl)
+    assert type(one) is type(bi) is Rule
+    for f in dataclasses.fields(Rule):
+        assert getattr(one, f.name) == getattr(bi, f.name), f.name
+    assert (one.family, one.premises) == (1, ((1, ix),))
+    evaluation = EVAL_SIG.dnode("ev1", {"x": 1})
+    rho = Env([("x", cn("c", Ty("a")))])
+    step = step_exp(rho, vr("x"))[1].root
+    assert step._rule is STEP_SIG.rules[step.rule] and evaluation._rule is EVAL_SIG.rules["ev1"]
+    assert type(evaluation) is type(step) is DNode
+    assert (evaluation.family, step.family) == (1, 2)

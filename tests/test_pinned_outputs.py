@@ -1,4 +1,4 @@
-"""Pinned outputs: term JSON, signature JSON, and the arith derivation JSON.
+"""Pinned outputs: term JSON, signature JSON, and the arith and lang derivation JSON.
 
 Each value below is the exact output the library gives; any change to the
 term representation must leave them byte-for-byte as they are.
@@ -89,3 +89,48 @@ def test_arith_derivation_and_preservation_json_is_pinned(capsys, command):
     code = cli.main(["arith", *command, ARITH_TERM])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, ARITH_STDOUT[command] + "\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the family-tagged lang derivations the CLI prints
+
+LANG_SCOPE = "(scope (env ((x (con k (ty a))))) (var x))"
+LANG_JOIN = "(scope (join (env ((x (con k (ty a))))) (env ())) (var x))"
+
+LANG_STDOUT = {
+    "typecheck": (
+        '(ty a)\n'
+        '{"family": "TypOExp", "index": ["()", "(scope (env ((x (con k (ty a))))) (var x))", "(ty a)"], "params": {"d": "(env ((x (con k (ty a)))))", "e": "(var x)", "gamma": "()", "gammap": "(tenv ((x (ty a))))", "t": "(ty a)"}, "premises": [{"family": "TypODec", "index": ["()", "(env ((x (con k (ty a)))))", "(tenv ((x (ty a))))"], "params": {"gamma": "()", "gammap": "(tenv ((x (ty a))))", "rhop": "((x (con k (ty a))))"}, "premises": [], "rule": "TD-ENV"}, {"family": "TypOExp", "index": ["(tenv ((x (ty a))))", "(var x)", "(ty a)"], "params": {"gamma": "(tenv ((x (ty a))))", "x": "x"}, "premises": [], "rule": "T-VAR"}], "rule": "T-SCOPE"}\n'
+    ),
+    "step": (
+        'E-SCOPE1 (scope (env ((x (con k (ty a))))) (var x))\n'
+        '{"family": "ExpStep", "index": ["()", "(scope (join (env ((x (con k (ty a))))) (env ())) (var x))", "(scope (env ((x (con k (ty a))))) (var x))"], "params": {"d": "(join (env ((x (con k (ty a))))) (env ()))", "dp": "(env ((x (con k (ty a)))))", "e": "(var x)", "rho": "()"}, "premises": [{"family": "DecStep", "index": ["()", "(join (env ((x (con k (ty a))))) (env ()))", "(env ((x (con k (ty a)))))"], "params": {"rho": "()", "rho1": "((x (con k (ty a))))", "rho2": "()"}, "premises": [], "rule": "D-JOIN3"}], "rule": "E-SCOPE1"}\n'
+    ),
+    "trace": (
+        '(scope (join (env ((x (con k (ty a))))) (env ())) (var x))\n'
+        '--E-SCOPE1--> (scope (env ((x (con k (ty a))))) (var x))\n'
+        '{"family": "ExpStep", "index": ["()", "(scope (join (env ((x (con k (ty a))))) (env ())) (var x))", "(scope (env ((x (con k (ty a))))) (var x))"], "params": {"d": "(join (env ((x (con k (ty a))))) (env ()))", "dp": "(env ((x (con k (ty a)))))", "e": "(var x)", "rho": "()"}, "premises": [{"family": "DecStep", "index": ["()", "(join (env ((x (con k (ty a))))) (env ()))", "(env ((x (con k (ty a)))))"], "params": {"rho": "()", "rho1": "((x (con k (ty a))))", "rho2": "()"}, "premises": [], "rule": "D-JOIN3"}], "rule": "E-SCOPE1"}\n'
+        '--E-SCOPE2--> (scope (env ((x (con k (ty a))))) (con k (ty a)))\n'
+        '{"family": "ExpStep", "index": ["()", "(scope (env ((x (con k (ty a))))) (var x))", "(scope (env ((x (con k (ty a))))) (con k (ty a)))"], "params": {"e": "(var x)", "ep": "(con k (ty a))", "rho": "()", "rho1": "((x (con k (ty a))))"}, "premises": [{"family": "ExpStep", "index": ["((x (con k (ty a))))", "(var x)", "(con k (ty a))"], "params": {"rho": "((x (con k (ty a))))", "x": "x"}, "premises": [], "rule": "E-VAR"}], "rule": "E-SCOPE2"}\n'
+        '--E-SCOPE3--> (con k (ty a))\n'
+        '{"family": "ExpStep", "index": ["()", "(scope (env ((x (con k (ty a))))) (con k (ty a)))", "(con k (ty a))"], "params": {"rho": "()", "rho1": "((x (con k (ty a))))", "v": "(con k (ty a))"}, "premises": [], "rule": "E-SCOPE3"}\n'
+        'value\n'
+    ),
+}
+
+
+def _lang_argv(command, env_file):
+    return {
+        "typecheck": ["typecheck", LANG_SCOPE, "--emit-derivation"],
+        "step": ["step", LANG_JOIN, "--emit-derivation"],
+        "trace": ["trace", env_file, LANG_JOIN, "--emit-derivations"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(LANG_STDOUT))
+def test_lang_derivation_json_is_pinned(capsys, tmp_path, command):
+    env_file = tmp_path / "env.sexpr"
+    env_file.write_text("()")
+    code = cli.main(["lang", *_lang_argv(command, str(env_file))])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, LANG_STDOUT[command], "")

@@ -185,7 +185,7 @@ def _expected(d, path, sig):
         return False, (), f"derivation of {sig.name} has a root of {d.sig.name}"
     parent = _at(d, path[:-1]).root
     i = path[-1]
-    family = parent.shape[i][0]
+    family = parent.premises[i][0]
     witness = "a derivation" if type(d.sig) is IndexedSignature else f"a family-{family} derivation"
     return False, path[:-1], f"rule {parent.rule}: premise {i} witness is not {witness}"
 

@@ -34,7 +34,7 @@ def _node():
 
 
 def _dnode():
-    return DNode(REL, "r", (("x", 1),), (), 1)
+    return DNode(REL, 1, "r", (("x", 1),), (), 1)
 
 
 def _binode():
@@ -62,16 +62,16 @@ SAMPLES = {
     ),
     "DNode": (
         DNode,
-        ("sig", "rule", "params", "premises", "conclusion"),
+        ("sig", "family", "rule", "params", "premises", "conclusion"),
         _dnode,
-        "DNode(sig=<IndexedSignature rel>, rule='r', params=(('x', 1),), premises=(), conclusion=1)",
+        "DNode(sig=<IndexedSignature rel>, family=1, rule='r', params=(('x', 1),), premises=(), conclusion=1)",
     ),
     "Derivation": (
         Derivation,
         ("sig", "root"),
         lambda: Derivation(REL, _dnode()),
-        "Derivation(sig=<IndexedSignature rel>, root=DNode(sig=<IndexedSignature rel>, rule='r', "
-        "params=(('x', 1),), premises=(), conclusion=1))",
+        "Derivation(sig=<IndexedSignature rel>, root=DNode(sig=<IndexedSignature rel>, family=1, "
+        "rule='r', params=(('x', 1),), premises=(), conclusion=1))",
     ),
     "BiNode": (
         Node,
@@ -89,14 +89,14 @@ SAMPLES = {
         BiDNode,
         ("sig", "family", "rule", "params", "premises", "conclusion"),
         _bidnode,
-        "BiDNode(sig=<IndexedBiSignature birel>, family=1, rule='b', params=(('x', 1),), "
+        "DNode(sig=<IndexedBiSignature birel>, family=1, rule='b', params=(('x', 1),), "
         "premises=(), conclusion=1)",
     ),
     "BiDerivation": (
         BiDerivation,
         ("sig", "root"),
         lambda: BiDerivation(BIREL, _bidnode()),
-        "Derivation(sig=<IndexedBiSignature birel>, root=BiDNode(sig=<IndexedBiSignature "
+        "Derivation(sig=<IndexedBiSignature birel>, root=DNode(sig=<IndexedBiSignature "
         "birel>, family=1, rule='b', params=(('x', 1),), premises=(), conclusion=1))",
     ),
     "Val": (Val, ("vv",), lambda: Val(3), "Val(vv=3)"),
@@ -231,12 +231,10 @@ def _match(value):
             return sig, ctor, rec, payload
         case Term(sig, root):
             return sig, root
-        case DNode(sig, name, params, premises, conclusion):
-            return sig, name, params, premises, conclusion
+        case DNode(sig, family, name, params, premises, conclusion):
+            return sig, family, name, params, premises, conclusion
         case Derivation(sig, root):
             return sig, root
-        case BiDNode(sig, family, name, params, premises, conclusion):
-            return sig, family, name, params, premises, conclusion
         case Val(vv):
             return (vv,)
         case TypN():
@@ -273,7 +271,7 @@ def test_hand_built_relation_values_carry_no_stamp_or_certificate():
     for d in (SAMPLES["Derivation"][2](), SAMPLES["BiDerivation"][2]()):
         assert d._certified is False
     with pytest.raises(TypeError):
-        DNode(REL, "r", (("x", 1),), (), 1, _rule=None)
+        DNode(REL, 1, "r", (("x", 1),), (), 1, _rule=None)
     with pytest.raises(TypeError):
         BiDerivation(BIREL, _bidnode(), _certified=True)
 
@@ -367,8 +365,8 @@ OTHER_BISIG = BiSignature("otherbisig", {"a": ()}, {"b": ()})
 OTHER = {
     "Node": (TRM_G2, "add", (1,), (4,)),
     "Term": (TRM_G2, Node(TRM_G1, "lit", (), (4,))),
-    "DNode": (OTHER_REL, "s", (("x", 2),), ((1, None),), 2),
-    "Derivation": (OTHER_REL, DNode(REL, "r", (("x", 2),), (), 2)),
+    "DNode": (OTHER_REL, 2, "s", (("x", 2),), ((1, 1, None),), 2),
+    "Derivation": (OTHER_REL, DNode(REL, 1, "r", (("x", 2),), (), 2)),
     "BiNode": (OTHER_BISIG, "cn", (1,), ("y",)),
     "BiTerm": (OTHER_BISIG, Node(LANG, "vr", (), ("y",))),
     "BiDNode": (OTHER_BIREL, 2, "c", (("x", 2),), ((1, 1, None),), 2),
