@@ -289,7 +289,12 @@ def _check_node(n) -> bool:
     ``(family, index, witness)`` triples.
     """
     sig = n.sig
-    r = sig.rules.get(n.rule)
+    try:
+        r = sig.rules.get(n.rule)
+    except AttributeError:  # ``sig`` is no rule table
+        raise _Rejected(f"rule {n.rule!r}: signature is {_sig_name(sig)}") from None
+    except TypeError:  # an unhashable rule name names no rule
+        r = None
     if r is None:
         raise _Rejected(f"unknown rule {n.rule!r}")
     if n._rule is r:
@@ -328,6 +333,13 @@ def _check_node(n) -> bool:
         if not w._certified:
             certified = False
     return certified
+
+
+def _sig_name(sig) -> str:
+    """How a rejection names a signature that may not be an indexed one."""
+    if isinstance(sig, IndexedSignature):
+        return sig.name
+    return f"a {type(sig).__name__}, not an indexed signature"
 
 
 def _check_layout(n, attr, item, width, what):
@@ -379,10 +391,12 @@ def _check_tree(d) -> Validity:
     """The tree validator of ``validate`` and ``mutual.validate_bi``."""
     if d._certified:
         return Validity(True)
+    if not isinstance(d.sig, IndexedSignature):
+        return Validity(False, (), f"derivation signature is {_sig_name(d.sig)}")
     if not isinstance(d.root, DNode):
         return Validity(False, (), f"derivation of {d.sig.name} has no rule instance at its root")
     if d.root.sig is not d.sig:
-        return Validity(False, (), f"derivation of {d.sig.name} has a root of {d.root.sig.name}")
+        return Validity(False, (), f"derivation of {d.sig.name} has a root of {_sig_name(d.root.sig)}")
     stack = [(d.root, ())]
     while stack:
         node, path = stack.pop()

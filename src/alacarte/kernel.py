@@ -22,10 +22,10 @@ function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
 what ``node`` and then ``in_`` check, in their order and with their
 messages, and builds the term in one call.  On a coproduct a tagged
 constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
-``lang_l``'s term constructors (``vr``, ``scope``, ...) and the terms of
-``arith``'s rule conclusions are built by such functions; folds,
-enumerators, JSON decoding, the laws and the public ``arith.lit``/``add``
-build through ``node`` and ``in_``.  Generated code (these constructors,
+``lang_l``'s term constructors (``vr``, ``scope``, ...), the terms of
+``arith``'s rule conclusions and the enumerators' terms are built by such
+functions; folds, JSON decoding, the laws and the public
+``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
 the value classes' ``__init__`` and ``__eq__`` and the compiled rules) goes
 through ``run_generated``, which compiles each distinct source once.
 

@@ -41,47 +41,75 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _read_one(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise SexprError("unclosed '('")
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read_one(tokens, pos)
-            items.append(item)
-    if tok == ")":
-        raise SexprError("unexpected ')'")
+def _read_atom(tok: str):
     if _INT.match(tok):
         try:
-            return int(tok), pos + 1
+            return int(tok)
         except ValueError:  # more digits than Python converts
             digits = len(tok.lstrip("+-"))
             raise SexprError(
                 f"integer literal has {digits} digits, more than the limit of {sys.get_int_max_str_digits()}"
             ) from None
-    return tok, pos + 1
+    return tok
 
 
 def read(text: str):
-    """Parse exactly one s-expression; trailing garbage is an error."""
+    """Parse exactly one s-expression; trailing garbage is an error.
+
+    The lists still open are kept on an explicit stack, so nesting depth is
+    limited by memory, not by the recursion limit.
+    """
     tokens = tokenize(text)
     if not tokens:
         raise SexprError("empty input")
-    expr, pos = _read_one(tokens, 0)
-    if pos != len(tokens):
-        raise SexprError(f"trailing input after expression: {tokens[pos]!r}")
-    return expr
+    open_lists = []  # innermost last
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            open_lists.append([])
+            continue
+        if tok != ")":
+            expr = _read_atom(tok)
+        elif open_lists:
+            expr = open_lists.pop()
+        else:
+            raise SexprError("unexpected ')'")
+        if open_lists:
+            open_lists[-1].append(expr)
+        elif pos + 1 != len(tokens):
+            raise SexprError(f"trailing input after expression: {tokens[pos + 1]!r}")
+        else:
+            return expr
+    raise SexprError("unclosed '('")
 
 
 def write(expr) -> str:
-    if isinstance(expr, list):
-        return "(" + " ".join(write(e) for e in expr) + ")"
+    """The text of ``expr``, which must be acyclic, as ``read``'s results are.
+
+    Written in one pass, with the lists still open kept on an explicit
+    stack, so nesting depth is limited by memory, not by the recursion limit.
+    """
+    if not isinstance(expr, list):
+        return _write_atom(expr)
+    out = ["("]
+    open_lists = [iter(expr)]  # per open list, innermost last: its items left to write
+    sep = ""  # what goes before the next item: nothing right after a "("
+    while open_lists:
+        for e in open_lists[-1]:
+            if isinstance(e, list):
+                out.append(sep + "(")
+                open_lists.append(iter(e))
+                sep = ""
+                break
+            out.append(sep + _write_atom(e))
+            sep = " "
+        else:
+            open_lists.pop()
+            out.append(")")
+            sep = " "
+    return "".join(out)
+
+
+def _write_atom(expr) -> str:
     if isinstance(expr, bool):
         raise SexprError("booleans are not part of the surface syntax")
     if isinstance(expr, int):

@@ -12,14 +12,16 @@ deliberately shares no code with the kernel fold paths.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
+from itertools import chain, product, starmap
 from typing import Any, Iterator, Optional
 
 from . import arith
 from .arith import Val
 from .indexed import Derivation, InvalidDerivationError, WrongIndexError
-from .kernel import Signature, Term, in_
+from .kernel import Signature, Term
 from .mutual import BiDerivation, BiTerm
 from .lang_l import (
     Arrow,
@@ -79,36 +81,72 @@ BiEnumSpec = EnumSpec
 
 
 def term_layers(spec: EnumSpec) -> list[list[Term]]:
-    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms, sort 1's first."""
+    """Terms grouped by exact depth; ``layers[d]`` holds the depth-d terms, sort 1's first.
+
+    Layer d is built directly, with no per-tuple filter.  Each sort's terms
+    below depth d are kept in order of depth, so its depth-(d - 1) terms are
+    the fresh tail of that list, and a constructor's depth-d terms are those
+    whose slot tuples take some recursive slot from a fresh tail.  Terms are
+    built by the signature's generated constructors.  Every new term holds
+    only earlier terms and pool values, so no cycle is made, and the cycle
+    collector is paused for the call instead of re-scanning the growing
+    enumeration; its prior state is restored on the way out.
+    """
     sig = spec.signature
     layers: list[list[Term]] = [[] for _ in range(spec.max_depth + 1)]
     below: dict[str, list[Term]] = {kind: [] for kind in sig.rec_kinds}  # per sort, by its slot kind
-    depth_of: dict[int, int] = {}
-    for d in range(1, spec.max_depth + 1):
-        new = []
-        for table in sig.sorts:
-            made = []
-            for ctor, kinds in table.items():
-                rec_positions = [i for i, k in enumerate(kinds) if k in below]
-                if (d == 1) != (not rec_positions):
-                    continue
-                candidates = [below[k] if k in below else list(spec.pools[k]) for k in kinds]
-                for slots in _product(candidates):
-                    if rec_positions and (
-                        max(depth_of[id(slots[i])] for i in rec_positions) != d - 1
-                    ):
+    fresh_from = dict.fromkeys(sig.rec_kinds, 0)  # where each sort's depth-(d - 1) terms start in ``below``
+    pools = {kind: tuple(pool) for kind, pool in spec.pools.items()}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for d in range(1, spec.max_depth + 1):
+            new = []
+            for table in sig.sorts:
+                made = []
+                for ctor, kinds in table.items():
+                    recursive = any(k in below for k in kinds)
+                    if (d == 1) == recursive:
                         continue
-                    made.append(in_(Signature.node(sig, ctor, slots)))
-            new.append(made)
-        for kind, made in zip(sig.rec_kinds, new):
-            for t in made:
-                depth_of[id(t)] = d
-            below[kind].extend(made)
-        layer, *rest = new
-        for made in rest:
-            layer += made
-        layers[d] = layer
+                    build = Signature.constructor(sig, ctor)
+                    candidates = [below[k] if k in below else pools[k] for k in kinds]
+                    if recursive:
+                        starts = [fresh_from.get(k) for k in kinds]
+                        slot_tuples = chain.from_iterable(_fresh_products(candidates, starts))
+                    else:
+                        slot_tuples = product(*candidates)
+                    made.extend(starmap(build, slot_tuples))
+                new.append(made)
+            for kind, made in zip(sig.rec_kinds, new):
+                fresh_from[kind] = len(below[kind])
+                below[kind].extend(made)
+            layers[d] = list(chain.from_iterable(new))
+    finally:
+        if collecting:
+            gc.enable()
     return layers
+
+
+def _fresh_products(candidates, starts, fixed=()):
+    """``itertools.product`` pieces yielding, in product order, the slot tuples with a fresh slot.
+
+    ``candidates[i]`` lists slot i's values and ``starts[i]`` is where its
+    fresh tail begins, or None for a payload slot; ``fixed`` holds the
+    one-value lists of the slots already chosen, none of them fresh.  An
+    older choice recurses until a later recursive slot takes the fresh
+    tail; a fresh choice leaves the remaining slots free.
+    """
+    i = len(fixed)
+    values, start = candidates[i], starts[i]
+    if start is None:  # a payload slot before some recursive slot
+        for x in values:
+            yield from _fresh_products(candidates, starts, fixed + ((x,),))
+        return
+    if any(s is not None for s in starts[i + 1 :]):  # a later slot can still be the fresh one
+        for x in values[:start]:
+            yield from _fresh_products(candidates, starts, fixed + ((x,),))
+    if start < len(values):
+        yield product(*fixed, values[start:], *candidates[i + 1 :])
 
 
 def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:

@@ -400,6 +400,7 @@ def _apps(depth: int) -> str:
     [
         pytest.param(["arith", "eval", _left_nested_adds(3000)], id="arith-eval"),
         pytest.param(["lang", "parse", _apps(1500)], id="lang-parse"),
+        pytest.param(["lang", "parse", _apps(3000)], id="lang-parse-3000"),
         pytest.param(["dump", "--sort", "exp", _apps(1500)], id="dump-exp"),
     ],
 )

@@ -370,6 +370,43 @@ def test_checker_rejections_exact_reasons_at_root_and_nested():
         assert (verdict.ok, verdict.path, verdict.reason) == (False, (1,), reason), label
 
 
+def test_checker_rejects_a_node_of_no_indexed_signature_or_an_unhashable_rule():
+    good = ev2_node(lit(1), lit(2))
+    cases = [
+        (
+            "sig",
+            dataclasses.replace(good, sig=None),
+            "rule 'ev2': signature is a NoneType, not an indexed signature",
+            "derivation of Eval has a root of a NoneType, not an indexed signature",
+        ),
+        ("rule", dataclasses.replace(good, rule=["ev2"]), "unknown rule ['ev2']", "unknown rule ['ev2']"),
+    ]
+    for label, bad, reason, root_reason in cases:
+        with pytest.raises(InvalidDerivationError) as exc:
+            din(bad)
+        assert str(exc.value) == reason, label
+        verdict = validate(Derivation(EVAL_SIG, bad))
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (), root_reason), label
+        e, x = bad.conclusion
+        parent = EVAL_SIG.dnode(
+            "ev2",
+            {"e1": lit(0), "e2": e, "x1": Val(0), "x2": x, "v": x},
+            (arith.build_eval_derivation(lit(0)), Derivation(EVAL_SIG, bad)),
+        )
+        verdict = validate(Derivation(EVAL_SIG, parent))
+        if label == "sig":  # the parent reads the witness's signature from its root
+            expected = (False, (), "rule ev2: premise 1 witness is not a derivation")
+        else:
+            expected = (False, (1,), reason)
+        assert (verdict.ok, verdict.path, verdict.reason) == expected, label
+    verdict = validate(Derivation(None, good))
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "derivation signature is a NoneType, not an indexed signature",
+    )
+
+
 def test_fold_index_errors_exact_messages():
     d = arith.build_eval_derivation(add(lit(1), lit(2)))
     with pytest.raises(WrongIndexError) as exc:

@@ -405,6 +405,37 @@ def test_bi_checker_rejections_exact_reasons_at_root_and_nested():
             assert (verdict.ok, verdict.path, verdict.reason) == (False, path, reason), label
 
 
+def test_bi_checker_rejects_a_node_of_no_indexed_signature_or_an_unhashable_rule():
+    par = CountingParity()
+    sig = par.sig
+    good = sig.dnode("odd-s", {"n": 0}, (par.build(0),))
+    cases = [
+        ("sig", dataclasses.replace(good, sig=None), "rule 'odd-s': signature is a NoneType, not an indexed signature"),
+        ("rule", dataclasses.replace(good, rule=["odd-s"]), "unknown rule ['odd-s']"),
+    ]
+    for label, bad, reason in cases:
+        with pytest.raises(InvalidDerivationError) as exc:
+            din_bi(bad)
+        assert str(exc.value) == reason, label
+        verdict = validate_bi(BiDerivation(sig, bad))
+        if label == "sig":
+            reason = "derivation of CountingParity has a root of a NoneType, not an indexed signature"
+        assert (verdict.ok, verdict.path, verdict.reason) == (False, (), reason), label
+        parent = sig.dnode("even-s", {"n": 1}, (BiDerivation(sig, bad),))
+        verdict = validate_bi(BiDerivation(sig, parent))
+        if label == "sig":  # the parent reads the witness's signature from its root
+            expected = (False, (), "rule even-s: premise 0 witness is not a family-2 derivation")
+        else:
+            expected = (False, (0,), reason)
+        assert (verdict.ok, verdict.path, verdict.reason) == expected, label
+    verdict = validate_bi(BiDerivation(None, good))
+    assert (verdict.ok, verdict.path, verdict.reason) == (
+        False,
+        (),
+        "derivation signature is a NoneType, not an indexed signature",
+    )
+
+
 def test_bi_fold_entry_errors_exact_messages():
     par = CountingParity()
     odd, even = par.build(3), par.build(2)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,46 @@ def test_errors():
     for bad in ["", "(a", "a)", "(a) b", ")"]:
         with pytest.raises(sexpr.SexprError):
             sexpr.read(bad)
+
+
+TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (" \n", "empty input"),
+        (")", "unexpected ')'"),
+        (") (", "unexpected ')'"),
+        ("((a) (b", "unclosed '('"),
+        ("a)", "trailing input after expression: ')'"),
+        ("(a) b (", "trailing input after expression: 'b'"),
+        (f"(a) {TOO_LONG}", "trailing input after expression: '" + TOO_LONG + "'"),
+        pytest.param(
+            f"(a ({TOO_LONG}) (",
+            f"integer literal has {len(TOO_LONG)} digits, more than the limit of {sys.get_int_max_str_digits()}",
+            marks=pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="integer digit limit is off"),
+        ),
+    ],
+)
+def test_error_texts_name_the_first_fault_in_reading_order(bad, message):
+    with pytest.raises(sexpr.SexprError) as info:
+        sexpr.read(bad)
+    assert str(info.value) == message
+
+
+def test_round_trip_at_depth_100000():
+    depth = 100_000
+    text = "".join(f"(k{i} " for i in range(depth)) + "(leaf -1)" + "".join(f" {i})" for i in reversed(range(depth)))
+    expr = sexpr.read(text)
+    node = expr
+    for i in range(depth):
+        assert len(node) == 3 and node[0] == f"k{i}" and node[2] == i
+        node = node[1]
+    assert node == ["leaf", -1]
+    assert sexpr.write(expr) == text
+    empty = "(" * depth + ")" * depth
+    assert sexpr.write(sexpr.read(empty)) == empty
 
 
 atoms = st.one_of(

@@ -1,12 +1,17 @@
 """Enumeration counts, the evaluation oracle, generators, and law suites."""
 
+import gc
 import json
+
+import pytest
 
 from alacarte import arith, kernel, testkit
 from alacarte.arith import Val, add, lit
 from alacarte.indexed import validate
+from alacarte.kernel import MalformedNodeError, Signature, in_
 from alacarte.lang_l import LANG
 from alacarte.mutual import validate_bi
+from test_three_sorts import PARITY, POOLS
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,69 @@ def test_enumeration_deterministic():
     a = [arith.print_term(t) for t in testkit.enumerate_terms(spec)]
     b = [arith.print_term(t) for t in testkit.enumerate_terms(spec)]
     assert a == b
+
+
+def reference_layers(spec):
+    """The filtering enumerator: every slot tuple over all shallower terms, kept when it reaches depth d - 1."""
+    sig = spec.signature
+    layers = [[] for _ in range(spec.max_depth + 1)]
+    below = {kind: [] for kind in sig.rec_kinds}
+    depth_of = {}
+    for d in range(1, spec.max_depth + 1):
+        new = []
+        for table in sig.sorts:
+            made = []
+            for ctor, kinds in table.items():
+                rec_positions = [i for i, k in enumerate(kinds) if k in below]
+                if (d == 1) != (not rec_positions):
+                    continue
+                candidates = [below[k] if k in below else list(spec.pools[k]) for k in kinds]
+                for slots in testkit._product(candidates):
+                    if rec_positions and max(depth_of[id(slots[i])] for i in rec_positions) != d - 1:
+                        continue
+                    made.append(in_(Signature.node(sig, ctor, slots)))
+            new.append(made)
+        for kind, made in zip(sig.rec_kinds, new):
+            for t in made:
+                depth_of[id(t)] = d
+            below[kind].extend(made)
+        layers[d] = [t for made in new for t in made]
+    return layers
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(testkit.arith_enum(3, testkit.ARITH_POOL_FULL), id="arith-3-full-pool"),
+        pytest.param(testkit.arith_enum(4), id="arith-4-small-pool"),
+        pytest.param(testkit.EnumSpec(LANG, 3, testkit._lang_pools()), id="lang-3"),
+        pytest.param(testkit.EnumSpec(PARITY, 4, POOLS), id="parity-4"),
+    ],
+)
+def test_term_layers_equal_the_filtering_reference_in_order(spec):
+    assert testkit.term_layers(spec) == reference_layers(spec)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_term_layers_pause_the_collector_and_restore_its_state(enabled):
+    seen = []
+    kernel.register_payload_kind("probe", lambda v: seen.append(gc.isenabled()) or v != "bad")
+    was = gc.isenabled()
+    set_collector = lambda on: gc.enable() if on else gc.disable()
+    try:
+        set_collector(enabled)
+        probed = Signature("probed", {"leaf": ("int",), "pair": ("rec", "probe", "rec")})
+        layers = testkit.term_layers(testkit.EnumSpec(probed, 3, {"int": (0, 1), "probe": ("a", "b")}))
+        assert [len(layer) for layer in layers] == [0, 2, 2 * 2 * 2, 10 * 2 * 10 - 2 * 2 * 2]
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        # a pool value that fails its payload check part-way through layer 2
+        with pytest.raises(MalformedNodeError, match="'bad' is not a valid 'probe' payload"):
+            testkit.term_layers(testkit.EnumSpec(probed, 3, {"int": (0, 1), "probe": ("a", "bad")}))
+        assert gc.isenabled() is enabled
+    finally:
+        set_collector(was)
+        kernel._PAYLOAD_KINDS.pop("probe", None)
 
 
 # ---------------------------------------------------------------------------
