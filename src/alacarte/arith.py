@@ -276,7 +276,9 @@ def _preservation_step(rec, w, node):
         out2 = rec(w2, h2)(td2)
         x1 = lit_value(out1.root.conclusion[0])
         x2 = lit_value(out2.root.conclusion[0])
-        if evaluation and (Val(x1) != w1[1] or Val(x2) != w2[1]):
+        if evaluation and not (  # only a Val index of the same value agrees
+            w1[1].__class__ is Val and w1[1].vv == x1 and w2[1].__class__ is Val and w2[1].vv == x2
+        ):
             raise InvalidDerivationError("premise transformers disagreed with indices")
         return _tof1(Val(x1 + x2))
 
@@ -322,9 +324,9 @@ def parse_term(text: str) -> Term:
 def term_of_sexpr(expr) -> Term:
     match expr:
         case ["lit", int(x)]:
-            return lit(x)
+            return _lit(x)
         case ["add", a, b]:
-            return add(term_of_sexpr(a), term_of_sexpr(b))
+            return _add(term_of_sexpr(a), term_of_sexpr(b))
     raise sexpr.SexprError(f"not an arithmetic term: {sexpr.write(expr)}")
 
 
@@ -344,18 +346,49 @@ def print_val(v: Val) -> str:
     return sexpr.write(["val", v.vv])
 
 
+def _index_encoder():
+    """A fresh ``encode_index`` that builds each distinct subterm's text once.
+
+    A term's text is composed from its children's texts, which are kept by
+    ``id`` for the encoder's lifetime: the terms are reachable from the value
+    being encoded, so none of them is freed, and no id reused, while it runs.
+    Structural ``Term.__hash__`` is not cached, so it would cost more than
+    the printing it saves.  The left child is printed before the right, so
+    a term holding literals ``sexpr`` cannot print raises the error
+    ``print_term`` would.
+    """
+    texts = {}
+
+    def term_text(t: Term) -> str:
+        text = texts.get(id(t))
+        if text is None:
+            node = t.root
+            if node.ctor == LIT:
+                text = f"(lit {sexpr._write_atom(node.payload[0])})"
+            else:
+                a, b = node.rec
+                text = f"(add {term_text(a)} {term_text(b)})"
+            texts[id(t)] = text
+        return text
+
+    def encode(v):
+        if isinstance(v, Term):
+            return term_text(v)
+        if isinstance(v, Val):
+            return print_val(v)
+        if isinstance(v, TypN):
+            return "N"
+        if isinstance(v, tuple):
+            return [encode(x) for x in v]
+        return v
+
+    return encode
+
+
 def encode_index(v):
     """JSON encoding for values occurring in arith derivation indices."""
-    if isinstance(v, Term):
-        return print_term(v)
-    if isinstance(v, Val):
-        return print_val(v)
-    if isinstance(v, TypN):
-        return "N"
-    if isinstance(v, tuple):
-        return [encode_index(x) for x in v]
-    return v
+    return _index_encoder()(v)
 
 
 def derivation_json(d: Derivation) -> dict:
-    return derivation_to_json(d, encode_index)
+    return derivation_to_json(d, _index_encoder())

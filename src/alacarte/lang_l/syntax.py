@@ -72,6 +72,11 @@ class Env:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[tuple[str, Any]] = ()):
+        if entries.__class__ in (list, tuple) and len(entries) == 1:  # one binding: nothing to sort
+            ((k, v),) = entries
+            if k.__class__ is str:
+                object.__setattr__(self, "_entries", ((k, v),))
+                return
         items = {}
         for k, v in entries:
             items[k] = v
@@ -112,12 +117,19 @@ EMPTY_ENV = Env()
 def env_union(left: Env, right: Env) -> Env:
     """Right-biased union; the one bias used by both stepping and typing.
 
-    An empty side leaves the other side as it is, which is that union.
+    An empty side leaves the other side as it is, which is that union. Two
+    sides whose string keys are already in order, every key of ``left``
+    below every key of ``right``, are concatenated with no sort.
     """
     if not right._entries:
         return left
     if not left._entries:
         return right
+    last, first = left._entries[-1][0], right._entries[0][0]
+    if last.__class__ is str and first.__class__ is str and last < first:
+        union = Env.__new__(Env)
+        object.__setattr__(union, "_entries", left._entries + right._entries)
+        return union
     return Env(left._entries + right._entries)
 
 

@@ -11,7 +11,8 @@ import re
 import sys
 
 _INT = re.compile(r"[+-]?\d+$")
-_DELIMS = "()"
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+_UNPRINTABLE = re.compile(r"[\s()]")  # what a string atom may not contain
 
 
 class SexprError(Exception):
@@ -23,22 +24,13 @@ class IntTooLongError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _DELIMS:
-            tokens.append(c)
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in _DELIMS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    """Each delimiter, and each maximal run of non-space, non-delimiter characters.
+
+    Python's ``\\s`` matches exactly the characters ``str.isspace`` calls
+    whitespace, so ``_TOKEN`` splits the text where a scan by ``isspace``
+    would; a tier-1 test checks that on the running interpreter.
+    """
+    return _TOKEN.findall(text)
 
 
 def _read_atom(tok: str):
@@ -120,7 +112,7 @@ def _write_atom(expr) -> str:
                 f"an integer has more than {sys.get_int_max_str_digits()} digits"
             ) from None
     if isinstance(expr, str):
-        if expr == "" or any(ch.isspace() or ch in _DELIMS for ch in expr):
+        if expr == "" or _UNPRINTABLE.search(expr):
             raise SexprError(f"unprintable atom: {expr!r}")
         return expr
     raise SexprError(f"unprintable value: {expr!r}")

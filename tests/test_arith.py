@@ -344,3 +344,187 @@ def test_rule_conclusions_reject_as_the_public_builders_do(relation, rule_name, 
         with pytest.raises(MalformedNodeError) as got:
             build()
         assert str(got.value) == message
+
+
+def _hand_built_ev2(x1):
+    """A never-validated ``ev2`` over ``(lit 1)`` and ``(lit 2)`` whose left premise index is ``x1``."""
+    from alacarte.indexed import DNode
+
+    left = DNode(EVAL_SIG, 1, "ev1", (("x", 1),), (), (lit(1), x1))
+    right = build_eval_derivation(lit(2))
+    params = {"e1": lit(1), "e2": lit(2), "x1": x1, "x2": Val(2), "v": Val(3)}
+    node = DNode(
+        EVAL_SIG,
+        1,
+        "ev2",
+        tuple(params.items()),
+        ((1, (lit(1), x1), Derivation(EVAL_SIG, left)), (1, (lit(2), Val(2)), right)),
+        (add(lit(1), lit(2)), Val(3)),
+    )
+    return Derivation(EVAL_SIG, node)
+
+
+class _EqualToEveryVal:
+    """An index whose ``__eq__`` claims equality with any ``Val``, so ``Val.__eq__`` defers to it."""
+
+    vv = 1
+
+    def __eq__(self, other):
+        return isinstance(other, Val) or other is self
+
+    __hash__ = object.__hash__
+
+
+@pytest.mark.parametrize("x1", [1, _EqualToEveryVal()], ids=["int", "equal-to-every-Val"])
+def test_only_a_val_index_of_the_transformed_value_agrees(x1):
+    from alacarte import arith
+    from alacarte.indexed import ifold
+
+    d = _hand_built_ev2(x1)
+    typd = build_typof_derivation(add(lit(1), lit(2)))
+    with pytest.raises(InvalidDerivationError) as exc:
+        ifold(arith._preservation_step, d.root.conclusion, d)(typd)
+    assert str(exc.value) == "premise transformers disagreed with indices"
+    assert ifold(arith._preservation_step, d.root.conclusion, _hand_built_ev2(Val(1)))(typd).root.conclusion == (
+        lit(3),
+        N,
+    )
+
+
+def test_an_index_equal_to_every_val_validates_but_does_not_preserve():
+    from alacarte.indexed import din
+
+    e1, e2 = lit(1), lit(2)
+    params = {"e1": e1, "e2": e2, "x1": _EqualToEveryVal(), "x2": Val(2), "v": Val(3)}
+    d = din(EVAL_SIG.dnode("ev2", params, (build_eval_derivation(e1), build_eval_derivation(e2))))
+    assert validate(d)
+    with pytest.raises(InvalidDerivationError) as exc:
+        preservation(d, build_typof_derivation(add(e1, e2)))
+    assert str(exc.value) == "premise transformers disagreed with indices"
+
+
+# ---------------------------------------------------------------------------
+# the text of terms and derivations against the printers they replaced
+
+
+def reference_encode_index(v):
+    """The spec: every term printed from scratch with ``print_term``."""
+    from alacarte.kernel import Term
+    from alacarte.arith import TypN
+
+    if isinstance(v, Term):
+        return print_term(v)
+    if isinstance(v, Val):
+        return print_val(v)
+    if isinstance(v, TypN):
+        return "N"
+    if isinstance(v, tuple):
+        return [reference_encode_index(x) for x in v]
+    return v
+
+
+def reference_derivation_json(d):
+    from alacarte.indexed import derivation_to_json
+
+    return derivation_to_json(d, reference_encode_index)
+
+
+def reference_term_of_sexpr(expr):
+    """The spec: literals and additions built through the public ``lit``/``add``."""
+    from alacarte.sexpr import SexprError, write
+
+    match expr:
+        case ["lit", int(x)]:
+            return lit(x)
+        case ["add", a, b]:
+            return add(reference_term_of_sexpr(a), reference_term_of_sexpr(b))
+    raise SexprError(f"not an arithmetic term: {write(expr)}")
+
+
+def test_derivation_json_equals_the_reprinting_encoder_on_every_depth3_derivation():
+    from alacarte.arith import derivation_json
+
+    for t in testkit.enumerate_terms(testkit.arith_enum(3, testkit.ARITH_POOL_FULL)):
+        for d in (build_eval_derivation(t), build_typof_derivation(t), build_istrm(t)):
+            assert derivation_json(d) == reference_derivation_json(d)
+
+
+def test_derivation_json_equals_the_reprinting_encoder_on_shared_subterms_and_preserve_output():
+    from alacarte.arith import derivation_json, encode_index
+
+    s = add(lit(3), add(lit(-4), lit(5)))
+    t = add(add(s, s), s)  # one subterm object in several places
+    d = build_eval_derivation(t)
+    assert derivation_json(d) == reference_derivation_json(d)
+    out = preservation(d, build_typof_derivation(t))
+    assert derivation_json(out) == reference_derivation_json(out)
+    assert derivation_json(build_istrm(t)) == reference_derivation_json(build_istrm(t))
+    value = (t, s, (Val(4), N), "x", 7)
+    assert encode_index(value) == reference_encode_index(value)
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except Exception as e:  # the exception itself is what is compared
+        return type(e), str(e)
+    return None
+
+
+def test_derivation_json_raises_what_the_reprinting_encoder_raises_first():
+    import sys
+
+    from alacarte.arith import TRM, LIT, derivation_json, encode_index
+    from alacarte.kernel import Node, Term
+
+    if sys.get_int_max_str_digits() == 0:
+        pytest.skip("integer digit limit is off")
+    boolean = Term(TRM, Node(TRM, LIT, (), (True,)))  # hand-built: the payload check is skipped
+    huge = lit(10 ** (sys.get_int_max_str_digits() + 1))
+    for t in (add(boolean, huge), add(huge, boolean), add(add(lit(1), boolean), add(huge, lit(2)))):
+        got = _raised(encode_index, (lit(1), t))
+        assert got is not None and got == _raised(reference_encode_index, (lit(1), t))
+    d = build_istrm(add(lit(1), add(huge, lit(2))))
+    got = _raised(derivation_json, d)
+    assert got is not None and got == _raised(reference_derivation_json, d)
+
+
+def test_parse_term_equals_parsing_through_the_public_builders():
+    from alacarte import sexpr
+
+    texts = [print_term(t) for t in enum_terms(3)] + [
+        "(lit)",
+        "(lit a)",
+        "(lit 1 2)",
+        "(add (lit 1))",
+        "(add (lit 1) (lit x))",
+        "(add (mul (lit 1) (lit 2)) (lit))",
+        "(mul (lit 1) (lit 2))",
+        "lit",
+        "5",
+        "((lit 1))",
+        "(add (lit 1) (lit 2)",
+        "",
+    ]
+    for text in texts:
+        want = _raised(lambda: reference_term_of_sexpr(sexpr.read(text)))
+        assert _raised(parse_term, text) == want
+        if want is None:
+            assert parse_term(text) == reference_term_of_sexpr(sexpr.read(text))
+
+
+def _left_nested(depth):
+    t = lit(0)
+    for i in range(depth):
+        t = add(t, lit(i))
+    return t
+
+
+def test_term_and_derivation_text_at_depth_320():
+    from alacarte.arith import derivation_json
+
+    t = _left_nested(320)
+    text = print_term(t)
+    assert text.startswith("(add " * 320 + "(lit 0) (lit 0))")
+    js = derivation_json(build_eval_derivation(t))
+    assert js["index"] == [text, print_val(eval_(t))]

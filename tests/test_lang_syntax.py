@@ -70,6 +70,54 @@ def test_env_union_with_an_empty_side_is_the_other_side():
     assert env_union(EMPTY_ENV, Env()) == EMPTY_ENV
 
 
+def reference_env_entries(entries):
+    """The spec: the last binding of each key, sorted by key."""
+    items = {}
+    for k, v in entries:
+        items[k] = v
+    return tuple(sorted(items.items()))
+
+
+env_keys = st.sampled_from(["a", "b", "c", "x", "y", "z", "xs", ""])
+env_entries = st.lists(st.tuples(env_keys, st.integers(0, 3)), max_size=6)
+
+
+@given(env_entries, st.sampled_from([list, tuple]))
+def test_env_entries_equal_the_dict_and_sort_reference(entries, container):
+    assert Env(container(entries)).items() == reference_env_entries(entries)
+    assert Env(iter(entries)).items() == reference_env_entries(entries)
+
+
+def test_a_one_binding_env_keeps_the_errors_of_a_bad_binding():
+    for bad, error in [([("x",)], ValueError), ([("x", 1, 2)], ValueError), ((3,), TypeError), ([([], 1)], TypeError)]:
+        with pytest.raises(error):
+            Env(bad)
+    assert Env([["x", 1]]).items() == (("x", 1),)
+    assert Env(((1, "v"),)).items() == ((1, "v"),)
+
+
+@given(env_entries, env_entries)
+def test_env_union_equals_the_dict_and_sort_reference(left, right):
+    union = env_union(Env(left), Env(right)).items()
+    assert union == reference_env_entries(reference_env_entries(left) + reference_env_entries(right))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([("a", 1), ("b", 2)], [("x", 3), ("y", 4)]),  # disjoint and in order: concatenated
+        ([("x", 3), ("y", 4)], [("a", 1), ("b", 2)]),  # disjoint, out of order
+        ([("a", 1), ("x", 2)], [("b", 3), ("y", 4)]),  # interleaved
+        ([("a", 1), ("b", 2)], [("b", 3), ("c", 4)]),  # overlapping at the seam
+        ([("a", 1)], [("a", 2)]),
+    ],
+)
+def test_env_union_cases(left, right):
+    union = env_union(Env(left), Env(right))
+    assert union.items() == reference_env_entries(left + right)
+    assert union == Env(left + right) and hash(union) == hash(Env(left + right))
+
+
 def test_env_union_right_bias_on_every_overlapping_key():
     a = Env([("x", 1), ("y", 2), ("w", 0)])
     b = Env([("y", 3), ("x", 4), ("z", 5)])

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -76,3 +77,69 @@ exprs = st.recursive(atoms, lambda inner: st.lists(inner, max_size=4), max_leave
 @given(exprs)
 def test_write_read_roundtrip(expr):
     assert sexpr.read(sexpr.write(expr)) == expr
+
+
+# ---------------------------------------------------------------------------
+# the compiled tokenizer and atom check against the character scans they replaced
+
+ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def reference_tokenize(text):
+    """The spec: a scan of one character at a time by ``str.isspace``."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append(c)
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def reference_unprintable(atom):
+    return atom == "" or any(ch.isspace() or ch in "()" for ch in atom)
+
+
+def test_regex_whitespace_is_exactly_isspace_on_this_interpreter():
+    assert re.findall(r"\s", ALL_CHARS) == [ch for ch in ALL_CHARS if ch.isspace()]
+
+
+def test_tokenize_equals_the_character_scan_on_every_code_point():
+    for ch in ALL_CHARS:
+        for text in (ch, f"a{ch}b"):
+            assert sexpr.tokenize(text) == reference_tokenize(text), repr(text)
+
+
+@given(st.text(alphabet=st.sampled_from("ab1-( )\t\n\x1c\x85\xa0 　\U0001f600")) | st.text())
+def test_tokenize_equals_the_character_scan_on_random_text(text):
+    assert sexpr.tokenize(text) == reference_tokenize(text)
+
+
+def _rejected(atom):
+    try:
+        sexpr.write(atom)
+    except sexpr.SexprError as e:
+        assert str(e) == f"unprintable atom: {atom!r}"
+        return True
+    return False
+
+
+def test_atom_check_rejects_what_the_character_scan_rejected_on_every_code_point():
+    assert _rejected("")
+    for ch in ALL_CHARS:
+        for atom in (ch, f"a{ch}b"):
+            assert _rejected(atom) == reference_unprintable(atom), repr(atom)
+
+
+@given(st.text())
+def test_atom_check_rejects_what_the_character_scan_rejected_on_random_text(atom):
+    assert _rejected(atom) == reference_unprintable(atom)
