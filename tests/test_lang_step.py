@@ -1,5 +1,7 @@
 """Small-step semantics: per-rule instances plus determinism sweeps."""
 
+import random
+
 import pytest
 
 from alacarte import testkit
@@ -21,12 +23,13 @@ from alacarte.lang_l import (
     patmatch,
     scope,
     step_dec,
+    step_derivation_json,
     step_exp,
     vr,
 )
 from alacarte.indexed import InvalidDerivationError
 from alacarte.lang_l.step import STEP_SIG
-from alacarte.mutual import validate_bi
+from alacarte.mutual import din_bi, out_bi, validate_bi
 
 TY_A = Ty("a")
 
@@ -296,3 +299,146 @@ def test_successors_equal_the_rebuilt_ones_over_a_seeded_corpus():
             rules.add(d.root.rule)
             term = succ
     assert len(rules) == 12  # every step rule fires in this corpus
+
+
+# ---------------------------------------------------------------------------
+# characterization: the stepper against a hand-written reference
+#
+# ``ref_step_exp``/``ref_step_dec`` choose each rule by matching on the
+# subject's constructor and re-testing the rule's guards before ``dnode``:
+# an independent restatement of the twelve rules of ``STEP_SIG``.
+
+
+def _ref_dstep(rule_name, params, witnesses=()):
+    d = din_bi(STEP_SIG.dnode(rule_name, params, witnesses))
+    return d.root.conclusion[2], d
+
+
+def ref_step_exp(rho, e):
+    node = out_bi(e)
+    match node.ctor:
+        case "vr":
+            x = node.payload[0]
+            if rho.get(x) is None:
+                return None
+            return _ref_dstep("E-VAR", {"rho": rho, "x": x})
+        case "apply":
+            e1, e2 = node.rec
+            sub = ref_step_exp(rho, e1)
+            if sub is not None:
+                e1p, d1 = sub
+                return _ref_dstep("E-APP1", {"rho": rho, "e1": e1, "e1p": e1p, "e2": e2}, (d1,))
+            if not is_value(e1):
+                return None
+            sub = ref_step_exp(rho, e2)
+            if sub is not None:
+                e2p, d2 = sub
+                return _ref_dstep("E-APP2", {"rho": rho, "v1": e1, "e2": e2, "e2p": e2p}, (d2,))
+            if not is_value(e2):
+                return None
+            n1 = out_bi(e1)
+            if n1.ctor != "closure":
+                return None
+            rho0, p = n1.payload
+            if patmatch(p, e2) is None:
+                return None
+            return _ref_dstep("E-BETA", {"rho": rho, "rho0": rho0, "p": p, "eb": n1.rec[0], "v": e2})
+        case "scope":
+            dd, body = node.rec
+            sub = ref_step_dec(rho, dd)
+            if sub is not None:
+                dp, d1 = sub
+                return _ref_dstep("E-SCOPE1", {"rho": rho, "d": dd, "dp": dp, "e": body}, (d1,))
+            dn = out_bi(dd)
+            if dn.ctor != "env":
+                return None
+            rho1 = dn.payload[0]
+            if is_value(body):
+                return _ref_dstep("E-SCOPE3", {"rho": rho, "rho1": rho1, "v": body})
+            sub = ref_step_exp(env_union(rho, rho1), body)
+            if sub is None:
+                return None
+            ep, d2 = sub
+            return _ref_dstep("E-SCOPE2", {"rho": rho, "rho1": rho1, "e": body, "ep": ep}, (d2,))
+    return None
+
+
+def ref_step_dec(rho, d):
+    node = out_bi(d)
+    match node.ctor:
+        case "match":
+            p = node.payload[0]
+            e = node.rec[0]
+            sub = ref_step_exp(rho, e)
+            if sub is not None:
+                ep, de = sub
+                return _ref_dstep("D-MATCH1", {"rho": rho, "p": p, "e": e, "ep": ep}, (de,))
+            if not is_value(e) or patmatch(p, e) is None:
+                return None
+            return _ref_dstep("D-MATCH", {"rho": rho, "p": p, "v": e})
+        case "join":
+            d1, d2 = node.rec
+            sub = ref_step_dec(rho, d1)
+            if sub is not None:
+                d1p, dd1 = sub
+                return _ref_dstep("D-JOIN1", {"rho": rho, "d1": d1, "d1p": d1p, "d2": d2}, (dd1,))
+            n1 = out_bi(d1)
+            if n1.ctor != "env":
+                return None
+            rho1 = n1.payload[0]
+            n2 = out_bi(d2)
+            if n2.ctor == "env":
+                return _ref_dstep("D-JOIN3", {"rho": rho, "rho1": rho1, "rho2": n2.payload[0]})
+            sub = ref_step_dec(env_union(rho, rho1), d2)
+            if sub is None:
+                return None
+            d2p, dd2 = sub
+            return _ref_dstep("D-JOIN2", {"rho": rho, "rho1": rho1, "d2": d2, "d2p": d2p}, (dd2,))
+    return None
+
+
+def _outcome(step, rho, term):
+    """``step(rho, term)``, or the type and text of what it raised."""
+    try:
+        return step(rho, term)
+    except Exception as exc:  # noqa: BLE001 (compared, not handled)
+        return type(exc), str(exc)
+
+
+def _same_step(got, want):
+    """Equal outcomes: both None, both the same exception, or equal successors and derivations."""
+    if got is None or want is None or isinstance(got[0], type):
+        return got == want
+    (succ, d), (ref_succ, ref_d) = got, want
+    return succ == ref_succ and step_derivation_json(d) == step_derivation_json(ref_d)
+
+
+def test_the_stepper_walks_a_seeded_corpus_as_the_reference_does():
+    corpus = testkit.gen_well_typed_config(testkit.GenConfig(seed=7, count=3000))
+    steps = 0
+    for config in corpus:
+        step, ref = (step_dec, ref_step_dec) if config.sort == "dec" else (step_exp, ref_step_exp)
+        term = config.term
+        for _ in range(200):  # the longest trace of this corpus is far shorter
+            got, want = step(config.rho, term), ref(config.rho, term)
+            assert _same_step(got, want), (config, term)
+            if got is None:
+                break
+            term = got[0]
+            steps += 1
+        else:
+            raise AssertionError(f"no end in 200 steps: {config}")
+    assert steps > 4000
+
+
+def test_the_stepper_agrees_with_the_reference_on_wild_terms():
+    rng = random.Random(3)
+    gen = testkit._Gen(rng, testkit.GenConfig(seed=3, count=1))
+    stepped = 0
+    for _ in range(20_000):
+        rho = gen.value_env(rng.randrange(0, 3), 2)
+        term = gen.wild_term(4)
+        got, want = _outcome(step_exp, rho, term), _outcome(ref_step_exp, rho, term)
+        assert _same_step(got, want), term
+        stepped += got is not None and not isinstance(got[0], type)
+    assert stepped > 2000
