@@ -36,6 +36,9 @@ conditions; it never inlines them, so what they read is read when they run.
 All of this relies on rule expressions being pure: a rule monkeypatched
 after a derivation was built is not re-observed on that derivation.
 
+:func:`search` runs the rules that declare a ``subject`` pattern as a
+function from a context and a subject to an output: the table picks the rule.
+
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
 ``rec`` procedure, which also enforces index coherence.
@@ -58,6 +61,10 @@ class WrongIndexError(Exception):
     pass
 
 
+class OverlappingRulesError(Exception):
+    """Two rules apply to one subject: the relation :func:`search` runs is not a function."""
+
+
 @dataclass(frozen=True)
 class Rule:
     """One inference rule of the family ``family``.
@@ -65,8 +72,8 @@ class Rule:
     ``premises`` are ``(family, index expression)`` pairs: the family the
     premise recurses into, and its index as a callable on a params mapping
     that closes over the declared parameters.  ``side_conditions`` are
-    named decidable predicates over the same mapping, and ``conclusion``
-    is the conclusion's index expression.
+    named decidable predicates over the same mapping, ``conclusion`` is the
+    conclusion's index expression, and :func:`search` reads ``subject``.
     """
 
     family: int
@@ -75,6 +82,7 @@ class Rule:
     premises: tuple[tuple[int, Callable[[Mapping], Any]], ...]
     side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
     conclusion: Callable[[Mapping], Any]
+    subject: Any = None
 
     @cached_property
     def build(self) -> Callable:
@@ -92,11 +100,11 @@ class Rule:
         return {k: v for k, v in vars(self).items() if k not in ("build", "check")}
 
 
-def birule(family, name, params=(), premises=(), side=(), conclusion=None):
+def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None):
     """A rule of ``family`` whose ``premises`` are ``(family, index expression)`` pairs."""
     if conclusion is None:
         raise ValueError(f"rule {name!r} needs a conclusion expression")
-    return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion)
+    return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject)
 
 
 def rule(name, params=(), premises=(), side=(), conclusion=None):
@@ -150,6 +158,7 @@ class IndexedSignature:
             if r.name in self.rules:
                 raise ValueError(f"duplicate rule {r.name!r} in {name}")
             self.rules[r.name] = r
+        self._search_tables: dict = {}  # subject signature -> ``search``'s rule index
 
     def dnode(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> DNode:
         """Instantiate a rule; premise and conclusion indices are computed."""
@@ -160,6 +169,105 @@ class IndexedSignature:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+_OUT = object()  # the output parameter's value while its premise's index is read
+
+
+def search(sig: IndexedSignature, family: int, context, subject):
+    """The ``(output, derivation)`` of ``context |- subject => output`` in ``family``, or None.
+
+    A rule applies when its ``subject`` pattern (a constructor and its slots
+    in declaration order, each a parameter or a nested pattern) matches, with
+    ``context`` bound to its first parameter; its side conditions hold, run
+    once in order; and each premise in turn has a result, which binds the
+    next parameter left unbound.  A premise index gives the premise's
+    context, subject and bare output; a table that breaks these modes raises
+    ``ValueError`` naming the rule.  Every candidate is tried, and two that
+    apply raise :class:`OverlappingRulesError`; the one that applies is built
+    by ``dnode`` and ``mutual.din_bi``.
+    """
+    root, tables = subject.root, sig._search_tables
+    table = tables.get(subject.sig)
+    if table is None:
+        table = tables[subject.sig] = _search_table(sig, subject.sig)
+    found = None
+    for r, context_param, pattern, sides, premises in table.get((family, root.ctor), ()):
+        P = {context_param: context}
+        if not _bind(pattern, root, P):
+            continue
+        for pred in sides:
+            if not pred(P):
+                break
+        else:
+            witnesses = ()
+            for premise_family, ix, out in premises:
+                P[out] = _OUT
+                premise_context, premise_subject, bare = ix(P)
+                if bare is not _OUT:
+                    raise ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} third")
+                sub = search(sig, premise_family, premise_context, premise_subject)
+                if sub is None:
+                    break
+                P[out], w = sub
+                witnesses += (w,)
+            else:
+                if found is not None:
+                    raise OverlappingRulesError(f"{sig.name}: {found[0]} and {r.name} both apply")
+                found = r.name, P, witnesses
+    if found is None:
+        return None
+    d = mutual.din_bi(sig.dnode(*found))
+    return d.root.conclusion[2], d
+
+
+def _bind(pattern, node, P) -> bool:
+    """Bind the slots of ``node`` that ``pattern`` names into P; whether its nested patterns match."""
+    rec_binds, payload_binds, nested = pattern
+    for name, i in rec_binds:
+        P[name] = node.rec[i]
+    for name, i in payload_binds:
+        P[name] = node.payload[i]
+    for i, ctor, inner in nested:
+        child = node.rec[i].root
+        if child.ctor != ctor or not _bind(inner, child, P):
+            return False
+    return True
+
+
+def _search_table(sig, term_sig) -> dict:
+    """``search``'s candidates by family and root constructor, for subjects of ``term_sig``."""
+    global mutual  # ``search`` builds through ``mutual.din_bi``; imported on first use, as arith needs no mutual
+    from . import mutual
+
+    table: dict = {}
+    for r in sig.rules.values():
+        if r.subject is not None:
+            bound = {r.params[0]}
+            pattern = _pattern(sig, r, r.subject, term_sig, bound)
+            outputs = [p for p in r.params if p not in bound]
+            if len(outputs) != len(r.premises):
+                raise ValueError(f"{sig.name}.{r.name}: unbound parameters {outputs} do not match its premises")
+            premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs))
+            candidate = r, r.params[0], pattern, tuple(pred for _, pred in r.side_conditions), premises
+            table.setdefault((r.family, r.subject[0]), []).append(candidate)
+    return table
+
+
+def _pattern(sig, r, pattern, term_sig, bound: set):
+    """``(rec binds, payload binds, nested)`` of ``pattern``; adds the parameters it binds to ``bound``."""
+    binds, nested, counts = ([], []), [], [0, 0]
+    for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
+        payload = kind not in term_sig.rec_kinds
+        at, counts[payload] = counts[payload], counts[payload] + 1
+        if isinstance(slot, tuple) and not payload:
+            nested.append((at, slot[0], _pattern(sig, r, slot, term_sig, bound)))
+        elif slot in bound or slot not in r.params:
+            raise ValueError(f"{sig.name}.{r.name}: {slot!r} in {pattern!r} binds no fresh parameter")
+        else:
+            bound.add(slot)
+            binds[payload].append((slot, at))
+    return (*binds, nested)
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:

@@ -175,7 +175,7 @@ def bindings(p: Pat) -> Env:
                 go(arg)
 
     go(p)
-    return Env(out.items())
+    return Env(tuple(out.items())) if out else EMPTY_ENV
 
 
 # ---------------------------------------------------------------------------

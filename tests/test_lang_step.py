@@ -1,6 +1,7 @@
 """Small-step semantics: per-rule instances plus determinism sweeps."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,9 +28,9 @@ from alacarte.lang_l import (
     step_exp,
     vr,
 )
-from alacarte.indexed import InvalidDerivationError
-from alacarte.lang_l.step import STEP_SIG
-from alacarte.mutual import din_bi, out_bi, validate_bi
+from alacarte.indexed import InvalidDerivationError, OverlappingRulesError, search
+from alacarte.lang_l.step import DEC_STEP, EXP_STEP, STEP_SIG
+from alacarte.mutual import IndexedBiSignature, din_bi, out_bi, validate_bi
 
 TY_A = Ty("a")
 
@@ -442,3 +443,109 @@ def test_the_stepper_agrees_with_the_reference_on_wild_terms():
         assert _same_step(got, want), term
         stepped += got is not None and not isinstance(got[0], type)
     assert stepped > 2000
+
+
+# ---------------------------------------------------------------------------
+# the rule table decides: overlap and ill-moded rules are errors
+
+
+def with_rules(*rules, base=STEP_SIG):
+    """A fresh step signature: ``base``'s rules with each of ``rules`` put in place of its namesake, else added."""
+    table = dict(base.rules)
+    table.update((r.name, r) for r in rules)
+    return IndexedBiSignature("Step", table.values())
+
+
+def walk(sig, config, fuel=50):
+    """Search ``sig`` from the configuration until no rule applies."""
+    family = DEC_STEP if config.sort == "dec" else EXP_STEP
+    term = config.term
+    for _ in range(fuel):
+        sub = search(sig, family, config.rho, term)
+        if sub is None:
+            return
+        term = sub[0]
+
+
+def test_dropping_the_beta_and_match_side_conditions_makes_rules_overlap():
+    unguarded = [replace(STEP_SIG.rules[name], side_conditions=()) for name in ("E-BETA", "D-MATCH")]
+    mutant = with_rules(*unguarded)
+    corpus = testkit.gen_well_typed_config(testkit.GenConfig(seed=42, count=1000))
+    with pytest.raises(OverlappingRulesError) as exc:
+        for config in corpus:
+            walk(mutant, config)
+    assert str(exc.value) == "Step: D-MATCH1 and D-MATCH both apply"
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_a_duplicated_rule_overlaps_with_its_original(twin_first):
+    original = STEP_SIG.rules["E-SCOPE3"]
+    twin = replace(original, name="E-SCOPE3-TWIN")
+    rules = [twin, *STEP_SIG.rules.values()] if twin_first else [*STEP_SIG.rules.values(), twin]
+    sig = IndexedBiSignature("Step", rules)
+    with pytest.raises(OverlappingRulesError) as exc:
+        search(sig, EXP_STEP, EMPTY_ENV, scope(env_(EMPTY_ENV), C))
+    first, second = ("E-SCOPE3-TWIN", "E-SCOPE3") if twin_first else ("E-SCOPE3", "E-SCOPE3-TWIN")
+    assert str(exc.value) == f"Step: {first} and {second} both apply"
+
+
+def test_the_order_of_the_rule_table_does_not_change_a_step():
+    reversed_sig = IndexedBiSignature("Step", reversed(STEP_SIG.rules.values()))
+    for config in testkit.gen_well_typed_config(testkit.GenConfig(seed=5, count=200)):
+        family = DEC_STEP if config.sort == "dec" else EXP_STEP
+        term = config.term
+        while (sub := search(STEP_SIG, family, config.rho, term)) is not None:
+            other = search(reversed_sig, family, config.rho, term)
+            assert other[0] == sub[0]
+            assert step_derivation_json(other[1]) == step_derivation_json(sub[1])
+            term = sub[0]
+        assert search(reversed_sig, family, config.rho, term) is None
+
+
+APP1 = STEP_SIG.rules["E-APP1"]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            replace(APP1, params=APP1.params + ("e3",)),
+            "Step.E-APP1: unbound parameters ['e1p', 'e3'] do not match its premises",
+        ),
+        (
+            replace(STEP_SIG.rules["E-SCOPE3"], params=("rho", "rho1", "v", "w")),
+            "Step.E-SCOPE3: unbound parameters ['w'] do not match its premises",
+        ),
+        (
+            replace(APP1, subject=("apply", "e1", "e1")),
+            "Step.E-APP1: 'e1' in ('apply', 'e1', 'e1') binds no fresh parameter",
+        ),
+        (
+            replace(APP1, subject=("apply", "rho", "e2")),
+            "Step.E-APP1: 'rho' in ('apply', 'rho', 'e2') binds no fresh parameter",
+        ),
+        (
+            replace(APP1, subject=("apply", "e1", "e9")),
+            "Step.E-APP1: 'e9' in ('apply', 'e1', 'e9') binds no fresh parameter",
+        ),
+    ],
+)
+def test_a_rule_whose_modes_do_not_fit_is_rejected_when_the_table_is_built(bad, message):
+    sig = with_rules(bad)
+    for _ in range(2):  # a rejected table is not kept
+        with pytest.raises(ValueError) as exc:
+            search(sig, EXP_STEP, EMPTY_ENV, C)  # no rule of ``cn``: only the table is read
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad, output",
+    [
+        (replace(APP1, premises=((EXP_STEP, lambda P: (P["rho"], P["e1p"], P["e1"])),)), "e1p"),
+        (replace(APP1, subject=("apply", "e1", "e1p")), "e2"),  # the pattern binds the output
+    ],
+)
+def test_a_premise_index_must_put_the_bare_output_third(bad, output):
+    with pytest.raises(ValueError) as exc:
+        search(with_rules(bad), EXP_STEP, rho1(), apply_(vr("x"), C))
+    assert str(exc.value) == f"Step.E-APP1: a premise index does not put {output!r} third"

@@ -223,6 +223,50 @@ def test_bindings_rejects_nonlinear():
         closure(EMPTY_ENV, p, vr("x"))
 
 
+def reference_bindings(p):
+    """``bindings`` as a dict of every binding handed to ``Env``."""
+    out = {}
+
+    def go(q):
+        if isinstance(q, PVar):
+            if q.x in out:
+                raise DuplicateBindingError(f"pattern binds {q.x!r} twice")
+            out[q.x] = q.typ
+        elif isinstance(q, PApp):
+            go(q.fn)
+            go(q.arg)
+
+    go(p)
+    return Env(out.items())
+
+
+def pattern_shapes(depth):
+    """Every pattern of at most ``depth`` nested applications over three variables and a constructor."""
+    leaves = [PVar(x, t) for x, t in (("y", TY_A), ("x", AB), ("z", TY_B))] + [PCon("c", TY_A)]
+    if depth == 0:
+        return leaves
+    smaller = pattern_shapes(depth - 1)
+    return leaves + [PApp(fn, arg) for fn in smaller for arg in smaller]
+
+
+def test_bindings_equal_the_reference_for_every_pattern_shape():
+    sizes = set()
+    for p in pattern_shapes(2):
+        try:
+            want = reference_bindings(p)
+        except DuplicateBindingError as exc:
+            with pytest.raises(DuplicateBindingError) as got:
+                bindings(p)
+            assert str(got.value) == str(exc)
+            continue
+        got = bindings(p)
+        assert got == want and got.items() == want.items() and hash(got) == hash(want)
+        sizes.add(len(got))
+        if not got:
+            assert got is EMPTY_ENV
+    assert sizes == {0, 1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # surface syntax round-trips
 
