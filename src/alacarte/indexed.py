@@ -72,8 +72,11 @@ class Rule:
     ``premises`` are ``(family, index expression)`` pairs: the family the
     premise recurses into, and its index as a callable on a params mapping
     that closes over the declared parameters.  ``side_conditions`` are
-    named decidable predicates over the same mapping, ``conclusion`` is the
-    conclusion's index expression, and :func:`search` reads ``subject``.
+    named decidable predicates over the same mapping, and ``conclusion`` is
+    the conclusion's index expression.  ``subject`` is the pattern of the
+    conclusion's second index that :func:`search` matches: a constructor and
+    its slots in declaration order, a string binding a parameter and a tuple
+    matching a nested constructor.
     """
 
     family: int
@@ -177,20 +180,15 @@ _OUT = object()  # the output parameter's value while its premise's index is rea
 def search(sig: IndexedSignature, family: int, context, subject):
     """The ``(output, derivation)`` of ``context |- subject => output`` in ``family``, or None.
 
-    A rule applies when its ``subject`` pattern (a constructor and its slots
-    in declaration order, each a parameter or a nested pattern) matches, with
-    ``context`` bound to its first parameter; its side conditions hold, run
-    once in order; and each premise in turn has a result, which binds the
-    next parameter left unbound.  A premise index gives the premise's
-    context, subject and bare output; a table that breaks these modes raises
-    ``ValueError`` naming the rule.  Every candidate is tried, and two that
-    apply raise :class:`OverlappingRulesError`; the one that applies is built
-    by ``dnode`` and ``mutual.din_bi``.
+    A rule applies when its ``subject`` pattern matches, with ``context``
+    bound to its first parameter; its side conditions hold, run once in
+    order; and each premise in turn has a result, which binds the next
+    parameter left unbound.  Every candidate is tried, and two that apply
+    raise :class:`OverlappingRulesError`; the one that applies is built by
+    ``dnode`` and ``mutual.din_bi``.
     """
-    root, tables = subject.root, sig._search_tables
-    table = tables.get(subject.sig)
-    if table is None:
-        table = tables[subject.sig] = _search_table(sig, subject.sig)
+    root = subject.root
+    table = sig._search_tables.get(subject.sig) or _search_table(sig, subject.sig)
     found = None
     for r, context_param, pattern, sides, premises in table.get((family, root.ctor), ()):
         P = {context_param: context}
@@ -223,11 +221,9 @@ def search(sig: IndexedSignature, family: int, context, subject):
 
 def _bind(pattern, node, P) -> bool:
     """Bind the slots of ``node`` that ``pattern`` names into P; whether its nested patterns match."""
-    rec_binds, payload_binds, nested = pattern
-    for name, i in rec_binds:
-        P[name] = node.rec[i]
-    for name, i in payload_binds:
-        P[name] = node.payload[i]
+    binds, nested = pattern
+    for name, payload, i in binds:
+        P[name] = (node.payload if payload else node.rec)[i]
     for i, ctor, inner in nested:
         child = node.rec[i].root
         if child.ctor != ctor or not _bind(inner, child, P):
@@ -236,38 +232,42 @@ def _bind(pattern, node, P) -> bool:
 
 
 def _search_table(sig, term_sig) -> dict:
-    """``search``'s candidates by family and root constructor, for subjects of ``term_sig``."""
-    global mutual  # ``search`` builds through ``mutual.din_bi``; imported on first use, as arith needs no mutual
+    """``search``'s candidates by family and root constructor, for subjects of ``term_sig``.
+
+    A premise index must give the premise's context, subject and bare output,
+    and the rule must leave one parameter unbound per premise; a rule that
+    leaves another number unbound is rejected here, naming it.
+    """
+    global mutual  # ``search`` builds through ``mutual.din_bi``; arith loads no mutual
     from . import mutual
 
     table: dict = {}
     for r in sig.rules.values():
         if r.subject is not None:
             bound = {r.params[0]}
-            pattern = _pattern(sig, r, r.subject, term_sig, bound)
+            pattern = _pattern(r.subject, term_sig, bound)
             outputs = [p for p in r.params if p not in bound]
             if len(outputs) != len(r.premises):
                 raise ValueError(f"{sig.name}.{r.name}: unbound parameters {outputs} do not match its premises")
             premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs))
             candidate = r, r.params[0], pattern, tuple(pred for _, pred in r.side_conditions), premises
             table.setdefault((r.family, r.subject[0]), []).append(candidate)
+    sig._search_tables[term_sig] = table
     return table
 
 
-def _pattern(sig, r, pattern, term_sig, bound: set):
-    """``(rec binds, payload binds, nested)`` of ``pattern``; adds the parameters it binds to ``bound``."""
-    binds, nested, counts = ([], []), [], [0, 0]
+def _pattern(pattern, term_sig, bound: set):
+    """``(binds, nested)``: ``(parameter, is payload, position)``s and ``(position, constructor, pattern)``s."""
+    binds, nested, counts = [], [], [0, 0]
     for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
         payload = kind not in term_sig.rec_kinds
         at, counts[payload] = counts[payload], counts[payload] + 1
         if isinstance(slot, tuple) and not payload:
-            nested.append((at, slot[0], _pattern(sig, r, slot, term_sig, bound)))
-        elif slot in bound or slot not in r.params:
-            raise ValueError(f"{sig.name}.{r.name}: {slot!r} in {pattern!r} binds no fresh parameter")
+            nested.append((at, slot[0], _pattern(slot, term_sig, bound)))
         else:
             bound.add(slot)
-            binds[payload].append((slot, at))
-    return (*binds, nested)
+            binds.append((slot, payload, at))
+    return binds, nested
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:

@@ -61,7 +61,11 @@ STEP_SIG = IndexedBiSignature(
             subject=("match", "p", "e"),
             params=("rho", "p", "e", "ep"),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e"], P["ep"])),),
-            conclusion=lambda P: (P["rho"], match_(P["p"], P["e"]), match_(P["p"], P["ep"])),
+            conclusion=lambda P: (
+                P["rho"],
+                match_(P["p"], P["e"]),
+                match_(P["p"], P["ep"]),
+            ),
         ),
         birule(
             DEC_STEP,
@@ -73,7 +77,9 @@ STEP_SIG = IndexedBiSignature(
                 ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
             conclusion=lambda P: (
-                P["rho"], match_(P["p"], P["v"]), env_(_matched_env(P, "match", "subject"))
+                P["rho"],
+                match_(P["p"], P["v"]),
+                env_(_matched_env(P, "match", "subject")),
             ),
         ),
         birule(
@@ -82,16 +88,24 @@ STEP_SIG = IndexedBiSignature(
             subject=("join", "d1", "d2"),
             params=("rho", "d1", "d1p", "d2"),
             premises=((DEC_STEP, lambda P: (P["rho"], P["d1"], P["d1p"])),),
-            conclusion=lambda P: (P["rho"], join_(P["d1"], P["d2"]), join_(P["d1p"], P["d2"])),
+            conclusion=lambda P: (
+                P["rho"],
+                join_(P["d1"], P["d2"]),
+                join_(P["d1p"], P["d2"]),
+            ),
         ),
         birule(
             DEC_STEP,
             "D-JOIN2",
             subject=("join", ("env", "rho1"), "d2"),
             params=("rho", "rho1", "d2", "d2p"),
-            premises=((DEC_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["d2"], P["d2p"])),),
+            premises=(
+                (DEC_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["d2"], P["d2p"])),
+            ),
             conclusion=lambda P: (
-                P["rho"], join_(env_(P["rho1"]), P["d2"]), join_(env_(P["rho1"]), P["d2p"])
+                P["rho"],
+                join_(env_(P["rho1"]), P["d2"]),
+                join_(env_(P["rho1"]), P["d2p"]),
             ),
         ),
         birule(
@@ -120,7 +134,11 @@ STEP_SIG = IndexedBiSignature(
             subject=("apply", "e1", "e2"),
             params=("rho", "e1", "e1p", "e2"),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e1"], P["e1p"])),),
-            conclusion=lambda P: (P["rho"], apply_(P["e1"], P["e2"]), apply_(P["e1p"], P["e2"])),
+            conclusion=lambda P: (
+                P["rho"],
+                apply_(P["e1"], P["e2"]),
+                apply_(P["e1p"], P["e2"]),
+            ),
         ),
         birule(
             EXP_STEP,
@@ -129,7 +147,11 @@ STEP_SIG = IndexedBiSignature(
             params=("rho", "v1", "e2", "e2p"),
             side=(("value", lambda P: is_value(P["v1"])),),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e2"], P["e2p"])),),
-            conclusion=lambda P: (P["rho"], apply_(P["v1"], P["e2"]), apply_(P["v1"], P["e2p"])),
+            conclusion=lambda P: (
+                P["rho"],
+                apply_(P["v1"], P["e2"]),
+                apply_(P["v1"], P["e2p"]),
+            ),
         ),
         birule(
             EXP_STEP,
@@ -152,16 +174,24 @@ STEP_SIG = IndexedBiSignature(
             subject=("scope", "d", "e"),
             params=("rho", "d", "dp", "e"),
             premises=((DEC_STEP, lambda P: (P["rho"], P["d"], P["dp"])),),
-            conclusion=lambda P: (P["rho"], scope(P["d"], P["e"]), scope(P["dp"], P["e"])),
+            conclusion=lambda P: (
+                P["rho"],
+                scope(P["d"], P["e"]),
+                scope(P["dp"], P["e"]),
+            ),
         ),
         birule(
             EXP_STEP,
             "E-SCOPE2",
             subject=("scope", ("env", "rho1"), "e"),
             params=("rho", "rho1", "e", "ep"),
-            premises=((EXP_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["e"], P["ep"])),),
+            premises=(
+                (EXP_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["e"], P["ep"])),
+            ),
             conclusion=lambda P: (
-                P["rho"], scope(env_(P["rho1"]), P["e"]), scope(env_(P["rho1"]), P["ep"])
+                P["rho"],
+                scope(env_(P["rho1"]), P["e"]),
+                scope(env_(P["rho1"]), P["ep"]),
             ),
         ),
         birule(

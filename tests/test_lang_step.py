@@ -518,15 +518,15 @@ APP1 = STEP_SIG.rules["E-APP1"]
         ),
         (
             replace(APP1, subject=("apply", "e1", "e1")),
-            "Step.E-APP1: 'e1' in ('apply', 'e1', 'e1') binds no fresh parameter",
+            "Step.E-APP1: unbound parameters ['e1p', 'e2'] do not match its premises",
         ),
         (
             replace(APP1, subject=("apply", "rho", "e2")),
-            "Step.E-APP1: 'rho' in ('apply', 'rho', 'e2') binds no fresh parameter",
+            "Step.E-APP1: unbound parameters ['e1', 'e1p'] do not match its premises",
         ),
         (
             replace(APP1, subject=("apply", "e1", "e9")),
-            "Step.E-APP1: 'e9' in ('apply', 'e1', 'e9') binds no fresh parameter",
+            "Step.E-APP1: unbound parameters ['e1p', 'e2'] do not match its premises",
         ),
     ],
 )
