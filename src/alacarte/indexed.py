@@ -189,10 +189,20 @@ def search(sig: IndexedSignature, family: int, context, subject):
     """
     root = subject.root
     table = sig._search_tables.get(subject.sig) or _search_table(sig, subject.sig)
-    found = None
-    for r, context_param, pattern, sides, premises in table.get((family, root.ctor), ()):
+    candidates = table.get((family, root.ctor))
+    return candidates and _search(sig, table, candidates, context, root)
+
+
+def _search(sig, table, candidates, context, root):
+    """``search`` of the node ``root`` among its candidates; premise subjects share its signature."""
+    found, rec, payload = None, root.rec, root.payload
+    for r, context_param, (rec_binds, payload_binds, nested), sides, premises in candidates:
         P = {context_param: context}
-        if not _bind(pattern, root, P):
+        for name, i in rec_binds:
+            P[name] = rec[i]
+        for name, i in payload_binds:
+            P[name] = payload[i]
+        if nested and not _bind(nested, rec, P):
             continue
         for pred in sides:
             if not pred(P):
@@ -204,8 +214,10 @@ def search(sig: IndexedSignature, family: int, context, subject):
                 premise_context, premise_subject, bare = ix(P)
                 if bare is not _OUT:
                     raise ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} third")
-                sub = search(sig, premise_family, premise_context, premise_subject)
-                if sub is None:
+                premise = premise_subject.root
+                premise_candidates = table.get((premise_family, premise.ctor))
+                sub = premise_candidates and _search(sig, table, premise_candidates, premise_context, premise)
+                if not sub:
                     break
                 P[out], w = sub
                 witnesses += (w,)
@@ -219,14 +231,17 @@ def search(sig: IndexedSignature, family: int, context, subject):
     return d.root.conclusion[2], d
 
 
-def _bind(pattern, node, P) -> bool:
-    """Bind the slots of ``node`` that ``pattern`` names into P; whether its nested patterns match."""
-    binds, nested = pattern
-    for name, payload, i in binds:
-        P[name] = (node.payload if payload else node.rec)[i]
-    for i, ctor, inner in nested:
-        child = node.rec[i].root
-        if child.ctor != ctor or not _bind(inner, child, P):
+def _bind(nested, rec, P) -> bool:
+    """Whether the terms in ``rec`` match the ``nested`` patterns, binding the slots they name into P."""
+    for i, ctor, (rec_binds, payload_binds, inner) in nested:
+        node = rec[i].root
+        if node.ctor != ctor:
+            return False
+        for name, j in rec_binds:
+            P[name] = node.rec[j]
+        for name, j in payload_binds:
+            P[name] = node.payload[j]
+        if inner and not _bind(inner, node.rec, P):
             return False
     return True
 
@@ -257,8 +272,8 @@ def _search_table(sig, term_sig) -> dict:
 
 
 def _pattern(pattern, term_sig, bound: set):
-    """``(binds, nested)``: ``(parameter, is payload, position)``s and ``(position, constructor, pattern)``s."""
-    binds, nested, counts = [], [], [0, 0]
+    """``pattern``'s rec and payload ``(parameter, position)``s and its ``(position, constructor, pattern)``s."""
+    binds, nested, counts = ([], []), [], [0, 0]
     for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
         payload = kind not in term_sig.rec_kinds
         at, counts[payload] = counts[payload], counts[payload] + 1
@@ -266,8 +281,8 @@ def _pattern(pattern, term_sig, bound: set):
             nested.append((at, slot[0], _pattern(slot, term_sig, bound)))
         else:
             bound.add(slot)
-            binds.append((slot, payload, at))
-    return binds, nested
+            binds[payload].append((slot, at))
+    return (*binds, nested)
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
