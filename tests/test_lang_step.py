@@ -449,18 +449,18 @@ def test_the_stepper_agrees_with_the_reference_on_wild_terms():
 # the rule table decides: overlap and ill-moded rules are errors
 
 
-def with_rules(*rules, base=STEP_SIG):
-    """A fresh step signature: ``base``'s rules with each of ``rules`` put in place of its namesake, else added."""
-    table = dict(base.rules)
+def with_rules(*rules):
+    """A fresh step signature: ``STEP_SIG``'s rules, each of ``rules`` in place of its namesake."""
+    table = dict(STEP_SIG.rules)
     table.update((r.name, r) for r in rules)
     return IndexedBiSignature("Step", table.values())
 
 
-def walk(sig, config, fuel=50):
-    """Search ``sig`` from the configuration until no rule applies."""
+def walk(sig, config):
+    """Search ``sig`` from the configuration until no rule applies, for at most 50 steps."""
     family = DEC_STEP if config.sort == "dec" else EXP_STEP
     term = config.term
-    for _ in range(fuel):
+    for _ in range(50):
         sub = search(sig, family, config.rho, term)
         if sub is None:
             return
