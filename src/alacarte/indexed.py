@@ -183,8 +183,9 @@ def search(sig: IndexedSignature, family: int, context, subject):
     A rule applies when its ``subject`` pattern matches, with ``context``
     bound to its first parameter; its side conditions hold, run once in
     order; and each premise in turn has a result, which binds the next
-    parameter left unbound.  Every candidate is tried, and two that apply
-    raise :class:`OverlappingRulesError`; the one that applies is built by
+    parameter left unbound; premise subjects are terms of the subject's
+    signature.  Every candidate is tried, and two that apply raise
+    :class:`OverlappingRulesError`; the one that applies is built by
     ``dnode`` and ``mutual.din_bi``.
     """
     root = subject.root
@@ -194,7 +195,7 @@ def search(sig: IndexedSignature, family: int, context, subject):
 
 
 def _search(sig, table, candidates, context, root):
-    """``search`` of the node ``root`` among its candidates; premise subjects share its signature."""
+    """``search`` of the node ``root`` among its ``candidates`` in ``table``."""
     found, rec, payload = None, root.rec, root.payload
     for r, context_param, (rec_binds, payload_binds, nested), sides, premises in candidates:
         P = {context_param: context}
