@@ -197,7 +197,9 @@ def search(sig: IndexedSignature, family: int, context, subject):
 def _search(sig, table, candidates, context, root):
     """``search`` of the node ``root`` among its ``candidates`` in ``table``."""
     found, rec, payload = None, root.rec, root.payload
-    for r, context_param, (rec_binds, payload_binds, nested), sides, premises in candidates:
+    for r, context_param, (rec_binds, payload_binds, tags, nested), sides, premises in candidates:
+        if tags and not _tagged(tags, rec):
+            continue
         P = {context_param: context}
         for name, i in rec_binds:
             P[name] = rec[i]
@@ -232,17 +234,27 @@ def _search(sig, table, candidates, context, root):
     return d.root.conclusion[2], d
 
 
-def _bind(nested, rec, P) -> bool:
-    """Whether the terms in ``rec`` match the ``nested`` patterns, binding the slots they name into P."""
-    for i, ctor, (rec_binds, payload_binds, inner) in nested:
-        node = rec[i].root
-        if node.ctor != ctor:
+def _tagged(tags, rec) -> bool:
+    """Whether each term of ``rec`` at a tagged position has the tagged constructor."""
+    for i, ctor in tags:
+        if rec[i].root.ctor != ctor:
             return False
+    return True
+
+
+def _bind(nested, rec, P) -> bool:
+    """Bind into P the slots the ``nested`` patterns name in the terms of ``rec``, whose constructors matched.
+
+    Whether the patterns nested inside those match too: each level's
+    constructors are tested before anything in it is bound.
+    """
+    for i, (rec_binds, payload_binds, tags, inner) in nested:
+        node = rec[i].root
         for name, j in rec_binds:
             P[name] = node.rec[j]
         for name, j in payload_binds:
             P[name] = node.payload[j]
-        if inner and not _bind(inner, node.rec, P):
+        if tags and not (_tagged(tags, node.rec) and _bind(inner, node.rec, P)):
             return False
     return True
 
@@ -273,17 +285,22 @@ def _search_table(sig, term_sig) -> dict:
 
 
 def _pattern(pattern, term_sig, bound: set):
-    """``pattern``'s rec and payload ``(parameter, position)``s and its ``(position, constructor, pattern)``s."""
-    binds, nested, counts = ([], []), [], [0, 0]
+    """``pattern``'s rec and payload ``(parameter, position)``s, then its nested patterns'.
+
+    Those are their ``(position, constructor)`` tags, which ``search``
+    tests before it binds anything, and their ``(position, pattern)``s.
+    """
+    binds, tags, nested, counts = ([], []), [], [], [0, 0]
     for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
         payload = kind not in term_sig.rec_kinds
         at, counts[payload] = counts[payload], counts[payload] + 1
         if isinstance(slot, tuple) and not payload:
-            nested.append((at, slot[0], _pattern(slot, term_sig, bound)))
+            tags.append((at, slot[0]))
+            nested.append((at, _pattern(slot, term_sig, bound)))
         else:
             bound.add(slot)
             binds[payload].append((slot, at))
-    return (*binds, nested)
+    return (*binds, tuple(tags), nested)
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:

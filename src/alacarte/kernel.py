@@ -39,8 +39,11 @@ algebra) lives behind the same in/out/fold interface with
 A :class:`CoproductSignature` joins two one-sort signatures, and
 ``case(csig, f, g)`` is the copairing ``[f, g]`` of an algebra per summand:
 one table lookup per node hands the node, as its summand's node, to that
-summand's algebra.  ``project_left``/``project_right``/``project`` stay as
-the specification ``case`` is tested against, and for the laws.
+summand's algebra.  ``fold_c`` and ``lift`` read that table once per fold
+and build each level's summand node straight from the folded children, so
+a case fold builds one node per level, not ``fmap``'s image and then the
+summand's.  ``project_left``/``project_right``/``project`` stay as the
+specification ``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without synchronization.
@@ -447,8 +450,12 @@ def fold_c(alg: Callable[[Node], Any], t: Term):
     """Conventional fold: ``fold_c(alg, in_(n)) == alg(fmap(fold_c(alg, .), n))``.
 
     A node without recursive slots is its own ``fmap`` image and is passed
-    to ``alg`` as it is.
+    to ``alg`` as it is.  An algebra that ``case`` returned is folded
+    through its table (see :func:`_fold_case`); any other recurses here.
     """
+    entry = getattr(alg, "_case", None)
+    if entry is not None and entry[0] is alg:
+        return _fold_case(*entry)(t)
     n = t.root
     if not n.rec:
         return alg(n)
@@ -494,8 +501,12 @@ def step_once(malg, node: Node, recurse):
 
 
 def mfold(malg, t: Term):
-    """Mendler fold: the step sees subterms only as handles."""
-    return step_once(malg, t.root, lambda s: mfold(malg, s))
+    """Mendler fold: the step sees subterms only as handles; one ``recurse`` serves every level."""
+
+    def recurse(s):
+        return step_once(malg, s.root, recurse)
+
+    return recurse(t)
 
 
 class SortedAlgebra(NamedTuple):
@@ -516,16 +527,36 @@ def step_once_by_sort(malg, node: Node, recurses):
 
 
 def mfold_by_sort(malg, t: Term):
-    recurse = lambda s: mfold_by_sort(malg, s)
-    return step_once_by_sort(malg, t.root, (recurse,) * len(malg.steps))
+    def recurse(s):
+        return step_once_by_sort(malg, s.root, recurses)
+
+    recurses = (recurse,) * len(malg.steps)
+    return recurse(t)
 
 
 def lift(alg):
     """The canonical Mendler algebra of a conventional one.
 
-    ``mfold(lift(alg), t) == fold_c(alg, t)`` for every term.
+    ``mfold(lift(alg), t) == fold_c(alg, t)`` for every term.  Of an
+    algebra that ``case`` returned, it reads the table as ``_fold_case``
+    does, building the summand's node from ``rec`` over the handles.
     """
-    return lambda rec, node: alg(fmap(rec, node))
+    entry = getattr(alg, "_case", None)
+    if entry is None or entry[0] is not alg:
+        return lambda rec, node: alg(fmap(rec, node))
+    _, csig, table = entry
+
+    def lifted(rec, node):
+        found = table.get(node.ctor) if node.sig is csig else None
+        if found is None:
+            return alg(fmap(rec, node))
+        sig, ctor, summand_alg = found
+        slots = node.rec
+        if slots:
+            slots = tuple([rec(h) for h in slots])
+        return summand_alg(Node(sig, ctor, slots, node.payload))
+
+    return lifted
 
 
 def pre_in(m: Callable[[Any], Term], n: Node) -> Term:
@@ -552,22 +583,19 @@ def check_uniqueness(malg, h, samples) -> UniquenessVerdict:
     samples.  Carriers must support structural equality.
     """
     samples = list(samples)
-    first = True
+    values = []  # h of each sample, computed once for both passes
     for t in samples:
         got = h(t)
-        if first:
-            if type(got).__eq__ is object.__eq__:
-                raise UnsupportedCarrierError(
-                    f"carrier {type(got).__name__} has no structural equality"
-                )
-            first = False
+        if not values and type(got).__eq__ is object.__eq__:
+            raise UnsupportedCarrierError(f"carrier {type(got).__name__} has no structural equality")
+        values.append(got)
         node = out_(t)
         lhs = h(in_(node))
         rhs = step_once(malg, node, h)
         if lhs != rhs:
             return UniquenessVerdict(False, "hypothesis-violation", (t, lhs, rhs))
-    for t in samples:
-        if h(t) != mfold(malg, t):
+    for t, got in zip(samples, values):
+        if got != mfold(malg, t):
             return UniquenessVerdict(False, "uniqueness-violation", t)
     return UniquenessVerdict(True, "ok")
 
@@ -673,6 +701,11 @@ def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: C
     from tagged constructor to summand, untagged name and algebra is built
     here, once, so each node costs one lookup and one summand node.  A
     node that is not of ``csig`` raises ``project``'s error.
+
+    The copair carries ``(copair, csig, table)`` as ``_case``, for
+    ``fold_c`` and ``lift`` to read.  It names the copair, so a wrapper
+    that copied the copair's ``__dict__`` (as ``functools.wraps`` does) is
+    not taken for it: like any other algebra, it is called on every node.
     """
     table = {
         tagged: ((csig.left, csig.right)[side], ctor, (left_alg, right_alg)[side])
@@ -686,7 +719,32 @@ def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: C
         sig, ctor, alg = entry
         return alg(Node(sig, ctor, n.rec, n.payload))
 
+    copair._case = (copair, csig, table)
     return copair
+
+
+def _fold_case(copair, csig: CoproductSignature, table: dict):
+    """``fold_c(copair, .)`` through ``case``'s table, read once: one node per level.
+
+    A node of ``csig`` whose constructor is in the table goes to that
+    summand's algebra as the summand's node, built from the folded
+    children.  Any other node is folded as any algebra's is: its children
+    first, then ``copair`` on the ``fmap`` image, which raises ``case``'s
+    error.
+    """
+
+    def fold(t):
+        n = t.root
+        entry = table.get(n.ctor) if n.sig is csig else None
+        rec = n.rec
+        if rec:
+            rec = tuple([fold(c) for c in rec])
+        if entry is None:
+            return copair(Node(n.sig, n.ctor, rec, n.payload))
+        sig, ctor, alg = entry
+        return alg(Node(sig, ctor, rec, n.payload))
+
+    return fold
 
 
 # ---------------------------------------------------------------------------

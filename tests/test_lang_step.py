@@ -549,3 +549,22 @@ def test_a_premise_index_must_put_the_bare_output_third(bad, output):
     with pytest.raises(ValueError) as exc:
         search(with_rules(bad), EXP_STEP, rho1(), apply_(vr("x"), C))
     assert str(exc.value) == f"Step.E-APP1: a premise index does not put {output!r} third"
+
+
+def test_a_pattern_nested_two_deep_tests_each_level_before_binding_it():
+    from alacarte.indexed import birule
+
+    head = birule(
+        EXP_STEP,
+        "E-HEAD",
+        subject=("apply", ("apply", ("vr", "x"), "e1"), "e2"),
+        params=("rho", "x", "e1", "e2"),
+        conclusion=lambda P: (P["rho"], apply_(apply_(vr(P["x"]), P["e1"]), P["e2"]), P["e2"]),
+    )
+    sig = IndexedBiSignature("Head", [head])
+    e1, e2 = vr("y"), C
+    out, d = search(sig, EXP_STEP, EMPTY_ENV, apply_(apply_(vr("x"), e1), e2))
+    assert out is e2 and validate_bi(d)
+    assert dict(d.root.params) == {"rho": EMPTY_ENV, "x": "x", "e1": e1, "e2": e2}
+    for miss in (apply_(apply_(C, e1), e2), apply_(C, e2), apply_(apply_(apply_(vr("x"), e1), e1), e2)):
+        assert search(sig, EXP_STEP, EMPTY_ENV, miss) is None
