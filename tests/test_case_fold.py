@@ -27,21 +27,9 @@ from alacarte.kernel import (
     lift,
     mfold,
     out_,
-    project_left,
-    project_right,
 )
 
-
-def projection_copair(csig, left_alg, right_alg):
-    """The copairing by trial projection, a plain callable: the generic path folds it."""
-
-    def alg(n):
-        inner = project_left(csig, n)
-        if inner is not None:
-            return left_alg(inner)
-        return right_alg(project_right(csig, n))
-
-    return alg
+from test_kernel import _projection_copair as projection_copair  # a plain callable: the generic path folds it
 
 
 def generic(alg):
