@@ -26,8 +26,9 @@ constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
 ``arith``'s rule conclusions and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
-the value classes' ``__init__`` and ``__eq__`` and the compiled rules) goes
-through ``run_generated``, which compiles each distinct source once.
+the value classes' ``__init__`` and ``__eq__``, the compiled rules and the
+folds of ``case`` tables) goes through ``run_generated``, which compiles
+each distinct source once.
 
 Handles are branded with a per-fold (and per-sort) nonce; consuming a
 handle under a different fold or sort (or inspecting it at all) is a
@@ -39,11 +40,14 @@ algebra) lives behind the same in/out/fold interface with
 A :class:`CoproductSignature` joins two one-sort signatures, and
 ``case(csig, f, g)`` is the copairing ``[f, g]`` of an algebra per summand:
 one table lookup per node hands the node, as its summand's node, to that
-summand's algebra.  ``fold_c`` and ``lift`` read that table once per fold
-and build each level's summand node straight from the folded children, so
-a case fold builds one node per level, not ``fmap``'s image and then the
-summand's.  ``project_left``/``project_right``/``project`` stay as the
-specification ``case`` is tested against, and for the laws.
+summand's algebra.  ``fold_c`` and ``lift`` run a fold and a Mendler step
+generated from that table once, on first use, with one branch per tagged
+constructor that builds the summand node from a tuple display of the
+folded children.  So a case fold builds one node per level, not ``fmap``'s
+image and then the summand's, and no level runs a comprehension; nor does
+``step_once``, which builds one or two handles in a tuple display and
+opens them inline.  ``project_left``/``project_right``/``project`` stay as
+the specification ``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without synchronization.
@@ -52,6 +56,8 @@ everything here is safe for concurrent use without synchronization.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import cached_property
+from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 
@@ -450,12 +456,13 @@ def fold_c(alg: Callable[[Node], Any], t: Term):
     """Conventional fold: ``fold_c(alg, in_(n)) == alg(fmap(fold_c(alg, .), n))``.
 
     A node without recursive slots is its own ``fmap`` image and is passed
-    to ``alg`` as it is.  An algebra that ``case`` returned is folded
-    through its table (see :func:`_fold_case`); any other recurses here.
+    to ``alg`` as it is.  An algebra that ``case`` returned is folded by
+    the fold generated once from its table (see :func:`_case_fold`); any
+    other recurses here.
     """
     entry = getattr(alg, "_case", None)
-    if entry is not None and entry[0] is alg:
-        return _fold_case(*entry)(t)
+    if entry is not None and entry.copair is alg:
+        return entry.fold(t)
     n = t.root
     if not n.rec:
         return alg(n)
@@ -480,10 +487,13 @@ class Handle:
         self._brand = brand
 
 
+_FOREIGN_HANDLE = "handle consumed outside the fold that issued it"
+
+
 def open_handle(h, brand):
-    """The value of a handle issued under ``brand``; every Mendler step opens handles here."""
+    """The value of a handle issued under ``brand``; every Mendler step opens handles as this does."""
     if not isinstance(h, Handle) or h._brand is not brand:
-        raise ForeignHandleError("handle consumed outside the fold that issued it")
+        raise ForeignHandleError(_FOREIGN_HANDLE)
     return h._value
 
 
@@ -493,11 +503,27 @@ def step_once(malg, node: Node, recurse):
     ``recurse`` is invoked on the value a handle wraps; ``mfold`` is the
     knot-tied instance.  Exposed so the Mendler computation rule is directly
     checkable: ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
+    Each step issues a fresh brand.  The handles of one or two slots are
+    built in a tuple display, and ``rec`` runs ``open_handle``'s test
+    inline, with its message: no comprehension and no extra call per level.
     """
     brand = object()
-    if node.rec:  # a node without recursive slots needs no handles
-        node = Node(node.sig, node.ctor, tuple([Handle(v, brand) for v in node.rec]), node.payload)
-    return malg(lambda h: recurse(open_handle(h, brand)), node)
+    rec = node.rec
+    if rec:  # a node without recursive slots needs no handles
+        if len(rec) == 2:
+            handles = (Handle(rec[0], brand), Handle(rec[1], brand))
+        elif len(rec) == 1:
+            handles = (Handle(rec[0], brand),)
+        else:
+            handles = tuple(map(Handle, rec, repeat(brand)))
+        node = Node(node.sig, node.ctor, handles, node.payload)
+
+    def open_and_recurse(h):
+        if not isinstance(h, Handle) or h._brand is not brand:
+            raise ForeignHandleError(_FOREIGN_HANDLE)
+        return recurse(h._value)
+
+    return malg(open_and_recurse, node)
 
 
 def mfold(malg, t: Term):
@@ -538,25 +564,14 @@ def lift(alg):
     """The canonical Mendler algebra of a conventional one.
 
     ``mfold(lift(alg), t) == fold_c(alg, t)`` for every term.  Of an
-    algebra that ``case`` returned, it reads the table as ``_fold_case``
-    does, building the summand's node from ``rec`` over the handles.
+    algebra that ``case`` returned, it is the Mendler step generated once
+    from the table (see :func:`_case_fold`), which builds the summand's
+    node from ``rec`` over the handles.
     """
     entry = getattr(alg, "_case", None)
-    if entry is None or entry[0] is not alg:
+    if entry is None or entry.copair is not alg:
         return lambda rec, node: alg(fmap(rec, node))
-    _, csig, table = entry
-
-    def lifted(rec, node):
-        found = table.get(node.ctor) if node.sig is csig else None
-        if found is None:
-            return alg(fmap(rec, node))
-        sig, ctor, summand_alg = found
-        slots = node.rec
-        if slots:
-            slots = tuple([rec(h) for h in slots])
-        return summand_alg(Node(sig, ctor, slots, node.payload))
-
-    return lifted
+    return entry.lifted
 
 
 def pre_in(m: Callable[[Any], Term], n: Node) -> Term:
@@ -700,13 +715,17 @@ def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: C
     and ``right_alg(project_right(csig, n))`` on a right one.  The table
     from tagged constructor to summand, untagged name and algebra is built
     here, once, so each node costs one lookup and one summand node.  A
-    node that is not of ``csig`` raises ``project``'s error.
+    node that is not of ``csig`` raises ``project``'s error; a ``csig``
+    that is no coproduct raises ``TypeError``.
 
-    The copair carries ``(copair, csig, table)`` as ``_case``, for
-    ``fold_c`` and ``lift`` to read.  It names the copair, so a wrapper
+    The copair carries a :class:`_CaseTable` as ``_case``, for ``fold_c``
+    and ``lift`` to read: the table, and the fold and Mendler step
+    generated from it on first use.  It names the copair, so a wrapper
     that copied the copair's ``__dict__`` (as ``functools.wraps`` does) is
     not taken for it: like any other algebra, it is called on every node.
     """
+    if not isinstance(csig, CoproductSignature):
+        raise TypeError(f"case needs a coproduct signature, not {csig!r}")
     table = {
         tagged: ((csig.left, csig.right)[side], ctor, (left_alg, right_alg)[side])
         for tagged, (side, ctor) in csig._untag.items()
@@ -719,32 +738,58 @@ def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: C
         sig, ctor, alg = entry
         return alg(Node(sig, ctor, n.rec, n.payload))
 
-    copair._case = (copair, csig, table)
+    copair._case = _CaseTable(copair, csig, table)
     return copair
 
 
-def _fold_case(copair, csig: CoproductSignature, table: dict):
-    """``fold_c(copair, .)`` through ``case``'s table, read once: one node per level.
+class _CaseTable:
+    """What ``case`` attaches to its copair: ``fold`` is ``fold_c(copair, .)``, ``lifted`` is ``lift(copair)``.
 
-    A node of ``csig`` whose constructor is in the table goes to that
-    summand's algebra as the summand's node, built from the folded
-    children.  Any other node is folded as any algebra's is: its children
-    first, then ``copair`` on the ``fmap`` image, which raises ``case``'s
-    error.
+    Each is generated from the table on first use and kept, as a rule's
+    ``build`` is, so importing a ``case`` algebra generates nothing and no
+    fold generates anything.
     """
 
-    def fold(t):
-        n = t.root
-        entry = table.get(n.ctor) if n.sig is csig else None
-        rec = n.rec
-        if rec:
-            rec = tuple([fold(c) for c in rec])
-        if entry is None:
-            return copair(Node(n.sig, n.ctor, rec, n.payload))
-        sig, ctor, alg = entry
-        return alg(Node(sig, ctor, rec, n.payload))
+    def __init__(self, copair, csig: CoproductSignature, table: dict):
+        self.copair, self.csig, self.table = copair, csig, table
 
-    return fold
+    @cached_property
+    def fold(self):
+        return _case_fold(self, mendler=False)
+
+    @cached_property
+    def lifted(self):
+        return _case_fold(self, mendler=True)
+
+
+def _case_fold(entry: _CaseTable, mendler: bool):
+    """Generate ``fold_c(copair, .)``, or with ``mendler`` the Mendler step ``lift(copair)``.
+
+    One branch per tagged constructor of the table hands a node of
+    ``csig`` whose ``rec`` has the constructor's arity to that summand's
+    algebra, as the summand's node built from a tuple display of the
+    folded children (of ``rec`` over the handles, under ``mendler``): one
+    node per level and no comprehension.  Any other node (a foreign one,
+    an unknown tag, a hand-built node with too few or too many children)
+    is folded as any algebra's is: its children first, then ``copair`` on
+    the ``fmap`` image, which raises ``case``'s error or the summand
+    algebra's own.
+    """
+    child = "rec" if mendler else "fold"
+    src = ["def lifted(rec, n):" if mendler else "def fold(t):\n    n = t.root"]
+    src += ["    slots = n.rec", "    if n.sig is _csig:", "        ctor = n.ctor"]
+    env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _Node=Node, _fmap=fmap)
+    for k, (tagged, (sig, ctor, alg)) in enumerate(entry.table.items()):
+        arity = len(entry.csig._plans[tagged].rec_sorts)
+        children = _tuple_src(f"{child}(slots[{i}])" for i in range(arity)) if arity else "slots"
+        src += [
+            f"        {'elif' if k else 'if'} ctor == {tagged!r}:",
+            f"            if {f'len(slots) == {arity}' if arity else 'not slots'}:",
+            f"                return _alg{k}(_Node(_sig{k}, _ctor{k}, {children}, n.payload))",
+        ]
+        env.update({f"_alg{k}": alg, f"_sig{k}": sig, f"_ctor{k}": ctor})
+    src.append(f"    return _copair(_fmap({child}, n))")
+    return run_generated("\n".join(src) + "\n", env)["lifted" if mendler else "fold"]
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,160 @@ def test_check_uniqueness_keeps_its_witnesses():
     )
     verdict = check_uniqueness(lifted, double, [t, lit(2)])
     assert verdict == kernel.UniquenessVerdict(False, "hypothesis-violation", (lit(2), Val(4), Val(2)))
+
+
+def test_case_needs_a_coproduct_signature():
+    for sig in (TRM_G1, arith.TRM_G2):
+        with pytest.raises(TypeError, match=f"^case needs a coproduct signature, not {re.escape(repr(sig))}$"):
+            case(sig, arith.eval_g1, arith.eval_g2)
+    with pytest.raises(TypeError, match="^case needs a coproduct signature, not None$"):
+        case(None, arith.eval_g1, arith.eval_g2)
+
+
+def test_arity_three_and_mixed_slots_fold_as_the_projection_copairing():
+    tri = Signature("tri", {"leaf": ("int",), "tri": ("rec", "rec", "rec")})
+    mixed = Signature("mixed", {"tag": ("int", "rec"), "pair": ("rec", "id", "rec")})
+    csig = coproduct(tri, mixed)
+    # each side tells its slots apart, so a dropped or reordered child shows
+    left = lambda n: n.payload[0] if n.ctor == "leaf" else n.rec[0] - 2 * n.rec[1] + 7 * n.rec[2]
+    right = lambda n: 10 * n.payload[0] + n.rec[0] if n.ctor == "tag" else 3 * n.rec[0] - n.rec[1] + len(n.payload[0])
+    seen = []
+    seeing = lambda f: lambda n: seen.append(n) or f(n)
+    evaluate = case(csig, seeing(left), seeing(right))
+    spec = projection_copair(csig, left, right)
+    leaf, tri_, tag, pair = (csig.constructor(c) for c in ("inl:leaf", "inl:tri", "inr:tag", "inr:pair"))
+    terms = [leaf(x) for x in (-1, 2, 5)]
+    for _ in range(2):
+        terms += [tri_(a, b, c) for a in terms[::2] for b in terms[-2:] for c in terms[:2]]
+        terms += [tag(x, a) for x in (0, 4) for a in terms[-3:]] + [pair(a, "ab", b) for a in terms[:3] for b in terms[-4:]]
+    assert len(terms) > 100
+    for t in terms:
+        expected = fold_c(spec, t)
+        by_path = {}
+        for path, alg in (("table", evaluate), ("generic", generic(evaluate))):
+            seen.clear()
+            assert fold_c(alg, t) == expected
+            assert mfold(lift(alg), t) == expected
+            by_path[path] = list(seen)
+        assert by_path["table"] == by_path["generic"]  # the same summand nodes, slots and payloads
+        assert all(n.sig in (tri, mixed) for n in seen)
+
+
+def test_a_node_of_another_coproduct_of_the_same_summands_is_foreign():
+    other = coproduct(TRM_G1, arith.TRM_G2)  # the same tagged names, another signature
+    leaf = in_(inject_left(other, TRM_G1.node("lit", (3,))))
+    message = "'inl:lit' is not a coproduct node of (trm_g1+trm_g2)"  # an ``add`` folds its children first
+    for t in (leaf, in_(inject_right(other, arith.TRM_G2.node("add", (leaf, leaf))))):
+        for alg in (arith.eval_g, generic(arith.eval_g)):
+            for run in (lambda: fold_c(alg, t), lambda: mfold(lift(alg), t)):
+                with pytest.raises(MalformedNodeError, match=f"^{re.escape(message)}$"):
+                    run()
+
+
+def malformed_adds():
+    """Hand-built ``inr:add`` nodes whose ``rec`` is not of the constructor's arity.
+
+    Each raises ``eval_g2``'s error once every child is folded: the last
+    ``add`` the summand algebras see is the malformed node.
+    """
+    one = Term(TRM, kernel.Node(TRM, "inr:add", (add(lit(1), lit(2)),), ()))
+    three = Term(TRM, kernel.Node(TRM, "inr:add", (add(lit(1), lit(2)), lit(3), lit(4)), ()))
+    return [
+        (one, "not enough values to unpack (expected 2, got 1)", ["lit", "lit", "add", "add"]),
+        (three, "too many values to unpack (expected 2)", ["lit", "lit", "add", "lit", "lit", "add"]),
+        (add(lit(5), three), "too many values to unpack (expected 2)", ["lit", "lit", "lit", "add", "lit", "lit", "add"]),
+    ]
+
+
+@pytest.mark.parametrize("t, message, before", malformed_adds())
+def test_a_hand_built_node_of_the_wrong_arity_raises_what_the_generic_path_raises(t, message, before):
+    folded = []
+    counting = lambda f: lambda n: folded.append(n.ctor) or f(n)
+    copair = case(TRM, counting(arith.eval_g1), counting(arith.eval_g2))
+    for run in (lambda alg: fold_c(alg, t), lambda alg: mfold(lift(alg), t)):
+        seen = {}
+        for path, alg in (("table", copair), ("generic", generic(copair))):
+            folded.clear()
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(alg)
+            seen[path] = list(folded)
+        assert seen["table"] == seen["generic"] == before
+
+
+def test_no_child_of_a_hand_built_node_is_dropped():
+    total = case(TRM, lambda n: n.payload[0], lambda n: sum(n.rec))
+    for children in ((lit(1),), (lit(1), lit(2), add(lit(3), lit(4))), (lit(1), lit(2), lit(3), lit(4))):
+        t = add(lit(10), Term(TRM, kernel.Node(TRM, "inr:add", children, ())))
+        expected = 10 + sum(testkit.oracle_eval(c).vv for c in children)
+        for alg in (total, generic(total)):
+            assert fold_c(alg, t) == mfold(lift(alg), t) == expected
+
+
+def test_each_case_table_generates_its_fold_and_mendler_step_once():
+    evaluate = case(TRM, arith.eval_g1, arith.eval_g2)
+    table = evaluate._case
+    assert not {"fold", "lifted"} & vars(table).keys()
+    assert fold_c(evaluate, add(lit(1), lit(2))) == Val(3)
+    assert vars(table).keys() & {"fold", "lifted"} == {"fold"}  # kept by the first fold
+    fold = table.fold
+    assert fold_c(evaluate, add(lit(3), lit(4))) == Val(7) and table.fold is fold
+    assert "lifted" not in vars(table)
+    assert lift(evaluate) is lift(evaluate) is table.lifted
+    assert mfold(lift(evaluate), add(lit(1), lit(2))) == Val(3)
+
+
+def _verdict(open_, h):
+    try:
+        return "opened", open_(h)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_step_once_opens_a_handle_as_open_handle_does():
+    class SubHandle(kernel.Handle):
+        __slots__ = ()
+
+    class Impostor:  # a Handle's fields, but no Handle
+        def __init__(self, value, brand):
+            self._value, self._brand = value, brand
+
+    steps = []
+    capture = lambda rec, node: steps.append((rec, node.rec[0]))
+    for _ in range(2):  # two sibling steps, each with its own brand
+        kernel.step_once(capture, out_(add(lit(1), lit(2))), lambda s: s)
+    (_, leaked), (rec, own) = steps
+    brand = own._brand
+    handles = [
+        own,
+        leaked,
+        lit(1),
+        Impostor(lit(1), brand),
+        SubHandle(lit(7), brand),
+        SubHandle(lit(7), object()),
+    ]
+    verdicts = [_verdict(rec, h) for h in handles]
+    assert verdicts == [_verdict(lambda h: kernel.open_handle(h, brand), h) for h in handles]
+    foreign = (kernel.ForeignHandleError, "handle consumed outside the fold that issued it")
+    assert verdicts == [("opened", lit(1)), foreign, foreign, foreign, ("opened", lit(7)), foreign]
+
+
+def test_step_once_brands_every_slot_of_any_arity():
+    node = kernel.Node(TRM, "inr:add", (lit(1), lit(2), lit(3)), ())
+    steps = []
+    kernel.step_once(lambda rec, n: steps.append((rec, n.rec)), node, lambda s: s)
+    (rec, handles), = steps
+    assert [rec(h) for h in handles] == [lit(1), lit(2), lit(3)]
+    assert len({h._brand for h in handles}) == 1 and all(type(h) is kernel.Handle for h in handles)
+
+
+def _left_nested(depth):
+    t = lit(0)
+    for _ in range(depth):
+        t = add(t, lit(1))
+    return t
+
+
+def test_eval_folds_a_900_deep_left_nested_chain():
+    # a case fold takes one frame per level, so nearly the whole recursion limit is depth
+    assert arith.eval_(_left_nested(900)) == Val(900)
+    assert mfold(lift(arith.eval_g), _left_nested(200)) == Val(200)

@@ -489,6 +489,34 @@ def test_importing_the_languages_compiles_no_rule():
     assert out[1] == "['ev1']"
 
 
+def test_importing_the_languages_and_the_cli_generates_no_case_fold():
+    script = textwrap.dedent(
+        """
+        import sys
+        import alacarte.arith, alacarte.cli
+        from alacarte import arith, kernel
+
+        tables = {
+            id(v._case): v._case
+            for name, m in list(sys.modules.items()) if name.startswith("alacarte")
+            for v in vars(m).values() if isinstance(getattr(v, "_case", None), kernel._CaseTable)
+        }
+        generated = lambda: sorted(k for t in tables.values() for k in vars(t).keys() & {"fold", "lifted"})
+        print(len(tables), generated())
+        arith.eval_(arith.lit(1))
+        print(generated())
+        kernel.lift(arith.eval_g)
+        print(generated())
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["1 []", "['fold']", "['fold', 'lifted']"]
+
+
 def test_generated_sources_of_one_shape_are_compiled_once():
     from alacarte.lang_l import PCon, PVar
 
