@@ -30,9 +30,9 @@ the value classes' ``__init__`` and ``__eq__``, the compiled rules and the
 folds of ``case`` tables) goes through ``run_generated``, which compiles
 each distinct source once.
 
-Handles are branded with a per-fold (and per-sort) nonce; consuming a
-handle under a different fold or sort (or inspecting it at all) is a
-contract violation and fails fast.  A second, fold-carrying term
+Handles are branded with a nonce issued per Mendler step (and per sort);
+consuming a handle under a different step or sort (or inspecting it at
+all) is a contract violation and fails fast.  A second, fold-carrying term
 representation (:class:`FoldTerm`, a term is whatever can run any Mendler
 algebra) lives behind the same in/out/fold interface with
 ``reflect``/``reify`` conversions.
@@ -746,8 +746,8 @@ class _CaseTable:
     """What ``case`` attaches to its copair: ``fold`` is ``fold_c(copair, .)``, ``lifted`` is ``lift(copair)``.
 
     Each is generated from the table on first use and kept, as a rule's
-    ``build`` is, so importing a ``case`` algebra generates nothing and no
-    fold generates anything.
+    ``build`` is: importing a ``case`` algebra generates nothing, and every
+    later fold reuses what the first one generated.
     """
 
     def __init__(self, copair, csig: CoproductSignature, table: dict):
@@ -781,7 +781,7 @@ def _case_fold(entry: _CaseTable, mendler: bool):
     env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _Node=Node, _fmap=fmap)
     for k, (tagged, (sig, ctor, alg)) in enumerate(entry.table.items()):
         arity = len(entry.csig._plans[tagged].rec_sorts)
-        children = _tuple_src(f"{child}(slots[{i}])" for i in range(arity)) if arity else "slots"
+        children = _tuple_src(f"{child}(slots[{i}])" for i in range(arity))
         src += [
             f"        {'elif' if k else 'if'} ctor == {tagged!r}:",
             f"            if {f'len(slots) == {arity}' if arity else 'not slots'}:",

@@ -305,15 +305,6 @@ def test_step_once_opens_a_handle_as_open_handle_does():
     assert verdicts == [("opened", lit(1)), foreign, foreign, foreign, ("opened", lit(7)), foreign]
 
 
-def test_step_once_brands_every_slot_of_any_arity():
-    node = kernel.Node(TRM, "inr:add", (lit(1), lit(2), lit(3)), ())
-    steps = []
-    kernel.step_once(lambda rec, n: steps.append((rec, n.rec)), node, lambda s: s)
-    (rec, handles), = steps
-    assert [rec(h) for h in handles] == [lit(1), lit(2), lit(3)]
-    assert len({h._brand for h in handles}) == 1 and all(type(h) is kernel.Handle for h in handles)
-
-
 def _left_nested(depth):
     t = lit(0)
     for _ in range(depth):
