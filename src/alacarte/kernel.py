@@ -45,8 +45,8 @@ generated from that table once, on first use, with one branch per tagged
 constructor that builds the summand node from a tuple display of the
 folded children.  So a case fold builds one node per level, not ``fmap``'s
 image and then the summand's, and no level runs a comprehension; nor does
-``step_once``, which builds one or two handles in a tuple display and
-opens them inline.  ``project_left``/``project_right``/``project`` stay as
+``step_once``, which builds two handles in a tuple display (any other
+number with ``map``) and opens them inline.  ``project_left``/``project_right``/``project`` stay as
 the specification ``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
@@ -503,17 +503,16 @@ def step_once(malg, node: Node, recurse):
     ``recurse`` is invoked on the value a handle wraps; ``mfold`` is the
     knot-tied instance.  Exposed so the Mendler computation rule is directly
     checkable: ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
-    Each step issues a fresh brand.  The handles of one or two slots are
-    built in a tuple display, and ``rec`` runs ``open_handle``'s test
-    inline, with its message: no comprehension and no extra call per level.
+    Each step issues a fresh brand.  The handles of two slots are built in
+    a tuple display, any other number with ``map``, and ``rec`` runs
+    ``open_handle``'s test inline, with its message: no comprehension and
+    no extra call per level.
     """
     brand = object()
     rec = node.rec
     if rec:  # a node without recursive slots needs no handles
         if len(rec) == 2:
             handles = (Handle(rec[0], brand), Handle(rec[1], brand))
-        elif len(rec) == 1:
-            handles = (Handle(rec[0], brand),)
         else:
             handles = tuple(map(Handle, rec, repeat(brand)))
         node = Node(node.sig, node.ctor, handles, node.payload)
