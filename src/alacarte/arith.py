@@ -24,6 +24,7 @@ from .indexed import (
     IndexedSignature,
     InvalidDerivationError,
     WrongIndexError,
+    cases,
     derivation_to_json,
     din,
     dout,
@@ -247,35 +248,37 @@ def _tof1(v: Val) -> Derivation:
     return din(TYPOF_SIG.dnode("tof1", {"v": v}))
 
 
-def _preservation_step(rec, w, node):
-    """The preservation step of both routes: over ``EVAL_SIG``, at index
-    ``(e, v)``, and over ``ISTRM_SIG``, at index ``e``.
+def _typed_at(td: Derivation, e: Term) -> None:
+    if td.root.conclusion != (e, N):
+        raise WrongIndexError(f"typing derivation concludes {td.root.conclusion!r}, expected {(e, N)!r}")
 
-    The evaluation route also checks that its premise transformers agree
-    with the premises' values.
-    """
+
+# The two proof cases of both routes: over ``EVAL_SIG``, at index ``(e, v)``,
+# and over ``ISTRM_SIG``, at index ``e``.  The evaluation route also checks
+# that its premise transformers agree with the premises' values.
+def _literal_case(rec, w, node):
+    e = w[0] if node.sig is EVAL_SIG else w
+
+    def transform(td: Derivation) -> Derivation:
+        _typed_at(td, e)
+        return td  # validated, and it concludes (lit x, N): tof1 at this literal
+
+    return transform
+
+
+def _sum_case(rec, w, node):
     evaluation = node.sig is EVAL_SIG
     e = w[0] if evaluation else w
 
     def transform(td: Derivation) -> Derivation:
-        if td.root.conclusion != (e, N):
-            raise WrongIndexError(
-                f"typing derivation concludes {td.root.conclusion!r}, "
-                f"expected {(e, N)!r}"
-            )
-        if node.rule in ("ev1", "isLit"):
-            return td  # validated, and it concludes (lit x, N): tof1 at this literal
+        _typed_at(td, e)
         tnode = dout(td)
         if tnode.rule != "tof2":
-            raise InvalidDerivationError(
-                f"typing of an addition must end in tof2, got {tnode.rule}"
-            )
+            raise InvalidDerivationError(f"typing of an addition must end in tof2, got {tnode.rule}")
         (_, w1, h1), (_, w2, h2) = node.premises
         (_, _, td1), (_, _, td2) = tnode.premises
-        out1 = rec(w1, h1)(td1)
-        out2 = rec(w2, h2)(td2)
-        x1 = lit_value(out1.root.conclusion[0])
-        x2 = lit_value(out2.root.conclusion[0])
+        x1 = lit_value(rec(w1, h1)(td1).root.conclusion[0])
+        x2 = lit_value(rec(w2, h2)(td2).root.conclusion[0])
         if evaluation and not (  # only a Val index of the same value agrees
             w1[1].__class__ is Val and w1[1].vv == x1 and w2[1].__class__ is Val and w2[1].vv == x2
         ):
@@ -283,6 +286,16 @@ def _preservation_step(rec, w, node):
         return _tof1(Val(x1 + x2))
 
     return transform
+
+
+_preservation_step = cases(EVAL_SIG, {"ev1": _literal_case, "ev2": _sum_case})
+_istrm_preservation_step = cases(ISTRM_SIG, {"isLit": _literal_case, "isAdd": _sum_case})
+
+
+def _concludes(out: Derivation, expected) -> Derivation:
+    if out.root.conclusion != expected:
+        raise InvalidDerivationError(f"preservation concludes {out.root.conclusion!r}, expected {expected!r}")
+    return out
 
 
 def preservation(d: Derivation, td: Derivation) -> Derivation:
@@ -294,9 +307,7 @@ def preservation(d: Derivation, td: Derivation) -> Derivation:
     e2, t = td.root.conclusion
     if e != e2:
         raise WrongIndexError("evaluation and typing derivations disagree on the term")
-    out = ifold(_preservation_step, (e, v), d)(td)
-    assert out.root.conclusion == (_lit(v.vv), t)
-    return out
+    return _concludes(ifold(_preservation_step, (e, v), d)(td), (_lit(v.vv), t))
 
 
 def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
@@ -308,9 +319,7 @@ def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
     e2, t = td.root.conclusion
     if e != e2:
         raise WrongIndexError("lifting and typing derivations disagree on the term")
-    out = ifold(_preservation_step, e, w)(td)
-    assert out.root.conclusion == (_lit(eval_(e).vv), t)
-    return out
+    return _concludes(ifold(_istrm_preservation_step, e, w)(td), (_lit(eval_(e).vv), t))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ function from a context and a subject to an output: the table picks the rule.
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
-``rec`` procedure, which also enforces index coherence.
+``rec`` procedure, which also enforces index coherence.  :func:`cases` builds
+such a step from one proof case per rule, and rejects a table that is not
+total over the signature's rules when it is built.
 """
 
 from __future__ import annotations
@@ -583,6 +585,30 @@ def ifold(malg, w, d: Derivation):
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
     recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
     return recurse(w, d)
+
+
+def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
+    """The Mendler step that runs ``table[node.rule]``, ``node`` being its last argument.
+
+    So it serves ``ifold``'s ``(rec, w, node)`` and ``hfold``'s ``(rec1, ..., w, node)``.
+    Building it raises ``ValueError``, naming each missing and each extra rule,
+    unless the table's keys are ``sig``'s rules.  Running it on a node whose
+    rule has no case raises :class:`InvalidDerivationError` naming ``sig`` and the rule.
+    """
+    missing = [name for name in sig.rules if name not in table]
+    extra = [name for name in table if name not in sig.rules]
+    if missing or extra:
+        raise ValueError(f"cases over {sig.name}: missing rules {missing}, extra rules {extra}")
+    table = dict(table)
+
+    def step(*args):
+        try:
+            case = table[args[-1].rule]
+        except (KeyError, TypeError):  # an unhashable rule name names no rule
+            raise InvalidDerivationError(f"{sig.name} has no case for rule {args[-1].rule!r}") from None
+        return case(*args)
+
+    return step
 
 
 def derivation_to_json(d: Derivation, encode=lambda v: v) -> dict:

@@ -3,10 +3,13 @@
 The carrier at a declaration step index (rho, d1, d2) is a transformer:
 given a context gamma, a validating environment typing for (rho, gamma) and
 a typing of d1 at t under gamma, produce a typing of d2 at t under gamma.
-Likewise for expression steps.  ``TP_ALG`` packs both step procedures; its
-cases consume the step derivation's recursive premises only through the
-``rec`` handles and use the typing lemmas (weakening, value retyping,
-pointwise environment typing) for everything context-shaped.
+Likewise for expression steps.  ``TP_ALG`` is one table of proof cases, one
+per step rule of ``STEP_SIG``, checked total when it is built (see
+``indexed.cases``); the seven congruence rules share one case, and the
+rules that end in a ``TD-ENV`` typing share its check.  The cases consume
+the step derivation's recursive premises only through the ``rec`` handles
+and use the typing lemmas (weakening, value retyping, pointwise environment
+typing) for everything context-shaped.
 
 A case that cannot produce the required typing raises
 :class:`CounterexampleError` carrying a replayable report.  That is the
@@ -15,7 +18,7 @@ property under test: on well-typed configurations it never fires.
 
 from __future__ import annotations
 
-from ..indexed import InvalidDerivationError, WrongIndexError, din, validate
+from ..indexed import InvalidDerivationError, WrongIndexError, cases, din, validate
 from ..mutual import (
     BiDerivation,
     IndexedBiMendlerAlgebra,
@@ -25,7 +28,6 @@ from ..mutual import (
     validate_bi,
 )
 from .syntax import (
-    Env,
     encode_index,
     env_,
     env_union,
@@ -33,6 +35,7 @@ from .syntax import (
     print_dec,
     print_exp,
 )
+from .step import STEP_SIG
 from .typing import (
     TYPING_SIG,
     TYPOENV_SIG,
@@ -78,13 +81,6 @@ def _children(node):
     return tuple(wit for _, _, wit in node.premises)
 
 
-def _typoenv(rho: Env, gamma: Env, w, step_rule):
-    try:
-        return din(TYPOENV_SIG.dnode("te_env", {"rho": rho, "gamma": gamma}))
-    except InvalidDerivationError:
-        _fail(w, step_rule, "extended environment lost its pointwise typing")
-
-
 def _rebuild(rule_name, params, witnesses, w, step_rule):
     try:
         return din_bi(TYPING_SIG.dnode(rule_name, params, witnesses))
@@ -92,176 +88,133 @@ def _rebuild(rule_name, params, witnesses, w, step_rule):
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
+def _td_env(gamma, rhop, gammap, w, step_rule, reason):
+    """The ``TD-ENV`` typing of ``rhop`` at ``gammap``, which must be ``env_typing(rhop)``."""
+    if env_typing(rhop) != gammap:
+        _fail(w, step_rule, reason)
+    return _rebuild("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}, (), w, step_rule)
+
+
 # The one-premise congruence steps: step rule -> (typing rule, child
-# position, rewritten parameter).  The step's premise steps that child of the
-# typing, and the rebuilt typing takes the step's primed parameter (``e1``
-# becomes the step's ``e1p``).
+# position, rewritten parameter, scope).  The step's premise steps that child
+# of the typing, and the rebuilt typing takes the step's primed parameter
+# (``e1`` becomes the step's ``e1p``).  A ``scope`` names the typing's
+# parameter whose bindings the child is typed under: that child steps under
+# ``rho ⊕ rho1`` and is typed under ``gamma ⊕`` that parameter.
 _CONGRUENCE = {
-    "E-APP1": ("T-APP", 0, "e1"),
-    "E-APP2": ("T-APP", 1, "e2"),
-    "E-SCOPE1": ("T-SCOPE", 0, "d"),
-    "D-MATCH1": ("TD-MATCH", 0, "e"),
-    "D-JOIN1": ("TD-JOIN", 0, "d1"),
+    "E-APP1": ("T-APP", 0, "e1", None),
+    "E-APP2": ("T-APP", 1, "e2", None),
+    "E-SCOPE1": ("T-SCOPE", 0, "d", None),
+    "E-SCOPE2": ("T-SCOPE", 1, "e", "gammap"),
+    "D-MATCH1": ("TD-MATCH", 0, "e", None),
+    "D-JOIN1": ("TD-JOIN", 0, "d1", None),
+    "D-JOIN2": ("TD-JOIN", 1, "d2", "gamma1"),
 }
 
 
-def _congruence_case(rec1, rec2, w, node, P):
-    typing_rule, pos, param = _CONGRUENCE[node.rule]
+def _congruence(typing_rule, pos, param, scope):
+    """The case of a ``_CONGRUENCE`` row: the typing rebuilt around its stepped child."""
 
-    def transform(gamma, envd, typd):
-        an = _expect(typd, typing_rule, w, node.rule)
-        children = list(_children(an))
+    def case(rec1, rec2, w, node):
+        P = node.params_dict()
         fam, wi, h = node.premises[0]
         rec = rec1 if fam == 1 else rec2
-        children[pos] = rec(wi, h)(gamma, envd, children[pos])
-        params = {**an.params_dict(), param: P[param + "p"]}
-        return _rebuild(typing_rule, params, tuple(children), w, node.rule)
 
-    return transform
-
-
-def _step_exp_case(rec1, rec2, w, node):
-    rho, e1, e2 = w
-    P = node.params_dict()
-    if node.rule in _CONGRUENCE:
-        return _congruence_case(rec1, rec2, w, node, P)
-
-    def transform(gamma, envd, typd):
-        tnode = typd.root
-        t = tnode.conclusion[2]
-
-        if node.rule == "E-VAR":
-            v = rho.get(P["x"])
-            res = typecheck_exp(gamma, v)
-            if res is None or res[0] != t:
-                _fail(w, node.rule, "looked-up value does not have the variable's type")
-            return res[1]
-
-        if node.rule == "E-BETA":
-            an = _expect(typd, "T-APP", w, node.rule)
-            cf, cv = _children(an)
-            fn = _expect(cf, "T-CLOS", w, node.rule)
-            FP = fn.params_dict()
-            body_td = _children(fn)[0]
-            m = patmatch(P["p"], P["v"])
-            if m is None:
-                _fail(w, node.rule, "beta step without a matching pattern")
-            merged = env_union(P["rho0"], m)
-            gammap = env_typing(merged)
-            if gammap is None or gammap != env_union(FP["gamma0"], bindings(P["p"])):
-                _fail(w, node.rule, "matched bindings do not have the pattern's types")
-            dd = _rebuild(
-                "TD-ENV",
-                {"gamma": gamma, "rhop": merged, "gammap": gammap},
-                (),
-                w,
-                node.rule,
-            )
-            body_moved = weaken(gamma, body_td)
-            return _rebuild(
-                "T-SCOPE",
-                {
-                    "gamma": gamma,
-                    "d": env_(merged),
-                    "gammap": gammap,
-                    "e": P["eb"],
-                    "t": FP["t2"],
-                },
-                (dd, body_moved),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "E-SCOPE2":
-            an = _expect(typd, "T-SCOPE", w, node.rule)
-            dd, de = _children(an)
-            gammap = an.params_dict()["gammap"]
-            inner_env = env_union(rho, P["rho1"])
-            inner_gamma = env_union(gamma, gammap)
-            envd_inner = _typoenv(inner_env, inner_gamma, w, node.rule)
-            _, wi, h = node.premises[0]
-            dep = rec2(wi, h)(inner_gamma, envd_inner, de)
-            return _rebuild(
-                "T-SCOPE",
-                {**an.params_dict(), "e": P["ep"]},
-                (dd, dep),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "E-SCOPE3":
-            an = _expect(typd, "T-SCOPE", w, node.rule)
-            _, de = _children(an)
-            try:
-                return retype_value(gamma, de)
-            except InvalidDerivationError:
-                _fail(w, node.rule, "scope body is not a context-free value typing")
-
-        _fail(w, node.rule, f"unhandled expression step rule {node.rule}")
-
-    return transform
-
-
-def _step_dec_case(rec1, rec2, w, node):
-    rho, d1, d2 = w
-    P = node.params_dict()
-    if node.rule in _CONGRUENCE:
-        return _congruence_case(rec1, rec2, w, node, P)
-
-    def transform(gamma, envd, typd):
-        if node.rule == "D-MATCH":
-            an = _expect(typd, "TD-MATCH", w, node.rule)
-            m = patmatch(P["p"], P["v"])
-            if m is None:
-                _fail(w, node.rule, "match step without a matching pattern")
-            gammam = env_typing(m)
-            if gammam is None or gammam != bindings(P["p"]):
-                _fail(w, node.rule, "matched bindings do not have the pattern's types")
-            return _rebuild(
-                "TD-ENV",
-                {"gamma": gamma, "rhop": m, "gammap": gammam},
-                (),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "D-JOIN2":
-            an = _expect(typd, "TD-JOIN", w, node.rule)
-            c1, c2 = _children(an)
-            gamma1 = an.params_dict()["gamma1"]
-            inner_gamma = env_union(gamma, gamma1)
-            envd_inner = _typoenv(env_union(rho, P["rho1"]), inner_gamma, w, node.rule)
-            _, wi, h = node.premises[0]
-            c2p = rec1(wi, h)(inner_gamma, envd_inner, c2)
-            return _rebuild(
-                "TD-JOIN",
-                {**an.params_dict(), "d2": P["d2p"]},
-                (c1, c2p),
-                w,
-                node.rule,
-            )
-
-        if node.rule == "D-JOIN3":
-            an = _expect(typd, "TD-JOIN", w, node.rule)
+        def transform(gamma, envd, typd):
+            an = _expect(typd, typing_rule, w, node.rule)
             AP = an.params_dict()
-            merged = env_union(P["rho1"], P["rho2"])
-            gammap = env_union(AP["gamma1"], AP["gamma2"])
-            if env_typing(merged) != gammap:
-                _fail(w, node.rule, "joined environments lost their pointwise typing")
-            return _rebuild(
-                "TD-ENV",
-                {"gamma": gamma, "rhop": merged, "gammap": gammap},
-                (),
-                w,
-                node.rule,
-            )
+            children = list(_children(an))
+            if scope is not None:
+                gamma = env_union(gamma, AP[scope])
+                try:
+                    envd = din(TYPOENV_SIG.dnode("te_env", {"rho": env_union(w[0], P["rho1"]), "gamma": gamma}))
+                except InvalidDerivationError:
+                    _fail(w, node.rule, "extended environment lost its pointwise typing")
+            children[pos] = rec(wi, h)(gamma, envd, children[pos])
+            return _rebuild(typing_rule, {**AP, param: P[param + "p"]}, tuple(children), w, node.rule)
 
-        _fail(w, node.rule, f"unhandled declaration step rule {node.rule}")
+        return transform
+
+    return case
+
+
+def _e_var(rec1, rec2, w, node):
+    def transform(gamma, envd, typd):
+        res = typecheck_exp(gamma, w[0].get(node.params_dict()["x"]))
+        if res is None or res[0] != typd.root.conclusion[2]:
+            _fail(w, node.rule, "looked-up value does not have the variable's type")
+        return res[1]
 
     return transform
 
 
-TP_ALG = IndexedBiMendlerAlgebra(step1=_step_dec_case, step2=_step_exp_case)
+def _e_beta(rec1, rec2, w, node):
+    P = node.params_dict()
+
+    def transform(gamma, envd, typd):
+        an = _expect(typd, "T-APP", w, node.rule)
+        fn = _expect(_children(an)[0], "T-CLOS", w, node.rule)
+        FP = fn.params_dict()
+        m = patmatch(P["p"], P["v"])
+        if m is None:
+            _fail(w, node.rule, "beta step without a matching pattern")
+        merged = env_union(P["rho0"], m)
+        gammap = env_union(FP["gamma0"], bindings(P["p"]))
+        dd = _td_env(gamma, merged, gammap, w, node.rule, "matched bindings do not have the pattern's types")
+        body_moved = weaken(gamma, _children(fn)[0])
+        params = {"gamma": gamma, "d": env_(merged), "gammap": gammap, "e": P["eb"], "t": FP["t2"]}
+        return _rebuild("T-SCOPE", params, (dd, body_moved), w, node.rule)
+
+    return transform
+
+
+def _e_scope3(rec1, rec2, w, node):
+    def transform(gamma, envd, typd):
+        _, de = _children(_expect(typd, "T-SCOPE", w, node.rule))
+        try:
+            return retype_value(gamma, de)
+        except InvalidDerivationError:
+            _fail(w, node.rule, "scope body is not a context-free value typing")
+
+    return transform
+
+
+def _d_match(rec1, rec2, w, node):
+    P = node.params_dict()
+
+    def transform(gamma, envd, typd):
+        _expect(typd, "TD-MATCH", w, node.rule)
+        m = patmatch(P["p"], P["v"])
+        if m is None:
+            _fail(w, node.rule, "match step without a matching pattern")
+        return _td_env(gamma, m, bindings(P["p"]), w, node.rule, "matched bindings do not have the pattern's types")
+
+    return transform
+
+
+def _d_join3(rec1, rec2, w, node):
+    P = node.params_dict()
+
+    def transform(gamma, envd, typd):
+        AP = _expect(typd, "TD-JOIN", w, node.rule).params_dict()
+        merged = env_union(P["rho1"], P["rho2"])
+        gammap = env_union(AP["gamma1"], AP["gamma2"])
+        return _td_env(gamma, merged, gammap, w, node.rule, "joined environments lost their pointwise typing")
+
+    return transform
+
+
+# One proof case per step rule; ``cases`` checks it total over ``STEP_SIG``.
+_CASES = {
+    **{rule: _congruence(*row) for rule, row in _CONGRUENCE.items()},
+    "E-VAR": _e_var,
+    "E-BETA": _e_beta,
+    "E-SCOPE3": _e_scope3,
+    "D-MATCH": _d_match,
+    "D-JOIN3": _d_join3,
+}
+_step = cases(STEP_SIG, _CASES)
+TP_ALG = IndexedBiMendlerAlgebra(step1=_step, step2=_step)
 
 
 def subject_reduction(rho, stepd: BiDerivation, gamma, envd, typd) -> BiDerivation:

@@ -528,3 +528,42 @@ def test_term_and_derivation_text_at_depth_320():
     assert text.startswith("(add " * 320 + "(lit 0) (lit 0))")
     js = derivation_json(build_eval_derivation(t))
     assert js["index"] == [text, print_val(eval_(t))]
+
+
+# ---------------------------------------------------------------------------
+# the preservation cases are tables over the rules, and the postconditions are raises
+
+
+@pytest.mark.parametrize("sig_name", ["Eval", "IsTrm"])
+def test_a_node_whose_rule_has_no_preservation_case_is_not_folded_as_an_addition(sig_name):
+    from alacarte import arith
+    from alacarte.indexed import ifold
+
+    e = add(lit(1), lit(2))
+    if sig_name == "Eval":
+        sig, step, w = EVAL_SIG, arith._preservation_step, (e, Val(3))
+    else:
+        sig, step, w = arith.ISTRM_SIG, arith._istrm_preservation_step, e
+    d = build_eval_derivation(e) if sig is EVAL_SIG else build_istrm(e)
+    bogus = Derivation(sig, DNode(sig, 1, "bogus", d.root.params, d.root.premises, w))
+    with pytest.raises(InvalidDerivationError) as exc:
+        ifold(step, w, bogus)(build_typof_derivation(e))
+    assert str(exc.value) == f"{sig_name} has no case for rule 'bogus'"
+
+
+@pytest.mark.parametrize("route", ["evaluation", "istrm"])
+def test_a_preservation_result_with_the_wrong_conclusion_is_raised_not_asserted(monkeypatch, route):
+    from alacarte import arith
+
+    wrong = lambda rec, w, node: lambda td: arith._tof1(Val(99))
+    e = add(lit(1), lit(2))
+    td = build_typof_derivation(e)
+    if route == "evaluation":
+        monkeypatch.setattr(arith, "_preservation_step", wrong)
+        call = lambda: preservation(build_eval_derivation(e), td)
+    else:
+        monkeypatch.setattr(arith, "_istrm_preservation_step", wrong)
+        call = lambda: preservation_via_istrm(build_istrm(e), td)
+    with pytest.raises(InvalidDerivationError) as exc:
+        call()
+    assert str(exc.value) == f"preservation concludes {(lit(99), N)!r}, expected {(lit(3), N)!r}"

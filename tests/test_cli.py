@@ -451,3 +451,27 @@ def test_literals_at_the_digit_limit_still_parse_and_print(capsys):
     assert (code, out, err) == (0, "(val 0)\n", "")
     code, out, err = run(capsys, "arith", "derive", "--relation", "typof", f"(add (lit {LONGEST}) (lit {LONGEST}))")
     assert (code, err) == (0, "") and json.loads(out)["premises"][0]["index"] == [f"(lit {LONGEST})", "N"]
+
+
+# ---------------------------------------------------------------------------
+# no behaviour the CLI reports rests on an ``assert``
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["arith", "preserve", "(add (lit 1) (lit 2))"], id="arith-preserve"),
+        pytest.param(["fuzz-preservation", "--seed", "42", "--count", "50"], id="fuzz-preservation"),
+    ],
+)
+def test_output_and_exit_code_are_the_same_under_python_O(argv):
+    src = str(Path(alacarte.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "alacarte.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == 0 and runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)

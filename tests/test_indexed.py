@@ -595,3 +595,28 @@ def test_witnesses_may_be_any_iterable():
     with pytest.raises(InvalidDerivationError) as exc:
         nat.sig.dnode("s", {"n": 0}, (w for w in [z, z]))
     assert str(exc.value) == "CountingNat.s: expected 1 premise witnesses, got 2"
+
+
+# ---------------------------------------------------------------------------
+# cases: one proof case per rule, checked total when built
+
+
+def test_cases_rejects_a_table_with_a_missing_or_an_extra_row_naming_them():
+    case = lambda rec, w, node: node.rule
+    with pytest.raises(ValueError) as exc:
+        indexed.cases(EVAL_SIG, {"ev1": case})
+    assert str(exc.value) == "cases over Eval: missing rules ['ev2'], extra rules []"
+    with pytest.raises(ValueError) as exc:
+        indexed.cases(EVAL_SIG, {"ev1": case, "ev2": case, "ev3": case, "isLit": case})
+    assert str(exc.value) == "cases over Eval: missing rules [], extra rules ['ev3', 'isLit']"
+    step = indexed.cases(EVAL_SIG, {"ev1": case, "ev2": case})
+    assert ifold(step, (add(lit(1), lit(2)), Val(3)), arith.build_eval_derivation(add(lit(1), lit(2)))) == "ev2"
+
+
+@pytest.mark.parametrize("name", ["bogus", ["ev1"]], ids=["unknown", "unhashable"])
+def test_folding_a_node_whose_rule_has_no_case_names_the_signature_and_the_rule(name):
+    step = indexed.cases(EVAL_SIG, {"ev1": lambda rec, w, node: 1, "ev2": lambda rec, w, node: 2})
+    node = DNode(EVAL_SIG, 1, name, (), (), (lit(1), Val(1)))
+    with pytest.raises(InvalidDerivationError) as exc:
+        ifold(step, node.conclusion, Derivation(EVAL_SIG, node))
+    assert str(exc.value) == f"Eval has no case for rule {name!r}"

@@ -193,3 +193,214 @@ def test_congruence_cases_report_a_mistyped_child_as_a_counterexample():
             "reason": f"expected a {typing_rule} typing, got T-CON",
         }
         run_one(EMPTY_ENV, term, sort)
+
+
+def _report(rule, term, successor, reason, rho="()"):
+    return {"rule": rule, "rho": rho, "term": term, "successor": successor, "reason": reason}
+
+
+_XA = "(env ((x (con c (ty a)))))"
+# step rule -> (sort, rho, stepped term, the term whose typing is handed over,
+# the report); each report was pinned from the if-chain cases the table replaced
+_MISTYPED = {
+    "E-VAR": (
+        "exp",
+        Env([("x", cn("c", TY_A))]),
+        vr("x"),
+        cn("c", TY_B),
+        _report(
+            "E-VAR",
+            "(var x)",
+            "(con c (ty a))",
+            "looked-up value does not have the variable's type",
+            rho="((x (con c (ty a))))",
+        ),
+    ),
+    "E-BETA": (
+        "exp",
+        EMPTY_ENV,
+        apply_(closure(EMPTY_ENV, PVar("x", TY_A), vr("x")), cn("c", TY_A)),
+        cn("c", TY_B),
+        _report(
+            "E-BETA",
+            "(app (clos () (pvar x (ty a)) (var x)) (con c (ty a)))",
+            "(scope (env ((x (con c (ty a))))) (var x))",
+            "expected a T-APP typing, got T-CON",
+        ),
+    ),
+    "E-BETA, mistyped argument": (
+        "exp",
+        EMPTY_ENV,
+        apply_(closure(EMPTY_ENV, PVar("x", TY_A), vr("x")), cn("c", TY_B)),
+        apply_(closure(EMPTY_ENV, PVar("x", TY_A), vr("x")), cn("c", TY_A)),
+        _report(
+            "E-BETA",
+            "(app (clos () (pvar x (ty a)) (var x)) (con c (ty b)))",
+            "(scope (env ((x (con c (ty b))))) (var x))",
+            "matched bindings do not have the pattern's types",
+        ),
+    ),
+    "E-SCOPE2": (
+        "exp",
+        EMPTY_ENV,
+        scope(env_(Env([("x", cn("c", TY_A))])), apply_(closure(EMPTY_ENV, PVar("y", TY_A), vr("y")), vr("x"))),
+        cn("c", TY_B),
+        _report(
+            "E-SCOPE2",
+            f"(scope {_XA} (app (clos () (pvar y (ty a)) (var y)) (var x)))",
+            f"(scope {_XA} (app (clos () (pvar y (ty a)) (var y)) (con c (ty a))))",
+            "expected a T-SCOPE typing, got T-CON",
+        ),
+    ),
+    "E-SCOPE2, mistyped scope": (
+        "exp",
+        EMPTY_ENV,
+        scope(env_(Env([("x", cn("c", TY_A))])), vr("x")),
+        scope(env_(Env([("x", cn("c", TY_B))])), vr("x")),
+        _report(
+            "E-SCOPE2",
+            f"(scope {_XA} (var x))",
+            f"(scope {_XA} (con c (ty a)))",
+            "extended environment lost its pointwise typing",
+        ),
+    ),
+    "E-SCOPE3": (
+        "exp",
+        EMPTY_ENV,
+        scope(env_(Env([("x", cn("c", TY_A))])), cn("d", TY_A)),
+        cn("c", TY_B),
+        _report(
+            "E-SCOPE3",
+            f"(scope {_XA} (con d (ty a)))",
+            "(con d (ty a))",
+            "expected a T-SCOPE typing, got T-CON",
+        ),
+    ),
+    "E-SCOPE3, a body that is no value": (
+        "exp",
+        EMPTY_ENV,
+        scope(env_(Env([("x", cn("c", TY_A))])), cn("d", TY_A)),
+        scope(env_(Env([("x", cn("c", TY_A))])), vr("x")),
+        _report(
+            "E-SCOPE3",
+            f"(scope {_XA} (con d (ty a)))",
+            "(con d (ty a))",
+            "scope body is not a context-free value typing",
+        ),
+    ),
+    "D-MATCH": (
+        "dec",
+        EMPTY_ENV,
+        match_(PVar("z", TY_A), cn("c", TY_A)),
+        env_(EMPTY_ENV),
+        _report(
+            "D-MATCH",
+            "(match (pvar z (ty a)) (con c (ty a)))",
+            "(env ((z (con c (ty a)))))",
+            "expected a TD-MATCH typing, got TD-ENV",
+        ),
+    ),
+    "D-MATCH, mistyped value": (
+        "dec",
+        EMPTY_ENV,
+        match_(PVar("z", TY_A), cn("c", TY_B)),
+        match_(PVar("z", TY_A), cn("c", TY_A)),
+        _report(
+            "D-MATCH",
+            "(match (pvar z (ty a)) (con c (ty b)))",
+            "(env ((z (con c (ty b)))))",
+            "matched bindings do not have the pattern's types",
+        ),
+    ),
+    "D-JOIN2": (
+        "dec",
+        EMPTY_ENV,
+        join_(env_(Env([("x", cn("c", TY_A))])), match_(PVar("z", TY_A), vr("x"))),
+        env_(EMPTY_ENV),
+        _report(
+            "D-JOIN2",
+            f"(join {_XA} (match (pvar z (ty a)) (var x)))",
+            f"(join {_XA} (match (pvar z (ty a)) (con c (ty a))))",
+            "expected a TD-JOIN typing, got TD-ENV",
+        ),
+    ),
+    "D-JOIN2, mistyped join": (
+        "dec",
+        EMPTY_ENV,
+        join_(env_(Env([("x", cn("c", TY_A))])), match_(PVar("z", TY_A), vr("x"))),
+        join_(env_(Env([("x", cn("c", TY_B))])), match_(PVar("z", TY_B), vr("x"))),
+        _report(
+            "D-JOIN2",
+            f"(join {_XA} (match (pvar z (ty a)) (var x)))",
+            f"(join {_XA} (match (pvar z (ty a)) (con c (ty a))))",
+            "extended environment lost its pointwise typing",
+        ),
+    ),
+    "D-JOIN3": (
+        "dec",
+        EMPTY_ENV,
+        join_(env_(Env([("x", cn("c", TY_A))])), env_(Env([("y", cn("d", TY_B))]))),
+        env_(EMPTY_ENV),
+        _report(
+            "D-JOIN3",
+            f"(join {_XA} (env ((y (con d (ty b))))))",
+            "(env ((x (con c (ty a))) (y (con d (ty b)))))",
+            "expected a TD-JOIN typing, got TD-ENV",
+        ),
+    ),
+    "D-JOIN3, mistyped join": (
+        "dec",
+        EMPTY_ENV,
+        join_(env_(Env([("x", cn("c", TY_A))])), env_(Env([("y", cn("d", TY_B))]))),
+        join_(env_(Env([("x", cn("c", TY_A))])), env_(Env([("y", cn("d", TY_A))]))),
+        _report(
+            "D-JOIN3",
+            f"(join {_XA} (env ((y (con d (ty b))))))",
+            "(env ((x (con c (ty a))) (y (con d (ty b)))))",
+            "joined environments lost their pointwise typing",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISTYPED))
+def test_every_other_step_rule_reports_a_mistyped_typing_as_a_counterexample(case):
+    from alacarte.lang_l import TP_ALG, CounterexampleError
+    from alacarte.mutual import hfold_1, hfold_2
+
+    sort, rho, term, other, report = _MISTYPED[case]
+    gamma, envd = setting(rho)
+    _, typd = (typecheck_dec if sort == "dec" else typecheck_exp)(gamma, other)
+    _, stepd = (step_dec if sort == "dec" else step_exp)(rho, term)
+    assert stepd.root.rule == report["rule"]
+    fold = hfold_1 if sort == "dec" else hfold_2
+    with pytest.raises(CounterexampleError) as exc:
+        fold(TP_ALG, stepd.root.conclusion, stepd)(gamma, envd, typd)
+    assert exc.value.report == report
+
+
+def test_the_proof_cases_cover_every_step_rule_and_no_other():
+    from alacarte.indexed import birule, cases
+    from alacarte.lang_l import STEP_SIG, preservation
+    from alacarte.mutual import IndexedBiSignature
+
+    assert preservation._CASES.keys() == STEP_SIG.rules.keys()
+    new = birule(2, "E-NEW", params=("rho",), conclusion=lambda P: (P["rho"], vr("x"), vr("x")))
+    grown = IndexedBiSignature("Step+", [*STEP_SIG.rules.values(), new])
+    with pytest.raises(ValueError) as exc:
+        cases(grown, preservation._CASES)
+    assert str(exc.value) == "cases over Step+: missing rules ['E-NEW'], extra rules []"
+
+
+def test_folding_a_step_node_whose_rule_has_no_case_names_the_signature_and_the_rule():
+    from alacarte.indexed import DNode
+    from alacarte.lang_l import STEP_SIG, TP_ALG
+    from alacarte.mutual import BiDerivation, hfold_2
+
+    gamma, envd = setting(EMPTY_ENV)
+    _, typd = typecheck_exp(gamma, cn("c", TY_A))
+    w = (EMPTY_ENV, vr("x"), cn("c", TY_A))
+    node = DNode(STEP_SIG, 2, "E-NEW", (), (), w)
+    with pytest.raises(InvalidDerivationError) as exc:
+        hfold_2(TP_ALG, w, BiDerivation(STEP_SIG, node))(gamma, envd, typd)
+    assert str(exc.value) == "Step has no case for rule 'E-NEW'"
