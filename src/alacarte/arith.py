@@ -26,7 +26,6 @@ from .indexed import (
     WrongIndexError,
     cases,
     derivation_to_json,
-    din,
     dout,
     ifold,
     rule,
@@ -176,18 +175,16 @@ def build_eval_derivation(t: Term) -> Derivation:
     """A validating derivation concluding at ``(t, eval_(t))``."""
     node = out_(t)
     if node.ctor == LIT:
-        return din(EVAL_SIG.dnode("ev1", {"x": node.payload[0]}))
+        return EVAL_SIG.derive("ev1", {"x": node.payload[0]})
     e1, e2 = node.rec
     d1 = build_eval_derivation(e1)
     d2 = build_eval_derivation(e2)
     x1 = d1.root.conclusion[1]
     x2 = d2.root.conclusion[1]
-    return din(
-        EVAL_SIG.dnode(
-            "ev2",
-            {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": Val(x1.vv + x2.vv)},
-            (d1, d2),
-        )
+    return EVAL_SIG.derive(
+        "ev2",
+        {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": Val(x1.vv + x2.vv)},
+        (d1, d2),
     )
 
 
@@ -214,27 +211,21 @@ def eval_of_derivation(d: Derivation) -> Agreement:
 def build_typof_derivation(t: Term) -> Derivation:
     node = out_(t)
     if node.ctor == LIT:
-        return din(TYPOF_SIG.dnode("tof1", {"v": Val(node.payload[0])}))
+        return TYPOF_SIG.derive("tof1", {"v": Val(node.payload[0])})
     e1, e2 = node.rec
-    return din(
-        TYPOF_SIG.dnode(
-            "tof2",
-            {"e1": e1, "e2": e2},
-            (build_typof_derivation(e1), build_typof_derivation(e2)),
-        )
+    return TYPOF_SIG.derive(
+        "tof2",
+        {"e1": e1, "e2": e2},
+        (build_typof_derivation(e1), build_typof_derivation(e2)),
     )
 
 
 def build_istrm(t: Term) -> Derivation:
     node = out_(t)
     if node.ctor == LIT:
-        return din(ISTRM_SIG.dnode("isLit", {"x": node.payload[0]}))
+        return ISTRM_SIG.derive("isLit", {"x": node.payload[0]})
     e1, e2 = node.rec
-    return din(
-        ISTRM_SIG.dnode(
-            "isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2))
-        )
-    )
+    return ISTRM_SIG.derive("isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +236,7 @@ def build_istrm(t: Term) -> Derivation:
 
 
 def _tof1(v: Val) -> Derivation:
-    return din(TYPOF_SIG.dnode("tof1", {"v": v}))
+    return TYPOF_SIG.derive("tof1", {"v": v})
 
 
 def _typed_at(td: Derivation, e: Term) -> None:

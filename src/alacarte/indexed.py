@@ -19,25 +19,33 @@ derivation's relation and family are its root node's: a premise witness and
 its root are of the parent's signature, the root of the premise's family,
 and ``validate`` rejects a derivation whose ``sig`` is not its root's.
 
-Each rule instance is checked once.  ``IndexedSignature.dnode`` stamps the
-node with the :class:`Rule` whose expressions computed its indices, so
-``din`` recomputes no index of a stamped node: it runs the side conditions
-and the child links only.  ``din`` certifies the derivation it returns when
-every premise witness is certified too, and ``validate`` stops at certified
-derivations.  Stamp and certificate are invisible to equality, hashing,
-``repr`` and the constructors, so a hand-built :class:`DNode` or
-:class:`Derivation` is always checked in full.
+Each rule instance is built and checked in one call.
+``IndexedSignature.derive(rule_name, params, witnesses)`` is
+``din(sig.dnode(rule_name, params, witnesses))``: it computes the indices,
+runs the side conditions on ``params``, links each witness to the index it
+just computed, and returns the derivation, certified when every premise
+witness is certified too.  Every node the library builds is built so.
+``dnode`` and ``din`` stay for hand-built nodes: ``dnode`` stamps the node
+with the :class:`Rule` whose expressions computed its indices, so ``din``
+recomputes no index of a stamped node and runs the side conditions and the
+child links only.  ``validate`` stops at certified derivations.  Stamp and
+certificate are invisible to equality, hashing, ``repr`` and the
+constructors, so a hand-built :class:`DNode` or :class:`Derivation` is
+always checked in full.
 
-Each rule is compiled once, lazily, on its first ``dnode``: one generated
-source gives the rule's own ``dnode`` body and its own check of the nodes it
-stamped (see :func:`_compile_rule`).  Importing a signature compiles
-nothing.  The compiled code calls the rule's index expressions and side
-conditions; it never inlines them, so what they read is read when they run.
-All of this relies on rule expressions being pure: a rule monkeypatched
-after a derivation was built is not re-observed on that derivation.
+Each rule is compiled once, lazily, on its first ``dnode`` or ``derive``:
+one generated source gives the rule's own ``dnode`` body, its own check of
+the nodes it stamped and its own ``derive`` (see :func:`_compile_rule`).
+Importing a signature compiles nothing.  The compiled code calls the rule's
+index expressions and side conditions; it never inlines them, so what they
+read is read when they run.  All of this relies on rule expressions being
+pure: a rule monkeypatched after a derivation was built is not re-observed
+on that derivation.
 
 :func:`search` runs the rules that declare a ``subject`` pattern as a
-function from a context and a subject to an output: the table picks the rule.
+function from a context and a subject to an output: the table picks the
+rule.  Each family and root constructor gets its own search, generated from
+its rules' patterns on first use (see :func:`_compile_search`).
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
@@ -95,14 +103,20 @@ class Rule:
 
         Compiled on first use, so importing a signature compiles nothing,
         together with ``check``, the ``_check_node`` of the nodes ``build``
-        stamps (see :func:`_compile_rule`).
+        stamps, and ``derive`` (see :func:`_compile_rule`).
         """
-        build, vars(self)["check"] = _compile_rule(self)
+        build, vars(self)["check"], vars(self)["derive"] = _compile_rule(self)
         return build
+
+    @cached_property
+    def derive(self) -> Callable:
+        """``IndexedSignature.derive`` after the rule lookup, compiled with ``build``."""
+        self.build
+        return vars(self)["derive"]
 
     def __getstate__(self):
         """A copy leaves the compiled code behind: that code stamps this rule."""
-        return {k: v for k, v in vars(self).items() if k not in ("build", "check")}
+        return {k: v for k, v in vars(self).items() if k not in ("build", "check", "derive")}
 
 
 def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None):
@@ -143,12 +157,15 @@ class Derivation:
 
     sig: IndexedSignature
     root: DNode
-    # every rule instance in the tree passed ``din``; set by ``din`` only
+    # every rule instance in the tree passed ``din``; set by ``din`` and ``derive`` only
     _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def family(self) -> int:
         return self.root.family
+
+
+_certify = vars(Derivation)["_certified"].__set__
 
 
 class IndexedSignature:
@@ -172,6 +189,19 @@ class IndexedSignature:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
         return r.build(self, rule_name, params, witnesses)
 
+    def derive(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> Derivation:
+        """``din(self.dnode(rule_name, params, witnesses))`` in one call.
+
+        It runs the same checks in the same order, with the same messages:
+        the parameter set and witness count, the indices, then the side
+        conditions on ``params`` itself and each child link against the
+        index just computed.  The result is certified when every witness is.
+        """
+        r = self.rules.get(rule_name)
+        if r is None:
+            raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
+        return r.derive(self, rule_name, params, witnesses)
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -188,121 +218,152 @@ def search(sig: IndexedSignature, family: int, context, subject):
     parameter left unbound; premise subjects are terms of the subject's
     signature.  Every candidate is tried, and two that apply raise
     :class:`OverlappingRulesError`; the one that applies is built by
-    ``dnode`` and ``mutual.din_bi``.
+    ``sig.derive``.
     """
     root = subject.root
-    table = sig._search_tables.get(subject.sig) or _search_table(sig, subject.sig)
-    candidates = table.get((family, root.ctor))
-    return candidates and _search(sig, table, candidates, context, root)
+    table = sig._search_tables.get(subject.sig)
+    if table is None:
+        table = _search_table(sig, subject.sig)
+    return table[family, root.ctor](sig, context, root)
 
 
-def _search(sig, table, candidates, context, root):
-    """``search`` of the node ``root`` among its ``candidates`` in ``table``."""
-    found, rec, payload = None, root.rec, root.payload
-    for r, context_param, (rec_binds, payload_binds, tags, nested), sides, premises in candidates:
-        if tags and not _tagged(tags, rec):
-            continue
-        P = {context_param: context}
-        for name, i in rec_binds:
-            P[name] = rec[i]
-        for name, i in payload_binds:
-            P[name] = payload[i]
-        if nested and not _bind(nested, rec, P):
-            continue
-        for pred in sides:
-            if not pred(P):
-                break
-        else:
-            witnesses = ()
-            for premise_family, ix, out in premises:
-                P[out] = _OUT
-                premise_context, premise_subject, bare = ix(P)
-                if bare is not _OUT:
-                    raise ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} third")
-                premise = premise_subject.root
-                premise_candidates = table.get((premise_family, premise.ctor))
-                sub = premise_candidates and _search(sig, table, premise_candidates, premise_context, premise)
-                if not sub:
-                    break
-                P[out], w = sub
-                witnesses += (w,)
-            else:
-                if found is not None:
-                    raise OverlappingRulesError(f"{sig.name}: {found[0]} and {r.name} both apply")
-                found = r.name, P, witnesses
-    if found is None:
-        return None
-    d = mutual.din_bi(sig.dnode(*found))
-    return d.root.conclusion[2], d
+class _SearchTable(dict):
+    """``search``'s function per ``(family, root constructor)``, generated on first lookup.
 
-
-def _tagged(tags, rec) -> bool:
-    """Whether each term of ``rec`` at a tagged position has the tagged constructor."""
-    for i, ctor in tags:
-        if rec[i].root.ctor != ctor:
-            return False
-    return True
-
-
-def _bind(nested, rec, P) -> bool:
-    """Bind into P the slots the ``nested`` patterns name in the terms of ``rec``, whose constructors matched.
-
-    Whether the patterns nested inside those match too: each level's
-    constructors are tested before anything in it is bound.
+    ``candidates`` holds each key's rules in declaration order, with their
+    patterns already translated; a key without candidates finds nothing.
     """
-    for i, (rec_binds, payload_binds, tags, inner) in nested:
-        node = rec[i].root
-        for name, j in rec_binds:
-            P[name] = node.rec[j]
-        for name, j in payload_binds:
-            P[name] = node.payload[j]
-        if tags and not (_tagged(tags, node.rec) and _bind(inner, node.rec, P)):
-            return False
-    return True
+
+    def __init__(self, candidates: dict):
+        super().__init__()
+        self.candidates = candidates
+
+    def __missing__(self, key):
+        found = self[key] = _compile_search(self, self.candidates[key]) if key in self.candidates else _no_rule
+        return found
 
 
-def _search_table(sig, term_sig) -> dict:
-    """``search``'s candidates by family and root constructor, for subjects of ``term_sig``.
+def _no_rule(sig, context, root):
+    return None
+
+
+def _search_table(sig, term_sig) -> _SearchTable:
+    """``search``'s table for subjects of ``term_sig``; nothing is generated yet.
 
     A premise index must give the premise's context, subject and bare output,
     and the rule must leave one parameter unbound per premise; a rule that
     leaves another number unbound is rejected here, naming it.
     """
-    global mutual  # ``search`` builds through ``mutual.din_bi``; arith loads no mutual
-    from . import mutual
-
-    table: dict = {}
+    candidates: dict = {}
     for r in sig.rules.values():
         if r.subject is not None:
-            bound = {r.params[0]}
-            pattern = _pattern(r.subject, term_sig, bound)
+            bound, tests, binds = {r.params[0]}, [], []
+            _pattern(r.subject, term_sig, ("rec", "payload"), bound, tests, binds)
             outputs = [p for p in r.params if p not in bound]
             if len(outputs) != len(r.premises):
                 raise ValueError(f"{sig.name}.{r.name}: unbound parameters {outputs} do not match its premises")
             premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs))
-            candidate = r, r.params[0], pattern, tuple(pred for _, pred in r.side_conditions), premises
-            table.setdefault((r.family, r.subject[0]), []).append(candidate)
-    sig._search_tables[term_sig] = table
+            candidates.setdefault((r.family, r.subject[0]), []).append((r, tests, binds, premises))
+    table = sig._search_tables[term_sig] = _SearchTable(candidates)
     return table
 
 
-def _pattern(pattern, term_sig, bound: set):
-    """``pattern``'s rec and payload ``(parameter, position)``s, then its nested patterns'.
+def _pattern(pattern, term_sig, slots, bound: set, tests: list, binds: list):
+    """Translate ``pattern``, matched at the node whose rec and payload tuples are ``slots``.
 
-    Those are their ``(position, constructor)`` tags, which ``search``
-    tests before it binds anything, and their ``(position, pattern)``s.
+    Appends to ``tests`` the test of each nested constructor, outer ones
+    first, which also names that nested node; and to ``binds`` each
+    ``(parameter, slot expression)``: the node's rec slots, its payload
+    slots, then its nested patterns' binds, in order.
     """
-    binds, tags, nested, counts = ([], []), [], [], [0, 0]
+    rec, payload = [], []
+    nested = []
+    counts = [0, 0]
     for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
-        payload = kind not in term_sig.rec_kinds
-        at, counts[payload] = counts[payload], counts[payload] + 1
-        if isinstance(slot, tuple) and not payload:
-            tags.append((at, slot[0]))
-            nested.append((at, _pattern(slot, term_sig, bound)))
+        in_payload = kind not in term_sig.rec_kinds
+        at, counts[in_payload] = counts[in_payload], counts[in_payload] + 1
+        if isinstance(slot, tuple) and not in_payload:
+            node = f"m{len(tests)}"
+            tests.append(f"({node} := {slots[0]}[{at}].root).ctor == {slot[0]!r}")
+            nested.append((slot, (f"{node}.rec", f"{node}.payload")))
         else:
             bound.add(slot)
-            binds[payload].append((slot, at))
-    return (*binds, tuple(tags), nested)
+            (payload if in_payload else rec).append((slot, f"{slots[in_payload]}[{at}]"))
+    binds += rec + payload
+    for slot, inner in nested:
+        _pattern(slot, term_sig, inner, bound, tests, binds)
+
+
+def _ill_moded(sig, r, out):
+    return ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} third")
+
+
+def _overlapping(sig, first, second):
+    return OverlappingRulesError(f"{sig.name}: {first} and {second} both apply")
+
+
+def _compile_search(table: _SearchTable, candidates) -> Callable:
+    """The search of one ``(family, root constructor)``: ``search(sig, context, root)``.
+
+    Each candidate, in order, tests every nested constructor, then builds
+    ``P`` in one dict display, runs the side conditions in order, and for
+    each premise reads its index once and searches it through ``table``.
+    Every candidate is tried, and a second that applies raises
+    :class:`OverlappingRulesError`; the one that applies is built by
+    ``sig.derive``.
+    """
+    env = {
+        "_OUT": _OUT,
+        "_table": table,
+        "_ill_moded": _ill_moded,
+        "_overlapping": _overlapping,
+    }
+
+    def const(value) -> str:
+        """``value`` as source: a literal string or int, or a name bound to it in ``env``."""
+        if value.__class__ in (str, int):
+            return repr(value)
+        env[name := f"_const{len(env)}"] = value
+        return name
+
+    src = ["def search(sig, context, root):", "    rec, payload = root.rec, root.payload", "    found = None"]
+    for j, (r, tests, binds, premises) in enumerate(candidates):
+        env[f"_rule{j}"], env[f"_name{j}"] = r, r.name
+        at = "    "
+        if tests:
+            src.append(f"{at}if {' and '.join(tests)}:")
+            at += "    "
+        entries = "".join(f"{const(k)}: {v}, " for k, v in [(r.params[0], "context"), *binds])
+        src.append(f"{at}P = {{{entries}}}")
+        if r.side_conditions:
+            for i, (_, pred) in enumerate(r.side_conditions):
+                env[f"_side{j}_{i}"] = pred
+            src.append(f"{at}if {' and '.join(f'_side{j}_{i}(P)' for i in range(len(r.side_conditions)))}:")
+            at += "    "
+        for i, (family, ix, out) in enumerate(premises):
+            env[f"_ix{j}_{i}"] = ix
+            out = const(out)
+            src += [
+                f"{at}P[{out}] = _OUT",
+                f"{at}context{i}, subject{i}, bare = _ix{j}_{i}(P)",
+                f"{at}if bare is not _OUT:",
+                f"{at}    raise _ill_moded(sig, _rule{j}, {out})",
+                f"{at}subject{i} = subject{i}.root",
+                f"{at}sub = _table[{const(family)}, subject{i}.ctor](sig, context{i}, subject{i})",
+                f"{at}if sub:",
+                f"{at}    P[{out}], w{i} = sub",
+            ]
+            at += "    "
+        if j:
+            src += [f"{at}if found is not None:", f"{at}    raise _overlapping(sig, found[0], _name{j})"]
+        src.append(f"{at}found = _name{j}, P, ({''.join(f'w{i}, ' for i in range(len(premises)))})")
+    src += [
+        "    if found is None:",
+        "        return None",
+        "    d = sig.derive(*found)",
+        "    return d.root.conclusion[2], d",
+    ]
+    return run_generated("\n".join(src) + "\n", env)["search"]
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
@@ -349,18 +410,21 @@ def _child_mismatch(n, i, stored, w):
 
 
 def _compile_rule(r):
-    """``(build, check)`` for the rule ``r``: straight-line code from one generated source.
+    """``(build, check, derive)`` for the rule ``r``: straight-line code from one generated source.
 
     ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
     the witness count, a :class:`DNode` with the parameter, premise and
     conclusion tuples unrolled, and the stamp, stored through the ``_rule``
     slot descriptor.  ``check`` is ``_check_node`` of a node that ``r``
-    stamped: the side conditions and child links, unrolled.  Index
-    expressions and side conditions are called, never inlined, so each
-    runs exactly where and when the generic path runs it; rejections are
-    raised in the generic path's order, with its messages.  Rules of the
-    same shape generate the same source, which ``run_generated`` compiles
-    once.
+    stamped: the side conditions and child links, unrolled.  ``derive`` is
+    ``build`` then ``check`` in one body: it keeps each premise index it
+    computed for that premise's child link and runs the side conditions on
+    the caller's ``P``, then returns the :class:`Derivation`, certified when
+    every witness is.  Index expressions and side conditions are called,
+    never inlined, so each runs exactly where and when the generic path
+    runs it; rejections are raised in the generic path's order, with its
+    messages.  Rules of the same shape generate the same source, which
+    ``run_generated`` compiles once.
     """
     k = len(r.premises)
     env = {
@@ -376,13 +440,13 @@ def _compile_rule(r):
         "_not_a_witness": _not_a_witness,
         "_child_mismatch": _child_mismatch,
         "_Derivation": Derivation,
+        "_certify": _certify,
     }
     for i, (family, ix) in enumerate(r.premises):
         env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
     params = "".join(f"({p!r}, P[{p!r}]), " for p in r.params)
-    premises = "".join(f"(_fam{i}, _ix{i}(P), w{i}), " for i in range(k))
-    src = [
-        "def build(sig, rule_name, P, witnesses):",
+    premises = "".join(f"(_fam{i}, (ix{i} := _ix{i}(P)), w{i}), " for i in range(k))
+    instantiate = [
         "    if P.keys() != _param_set:",
         "        raise _params_mismatch(sig, rule_name, P, _rule)",
         "    if witnesses.__class__ is not tuple:",
@@ -392,19 +456,13 @@ def _compile_rule(r):
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
         f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), _conclusion(P))",
         "    _stamp(n, _rule)",
-        "    return n",
-        "def check(n):",
     ]
-    if r.side_conditions:
-        src.append("    P = dict(n.params)")
+    checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
         env[f"_side{i}"], env[f"_label{i}"] = pred, label
-        src += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
-    if k:
-        links = "".join(f"(_, ix{i}, w{i}), " for i in range(k))
-        src += ["    sig = n.sig", f"    {links}= n.premises"]
+        checks += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
     for i in range(k):
-        src += [
+        checks += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
             f" or not isinstance(r{i} := w{i}.root, _DNode)"
             f" or r{i}.sig is not sig or r{i}.family != _fam{i}):",
@@ -412,11 +470,27 @@ def _compile_rule(r):
             f"    if r{i}.conclusion != ix{i}:",
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
         ]
-    src.append("    return " + (" and ".join(f"w{i}._certified" for i in range(k)) or "True"))
+    certified = " and ".join(f"w{i}._certified" for i in range(k))
+    src = [
+        "def build(sig, rule_name, P, witnesses):",
+        *instantiate,
+        "    return n",
+        "def check(n):",
+        *(["    P = dict(n.params)"] if r.side_conditions else []),
+        *(["    sig = n.sig", f"    {''.join(f'(_, ix{i}, w{i}), ' for i in range(k))}= n.premises"] if k else []),
+        *checks,
+        f"    return {certified or 'True'}",
+        "def derive(sig, rule_name, P, witnesses):",
+        *instantiate,
+        *checks,
+        "    d = _Derivation(sig, n)",
+        *([f"    if {certified}:", "        _certify(d, True)"] if k else ["    _certify(d, True)"]),
+        "    return d",
+    ]
     run_generated("\n".join(src) + "\n", env)
-    for fn in (env["build"], env["check"]):
+    for fn in (env["build"], env["check"], env["derive"]):
         fn.__qualname__ = f"Rule({r.name!r}).{fn.__name__}"
-    return env["build"], env["check"]
+    return env["build"], env["check"], env["derive"]
 
 
 def _check_node(n) -> bool:
@@ -495,8 +569,6 @@ def _check_layout(n, attr, item, width, what):
             raise _Rejected(f"rule {n.rule}: {item} {i} is not a {what}")
 
 
-_certify = vars(Derivation)["_certified"].__set__
-
 
 def din(n: DNode) -> Derivation:
     """Validating constructor: ``dout(din(n)) == n``.
@@ -525,15 +597,18 @@ class Validity:
         return self.ok
 
 
+_VALID = Validity(True)
+
+
 def validate(d: Derivation) -> Validity:
     """Check every node not under a certificate; reports the first failing path."""
     return _check_tree(d)
 
 
 def _check_tree(d) -> Validity:
-    """The tree validator of ``validate`` and ``mutual.validate_bi``."""
+    """The tree validator of ``validate`` and ``mutual.validate_bi``; every valid tree shares one verdict."""
     if d._certified:
-        return Validity(True)
+        return _VALID
     if not isinstance(d.sig, IndexedSignature):
         return Validity(False, (), f"derivation signature is {_sig_name(d.sig)}")
     if not isinstance(d.root, DNode):
@@ -550,7 +625,7 @@ def _check_tree(d) -> Validity:
         for i, (_, _, w) in reversed(tuple(enumerate(node.premises))):
             if not w._certified:
                 stack.append((w.root, path + (i,)))
-    return Validity(True)
+    return _VALID
 
 
 def _index_checking_rec(brand, recurse):
@@ -569,11 +644,24 @@ def _index_checking_rec(brand, recurse):
 
 
 def istep_once(malg, w, node: DNode, recurse):
-    """One indexed Mendler step with freshly branded premise handles, one brand for every family."""
+    """One indexed Mendler step with freshly branded premise handles, one brand for every family.
+
+    A node without premises is passed as it is; one with premises is passed
+    as a copy holding their handles, built in a tuple display for one or two.
+    """
     brand = object()
-    handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in node.premises])
-    wrapped = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
-    return malg(_index_checking_rec(brand, recurse), w, wrapped)
+    premises = node.premises
+    if premises:
+        if len(premises) == 1:
+            ((f0, ix0, w0),) = premises
+            handles = ((f0, ix0, Handle(w0, brand)),)
+        elif len(premises) == 2:
+            (f0, ix0, w0), (f1, ix1, w1) = premises
+            handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
+        else:
+            handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in premises])
+        node = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    return malg(_index_checking_rec(brand, recurse), w, node)
 
 
 def ifold(malg, w, d: Derivation):

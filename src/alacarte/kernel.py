@@ -45,8 +45,9 @@ generated from that table once, on first use, with one branch per tagged
 constructor that builds the summand node from a tuple display of the
 folded children.  So a case fold builds one node per level, not ``fmap``'s
 image and then the summand's, and no level runs a comprehension; nor does
-``step_once``, which builds two handles in a tuple display (any other
-number with ``map``) and opens them inline.  ``project_left``/``project_right``/``project`` stay as
+``fold_c`` of any other algebra, which folds two children in a tuple
+display (any other number with ``map``), nor ``step_once``, which builds
+two handles so and opens them inline.  ``project_left``/``project_right``/``project`` stay as
 the specification ``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
@@ -458,15 +459,22 @@ def fold_c(alg: Callable[[Node], Any], t: Term):
     A node without recursive slots is its own ``fmap`` image and is passed
     to ``alg`` as it is.  An algebra that ``case`` returned is folded by
     the fold generated once from its table (see :func:`_case_fold`); any
-    other recurses here.
+    other recurses here, as ``step_once`` does: the children of two
+    recursive slots are folded in a tuple display, any other number with
+    ``map``, so that no level runs a comprehension.
     """
     entry = getattr(alg, "_case", None)
     if entry is not None and entry.copair is alg:
         return entry.fold(t)
     n = t.root
-    if not n.rec:
+    rec = n.rec
+    if not rec:
         return alg(n)
-    return alg(Node(n.sig, n.ctor, tuple([fold_c(alg, c) for c in n.rec]), n.payload))
+    if len(rec) == 2:
+        folded = (fold_c(alg, rec[0]), fold_c(alg, rec[1]))
+    else:
+        folded = tuple(map(fold_c, repeat(alg), rec))
+    return alg(Node(n.sig, n.ctor, folded, n.payload))
 
 
 # ---------------------------------------------------------------------------

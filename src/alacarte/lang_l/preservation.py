@@ -18,11 +18,10 @@ property under test: on well-typed configurations it never fires.
 
 from __future__ import annotations
 
-from ..indexed import InvalidDerivationError, WrongIndexError, cases, din, validate
+from ..indexed import InvalidDerivationError, WrongIndexError, cases, validate
 from ..mutual import (
     BiDerivation,
     IndexedBiMendlerAlgebra,
-    din_bi,
     hfold_1,
     hfold_2,
     validate_bi,
@@ -40,7 +39,6 @@ from .typing import (
     TYPING_SIG,
     TYPOENV_SIG,
     bindings,
-    env_typing,
     retype_value,
     typecheck_exp,
     weaken,
@@ -83,16 +81,24 @@ def _children(node):
 
 def _rebuild(rule_name, params, witnesses, w, step_rule):
     try:
-        return din_bi(TYPING_SIG.dnode(rule_name, params, witnesses))
+        return TYPING_SIG.derive(rule_name, params, witnesses)
     except InvalidDerivationError as exc:
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
+_ENV_MISTYPED = "rule TD-ENV: side condition 'envtyping' failed"
+
+
 def _td_env(gamma, rhop, gammap, w, step_rule, reason):
-    """The ``TD-ENV`` typing of ``rhop`` at ``gammap``, which must be ``env_typing(rhop)``."""
-    if env_typing(rhop) != gammap:
-        _fail(w, step_rule, reason)
-    return _rebuild("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}, (), w, step_rule)
+    """The ``TD-ENV`` typing of ``rhop`` at ``gammap``, which must be ``env_typing(rhop)``.
+
+    The rule's own ``envtyping`` side condition is that test: its rejection
+    fails with ``reason``.
+    """
+    try:
+        return TYPING_SIG.derive("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap})
+    except InvalidDerivationError as exc:
+        _fail(w, step_rule, reason if str(exc) == _ENV_MISTYPED else f"could not rebuild TD-ENV: {exc}")
 
 
 # The one-premise congruence steps: step rule -> (typing rule, child
@@ -127,7 +133,7 @@ def _congruence(typing_rule, pos, param, scope):
             if scope is not None:
                 gamma = env_union(gamma, AP[scope])
                 try:
-                    envd = din(TYPOENV_SIG.dnode("te_env", {"rho": env_union(w[0], P["rho1"]), "gamma": gamma}))
+                    envd = TYPOENV_SIG.derive("te_env", {"rho": env_union(w[0], P["rho1"]), "gamma": gamma})
                 except InvalidDerivationError:
                     _fail(w, node.rule, "extended environment lost its pointwise typing")
             children[pos] = rec(wi, h)(gamma, envd, children[pos])

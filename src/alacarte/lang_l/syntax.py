@@ -127,10 +127,15 @@ def env_union(left: Env, right: Env) -> Env:
         return right
     last, first = left._entries[-1][0], right._entries[0][0]
     if last.__class__ is str and first.__class__ is str and last < first:
-        union = Env.__new__(Env)
-        object.__setattr__(union, "_entries", left._entries + right._entries)
-        return union
+        return sorted_env(left._entries + right._entries)
     return Env(left._entries + right._entries)
+
+
+def sorted_env(entries: tuple) -> Env:
+    """The ``Env`` of ``entries``, whose keys are already sorted and distinct: no dict, no sort."""
+    env = Env.__new__(Env)
+    object.__setattr__(env, "_entries", entries)
+    return env
 
 
 # ---------------------------------------------------------------------------

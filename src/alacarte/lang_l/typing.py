@@ -22,7 +22,7 @@ from ..indexed import (
     IndexedSignature,
     InvalidDerivationError,
     derivation_to_json,
-    din,
+    din,  # noqa: F401 (still importable from here)
     rule,
 )
 from ..mutual import (
@@ -30,7 +30,7 @@ from ..mutual import (
     IndexedBiSignature,
     bi_derivation_to_json,
     birule,
-    din_bi,
+    din_bi,  # noqa: F401 (still importable from here)
     out_bi,
 )
 from .syntax import (
@@ -57,6 +57,7 @@ from .syntax import (
     join_,
     match_,
     scope,
+    sorted_env,
     vr,
 )
 
@@ -109,9 +110,9 @@ TYPOPAT_SIG = IndexedSignature(
 def build_typopat(p: Pat) -> Optional[Derivation]:
     match p:
         case PVar(x, t):
-            return din(TYPOPAT_SIG.dnode("tp_var", {"x": x, "tau": t}))
+            return TYPOPAT_SIG.derive("tp_var", {"x": x, "tau": t})
         case PCon(x, t):
-            return din(TYPOPAT_SIG.dnode("tp_con", {"x": x, "tau": t}))
+            return TYPOPAT_SIG.derive("tp_con", {"x": x, "tau": t})
         case PApp(fn, arg):
             d1 = build_typopat(fn)
             d2 = build_typopat(arg)
@@ -120,12 +121,10 @@ def build_typopat(p: Pat) -> Optional[Derivation]:
             tf = d1.root.conclusion[1]  # pat_type(fn), which d1 concludes
             if not isinstance(tf, Arrow) or d2.root.conclusion[1] != tf.dom:
                 return None
-            return din(
-                TYPOPAT_SIG.dnode(
-                    "tp_app",
-                    {"p1": fn, "p2": arg, "t1": tf.dom, "t2": tf.cod},
-                    (d1, d2),
-                )
+            return TYPOPAT_SIG.derive(
+                "tp_app",
+                {"p1": fn, "p2": arg, "t1": tf.dom, "t2": tf.cod},
+                (d1, d2),
             )
 
 
@@ -139,7 +138,8 @@ def env_typing(rho: Env) -> Optional[Env]:
     Total: returns None when some entry is not a value or not typable.
     Each entry is typed by the typechecker with a node maker that builds
     nothing, so the type is ``typecheck_exp(EMPTY_ENV, v)[0]`` without
-    its derivation.
+    its derivation.  The keys of an ``Env`` are sorted and distinct
+    already, so its typing keeps them as they are.
     """
     out = []
     for k, v in rho.items():
@@ -150,7 +150,7 @@ def env_typing(rho: Env) -> Optional[Env]:
         except _Untypable:
             return None
         out.append((k, t))
-    return Env(out)
+    return sorted_env(tuple(out)) if rho.__class__ is Env else Env(out)
 
 
 TYPOENV_SIG = IndexedSignature(
@@ -174,7 +174,7 @@ def typecheck_env(rho: Env) -> Optional[tuple[Env, Derivation]]:
     gamma = env_typing(rho)
     if gamma is None:
         return None
-    return gamma, din(TYPOENV_SIG.dnode("te_env", {"rho": rho, "gamma": gamma}))
+    return gamma, TYPOENV_SIG.derive("te_env", {"rho": rho, "gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ class _Untypable(Exception):
 
 
 def _tnode(rule_name, params, witnesses=()) -> BiDerivation:
-    return din_bi(TYPING_SIG.dnode(rule_name, params, witnesses))
+    return TYPING_SIG.derive(rule_name, params, witnesses)
 
 
 def _no_node(rule_name, params, witnesses=()) -> None:

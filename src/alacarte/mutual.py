@@ -165,12 +165,20 @@ def hstep_once(malg, w, node: BiDNode, *recurses):
     """One indexed Mendler step with a fresh brand and an index-checking ``rec`` per family.
 
     Family f's step is ``malg.steps[f - 1](rec_1, ..., rec_N, w, node)``.
+    A node without premises is passed as it is; one with premises as a copy
+    holding their handles, built in a tuple display for one premise.
     """
-    brands = [object() for _ in recurses]
-    handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in node.premises])
-    wrapped = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    brands = (object(), object()) if len(recurses) == 2 else [object() for _ in recurses]
+    premises = node.premises
+    if premises:
+        if len(premises) == 1:
+            ((fam, ix, wit),) = premises
+            handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
+        else:
+            handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
+        node = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     recs = map(indexed._index_checking_rec, brands, recurses)
-    return malg.steps[node.family - 1](*recs, w, wrapped)
+    return malg.steps[node.family - 1](*recs, w, node)
 
 
 def hfold(family: int, malg, w, d: BiDerivation):

@@ -261,8 +261,8 @@ def test_value_typing_is_context_free_on_corpus():
 
 def test_env_typing_of_nested_closures_builds_no_derivation(monkeypatch):
     calls = []
-    din_bi = ltyping.din_bi
-    monkeypatch.setattr(ltyping, "din_bi", lambda n: calls.append(n.rule) or din_bi(n))
+    derive = ltyping.TYPING_SIG.derive
+    monkeypatch.setattr(ltyping.TYPING_SIG, "derive", lambda name, *args: calls.append(name) or derive(name, *args))
     inner = Env([("y", cn("c", TY_A))])
     f = closure(inner, PVar("x", TY_A), vr("y"))  # a -> a
     g = closure(Env([("f", f)]), PVar("z", TY_A), vr("f"))  # a -> (a -> a)
