@@ -647,15 +647,12 @@ def istep_once(malg, w, node: DNode, recurse):
     """One indexed Mendler step with freshly branded premise handles, one brand for every family.
 
     A node without premises is passed as it is; one with premises is passed
-    as a copy holding their handles, built in a tuple display for one or two.
+    as a copy holding their handles, built in a tuple display for two.
     """
     brand = object()
     premises = node.premises
     if premises:
-        if len(premises) == 1:
-            ((f0, ix0, w0),) = premises
-            handles = ((f0, ix0, Handle(w0, brand)),)
-        elif len(premises) == 2:
+        if len(premises) == 2:
             (f0, ix0, w0), (f1, ix1, w1) = premises
             handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
         else:

@@ -18,7 +18,7 @@ property under test: on well-typed configurations it never fires.
 
 from __future__ import annotations
 
-from ..indexed import InvalidDerivationError, WrongIndexError, cases, validate
+from ..indexed import InvalidDerivationError, WrongIndexError, _Rejected, cases, validate
 from ..mutual import (
     BiDerivation,
     IndexedBiMendlerAlgebra,
@@ -86,19 +86,20 @@ def _rebuild(rule_name, params, witnesses, w, step_rule):
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
-_ENV_MISTYPED = "rule TD-ENV: side condition 'envtyping' failed"
-
-
 def _td_env(gamma, rhop, gammap, w, step_rule, reason):
     """The ``TD-ENV`` typing of ``rhop`` at ``gammap``, which must be ``env_typing(rhop)``.
 
-    The rule's own ``envtyping`` side condition is that test: its rejection
-    fails with ``reason``.
+    The rule's own ``envtyping`` side condition is that test.  ``TD-ENV``
+    has no premises and that one side condition, so once its parameters
+    match, the only rule instance the checker can reject is the one that
+    fails it: that rejection fails with ``reason``.
     """
     try:
         return TYPING_SIG.derive("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap})
+    except _Rejected:
+        _fail(w, step_rule, reason)
     except InvalidDerivationError as exc:
-        _fail(w, step_rule, reason if str(exc) == _ENV_MISTYPED else f"could not rebuild TD-ENV: {exc}")
+        _fail(w, step_rule, f"could not rebuild TD-ENV: {exc}")
 
 
 # The one-premise congruence steps: step rule -> (typing rule, child

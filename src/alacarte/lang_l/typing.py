@@ -30,7 +30,6 @@ from ..mutual import (
     IndexedBiSignature,
     bi_derivation_to_json,
     birule,
-    din_bi,  # noqa: F401 (still importable from here)
     out_bi,
 )
 from .syntax import (
