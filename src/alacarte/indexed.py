@@ -24,18 +24,17 @@ Each rule instance is built and checked in one call.
 ``din(sig.dnode(rule_name, params, witnesses))``: it computes the indices,
 runs the side conditions on ``params``, links each witness to the index it
 just computed, and returns the derivation, certified when every premise
-witness is certified too.  Every node the library builds is built so.
-``dnode`` and ``din`` stay for hand-built nodes: ``dnode`` stamps the node
-with the :class:`Rule` whose expressions computed its indices, so ``din``
-recomputes no index of a stamped node and runs the side conditions and the
-child links only.  ``validate`` stops at certified derivations.  Stamp and
-certificate are invisible to equality, hashing, ``repr`` and the
-constructors, so a hand-built :class:`DNode` or :class:`Derivation` is
-always checked in full.
+witness is certified too.  Every node the library builds is built so:
+``derive`` is the one trusted producer.  ``dnode`` and ``din`` stay for
+hand-built nodes, and ``din`` and ``validate`` check every node they are
+handed in full, whoever built it.  ``validate`` stops at certified
+derivations.  The certificate is invisible to equality, hashing, ``repr``
+and the constructors, so a hand-built :class:`Derivation` is never
+certified.
 
 Each rule is compiled once, lazily, on its first ``dnode`` or ``derive``:
-one generated source gives the rule's own ``dnode`` body, its own check of
-the nodes it stamped and its own ``derive`` (see :func:`_compile_rule`).
+one generated source gives the rule's own ``dnode`` body and its own
+``derive`` (see :func:`_compile_rule`).
 Importing a signature compiles nothing.  The compiled code calls the rule's
 index expressions and side conditions; it never inlines them, so what they
 read is read when they run.  All of this relies on rule expressions being
@@ -98,25 +97,13 @@ class Rule:
     subject: Any = None
 
     @cached_property
-    def build(self) -> Callable:
-        """``dnode`` after the rule lookup: ``build(sig, rule_name, params, witnesses)``.
+    def compiled(self) -> tuple[Callable, Callable]:
+        """``(build, derive)``: ``dnode`` and ``IndexedSignature.derive`` after the rule lookup.
 
-        Compiled on first use, so importing a signature compiles nothing,
-        together with ``check``, the ``_check_node`` of the nodes ``build``
-        stamps, and ``derive`` (see :func:`_compile_rule`).
+        Compiled on first use, so importing a signature compiles nothing
+        (see :func:`_compile_rule`).
         """
-        build, vars(self)["check"], vars(self)["derive"] = _compile_rule(self)
-        return build
-
-    @cached_property
-    def derive(self) -> Callable:
-        """``IndexedSignature.derive`` after the rule lookup, compiled with ``build``."""
-        self.build
-        return vars(self)["derive"]
-
-    def __getstate__(self):
-        """A copy leaves the compiled code behind: that code stamps this rule."""
-        return {k: v for k, v in vars(self).items() if k not in ("build", "check", "derive")}
+        return _compile_rule(self)
 
 
 def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None):
@@ -141,14 +128,9 @@ class DNode:
     params: tuple[tuple[str, Any], ...]
     premises: tuple[tuple[int, Any, Any], ...]
     conclusion: Any
-    # the Rule whose expressions computed the indices; set by ``dnode`` only
-    _rule: Rule | None = field(default=None, init=False, compare=False, repr=False)
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
-
-
-_stamp = vars(DNode)["_rule"].__set__
 
 
 @value_class
@@ -187,7 +169,7 @@ class IndexedSignature:
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        return r.build(self, rule_name, params, witnesses)
+        return r.compiled[0](self, rule_name, params, witnesses)
 
     def derive(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> Derivation:
         """``din(self.dnode(rule_name, params, witnesses))`` in one call.
@@ -200,7 +182,7 @@ class IndexedSignature:
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        return r.derive(self, rule_name, params, witnesses)
+        return r.compiled[1](self, rule_name, params, witnesses)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -410,26 +392,23 @@ def _child_mismatch(n, i, stored, w):
 
 
 def _compile_rule(r):
-    """``(build, check, derive)`` for the rule ``r``: straight-line code from one generated source.
+    """``(build, derive)`` for the rule ``r``: straight-line code from one generated source.
 
     ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
-    the witness count, a :class:`DNode` with the parameter, premise and
-    conclusion tuples unrolled, and the stamp, stored through the ``_rule``
-    slot descriptor.  ``check`` is ``_check_node`` of a node that ``r``
-    stamped: the side conditions and child links, unrolled.  ``derive`` is
-    ``build`` then ``check`` in one body: it keeps each premise index it
-    computed for that premise's child link and runs the side conditions on
-    the caller's ``P``, then returns the :class:`Derivation`, certified when
-    every witness is.  Index expressions and side conditions are called,
-    never inlined, so each runs exactly where and when the generic path
-    runs it; rejections are raised in the generic path's order, with its
-    messages.  Rules of the same shape generate the same source, which
-    ``run_generated`` compiles once.
+    the witness count, and a :class:`DNode` with the parameter, premise and
+    conclusion tuples unrolled.  ``derive`` is ``build`` followed, in the
+    same body, by ``_check_node``'s side conditions and child links,
+    unrolled: it keeps each premise index it computed for that premise's
+    child link and runs the side conditions on the caller's ``P``, then
+    returns the :class:`Derivation`, certified when every witness is.  Index
+    expressions and side conditions are called, never inlined; rejections
+    are raised in ``din(dnode(...))``'s order, with its messages.  Rules of
+    the same shape generate the same source, which ``run_generated``
+    compiles once.
     """
     k = len(r.premises)
     env = {
         "_DNode": DNode,
-        "_stamp": _stamp,
         "_rule": r,
         "_family": r.family,
         "_param_set": frozenset(r.params),
@@ -455,7 +434,6 @@ def _compile_rule(r):
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
         f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), _conclusion(P))",
-        "    _stamp(n, _rule)",
     ]
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
@@ -475,11 +453,6 @@ def _compile_rule(r):
         "def build(sig, rule_name, P, witnesses):",
         *instantiate,
         "    return n",
-        "def check(n):",
-        *(["    P = dict(n.params)"] if r.side_conditions else []),
-        *(["    sig = n.sig", f"    {''.join(f'(_, ix{i}, w{i}), ' for i in range(k))}= n.premises"] if k else []),
-        *checks,
-        f"    return {certified or 'True'}",
         "def derive(sig, rule_name, P, witnesses):",
         *instantiate,
         *checks,
@@ -488,23 +461,22 @@ def _compile_rule(r):
         "    return d",
     ]
     run_generated("\n".join(src) + "\n", env)
-    for fn in (env["build"], env["check"], env["derive"]):
+    for fn in (env["build"], env["derive"]):
         fn.__qualname__ = f"Rule({r.name!r}).{fn.__name__}"
-    return env["build"], env["check"], env["derive"]
+    return env["build"], env["derive"]
 
 
 def _check_node(n) -> bool:
     """Local validity: layout, schema, side conditions, recomputed indices, child links.
 
     Raises :class:`InvalidDerivationError` with the reason, or returns
-    whether every premise witness is certified.  A node stamped by ``dnode``
-    with the signature's current rule has its layout, family, schema and
-    indices right by construction; the rule's compiled ``check`` runs its
-    side conditions and child links only.  Any other node is checked in
-    full, its layout first where it is read: ``params`` a tuple of
-    ``(name, value)`` pairs and ``premises`` a tuple of
-    ``(family, index, witness)`` triples.
+    whether every premise witness is certified.  Every node is checked in
+    full, whoever built it: first that it is a :class:`DNode` at all, then
+    its layout where it is read: ``params`` a tuple of ``(name, value)``
+    pairs and ``premises`` a tuple of ``(family, index, witness)`` triples.
     """
+    if not isinstance(n, DNode):
+        raise _Rejected(f"not a rule instance: a value of type {type(n).__name__}")
     sig = n.sig
     try:
         r = sig.rules.get(n.rule)
@@ -514,8 +486,6 @@ def _check_node(n) -> bool:
         r = None
     if r is None:
         raise _Rejected(f"unknown rule {n.rule!r}")
-    if n._rule is r:
-        return r.check(n)
     if n.family != r.family:
         raise _Rejected(f"rule {n.rule}: family mismatch")
     _check_layout(n, "params", "parameter", 2, "(name, value) pair")
@@ -577,8 +547,9 @@ def din(n: DNode) -> Derivation:
     indices if the node's invariants do not hold.  The result is certified
     when every premise witness is.
     """
+    certified = _check_node(n)
     d = Derivation(n.sig, n)
-    if _check_node(n):
+    if certified:
         _certify(d, True)
     return d
 

@@ -26,8 +26,8 @@ constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
 ``arith``'s rule conclusions and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
-the value classes' ``__init__`` and ``__eq__``, the compiled rules and the
-folds of ``case`` tables) goes through ``run_generated``, which compiles
+the value classes' ``__init__`` and ``__eq__``, each rule's ``dnode`` and
+``derive`` and the folds of ``case`` tables) goes through ``run_generated``, which compiles
 each distinct source once.
 
 Handles are branded with a nonce issued per Mendler step (and per sort);
@@ -46,8 +46,9 @@ constructor that builds the summand node from a tuple display of the
 folded children.  So a case fold builds one node per level, not ``fmap``'s
 image and then the summand's, and no level runs a comprehension; nor does
 ``fold_c`` of any other algebra, which folds two children in a tuple
-display (any other number with ``map``), nor ``step_once``, which builds
-two handles so and opens them inline.  ``project_left``/``project_right``/``project`` stay as
+display (any other number with ``map``), nor ``lift`` of any other
+algebra, which maps with ``map``, nor ``step_once``, which builds two
+handles so and opens them inline.  ``project_left``/``project_right``/``project`` stay as
 the specification ``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
@@ -415,7 +416,7 @@ def fmap(f: Callable[[Any], Any], n: Node) -> Node:
     """
     if not n.rec:
         return n
-    return Node(n.sig, n.ctor, tuple([f(x) for x in n.rec]), n.payload)
+    return Node(n.sig, n.ctor, tuple(map(f, n.rec)), n.payload)
 
 
 def fmap_by_sort(fs, n: Node) -> Node:
@@ -576,9 +577,16 @@ def lift(alg):
     node from ``rec`` over the handles.
     """
     entry = getattr(alg, "_case", None)
-    if entry is None or entry.copair is not alg:
-        return lambda rec, node: alg(fmap(rec, node))
-    return entry.lifted
+    if entry is not None and entry.copair is alg:
+        return entry.lifted
+
+    def step(rec, node):
+        """``alg(fmap(rec, node))``, with ``fmap`` inline: a level costs it no frame."""
+        if node.rec:
+            node = Node(node.sig, node.ctor, tuple(map(rec, node.rec)), node.payload)
+        return alg(node)
+
+    return step
 
 
 def pre_in(m: Callable[[Any], Term], n: Node) -> Term:

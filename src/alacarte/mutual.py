@@ -148,8 +148,9 @@ class IndexedBiSignature(IndexedSignature):
 
 def din_bi(n: BiDNode) -> Derivation:
     """``din``, as a function of its own so that ``perfbench/tracer.py`` counts it apart."""
+    certified = indexed._check_node(n)
     d = Derivation(n.sig, n)
-    if indexed._check_node(n):
+    if certified:
         indexed._certify(d, True)
     return d
 

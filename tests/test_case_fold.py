@@ -316,3 +316,10 @@ def test_eval_folds_a_900_deep_left_nested_chain():
     # a case fold takes one frame per level, so nearly the whole recursion limit is depth
     assert arith.eval_(_left_nested(900)) == Val(900)
     assert mfold(lift(arith.eval_g), _left_nested(200)) == Val(200)
+
+
+def test_lift_of_a_plain_algebra_folds_a_190_deep_left_nested_chain():
+    # ``lift``'s generic step maps with ``map`` and calls no ``fmap``: four frames a level, as a case fold's
+    plain = lambda n: arith.eval_g(n)
+    t = _left_nested(190)
+    assert mfold(lift(plain), t) == kernel.fold_c(plain, t) == Val(190)

@@ -254,15 +254,6 @@ def test_validate_on_din_built_derivation_calls_no_rule_expression():
     assert nat.calls == {"index": 0, "side": 0}
 
 
-def test_din_of_stamped_node_runs_side_conditions_but_no_index():
-    nat = CountingNat()
-    child = nat.build(2)
-    node = nat.sig.dnode("s", {"n": 2}, (child,))
-    nat.reset()
-    din(node)
-    assert nat.calls == {"index": 0, "side": 1}
-
-
 def test_hand_built_root_over_certified_children_is_checked_in_full():
     nat = CountingNat()
     good = nat.build(3)
@@ -347,9 +338,9 @@ def _eval_rejections():
         ("conclusion", hand(conclusion=(lit(3), Val(4))), "rule ev2: conclusion index mismatch"),
         ("witness node", hand(premises=((1, i0, w0), (1, i1, w1.root))), "rule ev2: premise 1 witness is not a derivation"),
         ("witness sig", hand(premises=((1, i0, w0), (1, i1, typd))), "rule ev2: premise 1 witness is not a derivation"),
-        ("stamped witness", EVAL_SIG.dnode("ev2", good.params_dict(), (w0, typd)), "rule ev2: premise 1 witness is not a derivation"),
+        ("dnode-built witness", EVAL_SIG.dnode("ev2", good.params_dict(), (w0, typd)), "rule ev2: premise 1 witness is not a derivation"),
         ("child", hand(premises=((1, i0, nine), (1, i1, w1))), child),
-        ("stamped child", EVAL_SIG.dnode("ev2", good.params_dict(), (nine, w1)), child),
+        ("dnode-built child", EVAL_SIG.dnode("ev2", good.params_dict(), (nine, w1)), child),
     ]
 
 
@@ -368,6 +359,19 @@ def test_checker_rejections_exact_reasons_at_root_and_nested():
         )
         verdict = validate(Derivation(EVAL_SIG, parent))
         assert (verdict.ok, verdict.path, verdict.reason) == (False, (1,), reason), label
+
+
+def test_din_and_din_bi_reject_a_value_that_is_not_a_rule_instance():
+    from alacarte.mutual import din_bi
+
+    d = arith.build_eval_derivation(lit(1))
+    for value in (3, d, (1, 2), None):
+        for check in (din, din_bi):
+            with pytest.raises(InvalidDerivationError) as exc:
+                check(value)
+            assert str(exc.value) == f"not a rule instance: a value of type {type(value).__name__}"
+        verdict = validate(Derivation(EVAL_SIG, value))
+        assert (verdict.ok, verdict.reason) == (False, "derivation of Eval has no rule instance at its root")
 
 
 def test_checker_rejects_a_node_of_no_indexed_signature_or_an_unhashable_rule():
@@ -455,8 +459,8 @@ def test_derivation_json_full_nested_output():
 
 
 # ---------------------------------------------------------------------------
-# compiled rules: each rule's dnode and stamped check are its own code,
-# generated on its first dnode
+# compiled rules: each rule's dnode and derive are its own code,
+# generated on its first dnode or derive
 
 
 def test_importing_the_languages_compiles_no_rule():
@@ -472,7 +476,7 @@ def test_importing_the_languages_compiles_no_rule():
             for v in vars(m).values() if isinstance(v, IndexedSignature)
         }
         rules = [r for sig in sigs.values() for r in sig.rules.values()]
-        compiled = lambda: sorted(r.name for r in rules if {"build", "check"} & vars(r).keys())
+        compiled = lambda: sorted(r.name for r in rules if "compiled" in vars(r))
         print(len(sigs), len(rules), compiled())
         alacarte.arith.EVAL_SIG.dnode("ev1", {"x": 1})
         print(compiled())
@@ -523,13 +527,11 @@ def test_generated_sources_of_one_shape_are_compiled_once():
     ev1, is_lit = arith.EVAL_SIG.rules["ev1"], arith.ISTRM_SIG.rules["isLit"]
     tof2, is_add = arith.TYPOF_SIG.rules["tof2"], arith.ISTRM_SIG.rules["isAdd"]
     for a, b in ((ev1, is_lit), (tof2, is_add)):
-        assert a.build.__code__ is b.build.__code__
-        assert a.check.__code__ is b.check.__code__
-        assert a.build is not b.build  # each stamps its own rule
-    assert (ev1.build.__qualname__, is_lit.build.__qualname__) == ("Rule('ev1').build", "Rule('isLit').build")
-    d = arith.ISTRM_SIG.dnode("isLit", {"x": 3})
-    assert d._rule is is_lit and din(d)._certified
-    assert arith.EVAL_SIG.dnode("ev1", {"x": 3})._rule is ev1
+        for fa, fb in zip(a.compiled, b.compiled, strict=True):
+            assert fa.__code__ is fb.__code__
+            assert fa is not fb  # each calls its own rule's expressions
+    assert [f.__qualname__ for f in is_lit.compiled] == ["Rule('isLit').build", "Rule('isLit').derive"]
+    assert din(arith.ISTRM_SIG.dnode("isLit", {"x": 3}))._certified
     # two value classes with the same fields share their __init__'s code
     assert PVar.__init__.__code__ is PCon.__init__.__code__
     assert PVar.__init__ is not PCon.__init__
@@ -541,9 +543,9 @@ def test_a_rule_replaced_after_first_use_is_the_one_dnode_instantiates():
     assert old.conclusion == 1 and din(old)._certified
     sig.rules["r"] = rule("r", params=("x",), conclusion=lambda P: P["x"] * 10)
     new = sig.dnode("r", {"x": 1})
-    assert new.conclusion == 10 and new._rule is sig.rules["r"]
+    assert new.conclusion == 10
     assert din(new)._certified
-    # the old stamp is not the signature's rule any more: checked in full
+    # every node is checked against the signature's current rule
     with pytest.raises(InvalidDerivationError) as exc:
         din(old)
     assert str(exc.value) == "rule r: conclusion index mismatch"
@@ -577,13 +579,13 @@ def test_rule_expressions_read_module_globals_at_call_time(monkeypatch):
     assert str(exc.value) == "rule s: side condition 'bounded' failed"
 
 
-def test_a_copied_signature_stamps_its_own_rules():
+def test_a_copied_signature_builds_equal_derivations_and_certifies_them():
     sig = IndexedSignature("Copied", [rule("r", params=("x",), conclusion=lambda P: P["x"])])
-    sig.dnode("r", {"x": 1})
+    sig.derive("r", {"x": 1})
     for twin in (copy.deepcopy(sig), IndexedSignature("Copied", [copy.copy(sig.rules["r"])])):
-        node = twin.dnode("r", {"x": 1})
-        assert node._rule is twin.rules["r"] is not sig.rules["r"]
-        assert din(node)._certified
+        hand = Derivation(twin, DNode(twin, 1, "r", (("x", 1),), (), 1))
+        for d in (twin.derive("r", {"x": 1}), din(twin.dnode("r", {"x": 1}))):
+            assert d == hand and d._certified
 
 
 def test_witnesses_may_be_any_iterable():

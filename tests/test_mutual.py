@@ -31,7 +31,7 @@ from alacarte.mutual import (
     out_bi,
     validate_bi,
 )
-from alacarte.indexed import InvalidDerivationError, WrongIndexError
+from alacarte.indexed import InvalidDerivationError, WrongIndexError, din
 
 
 def lang_layers(depth=3):
@@ -294,13 +294,14 @@ def test_validate_bi_on_din_built_derivation_calls_no_rule_expression():
     assert par.calls == {"index": 0, "side": 0}
 
 
-def test_din_bi_of_stamped_node_runs_side_conditions_but_no_index():
+def test_din_and_din_bi_of_a_dnode_built_node_rerun_every_index_and_side_condition():
     par = CountingParity()
     child = par.build(2)
     node = par.sig.dnode("odd-s", {"n": 2}, (child,))
-    par.reset()
-    din_bi(node)
-    assert par.calls == {"index": 0, "side": 1}
+    for check in (din, din_bi):
+        par.reset()
+        assert check(node)._certified
+        assert par.calls == {"index": 2, "side": 1}
 
 
 def test_forged_bi_root_over_certified_children_rejected_with_seed_reason():
@@ -381,9 +382,9 @@ def _parity_rejections(par):
         ("witness node", hand(premises=((1, 0, zero.root),)), not_fam1),
         ("witness family", hand(premises=((1, 0, par.build(1)),)), not_fam1),
         ("witness sig", hand(premises=((1, 0, other),)), not_fam1),
-        ("stamped witness", sig.dnode("odd-s", {"n": 0}, (other,)), not_fam1),
+        ("dnode-built witness", sig.dnode("odd-s", {"n": 0}, (other,)), not_fam1),
         ("child", hand(premises=((1, 0, two),)), child),
-        ("stamped child", sig.dnode("odd-s", {"n": 0}, (two,)), child),
+        ("dnode-built child", sig.dnode("odd-s", {"n": 0}, (two,)), child),
     ]
 
 
@@ -512,12 +513,12 @@ def test_bi_rules_build_bi_nodes_through_the_one_dnode():
     sig = _pairing()
     a, b = din_bi(sig.dnode("one", {"n": 1})), din_bi(sig.dnode("two", {"n": 2}))
     node = sig.dnode("pair", {"a": 1, "b": 2}, (a, b))
-    assert type(node) is BiDNode and node._rule is sig.rules["pair"]
+    assert type(node) is BiDNode
     assert node == BiDNode(sig, 1, "pair", (("a", 1), ("b", 2)), ((1, 1, a), (2, 2, b)), (1, 2))
     assert din_bi(node)._certified and (a.family, b.family) == (1, 2)
 
 
-def test_stamped_two_family_child_links_keep_their_exact_reasons():
+def test_dnode_built_two_family_child_links_keep_their_exact_reasons():
     sig = _pairing()
     one, two = din_bi(sig.dnode("one", {"n": 1})), din_bi(sig.dnode("two", {"n": 2}))
     three = din_bi(sig.dnode("two", {"n": 3}))
@@ -529,7 +530,6 @@ def test_stamped_two_family_child_links_keep_their_exact_reasons():
     ]
     for witnesses, reason in cases:
         node = sig.dnode("pair", {"a": 1, "b": 2}, witnesses)
-        assert node._rule is sig.rules["pair"]
         with pytest.raises(InvalidDerivationError) as exc:
             din_bi(node)
         assert str(exc.value) == reason
@@ -569,6 +569,6 @@ def test_one_rule_class_and_one_node_class_for_every_family():
     evaluation = EVAL_SIG.dnode("ev1", {"x": 1})
     rho = Env([("x", cn("c", Ty("a")))])
     step = step_exp(rho, vr("x"))[1].root
-    assert step._rule is STEP_SIG.rules[step.rule] and evaluation._rule is EVAL_SIG.rules["ev1"]
+    assert step.sig is STEP_SIG and evaluation.sig is EVAL_SIG
     assert type(evaluation) is type(step) is DNode
     assert (evaluation.family, step.family) == (1, 2)

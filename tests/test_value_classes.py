@@ -5,9 +5,8 @@ construction with the declared parameters, value equality (field by
 field, in declaration order, each field identity first) and hashing,
 the dataclass ``repr``, ``dataclasses.replace``, copying, pickling and
 ``match`` all behave as the dataclass defines them, and no name, field or
-not, can be assigned or deleted.  ``init=False`` fields (the ``dnode``
-stamp and the ``din`` certificate) are stored with their defaults on
-hand-built values.
+not, can be assigned or deleted.  The ``init=False`` field (the ``din``
+certificate) is stored with its default on hand-built values.
 """
 
 import copy
@@ -265,24 +264,19 @@ def test_match_binds_the_fields_in_order(case):
         assert captured == fields_of(value)
 
 
-def test_hand_built_relation_values_carry_no_stamp_or_certificate():
-    for make in (_dnode, _bidnode):
-        assert make()._rule is None
+def test_hand_built_derivations_carry_no_certificate_and_a_node_has_six_fields():
+    fields = ["sig", "family", "rule", "params", "premises", "conclusion"]
+    assert [f.name for f in dataclasses.fields(DNode)] == fields and DNode.__slots__ == tuple(fields)
     for d in (SAMPLES["Derivation"][2](), SAMPLES["BiDerivation"][2]()):
         assert d._certified is False
-    with pytest.raises(TypeError):
-        DNode(REL, 1, "r", (("x", 1),), (), 1, _rule=None)
     with pytest.raises(TypeError):
         BiDerivation(BIREL, _bidnode(), _certified=True)
 
 
-def test_stamp_and_certificate_are_invisible_and_replace_drops_them():
-    stamped = REL.dnode("r", {"x": 1})
-    assert stamped._rule is REL.rules["r"]
-    assert stamped == _dnode() and hash(stamped) == hash(_dnode()) and repr(stamped) == repr(_dnode())
-    assert copy.copy(stamped)._rule is stamped._rule
-    assert dataclasses.replace(stamped)._rule is None
-    certified = din(stamped)
+def test_the_certificate_is_invisible_and_replace_drops_it():
+    built = REL.dnode("r", {"x": 1})
+    assert built == _dnode() and hash(built) == hash(_dnode()) and repr(built) == repr(_dnode())
+    certified = din(built)
     assert certified._certified is True
     assert certified == Derivation(REL, _dnode())
     assert copy.copy(certified)._certified is True
@@ -419,13 +413,12 @@ def test_a_subclass_instance_is_not_equal_to_its_base():
     assert Val(3) != Sub(3)
 
 
-@pytest.mark.parametrize("case", ["DNode", "BiDNode", "Derivation", "BiDerivation"])
-def test_the_stamp_and_the_certificate_take_no_part_in_equality(case):
+@pytest.mark.parametrize("case", ["Derivation", "BiDerivation"])
+def test_the_certificate_takes_no_part_in_equality(case):
     cls, _, make, _ = SAMPLES[case]
-    hidden = "_rule" if case.endswith("DNode") else "_certified"
     a, b = make(), make()
-    vars(cls)[hidden].__set__(a, object())
-    assert getattr(a, hidden) is not getattr(b, hidden)
+    vars(cls)["_certified"].__set__(a, object())
+    assert a._certified is not b._certified
     assert a.__eq__(b) is True and b.__eq__(a) is True and hash(a) == hash(b)
 
 
