@@ -75,9 +75,10 @@ def add(a: Term, b: Term) -> Term:
     return in_(inject_right(TRM, TRM_G2.node("add", (a, b))))
 
 
-# The rule conclusions and the preservation postconditions build their terms
-# in one call each.  ``lit``/``add`` build the same terms, with the same
-# checks and messages, through the modular injection path.
+# The rule patterns, ``tof1``'s conclusion and the preservation
+# postconditions build their terms in one call each.  ``lit``/``add`` build
+# the same terms, with the same checks and messages, through the modular
+# injection path.
 _lit = TRM.constructor(LIT, "lit")
 _add = TRM.constructor(ADD, "add")
 
@@ -120,7 +121,8 @@ EVAL_SIG = IndexedSignature(
         rule(
             "ev1",
             params=("x",),
-            conclusion=lambda P: (_lit(P["x"]), Val(P["x"])),
+            subject=(_lit, "x"),
+            conclusion=lambda P, s: (s, Val(P["x"])),
         ),
         rule(
             "ev2",
@@ -132,7 +134,8 @@ EVAL_SIG = IndexedSignature(
             side=(
                 ("sum", lambda P: P["v"].vv == P["x1"].vv + P["x2"].vv),
             ),
-            conclusion=lambda P: (_add(P["e1"], P["e2"]), P["v"]),
+            subject=(_add, "e1", "e2"),
+            conclusion=lambda P, s: (s, P["v"]),
         ),
     ],
 )
@@ -152,7 +155,8 @@ TYPOF_SIG = IndexedSignature(
                 lambda P: (P["e1"], N),
                 lambda P: (P["e2"], N),
             ),
-            conclusion=lambda P: (_add(P["e1"], P["e2"]), N),
+            subject=(_add, "e1", "e2"),
+            conclusion=lambda P, s: (s, N),
         ),
     ],
 )
@@ -160,12 +164,13 @@ TYPOF_SIG = IndexedSignature(
 ISTRM_SIG = IndexedSignature(
     "IsTrm",
     [
-        rule("isLit", params=("x",), conclusion=lambda P: _lit(P["x"])),
+        rule("isLit", params=("x",), subject=(_lit, "x"), conclusion=lambda P, s: s),
         rule(
             "isAdd",
             params=("e1", "e2"),
             premises=(lambda P: P["e1"], lambda P: P["e2"]),
-            conclusion=lambda P: _add(P["e1"], P["e2"]),
+            subject=(_add, "e1", "e2"),
+            conclusion=lambda P, s: s,
         ),
     ],
 )
@@ -175,7 +180,7 @@ def build_eval_derivation(t: Term) -> Derivation:
     """A validating derivation concluding at ``(t, eval_(t))``."""
     node = out_(t)
     if node.ctor == LIT:
-        return EVAL_SIG.derive("ev1", {"x": node.payload[0]})
+        return EVAL_SIG.derive("ev1", {"x": node.payload[0]}, (), t)
     e1, e2 = node.rec
     d1 = build_eval_derivation(e1)
     d2 = build_eval_derivation(e2)
@@ -185,6 +190,7 @@ def build_eval_derivation(t: Term) -> Derivation:
         "ev2",
         {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": Val(x1.vv + x2.vv)},
         (d1, d2),
+        t,
     )
 
 
@@ -217,15 +223,16 @@ def build_typof_derivation(t: Term) -> Derivation:
         "tof2",
         {"e1": e1, "e2": e2},
         (build_typof_derivation(e1), build_typof_derivation(e2)),
+        t,
     )
 
 
 def build_istrm(t: Term) -> Derivation:
     node = out_(t)
     if node.ctor == LIT:
-        return ISTRM_SIG.derive("isLit", {"x": node.payload[0]})
+        return ISTRM_SIG.derive("isLit", {"x": node.payload[0]}, (), t)
     e1, e2 = node.rec
-    return ISTRM_SIG.derive("isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2)))
+    return ISTRM_SIG.derive("isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2)), t)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ Each rule instance is built and checked in one call.
 runs the side conditions on ``params``, links each witness to the index it
 just computed, and returns the derivation, certified when every premise
 witness is certified too.  Every node the library builds is built so:
-``derive`` is the one trusted producer.  ``dnode`` and ``din`` stay for
-hand-built nodes, and ``din`` and ``validate`` check every node they are
-handed in full, whoever built it.  ``validate`` stops at certified
+``derive`` is the one trusted producer.  Given the term a rule's
+``subject`` pattern describes, it concludes at that object, not a copy.
+``dnode`` and ``din`` stay for hand-built nodes, and ``din`` and
+``validate`` check every node they are handed in full, whoever built it,
+building each subject from its pattern.  ``validate`` stops at certified
 derivations.  The certificate is invisible to equality, hashing, ``repr``
 and the constructors, so a hand-built :class:`Derivation` is never
 certified.
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import ForeignHandleError, Handle, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
+from .kernel import ForeignHandleError, Handle, Term, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
 
 
 class InvalidDerivationError(Exception):
@@ -83,9 +85,12 @@ class Rule:
     that closes over the declared parameters.  ``side_conditions`` are
     named decidable predicates over the same mapping, and ``conclusion`` is
     the conclusion's index expression.  ``subject`` is the pattern of the
-    conclusion's second index that :func:`search` matches: a constructor and
-    its slots in declaration order, a string binding a parameter and a tuple
-    matching a nested constructor.
+    term the rule is about, which :func:`search` matches and ``derive``
+    checks a supplied subject against: a constructor function (see
+    ``kernel.Signature.constructor``) and its slots in declaration order, a
+    string binding a parameter and a tuple matching a nested constructor.
+    A rule made with a pattern by :func:`birule` has an
+    :class:`_AtSubject` conclusion.
     """
 
     family: int
@@ -107,15 +112,39 @@ class Rule:
 
 
 def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None):
-    """A rule of ``family`` whose ``premises`` are ``(family, index expression)`` pairs."""
+    """A rule of ``family`` whose ``premises`` are ``(family, index expression)`` pairs.
+
+    With a ``subject`` pattern, ``conclusion`` takes ``(P, s)``: ``s`` is
+    the subject term, which it places in the index.
+    """
     if conclusion is None:
         raise ValueError(f"rule {name!r} needs a conclusion expression")
+    if subject is not None:
+        conclusion = _AtSubject(subject, conclusion)
     return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject)
 
 
-def rule(name, params=(), premises=(), side=(), conclusion=None):
+def rule(name, params=(), premises=(), side=(), conclusion=None, subject=None):
     """A family-1 rule whose premise index expressions all recurse into family 1."""
-    return birule(1, name, params, [(1, ix) for ix in premises], side, conclusion)
+    return birule(1, name, params, [(1, ix) for ix in premises], side, conclusion, subject)
+
+
+class _AtSubject:
+    """A conclusion index expression ``P -> at(P, s)``, ``s`` being the term ``pattern`` builds under ``P``.
+
+    ``derive`` given a subject that fits calls ``at`` on that subject itself.
+    """
+
+    def __init__(self, pattern, at: Callable[[Mapping, Any], Any]):
+        self.pattern, self.at = pattern, at
+
+    def __call__(self, P):
+        return self.at(P, _build(self.pattern, P))
+
+
+def _build(pattern, P):
+    """The term ``pattern`` describes, its parameters read from ``P``."""
+    return pattern[0](*[_build(x, P) if x.__class__ is tuple else P[x] for x in pattern[1:]])
 
 
 @value_class
@@ -171,18 +200,23 @@ class IndexedSignature:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
         return r.compiled[0](self, rule_name, params, witnesses)
 
-    def derive(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> Derivation:
+    def derive(self, rule_name: str, params: Mapping[str, Any], witnesses=(), subject=None) -> Derivation:
         """``din(self.dnode(rule_name, params, witnesses))`` in one call.
 
         It runs the same checks in the same order, with the same messages:
         the parameter set and witness count, the indices, then the side
         conditions on ``params`` itself and each child link against the
         index just computed.  The result is certified when every witness is.
+        A ``subject`` must fit the rule's pattern under ``params``: its
+        signature and constructors, then each slot ``is`` or ``==`` its
+        parameter.  The conclusion is then at ``subject`` itself.  A subject
+        that does not fit, or any subject given to a rule without a pattern,
+        raises :class:`InvalidDerivationError` naming the rule.
         """
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        return r.compiled[1](self, rule_name, params, witnesses)
+        return r.compiled[1](self, rule_name, params, witnesses, subject)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -200,13 +234,12 @@ def search(sig: IndexedSignature, family: int, context, subject):
     parameter left unbound; premise subjects are terms of the subject's
     signature.  Every candidate is tried, and two that apply raise
     :class:`OverlappingRulesError`; the one that applies is built by
-    ``sig.derive``.
+    ``sig.derive``, given ``subject``.  A subject that is not a term of a
+    signature some pattern of ``sig`` is over raises ``TypeError``.
     """
-    root = subject.root
-    table = sig._search_tables.get(subject.sig)
-    if table is None:
-        table = _search_table(sig, subject.sig)
-    return table[family, root.ctor](sig, context, root)
+    if subject.__class__ is not Term or (table := sig._search_tables.get(subject.sig)) is None:
+        table = _search_table(sig, subject)
+    return table[family, subject.root.ctor](sig, context, subject)
 
 
 class _SearchTable(dict):
@@ -225,32 +258,38 @@ class _SearchTable(dict):
         return found
 
 
-def _no_rule(sig, context, root):
+def _no_rule(sig, context, subject):
     return None
 
 
-def _search_table(sig, term_sig) -> _SearchTable:
-    """``search``'s table for subjects of ``term_sig``; nothing is generated yet.
+def _search_table(sig, subject) -> _SearchTable:
+    """``search``'s table for subjects of ``subject``'s signature; nothing is generated yet.
 
     A premise index must give the premise's context, subject and bare output,
     and the rule must leave one parameter unbound per premise; a rule that
-    leaves another number unbound is rejected here, naming it.
+    leaves another number unbound is rejected here, naming it.  A subject
+    that no pattern of ``sig`` is over is rejected with ``TypeError``, and no
+    table is kept for it.
     """
+    term_sig = subject.sig if subject.__class__ is Term else None
     candidates: dict = {}
     for r in sig.rules.values():
-        if r.subject is not None:
+        if r.subject is not None and r.subject[0].sig is term_sig:
             bound, tests, binds = {r.params[0]}, [], []
-            _pattern(r.subject, term_sig, ("rec", "payload"), bound, tests, binds)
+            _pattern(r.subject, ("rec", "payload"), bound, tests, binds)
             outputs = [p for p in r.params if p not in bound]
             if len(outputs) != len(r.premises):
                 raise ValueError(f"{sig.name}.{r.name}: unbound parameters {outputs} do not match its premises")
             premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs))
-            candidates.setdefault((r.family, r.subject[0]), []).append((r, tests, binds, premises))
+            candidates.setdefault((r.family, r.subject[0].ctor), []).append((r, tests, binds, premises))
+    if not candidates:
+        what = f"a term of {term_sig.name}" if term_sig else f"a value of type {type(subject).__name__}"
+        raise TypeError(f"{sig.name} has no rule whose subject is {what}")
     table = sig._search_tables[term_sig] = _SearchTable(candidates)
     return table
 
 
-def _pattern(pattern, term_sig, slots, bound: set, tests: list, binds: list):
+def _pattern(pattern, slots, bound: set, tests: list, binds: list):
     """Translate ``pattern``, matched at the node whose rec and payload tuples are ``slots``.
 
     Appends to ``tests`` the test of each nested constructor, outer ones
@@ -261,19 +300,20 @@ def _pattern(pattern, term_sig, slots, bound: set, tests: list, binds: list):
     rec, payload = [], []
     nested = []
     counts = [0, 0]
-    for kind, slot in zip(term_sig._plans[pattern[0]].kinds, pattern[1:]):
+    term_sig = pattern[0].sig
+    for kind, slot in zip(term_sig._plans[pattern[0].ctor].kinds, pattern[1:]):
         in_payload = kind not in term_sig.rec_kinds
         at, counts[in_payload] = counts[in_payload], counts[in_payload] + 1
         if isinstance(slot, tuple) and not in_payload:
             node = f"m{len(tests)}"
-            tests.append(f"({node} := {slots[0]}[{at}].root).ctor == {slot[0]!r}")
+            tests.append(f"({node} := {slots[0]}[{at}].root).ctor == {slot[0].ctor!r}")
             nested.append((slot, (f"{node}.rec", f"{node}.payload")))
         else:
             bound.add(slot)
             (payload if in_payload else rec).append((slot, f"{slots[in_payload]}[{at}]"))
     binds += rec + payload
     for slot, inner in nested:
-        _pattern(slot, term_sig, inner, bound, tests, binds)
+        _pattern(slot, inner, bound, tests, binds)
 
 
 def _ill_moded(sig, r, out):
@@ -285,14 +325,14 @@ def _overlapping(sig, first, second):
 
 
 def _compile_search(table: _SearchTable, candidates) -> Callable:
-    """The search of one ``(family, root constructor)``: ``search(sig, context, root)``.
+    """The search of one ``(family, root constructor)``: ``search(sig, context, subject)``.
 
     Each candidate, in order, tests every nested constructor, then builds
     ``P`` in one dict display, runs the side conditions in order, and for
     each premise reads its index once and searches it through ``table``.
     Every candidate is tried, and a second that applies raises
     :class:`OverlappingRulesError`; the one that applies is built by
-    ``sig.derive``.
+    ``sig.derive``, given the subject.
     """
     env = {
         "_OUT": _OUT,
@@ -308,7 +348,7 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
         env[name := f"_const{len(env)}"] = value
         return name
 
-    src = ["def search(sig, context, root):", "    rec, payload = root.rec, root.payload", "    found = None"]
+    src = ["def search(sig, context, subject):", "    rec, payload = subject.root.rec, subject.root.payload", "    found = None"]
     for j, (r, tests, binds, premises) in enumerate(candidates):
         env[f"_rule{j}"], env[f"_name{j}"] = r, r.name
         at = "    "
@@ -330,8 +370,7 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
                 f"{at}context{i}, subject{i}, bare = _ix{j}_{i}(P)",
                 f"{at}if bare is not _OUT:",
                 f"{at}    raise _ill_moded(sig, _rule{j}, {out})",
-                f"{at}subject{i} = subject{i}.root",
-                f"{at}sub = _table[{const(family)}, subject{i}.ctor](sig, context{i}, subject{i})",
+                f"{at}sub = _table[{const(family)}, subject{i}.root.ctor](sig, context{i}, subject{i})",
                 f"{at}if sub:",
                 f"{at}    P[{out}], w{i} = sub",
             ]
@@ -342,7 +381,7 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
     src += [
         "    if found is None:",
         "        return None",
-        "    d = sig.derive(*found)",
+        "    d = sig.derive(*found, subject)",
         "    return d.root.conclusion[2], d",
     ]
     return run_generated("\n".join(src) + "\n", env)["search"]
@@ -384,6 +423,23 @@ def _not_a_witness(n, i, fam):
     return _Rejected(f"rule {n.rule}: premise {i} witness is not {n.sig._witness.format(fam)}")
 
 
+def _unfit(sig, rule_name, r):
+    why = "the rule has no subject pattern to fit" if r.subject is None else "the subject does not fit the rule's pattern"
+    return InvalidDerivationError(f"{sig.name}.{rule_name}: {why}")
+
+
+def _fit_src(pattern) -> str:
+    """Source testing that ``s`` fits ``pattern`` under ``P``: its signature and constructors, then each slot."""
+    tests, binds = [], []
+    _pattern(pattern, ("t.rec", "t.payload"), set(), tests, binds)
+    return " and ".join([
+        "s.__class__ is _Term and s.sig is _tsig",
+        f"(t := s.root).ctor == {pattern[0].ctor!r}",
+        *tests,
+        *(f"({x} is P[{p!r}] or {x} == P[{p!r}])" for p, x in binds),
+    ])
+
+
 def _child_mismatch(n, i, stored, w):
     return _Rejected(
         f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
@@ -400,11 +456,13 @@ def _compile_rule(r):
     same body, by ``_check_node``'s side conditions and child links,
     unrolled: it keeps each premise index it computed for that premise's
     child link and runs the side conditions on the caller's ``P``, then
-    returns the :class:`Derivation`, certified when every witness is.  Index
-    expressions and side conditions are called, never inlined; rejections
-    are raised in ``din(dnode(...))``'s order, with its messages.  Rules of
-    the same shape generate the same source, which ``run_generated``
-    compiles once.
+    returns the :class:`Derivation`, certified when every witness is.  Given
+    a subject, ``derive`` first tests that it fits the rule's pattern (see
+    :func:`_fit_src`) and concludes with the conclusion's ``at`` on it.
+    Index expressions and side conditions are called, never inlined;
+    rejections are raised in ``din(dnode(...))``'s order, with its
+    messages.  Rules of the same shape generate the same source, which
+    ``run_generated`` compiles once.
     """
     k = len(r.premises)
     env = {
@@ -420,6 +478,8 @@ def _compile_rule(r):
         "_child_mismatch": _child_mismatch,
         "_Derivation": Derivation,
         "_certify": _certify,
+        "_Term": Term,
+        "_unfit": _unfit,
     }
     for i, (family, ix) in enumerate(r.premises):
         env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
@@ -433,8 +493,16 @@ def _compile_rule(r):
         f"    if len(witnesses) != {k}:",
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
-        f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), _conclusion(P))",
     ]
+    node = f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), "
+    fit, conclusion = "s is not None", "_conclusion(P)"
+    if r.subject is not None:
+        env["_tsig"] = r.subject[0].sig
+        fit = f"s is not None and not ({_fit_src(r.subject)})"
+        # a copy given another pattern keeps the conclusion its checker builds
+        if isinstance(r.conclusion, _AtSubject) and r.conclusion.pattern is r.subject:
+            env["_at"] = r.conclusion.at
+            conclusion = "_conclusion(P) if s is None else _at(P, s)"
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
         env[f"_side{i}"], env[f"_label{i}"] = pred, label
@@ -452,9 +520,13 @@ def _compile_rule(r):
     src = [
         "def build(sig, rule_name, P, witnesses):",
         *instantiate,
+        node + "_conclusion(P))",
         "    return n",
-        "def derive(sig, rule_name, P, witnesses):",
+        "def derive(sig, rule_name, P, witnesses, s):",
         *instantiate,
+        f"    if {fit}:",
+        "        raise _unfit(sig, rule_name, _rule)",
+        node + conclusion + ")",
         *checks,
         "    d = _Derivation(sig, n)",
         *([f"    if {certified}:", "        _certify(d, True)"] if k else ["    _certify(d, True)"]),

@@ -23,12 +23,12 @@ what ``node`` and then ``in_`` check, in their order and with their
 messages, and builds the term in one call.  On a coproduct a tagged
 constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
 ``lang_l``'s term constructors (``vr``, ``scope``, ...), the terms of
-``arith``'s rule conclusions and the enumerators' terms are built by such
+``arith``'s rule patterns and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
 the value classes' ``__init__`` and ``__eq__``, each rule's ``dnode`` and
-``derive`` and the folds of ``case`` tables) goes through ``run_generated``, which compiles
-each distinct source once.
+``derive``, each search and the folds of ``case`` tables) goes through ``run_generated``, which compiles
+each distinct source once and registers it in ``linecache``.
 
 Handles are branded with a nonce issued per Mendler step (and per sort);
 consuming a handle under a different step or sort (or inspecting it at
@@ -57,6 +57,7 @@ everything here is safe for concurrent use without synchronization.
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from itertools import repeat
@@ -87,10 +88,16 @@ def run_generated(src: str, env: dict) -> dict:
     Each distinct source is compiled once per process, so generators whose
     outputs coincide (two rules of the same shape, say) share one code
     object; every run still binds its own functions in its own ``env``.
+    The source is registered in ``linecache`` under a name listing the
+    functions it defines, such as ``<generated build, derive #12>``, so a
+    traceback through generated code shows its lines.
     """
     code = _COMPILED.get(src)
     if code is None:
-        code = _COMPILED[src] = compile(src, "<generated>", "exec")
+        defs = [line[4 : line.index("(")] for line in src.splitlines() if line.startswith("def ")]
+        name = f"<generated {', '.join(defs)} #{len(_COMPILED)}>"
+        linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+        code = _COMPILED[src] = compile(src, name, "exec")
     exec(code, env)
     return env
 
@@ -337,7 +344,9 @@ class Signature:
         slots)))``, so a payload rejection names the summand.  The function
         is called ``name``, by default the (untagged) constructor name;
         called with the wrong number of slots it raises Python's
-        ``TypeError``, as a hand-written function would.
+        ``TypeError``, as a hand-written function would.  Its ``sig`` and
+        ``ctor`` attributes name what it builds, so that it can head a
+        rule's ``subject`` pattern.
         """
         plan = self._plans.get(ctor)
         if plan is None:
@@ -366,6 +375,7 @@ class Signature:
         env.update((f"_sort{k}", table) for k, table in enumerate(self.sorts, 1))
         fn = run_generated("\n".join(src) + "\n", env)["constructor"]
         fn.__name__ = fn.__qualname__ = name or site_ctor
+        fn.sig, fn.ctor = self, ctor
         return fn
 
     def _payload_site(self, ctor):

@@ -28,9 +28,7 @@ from ..mutual import (
 )
 from .syntax import (
     encode_index,
-    env_,
     env_union,
-    patmatch,
     print_dec,
     print_exp,
 )
@@ -80,22 +78,23 @@ def _children(node):
 
 
 def _rebuild(rule_name, params, witnesses, w, step_rule):
+    """The typing of the step's successor ``w[2]``, concluding at that term."""
     try:
-        return TYPING_SIG.derive(rule_name, params, witnesses)
+        return TYPING_SIG.derive(rule_name, params, witnesses, w[2])
     except InvalidDerivationError as exc:
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
-def _td_env(gamma, rhop, gammap, w, step_rule, reason):
-    """The ``TD-ENV`` typing of ``rhop`` at ``gammap``, which must be ``env_typing(rhop)``.
+def _td_env(gamma, d, gammap, w, step_rule, reason):
+    """The ``TD-ENV`` typing of the ``env`` declaration ``d`` at ``gammap``, which must type its environment.
 
     The rule's own ``envtyping`` side condition is that test.  ``TD-ENV``
     has no premises and that one side condition, so once its parameters
-    match, the only rule instance the checker can reject is the one that
-    fails it: that rejection fails with ``reason``.
+    match and ``d`` fits, the only rule instance the checker can reject is
+    the one that fails it: that rejection fails with ``reason``.
     """
     try:
-        return TYPING_SIG.derive("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap})
+        return TYPING_SIG.derive("TD-ENV", {"gamma": gamma, "rhop": d.root.payload[0], "gammap": gammap}, (), d)
     except _Rejected:
         _fail(w, step_rule, reason)
     except InvalidDerivationError as exc:
@@ -162,14 +161,11 @@ def _e_beta(rec1, rec2, w, node):
         an = _expect(typd, "T-APP", w, node.rule)
         fn = _expect(_children(an)[0], "T-CLOS", w, node.rule)
         FP = fn.params_dict()
-        m = patmatch(P["p"], P["v"])
-        if m is None:
-            _fail(w, node.rule, "beta step without a matching pattern")
-        merged = env_union(P["rho0"], m)
+        d = w[2].root.rec[0]  # the successor's declaration: the closure's environment and the match
         gammap = env_union(FP["gamma0"], bindings(P["p"]))
-        dd = _td_env(gamma, merged, gammap, w, node.rule, "matched bindings do not have the pattern's types")
+        dd = _td_env(gamma, d, gammap, w, node.rule, "matched bindings do not have the pattern's types")
         body_moved = weaken(gamma, _children(fn)[0])
-        params = {"gamma": gamma, "d": env_(merged), "gammap": gammap, "e": P["eb"], "t": FP["t2"]}
+        params = {"gamma": gamma, "d": d, "gammap": gammap, "e": P["eb"], "t": FP["t2"]}
         return _rebuild("T-SCOPE", params, (dd, body_moved), w, node.rule)
 
     return transform
@@ -191,22 +187,16 @@ def _d_match(rec1, rec2, w, node):
 
     def transform(gamma, envd, typd):
         _expect(typd, "TD-MATCH", w, node.rule)
-        m = patmatch(P["p"], P["v"])
-        if m is None:
-            _fail(w, node.rule, "match step without a matching pattern")
-        return _td_env(gamma, m, bindings(P["p"]), w, node.rule, "matched bindings do not have the pattern's types")
+        return _td_env(gamma, w[2], bindings(P["p"]), w, node.rule, "matched bindings do not have the pattern's types")
 
     return transform
 
 
 def _d_join3(rec1, rec2, w, node):
-    P = node.params_dict()
-
     def transform(gamma, envd, typd):
         AP = _expect(typd, "TD-JOIN", w, node.rule).params_dict()
-        merged = env_union(P["rho1"], P["rho2"])
         gammap = env_union(AP["gamma1"], AP["gamma2"])
-        return _td_env(gamma, merged, gammap, w, node.rule, "joined environments lost their pointwise typing")
+        return _td_env(gamma, w[2], gammap, w, node.rule, "joined environments lost their pointwise typing")
 
     return transform
 

@@ -5,7 +5,8 @@ types (env, dec, dec) and (env, exp, exp).  ``step_dec``/``step_exp``
 return the unique successor under the left-to-right call-by-value strategy
 together with a validating derivation, or None when the configuration is a
 value or stuck.  The successor is the third index of the step
-derivation's conclusion, the term the rule built, not a second copy.
+derivation's conclusion, the term the rule built, not a second copy; the
+second index is the stepped term itself, which ``search`` hands the rule.
 Stuck configurations (unbound variables, failed pattern
 matches, applications of non-closures) are a legal outcome: nothing here
 promises progress.
@@ -58,149 +59,115 @@ STEP_SIG = IndexedBiSignature(
         birule(
             DEC_STEP,
             "D-MATCH1",
-            subject=("match", "p", "e"),
+            subject=(match_, "p", "e"),
             params=("rho", "p", "e", "ep"),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e"], P["ep"])),),
-            conclusion=lambda P: (
-                P["rho"],
-                match_(P["p"], P["e"]),
-                match_(P["p"], P["ep"]),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, match_(P["p"], P["ep"])),
         ),
         birule(
             DEC_STEP,
             "D-MATCH",
-            subject=("match", "p", "v"),
+            subject=(match_, "p", "v"),
             params=("rho", "p", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
+                (match_, lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
-            conclusion=lambda P: (
-                P["rho"],
-                match_(P["p"], P["v"]),
-                env_(_matched_env(P, "match", "subject")),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, env_(_matched_env(P, "match", "subject"))),
         ),
         birule(
             DEC_STEP,
             "D-JOIN1",
-            subject=("join", "d1", "d2"),
+            subject=(join_, "d1", "d2"),
             params=("rho", "d1", "d1p", "d2"),
             premises=((DEC_STEP, lambda P: (P["rho"], P["d1"], P["d1p"])),),
-            conclusion=lambda P: (
-                P["rho"],
-                join_(P["d1"], P["d2"]),
-                join_(P["d1p"], P["d2"]),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, join_(P["d1p"], P["d2"])),
         ),
         birule(
             DEC_STEP,
             "D-JOIN2",
-            subject=("join", ("env", "rho1"), "d2"),
+            subject=(join_, (env_, "rho1"), "d2"),
             params=("rho", "rho1", "d2", "d2p"),
             premises=(
                 (DEC_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["d2"], P["d2p"])),
             ),
-            conclusion=lambda P: (
-                P["rho"],
-                join_(env_(P["rho1"]), P["d2"]),
-                join_(env_(P["rho1"]), P["d2p"]),
-            ),
+            # the successor keeps the subject's own ``env`` declaration
+            conclusion=lambda P, s: (P["rho"], s, join_(s.root.rec[0], P["d2p"])),
         ),
         birule(
             DEC_STEP,
             "D-JOIN3",
-            subject=("join", ("env", "rho1"), ("env", "rho2")),
+            subject=(join_, (env_, "rho1"), (env_, "rho2")),
             params=("rho", "rho1", "rho2"),
-            conclusion=lambda P: (
-                P["rho"],
-                join_(env_(P["rho1"]), env_(P["rho2"])),
-                env_(env_union(P["rho1"], P["rho2"])),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, env_(env_union(P["rho1"], P["rho2"]))),
         ),
         # --- expressions ---
         birule(
             EXP_STEP,
             "E-VAR",
-            subject=("vr", "x"),
+            subject=(vr, "x"),
             params=("rho", "x"),
             side=(("bound", lambda P: P["x"] in P["rho"]),),
-            conclusion=lambda P: (P["rho"], vr(P["x"]), P["rho"].get(P["x"])),
+            conclusion=lambda P, s: (P["rho"], s, P["rho"].get(P["x"])),
         ),
         birule(
             EXP_STEP,
             "E-APP1",
-            subject=("apply", "e1", "e2"),
+            subject=(apply_, "e1", "e2"),
             params=("rho", "e1", "e1p", "e2"),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e1"], P["e1p"])),),
-            conclusion=lambda P: (
-                P["rho"],
-                apply_(P["e1"], P["e2"]),
-                apply_(P["e1p"], P["e2"]),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, apply_(P["e1p"], P["e2"])),
         ),
         birule(
             EXP_STEP,
             "E-APP2",
-            subject=("apply", "v1", "e2"),
+            subject=(apply_, "v1", "e2"),
             params=("rho", "v1", "e2", "e2p"),
             side=(("value", lambda P: is_value(P["v1"])),),
             premises=((EXP_STEP, lambda P: (P["rho"], P["e2"], P["e2p"])),),
-            conclusion=lambda P: (
-                P["rho"],
-                apply_(P["v1"], P["e2"]),
-                apply_(P["v1"], P["e2p"]),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, apply_(P["v1"], P["e2p"])),
         ),
         birule(
             EXP_STEP,
             "E-BETA",
-            subject=("apply", ("closure", "rho0", "p", "eb"), "v"),
+            subject=(apply_, (closure, "rho0", "p", "eb"), "v"),
             params=("rho", "rho0", "p", "eb", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
+                (match_, lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
-            conclusion=lambda P: (
+            conclusion=lambda P, s: (
                 P["rho"],
-                apply_(closure(P["rho0"], P["p"], P["eb"]), P["v"]),
+                s,
                 scope(env_(env_union(P["rho0"], _matched_env(P, "beta", "argument"))), P["eb"]),
             ),
         ),
         birule(
             EXP_STEP,
             "E-SCOPE1",
-            subject=("scope", "d", "e"),
+            subject=(scope, "d", "e"),
             params=("rho", "d", "dp", "e"),
             premises=((DEC_STEP, lambda P: (P["rho"], P["d"], P["dp"])),),
-            conclusion=lambda P: (
-                P["rho"],
-                scope(P["d"], P["e"]),
-                scope(P["dp"], P["e"]),
-            ),
+            conclusion=lambda P, s: (P["rho"], s, scope(P["dp"], P["e"])),
         ),
         birule(
             EXP_STEP,
             "E-SCOPE2",
-            subject=("scope", ("env", "rho1"), "e"),
+            subject=(scope, (env_, "rho1"), "e"),
             params=("rho", "rho1", "e", "ep"),
             premises=(
                 (EXP_STEP, lambda P: (env_union(P["rho"], P["rho1"]), P["e"], P["ep"])),
             ),
-            conclusion=lambda P: (
-                P["rho"],
-                scope(env_(P["rho1"]), P["e"]),
-                scope(env_(P["rho1"]), P["ep"]),
-            ),
+            # the successor keeps the subject's own ``env`` declaration
+            conclusion=lambda P, s: (P["rho"], s, scope(s.root.rec[0], P["ep"])),
         ),
         birule(
             EXP_STEP,
             "E-SCOPE3",
-            subject=("scope", ("env", "rho1"), "v"),
+            subject=(scope, (env_, "rho1"), "v"),
             params=("rho", "rho1", "v"),
             side=(("value", lambda P: is_value(P["v"])),),
-            conclusion=lambda P: (P["rho"], scope(env_(P["rho1"]), P["v"]), P["v"]),
+            conclusion=lambda P, s: (P["rho"], s, P["v"]),
         ),
     ],
 )

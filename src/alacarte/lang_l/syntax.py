@@ -245,6 +245,11 @@ def closure(rho: Env, p: Pat, body: Exp) -> Exp:
     return _closure_term(rho, p, body)
 
 
+# they build what their generated constructors build, so rule patterns may name them
+match_.sig = closure.sig = LANG
+match_.ctor, closure.ctor = _match_term.ctor, _closure_term.ctor
+
+
 # ---------------------------------------------------------------------------
 # value classification
 

@@ -186,25 +186,24 @@ TYPING_SIG = IndexedBiSignature(
         birule(
             TYP_O_DEC,
             "TD-ENV",
+            subject=(env_, "rhop"),
             params=("gamma", "rhop", "gammap"),
             side=(("envtyping", lambda P: env_typing(P["rhop"]) == P["gammap"]),),
-            conclusion=lambda P: (P["gamma"], env_(P["rhop"]), TypeEnv(P["gammap"])),
+            conclusion=lambda P, s: (P["gamma"], s, TypeEnv(P["gammap"])),
         ),
         birule(
             TYP_O_DEC,
             "TD-MATCH",
+            subject=(match_, "p", "e"),
             params=("gamma", "p", "e", "t1"),
             side=(("pattype", lambda P: pat_type(P["p"]) == P["t1"]),),
             premises=((TYP_O_EXP, lambda P: (P["gamma"], P["e"], P["t1"])),),
-            conclusion=lambda P: (
-                P["gamma"],
-                match_(P["p"], P["e"]),
-                TypeEnv(bindings(P["p"])),
-            ),
+            conclusion=lambda P, s: (P["gamma"], s, TypeEnv(bindings(P["p"]))),
         ),
         birule(
             TYP_O_DEC,
             "TD-JOIN",
+            subject=(join_, "d1", "d2"),
             params=("gamma", "d1", "gamma1", "d2", "gamma2"),
             premises=(
                 (TYP_O_DEC, lambda P: (P["gamma"], P["d1"], TypeEnv(P["gamma1"]))),
@@ -217,29 +216,28 @@ TYPING_SIG = IndexedBiSignature(
                     ),
                 ),
             ),
-            conclusion=lambda P: (
-                P["gamma"],
-                join_(P["d1"], P["d2"]),
-                TypeEnv(env_union(P["gamma1"], P["gamma2"])),
-            ),
+            conclusion=lambda P, s: (P["gamma"], s, TypeEnv(env_union(P["gamma1"], P["gamma2"]))),
         ),
         # --- expressions ---
         birule(
             TYP_O_EXP,
             "T-VAR",
+            subject=(vr, "x"),
             params=("gamma", "x"),
             side=(("bound", lambda P: P["x"] in P["gamma"]),),
-            conclusion=lambda P: (P["gamma"], vr(P["x"]), P["gamma"].get(P["x"])),
+            conclusion=lambda P, s: (P["gamma"], s, P["gamma"].get(P["x"])),
         ),
         birule(
             TYP_O_EXP,
             "T-CON",
+            subject=(cn, "x", "tau"),
             params=("gamma", "x", "tau"),
-            conclusion=lambda P: (P["gamma"], cn(P["x"], P["tau"]), P["tau"]),
+            conclusion=lambda P, s: (P["gamma"], s, P["tau"]),
         ),
         birule(
             TYP_O_EXP,
             "T-CLOS",
+            subject=(closure, "rho0", "p", "eb"),
             params=("gamma", "rho0", "gamma0", "p", "t1", "eb", "t2"),
             side=(
                 ("envtyping", lambda P: env_typing(P["rho0"]) == P["gamma0"]),
@@ -255,31 +253,29 @@ TYPING_SIG = IndexedBiSignature(
                     ),
                 ),
             ),
-            conclusion=lambda P: (
-                P["gamma"],
-                closure(P["rho0"], P["p"], P["eb"]),
-                Arrow(P["t1"], P["t2"]),
-            ),
+            conclusion=lambda P, s: (P["gamma"], s, Arrow(P["t1"], P["t2"])),
         ),
         birule(
             TYP_O_EXP,
             "T-APP",
+            subject=(apply_, "e1", "e2"),
             params=("gamma", "e1", "e2", "t1", "t2"),
             premises=(
                 (TYP_O_EXP, lambda P: (P["gamma"], P["e1"], Arrow(P["t1"], P["t2"]))),
                 (TYP_O_EXP, lambda P: (P["gamma"], P["e2"], P["t1"])),
             ),
-            conclusion=lambda P: (P["gamma"], apply_(P["e1"], P["e2"]), P["t2"]),
+            conclusion=lambda P, s: (P["gamma"], s, P["t2"]),
         ),
         birule(
             TYP_O_EXP,
             "T-SCOPE",
+            subject=(scope, "d", "e"),
             params=("gamma", "d", "gammap", "e", "t"),
             premises=(
                 (TYP_O_DEC, lambda P: (P["gamma"], P["d"], TypeEnv(P["gammap"]))),
                 (TYP_O_EXP, lambda P: (env_union(P["gamma"], P["gammap"]), P["e"], P["t"])),
             ),
-            conclusion=lambda P: (P["gamma"], scope(P["d"], P["e"]), P["t"]),
+            conclusion=lambda P, s: (P["gamma"], s, P["t"]),
         ),
     ],
 )
@@ -292,15 +288,16 @@ class _Untypable(Exception):
         self.reason = reason
 
 
-# ``_tc_exp``/``_tc_dec`` make each typing node with ``mk``: ``_tnode``
-# builds and checks it, ``_no_node`` (for ``env_typing``) builds nothing.
+# ``_tc_exp``/``_tc_dec`` make each typing node of the term they type with
+# ``mk``: ``_tnode`` builds and checks it, concluding at that term, and
+# ``_no_node`` (for ``env_typing``) builds nothing.
 
 
-def _tnode(rule_name, params, witnesses=()) -> BiDerivation:
-    return TYPING_SIG.derive(rule_name, params, witnesses)
+def _tnode(rule_name, params, witnesses, subject) -> BiDerivation:
+    return TYPING_SIG.derive(rule_name, params, witnesses, subject)
 
 
-def _no_node(rule_name, params, witnesses=()) -> None:
+def _no_node(rule_name, params, witnesses, subject) -> None:
     return None
 
 
@@ -312,10 +309,10 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
             t = gamma.get(x)
             if t is None:
                 raise _Untypable(path, f"unbound variable {x!r}")
-            return t, mk("T-VAR", {"gamma": gamma, "x": x})
+            return t, mk("T-VAR", {"gamma": gamma, "x": x}, (), e)
         case "cn":
             x, tau = node.payload
-            return tau, mk("T-CON", {"gamma": gamma, "x": x, "tau": tau})
+            return tau, mk("T-CON", {"gamma": gamma, "x": x, "tau": tau}, (), e)
         case "closure":
             rho0, p = node.payload
             eb = node.rec[0]
@@ -338,6 +335,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
                     "t2": t2,
                 },
                 (db,),
+                e,
             )
             return Arrow(t1, t2), d
         case "apply":
@@ -354,6 +352,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
                 "T-APP",
                 {"gamma": gamma, "e1": e1, "e2": e2, "t1": tf.dom, "t2": tf.cod},
                 (d1, d2),
+                e,
             )
             return tf.cod, d
         case "scope":
@@ -365,6 +364,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
                 "T-SCOPE",
                 {"gamma": gamma, "d": dd, "gammap": gammap, "e": body, "t": t},
                 (d1, d2),
+                e,
             )
             return t, d
     raise _Untypable(path, f"unknown expression form {node.ctor!r}")
@@ -378,9 +378,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
             gammap = env_typing(rhop)
             if gammap is None:
                 raise _Untypable(path + ("env",), "environment is not typable")
-            return TypeEnv(gammap), mk(
-                "TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}
-            )
+            return TypeEnv(gammap), mk("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}, (), d)
         case "match":
             p = node.payload[0]
             e = node.rec[0]
@@ -392,9 +390,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
                 raise _Untypable(
                     path + ("match.exp",), f"expected {t1!r}, got {te!r}"
                 )
-            dd = mk(
-                "TD-MATCH", {"gamma": gamma, "p": p, "e": e, "t1": t1}, (de,)
-            )
+            dd = mk("TD-MATCH", {"gamma": gamma, "p": p, "e": e, "t1": t1}, (de,), d)
             return TypeEnv(bindings(p)), dd
         case "join":
             d1, d2 = node.rec
@@ -406,6 +402,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
                 "TD-JOIN",
                 {"gamma": gamma, "d1": d1, "gamma1": gamma1, "d2": d2, "gamma2": gamma2},
                 (dd1, dd2),
+                d,
             )
             return TypeEnv(env_union(gamma1, gamma2)), dd
     raise _Untypable(path, f"unknown declaration form {node.ctor!r}")
@@ -455,10 +452,10 @@ def weaken(prefix: Env, td: BiDerivation) -> BiDerivation:
     match node.rule:
         case "T-VAR" | "T-CON" | "TD-ENV" | "T-CLOS":
             # leaf-like: premise contexts (if any) do not mention gamma
-            return _tnode(node.rule, {**P, "gamma": g2}, children)
+            return _tnode(node.rule, {**P, "gamma": g2}, children, node.conclusion[1])
         case "T-APP" | "TD-MATCH" | "TD-JOIN" | "T-SCOPE":
             moved = tuple(weaken(prefix, c) for c in children)
-            return _tnode(node.rule, {**P, "gamma": g2}, moved)
+            return _tnode(node.rule, {**P, "gamma": g2}, moved, node.conclusion[1])
     raise InvalidDerivationError(f"not a typing rule: {node.rule}")
 
 
@@ -473,10 +470,10 @@ def retype_value(gamma: Env, td: BiDerivation) -> BiDerivation:
     match node.rule:
         case "T-CON" | "T-CLOS":
             children = tuple(w for _, _, w in node.premises)
-            return _tnode(node.rule, {**P, "gamma": gamma}, children)
+            return _tnode(node.rule, {**P, "gamma": gamma}, children, node.conclusion[1])
         case "T-APP":
             moved = tuple(retype_value(gamma, w) for _, _, w in node.premises)
-            return _tnode(node.rule, {**P, "gamma": gamma}, moved)
+            return _tnode(node.rule, {**P, "gamma": gamma}, moved, node.conclusion[1])
     raise InvalidDerivationError(f"not a value typing: {node.rule}")
 
 

@@ -3,8 +3,9 @@
 For every rule of the library's signatures it builds the same derivation
 with the same certificate and rejects with the same exception and message.
 It runs each index expression once, then the side conditions in their
-order.  The seed-42 derivations the stepper and subject reduction build
-are pinned by digest.
+order.  Given the term a rule instance is about, it concludes at that term,
+and rejects one that does not fit the rule's pattern.  The seed-42
+derivations the stepper and subject reduction build are pinned by digest.
 """
 
 import dataclasses
@@ -15,7 +16,9 @@ import pytest
 
 from alacarte import arith, testkit
 from alacarte.indexed import Derivation, InvalidDerivationError, din
+from alacarte.kernel import Term
 from alacarte.lang_l import (
+    EMPTY_ENV,
     PApp,
     PCon,
     PVar,
@@ -24,6 +27,8 @@ from alacarte.lang_l import (
     Arrow,
     Ty,
     build_typopat,
+    cn,
+    env_,
     step_dec,
     step_exp,
     subject_reduction,
@@ -145,6 +150,47 @@ def test_derive_rejects_what_din_of_dnode_rejects(instances):
             for p, ws in bad:
                 outcome = _both(sig, rule_name, p, ws)
                 assert _rejects(outcome), (sig.name, name, outcome)
+
+
+def _subject(d):
+    """The term a derivation is about: its index, or the index's first term; None if it has none."""
+    c = d.root.conclusion
+    return c if isinstance(c, Term) else next((x for x in c if isinstance(x, Term)), None)
+
+
+def test_derive_given_its_subject_concludes_at_it(instances):
+    for sig in SIGS:
+        for name, ds in instances[sig].items():
+            if sig.rules[name].subject is None:
+                continue
+            for d in ds:
+                rule_name, params, witnesses = _parts(d)
+                s = _subject(d)
+                twin = type(s)(s.sig, s.root)  # equal, but not the same object
+                built = sig.derive(rule_name, params, witnesses, twin)
+                assert built == d and built._certified and _subject(built) is twin
+
+
+def test_derive_rejects_a_subject_that_does_not_fit(instances):
+    lang_terms = (cn("c", Ty("a")), env_(EMPTY_ENV))
+    for sig in SIGS:
+        subjects = [_subject(d) for ds in instances[sig].values() for d in ds]
+        for name, ds in instances[sig].items():
+            rule_name, params, witnesses = _parts(ds[0])
+            s = _subject(ds[0])
+            if sig.rules[name].subject is None:  # no subject fits a rule without a pattern
+                message = f"{sig.name}.{name}: the rule has no subject pattern to fit"
+                wrong_ctor, wrong_slot = lang_terms
+            else:
+                message = f"{sig.name}.{name}: the subject does not fit the rule's pattern"
+                wrong_ctor = next(o for o in subjects if o.root.ctor != s.root.ctor)
+                wrong_slot = next(_subject(o) for o in ds if _subject(o) != s)
+                assert wrong_slot.root.ctor == s.root.ctor
+            other_sig = lang_terms[0] if sig in (arith.EVAL_SIG, arith.TYPOF_SIG, arith.ISTRM_SIG) else arith.lit(1)
+            not_a_term = s.root if s is not None else "not a term"
+            for bad in (wrong_ctor, wrong_slot, not_a_term, other_sig):
+                outcome = _outcome(lambda: sig.derive(rule_name, params, witnesses, bad))
+                assert outcome == (InvalidDerivationError, message), (sig.name, name, bad)
 
 
 def _logged(sig, log, failing):

@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import json
+import linecache
 import os
 import subprocess
 import sys
 import textwrap
+import traceback
 from pathlib import Path
 
 import pytest
@@ -535,6 +537,63 @@ def test_generated_sources_of_one_shape_are_compiled_once():
     # two value classes with the same fields share their __init__'s code
     assert PVar.__init__.__code__ is PCon.__init__.__code__
     assert PVar.__init__ is not PCon.__init__
+
+
+def _traceback_of(call) -> str:
+    try:
+        call()
+    except Exception:  # noqa: BLE001 (any exception: only its traceback is read)
+        return traceback.format_exc()
+    raise AssertionError("the call did not raise")
+
+
+@pytest.mark.parametrize(
+    "call, name, line",
+    [
+        (
+            lambda: EVAL_SIG.derive("ev2", {"e1": lit(1), "e2": lit(2), "x1": Val(1), "x2": Val(2), "v": Val(3)}),
+            "build, derive",
+            "raise _count_mismatch(sig, rule_name, _rule, witnesses)",
+        ),
+        (lambda: EVAL_SIG.derive("ev1", {"x": 1}, (), lit(2)), "build, derive", "raise _unfit(sig, rule_name, _rule)"),
+        (lambda: arith._add(lit(1), 2), "constructor", "raise _bad_slot(_sig, _ctor, s1, 1)"),
+    ],
+)
+def test_a_traceback_through_generated_code_shows_its_source_line(call, name, line):
+    text = _traceback_of(call)
+    assert f'File "<generated {name} #' in text and f"\n    {line}\n" in text
+
+
+def test_a_traceback_through_a_generated_search_shows_its_source_line():
+    from alacarte.lang_l import EMPTY_ENV, Ty, apply_, cn, vr
+    from alacarte.lang_l.step import EXP_STEP, STEP_SIG
+    from alacarte.mutual import IndexedBiSignature
+
+    app1 = STEP_SIG.rules["E-APP1"]
+    bad = dataclasses.replace(app1, premises=((EXP_STEP, lambda P: (P["rho"], P["e1p"], P["e1"])),))
+    sig = IndexedBiSignature("Step", [bad if r is app1 else r for r in STEP_SIG.rules.values()])
+    text = _traceback_of(lambda: indexed.search(sig, EXP_STEP, EMPTY_ENV, apply_(vr("x"), cn("c", Ty("a")))))
+    assert 'File "<generated search #' in text and "\n    raise _ill_moded(sig, _rule0, 'e1p')\n" in text
+
+
+def test_each_generated_source_is_registered_under_the_functions_it_defines():
+    code = Val.__eq__.__code__
+    assert code.co_filename.startswith("<generated __init__, __eq__ #")
+    assert linecache.getline(code.co_filename, code.co_firstlineno) == "def __eq__(self, other):\n"
+    # one source, one name: two value classes of the same fields share it
+    from alacarte.lang_l import PCon, PVar
+
+    assert PVar.__init__.__code__.co_filename == PCon.__init__.__code__.co_filename
+
+
+def test_a_rule_copied_with_another_pattern_concludes_where_its_checker_does():
+    is_add = dataclasses.replace(arith.ISTRM_SIG.rules["isAdd"], subject=(arith._add, "e2", "e1"))
+    sig = IndexedSignature("Swapped", [arith.ISTRM_SIG.rules["isLit"], is_add])
+    a, b = lit(1), lit(2)
+    witnesses = (sig.derive("isLit", {"x": 1}, (), a), sig.derive("isLit", {"x": 2}, (), b))
+    # the swapped term fits the copy's pattern, but its conclusion still builds the original's
+    d = sig.derive("isAdd", {"e1": a, "e2": b}, witnesses, arith._add(b, a))
+    assert d.root.conclusion == add(a, b) and din(d.root) == d
 
 
 def test_a_rule_replaced_after_first_use_is_the_one_dnode_instantiates():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from alacarte import testkit
+from alacarte import arith, testkit
 from alacarte.lang_l import (
     Arrow,
     EMPTY_ENV,
@@ -517,15 +517,15 @@ APP1 = STEP_SIG.rules["E-APP1"]
             "Step.E-SCOPE3: unbound parameters ['w'] do not match its premises",
         ),
         (
-            replace(APP1, subject=("apply", "e1", "e1")),
+            replace(APP1, subject=(apply_, "e1", "e1")),
             "Step.E-APP1: unbound parameters ['e1p', 'e2'] do not match its premises",
         ),
         (
-            replace(APP1, subject=("apply", "rho", "e2")),
+            replace(APP1, subject=(apply_, "rho", "e2")),
             "Step.E-APP1: unbound parameters ['e1', 'e1p'] do not match its premises",
         ),
         (
-            replace(APP1, subject=("apply", "e1", "e9")),
+            replace(APP1, subject=(apply_, "e1", "e9")),
             "Step.E-APP1: unbound parameters ['e1p', 'e2'] do not match its premises",
         ),
     ],
@@ -542,7 +542,7 @@ def test_a_rule_whose_modes_do_not_fit_is_rejected_when_the_table_is_built(bad, 
     "bad, output",
     [
         (replace(APP1, premises=((EXP_STEP, lambda P: (P["rho"], P["e1p"], P["e1"])),)), "e1p"),
-        (replace(APP1, subject=("apply", "e1", "e1p")), "e2"),  # the pattern binds the output
+        (replace(APP1, subject=(apply_, "e1", "e1p")), "e2"),  # the pattern binds the output
     ],
 )
 def test_a_premise_index_must_put_the_bare_output_third(bad, output):
@@ -557,9 +557,9 @@ def test_a_pattern_nested_two_deep_tests_each_level_before_binding_it():
     head = birule(
         EXP_STEP,
         "E-HEAD",
-        subject=("apply", ("apply", ("vr", "x"), "e1"), "e2"),
+        subject=(apply_, (apply_, (vr, "x"), "e1"), "e2"),
         params=("rho", "x", "e1", "e2"),
-        conclusion=lambda P: (P["rho"], apply_(apply_(vr(P["x"]), P["e1"]), P["e2"]), P["e2"]),
+        conclusion=lambda P, s: (P["rho"], s, P["e2"]),
     )
     sig = IndexedBiSignature("Head", [head])
     e1, e2 = vr("y"), C
@@ -568,3 +568,22 @@ def test_a_pattern_nested_two_deep_tests_each_level_before_binding_it():
     assert dict(d.root.params) == {"rho": EMPTY_ENV, "x": "x", "e1": e1, "e2": e2}
     for miss in (apply_(apply_(C, e1), e2), apply_(C, e2), apply_(apply_(apply_(vr("x"), e1), e1), e2)):
         assert search(sig, EXP_STEP, EMPTY_ENV, miss) is None
+
+
+@pytest.mark.parametrize(
+    "stepper, subject, what",
+    [
+        (step_exp, arith.lit(1), "a term of (trm_g1+trm_g2)"),
+        (step_dec, arith.lit(1), "a term of (trm_g1+trm_g2)"),
+        (step_exp, 3, "a value of type int"),
+        (step_exp, vr("x").root, "a value of type Node"),
+        (step_dec, None, "a value of type NoneType"),
+    ],
+)
+def test_search_rejects_a_subject_no_rule_is_over_and_keeps_no_table(stepper, subject, what):
+    tables = dict(STEP_SIG._search_tables)
+    for _ in range(2):
+        with pytest.raises(TypeError) as exc:
+            stepper(EMPTY_ENV, subject)
+        assert str(exc.value) == f"Step has no rule whose subject is {what}"
+    assert STEP_SIG._search_tables == tables

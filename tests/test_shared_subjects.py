@@ -1,0 +1,118 @@
+"""Every rule instance the library builds concludes at the term it was built for.
+
+A producer that holds the term a rule instance is about passes it to
+``derive``, which checks that it fits the rule's pattern and concludes at
+that very object.  Over the first 300 seed-1 ``lang-fuzz`` configurations,
+stepped under subject reduction, and a seeded arith corpus, every node with
+a subject pattern that the builders, the stepper, the typechecker and
+subject reduction build has a subject index that ``is`` the term it was
+derived for: the root's is the producer's term, and a premise's is the
+subject of the index its parent stored for it.  ``derive`` now trusts that
+fit check, so each derivation is also copied without its certificates and
+the copy must pass ``validate``, which rebuilds every subject from its
+pattern; a mutant fit check that accepts any subject is caught so.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from alacarte import arith, indexed, testkit
+from alacarte.indexed import Derivation, DNode, IndexedSignature, InvalidDerivationError, validate
+from alacarte.kernel import Term
+from alacarte.lang_l import step_dec, step_exp, subject_reduction, typecheck_dec, typecheck_exp
+
+
+def _subject(index):
+    """The term an index is about: the index itself, or its first term (never an environment)."""
+    if isinstance(index, Term):
+        return index
+    return next((x for x in index if isinstance(x, Term)), None)
+
+
+def _lang_corpus():
+    """``(derivation, term it was derived for)`` over the first 300 seed-1 ``lang-fuzz`` configurations."""
+    for c in testkit.gen_well_typed_config(testkit.GenConfig(seed=1, count=300)):
+        step, typecheck = (step_dec, typecheck_dec) if c.sort == "dec" else (step_exp, typecheck_exp)
+        term, typd = c.term, c.typd
+        yield typd, term
+        yield typecheck(c.gamma, term)[1], term
+        for _ in range(50):
+            sub = step(c.rho, term)
+            if sub is None:
+                break
+            succ, stepd = sub
+            yield stepd, term
+            typd = subject_reduction(c.rho, stepd, c.gamma, c.envd, typd)
+            yield typd, succ
+            term = succ
+
+
+def _arith_term(rng, leaves):
+    if leaves == 1:
+        return arith.lit(rng.randrange(-10**6, 10**6))
+    left = rng.randrange(1, leaves)
+    return arith.add(_arith_term(rng, left), _arith_term(rng, leaves - left))
+
+
+def _arith_corpus():
+    rng = random.Random(21)
+    for i in range(60):
+        t = _arith_term(rng, 1 + i % 20)
+        for build in (arith.build_eval_derivation, arith.build_typof_derivation, arith.build_istrm):
+            yield build(t), t
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return list(_lang_corpus()) + list(_arith_corpus())
+
+
+def test_every_node_concludes_at_the_term_it_was_derived_for(corpus):
+    checked = {}
+    for d, term in corpus:
+        stack = [(d, term)]
+        while stack:
+            d, term = stack.pop()
+            n = d.root
+            if d.sig.rules[n.rule].subject is None:  # ``tof1``: it builds its literal
+                continue
+            assert _subject(n.conclusion) is term, n.rule
+            checked[n.rule] = checked.get(n.rule, 0) + 1
+            stack.extend((w, _subject(ix)) for _, ix, w in n.premises)
+    patterned = [
+        name
+        for sig in (arith.EVAL_SIG, arith.TYPOF_SIG, arith.ISTRM_SIG, *{d.sig for d, _ in corpus})
+        for name, r in sig.rules.items()
+        if r.subject is not None
+    ]
+    assert sorted(checked) == sorted(set(patterned))
+
+
+def _uncertified(d):
+    """A copy of ``d`` in which no derivation is certified."""
+    n = d.root
+    premises = tuple((fam, ix, _uncertified(w)) for fam, ix, w in n.premises)
+    return Derivation(d.sig, DNode(n.sig, n.family, n.rule, n.params, premises, n.conclusion))
+
+
+def test_every_derivation_copied_without_its_certificates_validates(corpus):
+    for d, _ in corpus:
+        assert d._certified
+        copy = _uncertified(d)
+        assert copy == d and not copy._certified
+        assert validate(copy), validate(copy).reason
+
+
+def test_a_fit_check_that_accepts_any_subject_is_caught(monkeypatch):
+    wrong = arith.add(arith.lit(1), arith.lit(2))
+    with pytest.raises(InvalidDerivationError):
+        arith.EVAL_SIG.derive("ev1", {"x": 5}, (), wrong)
+    monkeypatch.setattr(indexed, "_fit_src", lambda pattern: "True")
+    # fresh copies of the rules, compiled with the mutant check
+    mutant = IndexedSignature("Eval", [dataclasses.replace(r) for r in arith.EVAL_SIG.rules.values()])
+    d = mutant.derive("ev1", {"x": 5}, (), wrong)
+    assert d._certified and d.root.conclusion[0] is wrong
+    verdict = validate(_uncertified(d))
+    assert not verdict and verdict.reason == "rule ev1: conclusion index mismatch"
