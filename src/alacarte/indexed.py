@@ -120,8 +120,19 @@ def birule(family, name, params=(), premises=(), side=(), conclusion=None, subje
     if conclusion is None:
         raise ValueError(f"rule {name!r} needs a conclusion expression")
     if subject is not None:
+        _check_heads(name, subject)
         conclusion = _AtSubject(subject, conclusion)
     return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject)
+
+
+def _check_heads(name, pattern):
+    """Reject a ``subject`` pattern any of whose heads, nested ones too, names no constructor."""
+    patterns = [pattern]
+    while patterns:
+        head, *slots = patterns.pop()
+        if not (hasattr(head, "sig") and hasattr(head, "ctor")):
+            raise ValueError(f"rule {name!r}: subject pattern head {head!r} is not a constructor function")
+        patterns += [slot for slot in slots if slot.__class__ is tuple]
 
 
 def rule(name, params=(), premises=(), side=(), conclusion=None, subject=None):
@@ -177,6 +188,7 @@ class Derivation:
 
 
 _certify = vars(Derivation)["_certified"].__set__
+_new_dnode = DNode._positional
 
 
 class IndexedSignature:
@@ -467,6 +479,8 @@ def _compile_rule(r):
     k = len(r.premises)
     env = {
         "_DNode": DNode,
+        "_new_dnode": _new_dnode,
+        "_new_derivation": Derivation._positional,
         "_rule": r,
         "_family": r.family,
         "_param_set": frozenset(r.params),
@@ -494,7 +508,7 @@ def _compile_rule(r):
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
     ]
-    node = f"    n = _DNode(sig, _family, rule_name, ({params}), ({premises}), "
+    node = f"    n = _new_dnode(sig, _family, rule_name, ({params}), ({premises}), "
     fit, conclusion = "s is not None", "_conclusion(P)"
     if r.subject is not None:
         env["_tsig"] = r.subject[0].sig
@@ -528,7 +542,7 @@ def _compile_rule(r):
         "        raise _unfit(sig, rule_name, _rule)",
         node + conclusion + ")",
         *checks,
-        "    d = _Derivation(sig, n)",
+        "    d = _new_derivation(sig, n)",
         *([f"    if {certified}:", "        _certify(d, True)"] if k else ["    _certify(d, True)"]),
         "    return d",
     ]
@@ -700,7 +714,7 @@ def istep_once(malg, w, node: DNode, recurse):
             handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
         else:
             handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in premises])
-        node = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+        node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     return malg(_index_checking_rec(brand, recurse), w, node)
 
 

@@ -26,7 +26,7 @@ constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
 ``arith``'s rule patterns and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
-the value classes' ``__init__`` and ``__eq__``, each rule's ``dnode`` and
+the value classes' ``__init__``, ``__eq__`` and factory, each rule's ``dnode`` and
 ``derive``, each search and the folds of ``case`` tables) goes through ``run_generated``, which compiles
 each distinct source once and registers it in ``linecache``.
 
@@ -112,7 +112,7 @@ def _tuple_src(names) -> str:
 
 
 def value_class(cls):
-    """``dataclass(frozen=True, slots=True)`` with a straight-line ``__init__`` and ``__eq__``.
+    """``dataclass(frozen=True, slots=True)`` with a straight-line ``__init__``, ``__eq__`` and factory.
 
     The dataclass ``__init__`` of a frozen class stores each field through
     ``object.__setattr__``; this one is generated once per class, as the
@@ -134,12 +134,32 @@ def value_class(cls):
     constructions.  A field is either a parameter without a default or an
     ``init=False`` field with a plain default, and the class defines no
     ``__eq__`` of its own (the dataclass would keep it).
+
+    The factory ``cls._positional(*fields)``, generated from the same
+    fields, builds the value that ``cls(*fields)`` builds, more cheaply;
+    the library's hot paths build through it.  The frozen ``__setattr__``
+    rules out a plain slot store in ``__init__``: each store must go
+    around it, through a call.  So the factory fills an unfrozen twin: a
+    class with the same ``__slots__`` and no ``__setattr__``, whose stores
+    are plain slot stores.  It stores each parameter, then each
+    ``init=False`` default, and re-types the value (``__class__ = cls``);
+    the twin is never seen outside the factory.  Re-typing needs the two
+    layouts to match, so a class whose twin cannot take its layout (one
+    with a slotted base, say) is refused here, when it is created.  The
+    factory always builds ``cls`` itself, never a subclass; everything
+    else (keyword calls, ``replace``, copying, pickling, subclasses) goes
+    through ``cls(...)``.
     """
     if "__eq__" in vars(cls):
         raise TypeError(f"{cls.__name__}: a value class generates its own __eq__")
     cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
-    names, stores, env = [], [], {}
+    twin = type(cls.__name__, (), {"__slots__": cls.__slots__, "__module__": cls.__module__})
+    try:
+        twin().__class__ = cls
+    except TypeError as exc:
+        raise TypeError(f"{cls.__name__}: a value class's unfrozen twin cannot take its layout ({exc})") from None
+    names, stores, fills, env = [], [], [], {"_cls": cls, "_twin": twin}
     for f in fields(cls):
         if f.default_factory is not MISSING or f.init != (f.default is MISSING):
             raise TypeError(f"{cls.__name__}.{f.name}: not a field a value class can take")
@@ -151,24 +171,31 @@ def value_class(cls):
             env[value] = f.default
         env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
         stores.append(f"    _set_{f.name}(self, {value})\n")
+        fills.append(f"    self.{f.name} = {value}\n")
     code = generated.__code__
     if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
         raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
     compared = [f.name for f in fields(cls) if f.compare]
     same = " and ".join(f"(self.{n} is other.{n} or self.{n} == other.{n})" for n in compared)
+    params = "".join(", " + n for n in names)
     run_generated(
-        f"def __init__(self{''.join(', ' + n for n in names)}):\n{''.join(stores) or '    pass'}\n"
+        f"def __init__(self{params}):\n{''.join(stores) or '    pass'}\n"
         "def __eq__(self, other):\n"
         "    if self is other:\n        return True\n"
         "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
         + (f"    if {same}:\n        return True\n    return False\n" if same else "    return True\n"),
         env,
     )
+    run_generated(
+        f"def _positional({params[2:]}):\n    self = _twin()\n{''.join(fills)}"
+        "    self.__class__ = _cls\n    return self\n",
+        env,
+    )
     env["__init__"].__annotations__ = generated.__annotations__
-    for method in (env["__init__"], env["__eq__"]):
+    for method in (env["__init__"], env["__eq__"], env["_positional"]):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         method.__module__ = cls.__module__
-        setattr(cls, method.__name__, method)
+    cls.__init__, cls.__eq__, cls._positional = env["__init__"], env["__eq__"], staticmethod(env["_positional"])
     frozen = frozenset(f.name for f in fields(cls))
 
     def __setattr__(self, name, value):
@@ -369,9 +396,10 @@ class Signature:
                 f"    if not isinstance({s}, _Term) or {s}.sig is not _sig{wrong_sort.format(s, sort)}:",
                 f"        raise _bad_slot(_sig, _ctor, {s}, {sort})",
             ]
-        src.append(f"    return _Term(_sig, _Node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
+        src.append(f"    return _new_term(_sig, _new_node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
         env = dict(__name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _bad_slot=_bad_slot)
-        env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _Term=Term, _Node=Node)
+        env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _Term=Term)
+        env.update(_new_term=_new_term, _new_node=_new_node)
         env.update((f"_sort{k}", table) for k, table in enumerate(self.sorts, 1))
         fn = run_generated("\n".join(src) + "\n", env)["constructor"]
         fn.__name__ = fn.__qualname__ = name or site_ctor
@@ -419,6 +447,10 @@ class Term:
     component = property(lambda self: self.root.component, doc="The term's sort.")
 
 
+# the factories the hot paths build through (see ``value_class``)
+_new_node, _new_term = Node._positional, Term._positional
+
+
 def fmap(f: Callable[[Any], Any], n: Node) -> Node:
     """Apply ``f`` to every recursive slot; constructor and payloads unchanged.
 
@@ -446,7 +478,7 @@ def in_(n: Node) -> Term:
             break
     else:
         if not sig._sort_checked or n.ctor not in sig._sort_checked:
-            return Term(sig, n)
+            return _new_term(sig, n)
     plan = sig._plans.get(n.ctor)
     fits = plan is not None and len(plan.rec_sorts) == len(n.rec)  # False for some hand-built nodes
     for i, sort in plan.checks if fits else enumerate([None] * len(n.rec)):
@@ -485,7 +517,7 @@ def fold_c(alg: Callable[[Node], Any], t: Term):
         folded = (fold_c(alg, rec[0]), fold_c(alg, rec[1]))
     else:
         folded = tuple(map(fold_c, repeat(alg), rec))
-    return alg(Node(n.sig, n.ctor, folded, n.payload))
+    return alg(_new_node(n.sig, n.ctor, folded, n.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +566,7 @@ def step_once(malg, node: Node, recurse):
             handles = (Handle(rec[0], brand), Handle(rec[1], brand))
         else:
             handles = tuple(map(Handle, rec, repeat(brand)))
-        node = Node(node.sig, node.ctor, handles, node.payload)
+        node = _new_node(node.sig, node.ctor, handles, node.payload)
 
     def open_and_recurse(h):
         if not isinstance(h, Handle) or h._brand is not brand:
@@ -761,7 +793,7 @@ def case(csig: CoproductSignature, left_alg: Callable[[Node], Any], right_alg: C
         if entry is None:
             raise _not_a_coproduct_node(csig, n)
         sig, ctor, alg = entry
-        return alg(Node(sig, ctor, n.rec, n.payload))
+        return alg(_new_node(sig, ctor, n.rec, n.payload))
 
     copair._case = _CaseTable(copair, csig, table)
     return copair
@@ -803,14 +835,14 @@ def _case_fold(entry: _CaseTable, mendler: bool):
     child = "rec" if mendler else "fold"
     src = ["def lifted(rec, n):" if mendler else "def fold(t):\n    n = t.root"]
     src += ["    slots = n.rec", "    if n.sig is _csig:", "        ctor = n.ctor"]
-    env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _Node=Node, _fmap=fmap)
+    env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _new_node=_new_node, _fmap=fmap)
     for k, (tagged, (sig, ctor, alg)) in enumerate(entry.table.items()):
         arity = len(entry.csig._plans[tagged].rec_sorts)
         children = _tuple_src(f"{child}(slots[{i}])" for i in range(arity))
         src += [
             f"        {'elif' if k else 'if'} ctor == {tagged!r}:",
             f"            if {f'len(slots) == {arity}' if arity else 'not slots'}:",
-            f"                return _alg{k}(_Node(_sig{k}, _ctor{k}, {children}, n.payload))",
+            f"                return _alg{k}(_new_node(_sig{k}, _ctor{k}, {children}, n.payload))",
         ]
         env.update({f"_alg{k}": alg, f"_sig{k}": sig, f"_ctor{k}": ctor})
     src.append(f"    return _copair(_fmap({child}, n))")

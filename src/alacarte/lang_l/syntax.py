@@ -26,6 +26,7 @@ without runtime type checks.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from typing import Any, Iterable, Optional, Union
 
 from .. import sexpr
@@ -69,6 +70,8 @@ Typ = Union[Ty, Arrow, TypeEnv]
 
 
 class Env:
+    """An immutable finite map; its entries are stored once, through ``object.__setattr__``."""
+
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[tuple[str, Any]] = ()):
@@ -109,6 +112,15 @@ class Env:
     def __repr__(self):
         inner = ", ".join(f"{k}: {v!r}" for k, v in self._entries)
         return "{" + inner + "}"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r} of an Env")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r} of an Env")
+
+    def __reduce__(self):  # copying and pickling store no attribute
+        return sorted_env, (self._entries,)
 
 
 EMPTY_ENV = Env()

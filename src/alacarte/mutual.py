@@ -42,7 +42,7 @@ from .kernel import (  # noqa: F401 (ForeignHandleError: raised by ``rec``)
     term_to_json,
 )
 from . import indexed
-from .indexed import DNode, Derivation, IndexedSignature, Rule, Validity, WrongIndexError, dout
+from .indexed import DNode, Derivation, IndexedSignature, Rule, Validity, WrongIndexError, _new_dnode, dout
 from .indexed import InvalidDerivationError, birule  # noqa: F401 (raised by ``din_bi``; re-exported)
 
 
@@ -177,7 +177,7 @@ def hstep_once(malg, w, node: BiDNode, *recurses):
             handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
         else:
             handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
-        node = DNode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+        node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     recs = map(indexed._index_checking_rec, brands, recurses)
     return malg.steps[node.family - 1](*recs, w, node)
 

@@ -681,3 +681,16 @@ def test_folding_a_node_whose_rule_has_no_case_names_the_signature_and_the_rule(
     with pytest.raises(InvalidDerivationError) as exc:
         ifold(step, node.conclusion, Derivation(EVAL_SIG, node))
     assert str(exc.value) == f"Eval has no case for rule {name!r}"
+
+
+def test_birule_rejects_a_subject_pattern_head_that_names_no_constructor():
+    conclusion = lambda P, s: s
+    top = ("lit", "x")
+    nested = (arith._add, ("lit", "x"), "e2")
+    for name, pattern in (("top", top), ("nested", nested)):
+        with pytest.raises(ValueError, match=f"rule {name!r}: subject pattern head 'lit'"):
+            indexed.birule(1, name, params=("x", "e2"), conclusion=conclusion, subject=pattern)
+        with pytest.raises(ValueError, match=f"rule {name!r}"):
+            rule(name, params=("x", "e2"), conclusion=conclusion, subject=pattern)
+    ok = rule("ok", params=("x", "e2"), conclusion=conclusion, subject=(arith._add, (arith._lit, "x"), "e2"))
+    assert ok.subject[1][0] is arith._lit

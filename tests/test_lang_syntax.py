@@ -1,5 +1,9 @@
 """Values, pattern matching, bindings, and the s-expression surface."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +98,23 @@ def test_a_one_binding_env_keeps_the_errors_of_a_bad_binding():
             Env(bad)
     assert Env([["x", 1]]).items() == (("x", 1),)
     assert Env(((1, "v"),)).items() == ((1, "v"),)
+
+
+def test_an_env_rejects_assignment_and_deletion():
+    env = Env([("y", Ty("b")), ("x", Ty("a"))])
+    before = hash(env)
+    for target in (env, EMPTY_ENV):
+        for name in ("_entries", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, (("y", 2),))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(target, name)
+    assert EMPTY_ENV.items() == () and Env() == EMPTY_ENV
+    assert env.items() == (("x", Ty("a")), ("y", Ty("b"))) and hash(env) == before
+    for twin in (copy.copy(env), copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        assert type(twin) is Env and twin == env and hash(twin) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin._entries = ()
 
 
 @given(env_entries, env_entries)

@@ -6,7 +6,9 @@ field, in declaration order, each field identity first) and hashing,
 the dataclass ``repr``, ``dataclasses.replace``, copying, pickling and
 ``match`` all behave as the dataclass defines them, and no name, field or
 not, can be assigned or deleted.  The ``init=False`` field (the ``din``
-certificate) is stored with its default on hand-built values.
+certificate) is stored with its default on hand-built values.  Each
+class's positional factory, ``Cls._positional``, builds values that agree
+with ``Cls(...)``'s on all of this.
 """
 
 import copy
@@ -469,3 +471,70 @@ def test_generated_eq_matches_the_dataclass_eq_on_mixed_pairs():
     shared = float("nan")
     assert ours(shared, 1) == ours(shared, 1) and theirs(shared, 1) == theirs(shared, 1)
     assert ours(1, 2).__eq__(theirs(1, 2)) is NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# the positional factory
+
+
+def _init_false_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls) if not f.init}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_factory_builds_what_the_class_builds(case):
+    cls, names, make, expected_repr = SAMPLES[case]
+    value = make()
+    built = cls._positional(*fields_of(value))
+    assert type(built) is cls
+    assert all(a is b for a, b in zip(fields_of(built), fields_of(value)))
+    assert built == value and value == built and hash(built) == hash(value)
+    assert repr(built) == expected_repr
+    for name, default in _init_false_defaults(cls).items():
+        assert getattr(built, name) is default is getattr(value, name)
+    for name in (*names, *_init_false_defaults(cls), "not_a_field", "__dict__"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+    for twin in (copy.copy(built), pickle_roundtrip(built), dataclasses.replace(built)):
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == expected_repr
+    assert built == make()
+
+
+def test_every_value_class_has_a_factory_of_its_parameters():
+    for cls in CLASSES:
+        params = tuple(inspect.signature(cls).parameters)
+        assert tuple(inspect.signature(cls._positional).parameters) == params
+        assert cls._positional.__qualname__ == f"{cls.__qualname__}._positional"
+    with pytest.raises(TypeError):
+        Val._positional(1, 2)
+
+
+def test_a_factory_built_derivation_is_not_certified_and_a_subclass_keeps_its_own():
+    d = Derivation._positional(REL, _dnode())
+    assert d._certified is False and d == din(_dnode())
+
+    class Sub(Val):
+        __slots__ = ()
+
+    assert type(Val._positional(3)) is Val and type(Sub(3)) is Sub
+
+
+def test_value_class_refuses_a_class_whose_twin_cannot_take_its_layout():
+    class SlottedBase:
+        __slots__ = ("x",)
+
+    class OnSlots(SlottedBase):
+        a: int
+
+    class DictBase:
+        pass
+
+    class OnDict(DictBase):
+        a: int
+
+    for cls in (OnSlots, OnDict):
+        with pytest.raises(TypeError, match="twin cannot take its layout"):
+            value_class(cls)
