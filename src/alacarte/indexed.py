@@ -9,8 +9,8 @@ rejects any node whose side conditions fail or whose indices disagree.
 
 This is the one relation core: a single relation is family 1 of 1, and
 :class:`alacarte.mutual.IndexedBiSignature` is the many-family case of the
-same rule table, ``dnode``, checker, validator and JSON walker.  There is
-one :class:`Rule` class and one rule-instance layout for every family: a
+same rule table, ``dnode``, checker, validator, fold and JSON walker.  There
+is one :class:`Rule` class and one rule-instance layout for every family: a
 rule's premises are ``(family, index expression)`` pairs, and a
 :class:`DNode`'s premises are ``(family, index, witness)`` triples.
 :func:`rule` is the family-1 case, whose premises all recurse into family
@@ -50,9 +50,11 @@ its rules' patterns on first use (see :func:`_compile_search`).
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
-``rec`` procedure, which also enforces index coherence.  :func:`cases` builds
-such a step from one proof case per rule, and rejects a table that is not
-total over the signature's rules when it is built.
+``rec`` procedure, which also enforces index coherence.  ``hfold`` is its
+many-family case: a ``kernel.SortedAlgebra`` with a step per family, each
+given a ``rec`` per family.  :func:`cases` builds such a step from one proof
+case per rule, and rejects a table that is not total over the signature's
+rules when it is built.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import ForeignHandleError, Handle, Term, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
+from .kernel import ByIdentity, ForeignHandleError, Handle, Term, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
 
 
 class InvalidDerivationError(Exception):
@@ -101,6 +103,10 @@ class Rule:
     conclusion: Callable[[Mapping], Any]
     subject: Any = None
 
+    def __post_init__(self):
+        if self.subject is not None:
+            _check_heads(self.name, self.subject)
+
     @cached_property
     def compiled(self) -> tuple[Callable, Callable]:
         """``(build, derive)``: ``dnode`` and ``IndexedSignature.derive`` after the rule lookup.
@@ -120,7 +126,6 @@ def birule(family, name, params=(), premises=(), side=(), conclusion=None, subje
     if conclusion is None:
         raise ValueError(f"rule {name!r} needs a conclusion expression")
     if subject is not None:
-        _check_heads(name, subject)
         conclusion = _AtSubject(subject, conclusion)
     return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject)
 
@@ -191,8 +196,8 @@ _certify = vars(Derivation)["_certified"].__set__
 _new_dnode = DNode._positional
 
 
-class IndexedSignature:
-    """Rule names must be unique; compares by identity."""
+class IndexedSignature(ByIdentity):
+    """Rule names must be unique; compares by identity, and a copy of one is itself."""
 
     _witness = "a derivation"  # how the checker names a witness of family {}
 
@@ -633,6 +638,11 @@ def din(n: DNode) -> Derivation:
     indices if the node's invariants do not hold.  The result is certified
     when every premise witness is.
     """
+    return _din(n)
+
+
+def _din(n) -> Derivation:
+    """The validating constructor of ``din`` and ``mutual.din_bi``."""
     certified = _check_node(n)
     d = Derivation(n.sig, n)
     if certified:
@@ -729,6 +739,44 @@ def ifold(malg, w, d: Derivation):
     return recurse(w, d)
 
 
+class WrongComponentError(Exception):
+    """A fold of one family (or sort) applied to a value of another."""
+
+
+def hstep_once(malg, w, node: DNode, *recurses):
+    """One indexed Mendler step with a fresh brand and an index-checking ``rec`` per family.
+
+    Family f's step is ``malg.steps[f - 1](rec_1, ..., rec_N, w, node)``.
+    A node without premises is passed as it is; one with premises as a copy
+    holding their handles, built in a tuple display for one premise.
+    """
+    brands = (object(), object()) if len(recurses) == 2 else [object() for _ in recurses]
+    premises = node.premises
+    if premises:
+        if len(premises) == 1:
+            ((fam, ix, wit),) = premises
+            handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
+        else:
+            handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
+        node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    recs = map(_index_checking_rec, brands, recurses)
+    return malg.steps[node.family - 1](*recs, w, node)
+
+
+def hfold(family: int, malg, w, d: Derivation):
+    """Indexed Mendler fold of a family-``family`` derivation that concludes at ``w``.
+
+    ``malg`` is a ``kernel.SortedAlgebra`` with a step per family.
+    """
+    if d.family != family:
+        raise WrongComponentError(f"hfold_{family} applied to a family-{d.family} derivation")
+    if d.root.conclusion != w:
+        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    recurse = lambda wi, di: hstep_once(malg, wi, di.root, *recurses)
+    recurses = (recurse,) * len(malg.steps)
+    return recurse(w, d)
+
+
 def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
     """The Mendler step that runs ``table[node.rule]``, ``node`` being its last argument.
 
@@ -737,10 +785,7 @@ def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
     unless the table's keys are ``sig``'s rules.  Running it on a node whose
     rule has no case raises :class:`InvalidDerivationError` naming ``sig`` and the rule.
     """
-    missing = [name for name in sig.rules if name not in table]
-    extra = [name for name in table if name not in sig.rules]
-    if missing or extra:
-        raise ValueError(f"cases over {sig.name}: missing rules {missing}, extra rules {extra}")
+    _check_total(sig, table, "cases")
     table = dict(table)
 
     def step(*args):
@@ -753,16 +798,28 @@ def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
     return step
 
 
+def _check_total(sig: IndexedSignature, table: Mapping, what: str):
+    """Raise ``ValueError``, naming each missing and each extra rule, unless ``table``'s keys are ``sig``'s rules."""
+    missing = [name for name in sig.rules if name not in table]
+    extra = [name for name in table if name not in sig.rules]
+    if missing or extra:
+        raise ValueError(f"{what} over {sig.name}: missing rules {missing}, extra rules {extra}")
+
+
 def derivation_to_json(d: Derivation, encode=lambda v: v) -> dict:
     return _walk_json(d, encode, None)
 
 
-def _walk_json(d, encode, family) -> dict:
-    """Derivation JSON; ``family`` names a node's family, or is None to omit it."""
+def _walk_json(d, encode, names) -> dict:
+    """Derivation JSON; a node's family is omitted if ``names`` is None.
+
+    Otherwise it is written as ``names[family - 1]``, or as its number if
+    ``names`` is empty.
+    """
     n = d.root
-    js = {} if family is None else {"family": family(n.family)}
+    js = {} if names is None else {"family": names[n.family - 1] if names else n.family}
     js["rule"] = n.rule
     js["index"] = encode(n.conclusion)
     js["params"] = {k: encode(v) for k, v in n.params}
-    js["premises"] = [_walk_json(w, encode, family) for _, _, w in n.premises]
+    js["premises"] = [_walk_json(w, encode, names) for _, _, w in n.premises]
     return js

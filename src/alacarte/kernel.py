@@ -313,13 +313,23 @@ def _check_payloads(sig_name, ctor, slots, payload_at):
             raise _bad_payload(sig_name, ctor, slots[i], kind)
 
 
-class Signature:
+class ByIdentity:
+    """A value that compares by identity, so that its copies, deep ones too, are itself."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Signature(ByIdentity):
     """Per sort, a grammar shape: constructor name -> tuple of slot kinds.
 
     Slot kinds are ``"rec"`` (``"rec1"`` ... ``"recN"`` with N sorts, naming
     the sort of the slot) or a registered payload kind.  A constructor name
-    belongs to one sort only.  Signatures compare by identity; all nodes of
-    a term share one signature object.
+    belongs to one sort only.  Signatures compare by identity, and a copy of
+    one is itself; all nodes of a term share one signature object.
     """
 
     def __init__(self, name: str, *sorts: Mapping[str, Iterable[str]]):
@@ -586,7 +596,11 @@ def mfold(malg, t: Term):
 
 
 class SortedAlgebra(NamedTuple):
-    """A many-sorted Mendler algebra: ``steps[k - 1]`` is ``(rec_1, ..., rec_N, node) -> C_k``."""
+    """A many-sorted Mendler algebra: ``steps[k - 1]`` is ``(rec_1, ..., rec_N, node) -> C_k``.
+
+    ``indexed.hfold`` folds a many-family derivation by one: there family k's
+    step is ``(rec_1, ..., rec_N, w, node) -> D_k(w)``.
+    """
 
     steps: tuple
 
@@ -911,6 +925,7 @@ def _node_to_json(n: Node) -> dict:
 
 
 def term_from_json(sig: Signature, obj: dict) -> Term:
+    """The inverse of ``term_to_json``; a node whose children or payloads are too many or too few is malformed."""
     ctor = obj["ctor"]
     plan = sig._plans.get(ctor)
     if plan is None:
@@ -918,6 +933,10 @@ def term_from_json(sig: Signature, obj: dict) -> Term:
     for key, value in plan.head:
         if obj.get(key) != value:
             raise MalformedNodeError(f"{sig.name}.{ctor} builds {key} {value}, not {obj.get(key)!r}")
+    counts = [(kind, plan.rec_sorts.count(k)) for k, kind in enumerate(sig.rec_kinds, 1)]
+    for key, n in counts + [("payload", len(sig._splits[ctor][2]))]:
+        if len(obj[key]) != n:
+            raise MalformedNodeError(f"{sig.name}.{ctor} expects {n} {key} slots, got {len(obj[key])}")
     rec = {kind: iter(term_from_json(sig, c) for c in obj[kind]) for kind in sig.rec_kinds}
     payload = iter(obj["payload"])
     slots = [next(rec[k]) if k in rec else payload_kind(k).decode(next(payload)) for k in plan.kinds]

@@ -21,6 +21,7 @@ from ..indexed import (
     Derivation,
     IndexedSignature,
     InvalidDerivationError,
+    _check_total,
     derivation_to_json,
     din,  # noqa: F401 (still importable from here)
     rule,
@@ -439,24 +440,38 @@ def untypable_reason(gamma: Env, term) -> Optional[str]:
 # typing lemmas as derivation transports
 
 
+# each typing rule: whether its premises are typed under the node's own
+# ``gamma`` (so moving the node moves them), or under a context of their own
+_UNDER_GAMMA = {
+    "TD-ENV": False, "TD-MATCH": True, "TD-JOIN": True,
+    "T-VAR": False, "T-CON": False, "T-CLOS": False, "T-APP": True, "T-SCOPE": True,
+}
+_check_total(TYPING_SIG, _UNDER_GAMMA, "the typing transport")
+_VALUE_RULES = ("T-CON", "T-CLOS", "T-APP")
+
+
+def _transport(td: BiDerivation, regamma, rules, what: str) -> BiDerivation:
+    """``td`` with each node's ``gamma`` made ``regamma(gamma)``, down through the premises typed under it.
+
+    A node whose rule is not one of ``rules`` raises ``InvalidDerivationError``: ``what: rule``.
+    """
+    node = td.root
+    if node.rule not in rules:
+        raise InvalidDerivationError(f"{what}: {node.rule}")
+    P = node.params_dict()
+    premises = tuple(w for _, _, w in node.premises)
+    if _UNDER_GAMMA[node.rule]:
+        premises = tuple(_transport(w, regamma, rules, what) for w in premises)
+    return _tnode(node.rule, {**P, "gamma": regamma(P["gamma"])}, premises, node.conclusion[1])
+
+
 def weaken(prefix: Env, td: BiDerivation) -> BiDerivation:
     """Transport a typing derivation under ``prefix (+) gamma``.
 
     The derivation's own bindings win over the prefix, so every lookup and
     conclusion type is unchanged; only contexts grow.
     """
-    node = td.root
-    P = node.params_dict()
-    g2 = env_union(prefix, P["gamma"])
-    children = tuple(w for _, _, w in node.premises)
-    match node.rule:
-        case "T-VAR" | "T-CON" | "TD-ENV" | "T-CLOS":
-            # leaf-like: premise contexts (if any) do not mention gamma
-            return _tnode(node.rule, {**P, "gamma": g2}, children, node.conclusion[1])
-        case "T-APP" | "TD-MATCH" | "TD-JOIN" | "T-SCOPE":
-            moved = tuple(weaken(prefix, c) for c in children)
-            return _tnode(node.rule, {**P, "gamma": g2}, moved, node.conclusion[1])
-    raise InvalidDerivationError(f"not a typing rule: {node.rule}")
+    return _transport(td, lambda gamma: env_union(prefix, gamma), tuple(_UNDER_GAMMA), "not a typing rule")
 
 
 def retype_value(gamma: Env, td: BiDerivation) -> BiDerivation:
@@ -465,16 +480,7 @@ def retype_value(gamma: Env, td: BiDerivation) -> BiDerivation:
     Value typings never consult the context: constants and closures are
     context-free and data-value applications recurse into values.
     """
-    node = td.root
-    P = node.params_dict()
-    match node.rule:
-        case "T-CON" | "T-CLOS":
-            children = tuple(w for _, _, w in node.premises)
-            return _tnode(node.rule, {**P, "gamma": gamma}, children, node.conclusion[1])
-        case "T-APP":
-            moved = tuple(retype_value(gamma, w) for _, _, w in node.premises)
-            return _tnode(node.rule, {**P, "gamma": gamma}, moved, node.conclusion[1])
-    raise InvalidDerivationError(f"not a value typing: {node.rule}")
+    return _transport(td, lambda _: gamma, _VALUE_RULES, "not a value typing")
 
 
 def typing_derivation_json(d: BiDerivation) -> dict:

@@ -202,14 +202,15 @@ def arith_enum(max_depth: int, pool=ARITH_POOL_SMALL) -> EnumSpec:
 # seeded generation of well-typed configurations
 
 
+# the generator's term depth, largest value environment and retry budget
+MAX_DEPTH, ENV_SIZE, RETRY_BUDGET = 3, 2, 1000
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
     count: int
-    max_depth: int = 3
-    env_size: int = 2
     well_typed: bool = True
-    retry_budget: int = 1000
 
 
 @dataclass(frozen=True)
@@ -227,9 +228,8 @@ _VARS = ("x", "y", "z")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
         self._con_names: dict[Any, str] = {}
 
     def typ(self, depth: int):
@@ -313,7 +313,7 @@ class _Gen:
     def dec(self, gamma: Env, depth: int):
         r = self.rng.random()
         if depth <= 0 or r < 0.4:
-            rho = self.value_env(self.rng.randrange(0, self.cfg.env_size + 1), depth)
+            rho = self.value_env(self.rng.randrange(0, ENV_SIZE + 1), depth)
             return env_(rho), env_typing(rho)
         if r < 0.75:
             tp = self.typ(0)
@@ -335,17 +335,17 @@ class _Gen:
 def gen_well_typed_config(cfg: GenConfig) -> list[Configuration]:
     """A seeded corpus of configurations; type-directed when the flag is on."""
     rng = random.Random(cfg.seed)
-    gen = _Gen(rng, cfg)
+    gen = _Gen(rng)
     out: list[Configuration] = []
-    budget = cfg.retry_budget
+    budget = RETRY_BUDGET
     while len(out) < cfg.count:
         try:
-            rho = gen.value_env(rng.randrange(0, cfg.env_size + 1), cfg.max_depth - 1)
+            rho = gen.value_env(rng.randrange(0, ENV_SIZE + 1), MAX_DEPTH - 1)
             sort = rng.choice(("dec", "exp"))
             if not cfg.well_typed:
-                term = gen.wild_term(cfg.max_depth)
+                term = gen.wild_term(MAX_DEPTH)
                 if sort == "dec":
-                    term, _ = gen.dec(EMPTY_ENV, cfg.max_depth - 1)
+                    term, _ = gen.dec(EMPTY_ENV, MAX_DEPTH - 1)
                 out.append(Configuration(sort, rho, None, None, term, None))
                 continue
             env_res = typecheck_env(rho)
@@ -353,10 +353,10 @@ def gen_well_typed_config(cfg: GenConfig) -> list[Configuration]:
                 raise GenerationError("generated environment is untypable")
             gamma, envd = env_res
             if sort == "dec":
-                term, _ = gen.dec(gamma, cfg.max_depth - 1)
+                term, _ = gen.dec(gamma, MAX_DEPTH - 1)
                 res = typecheck_dec(gamma, term)
             else:
-                term = gen.exp(gen.typ(1), gamma, cfg.max_depth)
+                term = gen.exp(gen.typ(1), gamma, MAX_DEPTH)
                 res = typecheck_exp(gamma, term)
             if res is None:
                 raise GenerationError("generated term is untypable")
@@ -509,11 +509,11 @@ def _compose(g, f):
     return lambda x: g(f(x))
 
 
-def _kernel_laws(report: LawReport, fmap_fn=None, rng=None):
+def _kernel_laws(report: LawReport, fmap_fn=None):
     from . import kernel
 
     fmap_fn = fmap_fn or kernel.fmap
-    rng = rng or random.Random(7)
+    rng = random.Random(7)
     sig = arith.TRM
     pool = ARITH_POOL_FULL
     # depth-1 nodes over an integer carrier
@@ -567,10 +567,9 @@ def _kernel_laws(report: LawReport, fmap_fn=None, rng=None):
         )
 
 
-def _indexed_laws(report: LawReport, rng=None):
+def _indexed_laws(report: LawReport):
     from . import indexed
 
-    rng = rng or random.Random(11)
     terms = list(enumerate_terms(arith_enum(3)))
     derivs = [arith.build_eval_derivation(t) for t in terms]
     ident = lambda w, a: a
@@ -597,11 +596,10 @@ def _indexed_laws(report: LawReport, rng=None):
         report.record("ifold-index-coherence", indexed.ifold(concl_alg, w, d) == w, w)
 
 
-def _mutual_laws(report: LawReport, rng=None):
+def _mutual_laws(report: LawReport):
     from . import mutual
     from .lang_l import LANG
 
-    rng = rng or random.Random(13)
     pools = _lang_pools()
     layers = biterm_layers(BiEnumSpec(LANG, 3, pools))
     decs = [t for layer in layers for t in layer[0]]

@@ -694,3 +694,12 @@ def test_birule_rejects_a_subject_pattern_head_that_names_no_constructor():
             rule(name, params=("x", "e2"), conclusion=conclusion, subject=pattern)
     ok = rule("ok", params=("x", "e2"), conclusion=conclusion, subject=(arith._add, (arith._lit, "x"), "e2"))
     assert ok.subject[1][0] is arith._lit
+
+
+def test_a_rule_checks_its_subject_heads_however_it_is_built():
+    is_lit = arith.ISTRM_SIG.rules["isLit"]
+    with pytest.raises(ValueError, match="rule 'isLit': subject pattern head 'lit'"):
+        dataclasses.replace(is_lit, subject=("lit", "x"))
+    with pytest.raises(ValueError, match="rule 'isLit': subject pattern head 'lit'"):
+        indexed.Rule(1, "isLit", ("x",), (), (), is_lit.conclusion, (arith._add, ("lit", "x"), "x"))
+    assert dataclasses.replace(is_lit).subject == is_lit.subject

@@ -394,6 +394,21 @@ def test_term_json_roundtrip():
         assert term_from_json(TRM, term_to_json(t)) == t
 
 
+def test_term_json_with_a_child_or_payload_too_many_or_too_few_is_malformed():
+    one, two = term_to_json(lit(1)), term_to_json(lit(2))
+    cases = [
+        ({"ctor": ADD, "rec": [one, two, one], "payload": []}, f"{ADD} expects 2 rec slots, got 3"),
+        ({"ctor": ADD, "rec": [one], "payload": []}, f"{ADD} expects 2 rec slots, got 1"),
+        ({"ctor": LIT, "rec": [], "payload": [1, 2]}, f"{LIT} expects 1 payload slots, got 2"),
+        ({"ctor": LIT, "rec": [], "payload": []}, f"{LIT} expects 1 payload slots, got 0"),
+        ({"ctor": ADD, "rec": [one, {"ctor": LIT, "rec": [], "payload": []}], "payload": []}, f"{LIT} expects 1"),
+    ]
+    for js, message in cases:
+        with pytest.raises(MalformedNodeError, match=re.escape(f"{TRM.name}.{message}")):
+            term_from_json(TRM, js)
+    assert term_from_json(TRM, {"ctor": ADD, "rec": [one, two], "payload": []}) == add(lit(1), lit(2))
+
+
 def test_term_json_shape():
     assert term_to_json(lit(3)) == {"ctor": LIT, "rec": [], "payload": [3]}
     assert term_to_json(add(lit(1), lit(2))) == {

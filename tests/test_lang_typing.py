@@ -35,7 +35,8 @@ from alacarte.lang_l import (
 )
 from alacarte.lang_l import typing as ltyping
 from alacarte.lang_l.typing import env_typing, retype_value
-from alacarte.indexed import validate
+from alacarte.indexed import InvalidDerivationError, _check_total, validate
+from alacarte.lang_l import step_exp
 from alacarte.mutual import validate_bi
 
 TY_A, TY_B = Ty("a"), Ty("b")
@@ -246,6 +247,23 @@ def test_retype_value_context_free():
     assert moved.root.conclusion == (Env([("z", TY_B)]), v, t)
 
 
+def test_the_transports_reject_what_they_cannot_move_and_their_table_is_total():
+    gamma = Env([("x", TY_A)])
+    _, var_typing = typecheck_exp(gamma, vr("x"))
+    with pytest.raises(InvalidDerivationError, match="^not a value typing: T-VAR$"):
+        retype_value(EMPTY_ENV, var_typing)
+    _, app_of_var = typecheck_exp(gamma, apply_(cn("c", AB), vr("x")))
+    with pytest.raises(InvalidDerivationError, match="^not a value typing: T-VAR$"):
+        retype_value(EMPTY_ENV, app_of_var)
+    _, stepd = step_exp(Env([("x", cn("c", TY_A))]), vr("x"))
+    with pytest.raises(InvalidDerivationError, match="^not a typing rule: E-VAR$"):
+        weaken(gamma, stepd)
+    assert ltyping._UNDER_GAMMA.keys() == ltyping.TYPING_SIG.rules.keys()
+    partial = {k: v for k, v in ltyping._UNDER_GAMMA.items() if k != "T-APP"}
+    with pytest.raises(ValueError, match=r"missing rules \['T-APP'\], extra rules \[\]"):
+        _check_total(ltyping.TYPING_SIG, partial, "the typing transport")
+
+
 def test_value_typing_is_context_free_on_corpus():
     corpus = testkit.gen_well_typed_config(testkit.GenConfig(seed=10, count=40))
     for config in corpus:
@@ -292,7 +310,7 @@ _UNTYPABLE = (
     bad=st.sampled_from((None,) + _UNTYPABLE),
 )
 def test_env_typing_agrees_with_typecheck_exp(seed, size, depth, nest, bad):
-    gen = testkit._Gen(random.Random(seed), testkit.GenConfig(seed=seed, count=1))
+    gen = testkit._Gen(random.Random(seed))
     rho = gen.value_env(size, depth)
     if nest:  # the environment again, one closure deeper
         rho = Env([*rho.items(), ("w", closure(rho, PVar("q", TY_A), vr("q")))])

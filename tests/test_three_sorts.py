@@ -313,6 +313,17 @@ def test_term_json_of_the_wrong_component_is_rejected():
         term_from_json(PARITY, js)
 
 
+def test_term_json_with_a_child_too_many_under_one_sort_is_malformed():
+    js = term_to_json(numeral(1))
+    js["rec1"].append(js["rec1"][0])
+    with pytest.raises(MalformedNodeError, match=r"^parity.succ_o expects 1 rec1 slots, got 2$"):
+        term_from_json(PARITY, js)
+    js["rec1"][1:] = []
+    js["rec2"].append(js["rec1"][0])
+    with pytest.raises(MalformedNodeError, match=r"^parity.succ_o expects 0 rec2 slots, got 1$"):
+        term_from_json(PARITY, js)
+
+
 def test_signature_json_lists_each_component():
     assert signature_to_json(PARITY) == {
         "signature": "parity",

@@ -19,8 +19,9 @@ import pickle
 
 import pytest
 
+from alacarte import arith
 from alacarte.arith import TRM_G1, TRM_G2, N, TypN, Val
-from alacarte.indexed import DNode, Derivation, IndexedSignature, din, rule
+from alacarte.indexed import DNode, Derivation, IndexedSignature, din, rule, validate
 from alacarte.kernel import Node, Signature, Term, value_class
 from alacarte.lang_l import LANG
 from alacarte.lang_l.syntax import Arrow, Env, PApp, PCon, PVar, Ty, TypeEnv
@@ -214,6 +215,7 @@ def test_replace_copy_and_pickle_round_trips(case):
         dataclasses.replace(value),
         dataclasses.replace(value, **{n: getattr(value, n) for n in names}),
         copy.copy(value),
+        copy.deepcopy(value),
         pickle_roundtrip(value),
     ):
         assert type(twin) is cls
@@ -273,6 +275,19 @@ def test_hand_built_derivations_carry_no_certificate_and_a_node_has_six_fields()
         assert d._certified is False
     with pytest.raises(TypeError):
         BiDerivation(BIREL, _bidnode(), _certified=True)
+
+
+def test_a_deep_copy_of_a_term_or_a_validated_derivation_shares_its_signature():
+    t = arith.add(arith.lit(1), arith.add(arith.lit(2), arith.lit(3)))
+    d = arith.build_eval_derivation(t)
+    assert validate(d)
+    for value in (t, d):
+        twin = copy.deepcopy(value)
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert twin.sig is value.sig
+    assert copy.deepcopy(d)._certified is True
+    for sig in (arith.TRM, arith.EVAL_SIG, LANG, REL, BIREL):
+        assert copy.copy(sig) is sig and copy.deepcopy(sig) is sig
 
 
 def test_the_certificate_is_invisible_and_replace_drops_it():
