@@ -5,9 +5,11 @@ derivation, law failure, counterexample found), 2 usage or parse error.
 Data goes to stdout, diagnostics to stderr, and identical argument vectors
 produce byte-identical output.
 
-The argument parser is built once per process, and each command imports
-only the modules of its own language: ``arith`` commands never load
-``lang_l``, ``mutual`` or ``testkit``.
+The argument parser is built once per process.  Argv whose first words
+name a command is parsed by that command's own subparser; the nested
+parser serves only argv that names no command or leaves words over.  Each
+command imports only the modules of its own language: ``arith`` commands
+never load ``lang_l``, ``mutual`` or ``testkit``.
 """
 
 from __future__ import annotations
@@ -288,74 +290,97 @@ def _cmd_dump(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: ``parse_args`` never mutates it."""
+def _parsers():
+    """The nested parser and its leaf table, built once: parsing never mutates them.
+
+    The table maps each command's words, such as ``("arith", "eval")`` or
+    ``("dump",)``, to the subparser the nested parser hands the rest of
+    that command's argv to.
+    """
     top = argparse.ArgumentParser(prog="alacarte")
     sub = top.add_subparsers(dest="command", required=True)
+    leaves = {}
+
+    def command(subparsers, words, run, **kwargs):
+        p = leaves[words] = subparsers.add_parser(words[-1], **kwargs)
+        p.set_defaults(run=run)
+        return p
 
     p_arith = sub.add_parser("arith", help="the literals-and-addition language")
     arith_sub = p_arith.add_subparsers(dest="subcommand", required=True)
-    p = arith_sub.add_parser("eval")
+    p = command(arith_sub, ("arith", "eval"), _cmd_arith_eval)
     p.add_argument("expr")
-    p.set_defaults(run=_cmd_arith_eval)
-    p = arith_sub.add_parser("derive")
+    p = command(arith_sub, ("arith", "derive"), _cmd_arith_derive)
     p.add_argument("expr")
     p.add_argument("--relation", choices=("eval", "typof", "istrm"), default="eval")
-    p.set_defaults(run=_cmd_arith_derive)
-    p = arith_sub.add_parser("preserve")
+    p = command(arith_sub, ("arith", "preserve"), _cmd_arith_preserve)
     p.add_argument("expr")
-    p.set_defaults(run=_cmd_arith_preserve)
 
     p_lang = sub.add_parser("lang", help="the declarations/expressions language")
     lang_sub = p_lang.add_subparsers(dest="subcommand", required=True)
     for name in ("parse", "print"):
-        p = lang_sub.add_parser(name)
+        p = command(lang_sub, ("lang", name), _cmd_lang_parse)
         p.add_argument("expr")
         p.add_argument("--sort", choices=("exp", "dec", "typ", "pat"), default="exp")
-        p.set_defaults(run=_cmd_lang_parse)
-    p = lang_sub.add_parser("typecheck")
-    p.add_argument("expr")
-    p.add_argument("--env", default="()")
-    p.add_argument("--sort", choices=("exp", "dec"), default="exp")
-    p.add_argument("--emit-derivation", action="store_true")
-    p.set_defaults(run=_cmd_lang_typecheck)
-    p = lang_sub.add_parser("step")
-    p.add_argument("expr")
-    p.add_argument("--env", default="()")
-    p.add_argument("--sort", choices=("exp", "dec"), default="exp")
-    p.add_argument("--emit-derivation", action="store_true")
-    p.set_defaults(run=_cmd_lang_step)
-    p = lang_sub.add_parser("trace")
+    for name, run in (("typecheck", _cmd_lang_typecheck), ("step", _cmd_lang_step)):
+        p = command(lang_sub, ("lang", name), run)
+        p.add_argument("expr")
+        p.add_argument("--env", default="()")
+        p.add_argument("--sort", choices=("exp", "dec"), default="exp")
+        p.add_argument("--emit-derivation", action="store_true")
+    p = command(lang_sub, ("lang", "trace"), _cmd_lang_trace)
     p.add_argument("env_file")
     p.add_argument("expr")
     p.add_argument("--sort", choices=("exp", "dec"), default="exp")
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--emit-derivations", action="store_true")
-    p.set_defaults(run=_cmd_lang_trace)
 
-    p = sub.add_parser("laws", help="run a module's law suite")
+    p = command(sub, ("laws",), _cmd_laws, help="run a module's law suite")
     p.add_argument("--suite", choices=("kernel", "indexed", "mutual"), required=True)
-    p.set_defaults(run=_cmd_laws)
 
-    p = sub.add_parser("fuzz-preservation", help="subject-reduction fuzzing")
+    p = command(sub, ("fuzz-preservation",), _cmd_fuzz, help="subject-reduction fuzzing")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--fuel", type=int, default=None)
     p.add_argument("--replay", default=None)
-    p.set_defaults(run=_cmd_fuzz)
 
-    p = sub.add_parser("dump", help="canonical JSON for terms and signatures")
+    p = command(sub, ("dump",), _cmd_dump, help="canonical JSON for terms and signatures")
     p.add_argument("expr", nargs="?")
     p.add_argument("--sort", choices=("arith", "exp", "dec"), default="arith")
     p.add_argument("--signature", choices=("arith", "lang"), default=None)
-    p.set_defaults(run=_cmd_dump)
 
-    return top
+    return top, leaves
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The nested parser: ``alacarte``, then a command, then its subcommand."""
+    return _parsers()[0]
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` returns, or the ``SystemExit`` it raises.
+
+    When argv's first words name a command, the command's own subparser
+    parses the rest: the nested parser would hand it those same words, so
+    help, errors and the result are the same.  Argv that names no command,
+    or leaves words over, goes through the nested parser, which reports them.
+    """
+    top, leaves = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = leaves.get(words)
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[len(words) :])
+            if not rest:
+                vars(args).update(zip(("command", "subcommand"), words))
+                return args
+            break
+    return top.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if hasattr(args, "fuel"):

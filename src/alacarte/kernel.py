@@ -925,9 +925,16 @@ def _node_to_json(n: Node) -> dict:
 
 
 def term_from_json(sig: Signature, obj: dict) -> Term:
-    """The inverse of ``term_to_json``; a node whose children or payloads are too many or too few is malformed."""
-    ctor = obj["ctor"]
-    plan = sig._plans.get(ctor)
+    """The inverse of ``term_to_json``.
+
+    A node that is not a JSON object naming a constructor, or whose
+    children or payloads are not lists of the constructor's counts, is
+    malformed.
+    """
+    if not isinstance(obj, dict):
+        raise MalformedNodeError(f"{sig.name}: a node is a JSON object, not {obj!r}")
+    ctor = obj.get("ctor")
+    plan = sig._plans.get(ctor) if isinstance(ctor, str) else None
     if plan is None:
         raise MalformedNodeError(f"{sig.name} has no constructor {ctor!r}")
     for key, value in plan.head:
@@ -935,8 +942,11 @@ def term_from_json(sig: Signature, obj: dict) -> Term:
             raise MalformedNodeError(f"{sig.name}.{ctor} builds {key} {value}, not {obj.get(key)!r}")
     counts = [(kind, plan.rec_sorts.count(k)) for k, kind in enumerate(sig.rec_kinds, 1)]
     for key, n in counts + [("payload", len(sig._splits[ctor][2]))]:
-        if len(obj[key]) != n:
-            raise MalformedNodeError(f"{sig.name}.{ctor} expects {n} {key} slots, got {len(obj[key])}")
+        value = obj.get(key)
+        if not isinstance(value, list):
+            raise MalformedNodeError(f"{sig.name}.{ctor} expects a list of {n} {key} slots, not {value!r}")
+        if len(value) != n:
+            raise MalformedNodeError(f"{sig.name}.{ctor} expects {n} {key} slots, got {len(value)}")
     rec = {kind: iter(term_from_json(sig, c) for c in obj[kind]) for kind in sig.rec_kinds}
     payload = iter(obj["payload"])
     slots = [next(rec[k]) if k in rec else payload_kind(k).decode(next(payload)) for k in plan.kinds]

@@ -409,6 +409,22 @@ def test_term_json_with_a_child_or_payload_too_many_or_too_few_is_malformed():
     assert term_from_json(TRM, {"ctor": ADD, "rec": [one, two], "payload": []}) == add(lit(1), lit(2))
 
 
+def test_term_json_without_a_slot_list_or_not_an_object_is_malformed():
+    one = term_to_json(lit(1))
+    cases = [
+        ({"ctor": LIT, "payload": [1]}, f"{TRM.name}.{LIT} expects a list of 0 rec slots, not None"),
+        ({"ctor": LIT, "rec": [], "payload": 1}, f"{TRM.name}.{LIT} expects a list of 1 payload slots, not 1"),
+        ({"ctor": ADD, "rec": one, "payload": []}, f"{TRM.name}.{ADD} expects a list of 2 rec slots, not {one!r}"),
+        (["x"], f"{TRM.name}: a node is a JSON object, not ['x']"),
+        ({"ctor": ADD, "rec": [one, ["x"]], "payload": []}, f"{TRM.name}: a node is a JSON object, not ['x']"),
+        ({"rec": [], "payload": [1]}, f"{TRM.name} has no constructor None"),
+        ({"ctor": [LIT], "rec": [], "payload": [1]}, f"{TRM.name} has no constructor [{LIT!r}]"),
+    ]
+    for js, message in cases:
+        with pytest.raises(MalformedNodeError, match=f"^{re.escape(message)}$"):
+            term_from_json(TRM, js)
+
+
 def test_term_json_shape():
     assert term_to_json(lit(3)) == {"ctor": LIT, "rec": [], "payload": [3]}
     assert term_to_json(add(lit(1), lit(2))) == {
