@@ -35,12 +35,15 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _default_fuel() -> int:
-    """The fuel of commands run without ``--fuel``; ValueError if unparsable."""
+    """The fuel of commands run without ``--fuel``; ValueError, quoting at most 40 characters, if unparsable."""
     text = os.environ.get("ALACARTE_FUEL", "50")
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"ALACARTE_FUEL must be an integer, got {text!r}") from None
+        digits = text.strip().lstrip("+-").replace("_", "")
+        why = "has too many digits" if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits() > 0 else "must be an integer"
+        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"ALACARTE_FUEL {why}, got {got}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ witnesses as opaque handles and may consume them only through the supplied
 many-family case: a ``kernel.SortedAlgebra`` with a step per family, each
 given a ``rec`` per family.  :func:`cases` builds such a step from one proof
 case per rule, and rejects a table that is not total over the signature's
-rules when it is built.
+rules when it is built.  Its tables fold through generated code with a branch per rule, as ``kernel.case``
+tables do (see :func:`_compile_fold`), and each rule's ``derive`` fills its node and derivation in its body.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
-from .kernel import ByIdentity, ForeignHandleError, Handle, Term, open_handle, run_generated, value_class  # noqa: F401 (raised by ``rec``)
+from .kernel import _FOREIGN_HANDLE, ByIdentity, ForeignHandleError, Handle, Term, fill_src, open_handle, run_generated, value_class
 
 
 class InvalidDerivationError(Exception):
@@ -484,8 +485,6 @@ def _compile_rule(r):
     k = len(r.premises)
     env = {
         "_DNode": DNode,
-        "_new_dnode": _new_dnode,
-        "_new_derivation": Derivation._positional,
         "_rule": r,
         "_family": r.family,
         "_param_set": frozenset(r.params),
@@ -496,7 +495,6 @@ def _compile_rule(r):
         "_not_a_witness": _not_a_witness,
         "_child_mismatch": _child_mismatch,
         "_Derivation": Derivation,
-        "_certify": _certify,
         "_Term": Term,
         "_unfit": _unfit,
     }
@@ -513,7 +511,7 @@ def _compile_rule(r):
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
     ]
-    node = f"    n = _new_dnode(sig, _family, rule_name, ({params}), ({premises}), "
+    node = lambda conclusion: fill_src(DNode, "n", ["sig", "_family", "rule_name", f"({params})", f"({premises})", conclusion], env)
     fit, conclusion = "s is not None", "_conclusion(P)"
     if r.subject is not None:
         env["_tsig"] = r.subject[0].sig
@@ -535,20 +533,19 @@ def _compile_rule(r):
             f"    if r{i}.conclusion != ix{i}:",
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
         ]
-    certified = " and ".join(f"w{i}._certified" for i in range(k))
+    certified = " and ".join(f"w{i}._certified" for i in range(k)) or "True"
     src = [
         "def build(sig, rule_name, P, witnesses):",
         *instantiate,
-        node + "_conclusion(P))",
+        *node("_conclusion(P)"),
         "    return n",
         "def derive(sig, rule_name, P, witnesses, s):",
         *instantiate,
         f"    if {fit}:",
         "        raise _unfit(sig, rule_name, _rule)",
-        node + conclusion + ")",
+        *node(conclusion),
         *checks,
-        "    d = _new_derivation(sig, n)",
-        *([f"    if {certified}:", "        _certify(d, True)"] if k else ["    _certify(d, True)"]),
+        *fill_src(Derivation, "d", ["sig", "n", certified], env),
         "    return d",
     ]
     run_generated("\n".join(src) + "\n", env)
@@ -695,16 +692,17 @@ def _check_tree(d) -> Validity:
     return _VALID
 
 
+def _wrong_index(wi, child):
+    return WrongIndexError(f"recursive call at {wi!r} on a derivation concluding {child.root.conclusion!r}")
+
+
 def _index_checking_rec(brand, recurse):
     """The ``rec`` of ``istep_once`` and ``hstep_once``: open, check the index, recurse."""
 
     def rec(wi, h):
         child = open_handle(h, brand)
         if child.root.conclusion != wi:
-            raise WrongIndexError(
-                f"recursive call at {wi!r} on a derivation concluding "
-                f"{child.root.conclusion!r}"
-            )
+            raise _wrong_index(wi, child)
         return recurse(wi, child)
 
     return rec
@@ -731,10 +729,12 @@ def istep_once(malg, w, node: DNode, recurse):
 def ifold(malg, w, d: Derivation):
     """Indexed Mendler fold of ``d``, which must conclude at ``w``.
 
-    Only the root's index is checked here; ``rec`` checks each child's.
+    Only the root's index is checked here, and ``rec`` checks each child's.  A :func:`cases` step runs its table's fold.
     """
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    if fold := _table_fold(malg, None):
+        return fold(w, d)
     recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
     return recurse(w, d)
 
@@ -766,12 +766,15 @@ def hstep_once(malg, w, node: DNode, *recurses):
 def hfold(family: int, malg, w, d: Derivation):
     """Indexed Mendler fold of a family-``family`` derivation that concludes at ``w``.
 
-    ``malg`` is a ``kernel.SortedAlgebra`` with a step per family.
+    ``malg`` is a ``kernel.SortedAlgebra`` with a step per family.  If
+    :func:`cases` returned each step, it runs the fold generated from their tables.
     """
     if d.family != family:
         raise WrongComponentError(f"hfold_{family} applied to a family-{d.family} derivation")
     if d.root.conclusion != w:
         raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    if fold := _table_fold(malg, tuple(malg.steps)):
+        return fold(w, d)
     recurse = lambda wi, di: hstep_once(malg, wi, di.root, *recurses)
     recurses = (recurse,) * len(malg.steps)
     return recurse(w, d)
@@ -784,6 +787,8 @@ def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
     Building it raises ``ValueError``, naming each missing and each extra rule,
     unless the table's keys are ``sig``'s rules.  Running it on a node whose
     rule has no case raises :class:`InvalidDerivationError` naming ``sig`` and the rule.
+    It carries ``_cases = (step, sig, table, folds)``, naming the step, so a wrapper that copied its
+    ``__dict__`` (as ``functools.wraps`` does) is not taken for it; ``folds`` is :func:`_table_fold`'s.
     """
     _check_total(sig, table, "cases")
     table = dict(table)
@@ -795,7 +800,66 @@ def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
             raise InvalidDerivationError(f"{sig.name} has no case for rule {args[-1].rule!r}") from None
         return case(*args)
 
+    step._cases = (step, sig, table, {})
     return step
+
+
+def _table_fold(malg, steps: tuple | None):
+    """The fold generated from the tables of ``malg``'s steps (``steps``, else ``malg``); None unless :func:`cases` made each."""
+    key, steps = steps, (malg,) if steps is None else steps
+    first = getattr(steps[0], "_cases", None) if steps else None
+    if first is None or first[0] is not steps[0]:
+        return None
+    if (fold := first[3].get(key)) is None:  # a kept fold's key holds the very steps it was generated for
+        entries = [getattr(step, "_cases", (None,)) for step in steps]
+        if any(entry[0] is not step for entry, step in zip(entries, steps)):
+            return None
+        fold = first[3][key] = _compile_fold(malg, [(sig, table) for _, sig, table, _ in entries], key is None)
+    return fold
+
+
+def _compile_fold(malg, tables, one_brand: bool):
+    """``fold(w, d)``: ``ifold(malg, w, d)``, or unless ``one_brand`` ``hfold(f, malg, w, d)``, past the root checks.
+
+    It issues fresh brands (one per family unless ``one_brand``) and inlines each ``rec``'s tests.  A branch per rule
+    of each ``(sig, table)`` hands a node of the rule's shape to its case; any other takes the generic step.
+    """
+    brands = ["b"] if one_brand else [f"b{f}" for f in range(1, len(tables) + 1)]
+    recs = ", ".join(f"rec{b[1:]}" for b in brands)
+    env = dict(_object=object, _Handle=Handle, _ForeignHandleError=ForeignHandleError, _FOREIGN_HANDLE=_FOREIGN_HANDLE,
+               _wrong_index=_wrong_index, _malg=malg, _generic=istep_once if one_brand else hstep_once)
+    src = ["def fold(w, d):", "    n = d.root", "    premises = n.premises"]
+    src.append(f"    {', '.join(brands)} = {', '.join(['_object()'] * len(brands))}")
+    for b in brands:
+        src += [
+            f"    def rec{b[1:]}(wi, h):",
+            f"        if not isinstance(h, _Handle) or h._brand is not {b}:",
+            "            raise _ForeignHandleError(_FOREIGN_HANDLE)",
+            "        if (child := h._value).root.conclusion != wi:",
+            "            raise _wrong_index(wi, child)",
+            "        return fold(wi, child)",
+        ]
+    for f, (sig, table) in enumerate(tables, 1):
+        env[f"_sig{f}"] = sig
+        family = "" if one_brand else f" and n.family == {f}"
+        src += [f"    {'elif' if f > 1 else 'if'} n.sig is _sig{f}{family}:", "        rule = n.rule"]
+        fits = lambda r: one_brand or r.family == f and all(0 < fam <= len(tables) for fam, _ in r.premises)
+        for j, r in enumerate(filter(fits, sig.rules.values())):
+            env[f"_case{f}_{j}"], env[f"_rule{f}_{j}"], k = table[r.name], r.name, len(r.premises)
+            shape = f"len(premises) == {k}" if k else "not premises"
+            src += [f"        {'elif' if j else 'if'} rule == _rule{f}_{j}:", f"            if {shape}:"]
+            at, node = "                ", "n"
+            if k:
+                src.append(f"{at}{''.join(f'(f{i}, ix{i}, w{i}), ' for i in range(k))}= premises")
+                if not one_brand:
+                    src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
+                    at += "    "
+                held = "".join(f"(f{i}, ix{i}, _Handle(w{i}, b{'' if one_brand else fam})), " for i, (fam, _) in enumerate(r.premises))
+                src += fill_src(DNode, "c", ["n.sig", "n.family", "rule", "n.params", f"({held})", "n.conclusion"], env, at)
+                node = "c"
+            src.append(f"{at}return _case{f}_{j}({recs}, w, {node})")
+    src.append(f"    return _generic(_malg, w, n, {'fold, ' * len(brands)})")
+    return run_generated("\n".join(src) + "\n", env)["fold"]
 
 
 def _check_total(sig: IndexedSignature, table: Mapping, what: str):

@@ -27,8 +27,8 @@ constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
 the value classes' ``__init__``, ``__eq__`` and factory, each rule's ``dnode`` and
-``derive``, each search and the folds of ``case`` tables) goes through ``run_generated``, which compiles
-each distinct source once and registers it in ``linecache``.
+``derive``, each search and the folds of ``case`` and ``indexed.cases`` tables) goes through ``run_generated``,
+which compiles each distinct source once and registers it in ``linecache``; it may build values in its own body.
 
 Handles are branded with a nonce issued per Mendler step (and per sort);
 consuming a handle under a different step or sort (or inspecting it at
@@ -80,6 +80,7 @@ class UnsupportedCarrierError(Exception):
 # generated code
 
 _COMPILED: dict[str, Any] = {}  # generated source -> its code object
+_TWINS: dict[type, type] = {}  # value class -> its unfrozen twin (see ``value_class``)
 
 
 def run_generated(src: str, env: dict) -> dict:
@@ -137,13 +138,14 @@ def value_class(cls):
 
     The factory ``cls._positional(*fields)``, generated from the same
     fields, builds the value that ``cls(*fields)`` builds, more cheaply;
-    the library's hot paths build through it.  The frozen ``__setattr__``
-    rules out a plain slot store in ``__init__``: each store must go
-    around it, through a call.  So the factory fills an unfrozen twin: a
-    class with the same ``__slots__`` and no ``__setattr__``, whose stores
-    are plain slot stores.  It stores each parameter, then each
+    the library's hot paths build through it, or through the same code
+    in their own generated bodies (see :func:`fill_src`).  The frozen
+    ``__setattr__`` rules out a plain slot store in ``__init__``: each store
+    must go around it, through a call.  So the factory fills an unfrozen
+    twin: a class with the same ``__slots__`` and no ``__setattr__``, whose
+    stores are plain slot stores.  It stores each parameter, then each
     ``init=False`` default, and re-types the value (``__class__ = cls``);
-    the twin is never seen outside the factory.  Re-typing needs the two
+    the twin is never seen outside that code.  Re-typing needs the two
     layouts to match, so a class whose twin cannot take its layout (one
     with a slotted base, say) is refused here, when it is created.  The
     factory always builds ``cls`` itself, never a subclass; everything
@@ -159,7 +161,7 @@ def value_class(cls):
         twin().__class__ = cls
     except TypeError as exc:
         raise TypeError(f"{cls.__name__}: a value class's unfrozen twin cannot take its layout ({exc})") from None
-    names, stores, fills, env = [], [], [], {"_cls": cls, "_twin": twin}
+    names, stores, values, env = [], [], [], {}
     for f in fields(cls):
         if f.default_factory is not MISSING or f.init != (f.default is MISSING):
             raise TypeError(f"{cls.__name__}.{f.name}: not a field a value class can take")
@@ -171,7 +173,7 @@ def value_class(cls):
             env[value] = f.default
         env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
         stores.append(f"    _set_{f.name}(self, {value})\n")
-        fills.append(f"    self.{f.name} = {value}\n")
+        values.append(value)
     code = generated.__code__
     if hasattr(cls, "__post_init__") or code.co_varnames[1 : code.co_argcount] != tuple(names):
         raise TypeError(f"{cls.__name__}: a value class takes its fields as plain parameters")
@@ -186,11 +188,8 @@ def value_class(cls):
         + (f"    if {same}:\n        return True\n    return False\n" if same else "    return True\n"),
         env,
     )
-    run_generated(
-        f"def _positional({params[2:]}):\n    self = _twin()\n{''.join(fills)}"
-        "    self.__class__ = _cls\n    return self\n",
-        env,
-    )
+    _TWINS[cls] = twin
+    run_generated("\n".join([f"def _positional({params[2:]}):", *fill_src(cls, "self", values, env), "    return self\n"]), env)
     env["__init__"].__annotations__ = generated.__annotations__
     for method in (env["__init__"], env["__eq__"], env["_positional"]):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
@@ -212,6 +211,18 @@ def value_class(cls):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
+
+
+def fill_src(cls, var: str, values, env: dict, at: str = "    ") -> list[str]:
+    """Lines, indented by ``at``, binding ``var`` to the ``cls`` whose fields (``init=False`` ones too) hold ``values``.
+
+    Each source expression is stored in turn in a slot of ``cls``'s unfrozen twin, then re-typed (see
+    :func:`value_class`, whose factory is built so); ``env`` gets the twin and the class.
+    """
+    twin, name = _TWINS[cls], cls.__name__
+    env[f"_{name}_twin"], env[f"_{name}_class"] = twin, cls
+    stores = [f"{at}{var}.{f.name} = {value}" for f, value in zip(fields(cls), values, strict=True)]
+    return [f"{at}{var} = _{name}_twin()", *stores, f"{at}{var}.__class__ = _{name}_class"]
 
 
 # ---------------------------------------------------------------------------

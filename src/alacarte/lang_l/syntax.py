@@ -30,7 +30,7 @@ from dataclasses import FrozenInstanceError
 from typing import Any, Iterable, Optional, Union
 
 from .. import sexpr
-from ..kernel import register_payload_kind, value_class
+from ..kernel import register_payload_kind, term_from_json, value_class
 from ..mutual import BiSignature, BiTerm, biterm_to_json, out_bi
 
 
@@ -199,20 +199,30 @@ def bindings(p: Pat) -> Env:
 # the Dec/Exp bi-signature
 #
 # Payload JSON reuses the s-expression data of types and patterns (their
-# printers are defined under "surface syntax" below); environment entries
-# are expression terms, encoded as term JSON.
+# printers and readers are defined under "surface syntax" below); environment
+# entries are expression terms, encoded as term JSON.
+
+
+def _read(of_data, data):
+    """``of_data(data)``, or ``data`` as it is, for ``node`` to reject, unless it is a list ``of_data`` reads."""
+    try:
+        return of_data(data) if isinstance(data, list) else data
+    except sexpr.SexprError:
+        return data
+
 
 register_payload_kind(
-    "typ", lambda v: isinstance(v, (Ty, Arrow, TypeEnv)), encode=lambda t: typ_to_sexpr(t)
+    "typ", lambda v: isinstance(v, (Ty, Arrow, TypeEnv)), lambda t: typ_to_sexpr(t), lambda d: _read(typ_of_sexpr, d)
 )
 register_payload_kind(
-    "pat", lambda v: isinstance(v, (PVar, PCon, PApp)), encode=lambda p: pat_to_sexpr(p)
+    "pat", lambda v: isinstance(v, (PVar, PCon, PApp)), lambda p: pat_to_sexpr(p), lambda d: _read(pat_of_sexpr, d)
 )
 register_payload_kind(
     "envE",
     lambda v: isinstance(v, Env)
     and all(isinstance(e, BiTerm) and e.sig is LANG and e.root.ctor in _EXPS for _, e in v.items()),
     encode=lambda rho: [[k, biterm_to_json(e)] for k, e in rho.items()],
+    decode=lambda data: _read(lambda d: Env((k, term_from_json(LANG, e)) for k, e in _assoc(d)), data),
 )
 
 LANG = BiSignature(

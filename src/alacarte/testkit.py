@@ -443,7 +443,9 @@ class BadReplayCaseError(ValueError):
 
 
 def replay_case(case: dict, fuel: int = 50) -> tuple[int, Optional[dict]]:
-    """Re-run a dumped counterexample case from its serialized form."""
+    """Re-run a dumped counterexample case from its serialized form; its ``sort`` is ``exp`` or ``dec``."""
+    if case["sort"] not in ("exp", "dec"):
+        raise BadReplayCaseError(f"replay case sort must be 'exp' or 'dec', not {case['sort']!r}")
     rho = parse_env(case["rho"])
     parse = parse_dec if case["sort"] == "dec" else parse_exp
     term = parse(case["term"])
