@@ -51,6 +51,10 @@ class Val:
     vv: int
 
 
+# the factory every ``Val`` of this module is built through (see ``kernel.value_class``)
+_new_val = Val._positional
+
+
 @value_class
 class TypN:
     """The single numeric type."""
@@ -96,12 +100,12 @@ def lit_value(t: Term) -> int:
 
 
 def eval_g1(n: Node) -> Val:
-    return Val(n.payload[0])
+    return _new_val(n.payload[0])
 
 
 def eval_g2(n: Node) -> Val:
     x1, x2 = n.rec
-    return Val(x1.vv + x2.vv)
+    return _new_val(x1.vv + x2.vv)
 
 
 eval_g = case(TRM, eval_g1, eval_g2)
@@ -122,7 +126,7 @@ EVAL_SIG = IndexedSignature(
             "ev1",
             params=("x",),
             subject=(_lit, "x"),
-            conclusion=lambda P, s: (s, Val(P["x"])),
+            conclusion=lambda P, s: (s, _new_val(P["x"])),
         ),
         rule(
             "ev2",
@@ -176,11 +180,18 @@ ISTRM_SIG = IndexedSignature(
 )
 
 
+def _no_rule(rel: IndexedSignature, node: Node) -> TypeError:
+    """A builder's error for a node that is neither a literal nor an addition of ``TRM``."""
+    return TypeError(f"{rel.name} has no rule for {node.ctor!r} of {node.sig.name}")
+
+
 def build_eval_derivation(t: Term) -> Derivation:
     """A validating derivation concluding at ``(t, eval_(t))``."""
     node = out_(t)
-    if node.ctor == LIT:
+    if node.ctor == LIT and node.sig is TRM:
         return EVAL_SIG.derive("ev1", {"x": node.payload[0]}, (), t)
+    if node.ctor != ADD or node.sig is not TRM:
+        raise _no_rule(EVAL_SIG, node)
     e1, e2 = node.rec
     d1 = build_eval_derivation(e1)
     d2 = build_eval_derivation(e2)
@@ -188,7 +199,7 @@ def build_eval_derivation(t: Term) -> Derivation:
     x2 = d2.root.conclusion[1]
     return EVAL_SIG.derive(
         "ev2",
-        {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": Val(x1.vv + x2.vv)},
+        {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": _new_val(x1.vv + x2.vv)},
         (d1, d2),
         t,
     )
@@ -216,8 +227,10 @@ def eval_of_derivation(d: Derivation) -> Agreement:
 
 def build_typof_derivation(t: Term) -> Derivation:
     node = out_(t)
-    if node.ctor == LIT:
-        return TYPOF_SIG.derive("tof1", {"v": Val(node.payload[0])})
+    if node.ctor == LIT and node.sig is TRM:
+        return TYPOF_SIG.derive("tof1", {"v": _new_val(node.payload[0])})
+    if node.ctor != ADD or node.sig is not TRM:
+        raise _no_rule(TYPOF_SIG, node)
     e1, e2 = node.rec
     return TYPOF_SIG.derive(
         "tof2",
@@ -229,8 +242,10 @@ def build_typof_derivation(t: Term) -> Derivation:
 
 def build_istrm(t: Term) -> Derivation:
     node = out_(t)
-    if node.ctor == LIT:
+    if node.ctor == LIT and node.sig is TRM:
         return ISTRM_SIG.derive("isLit", {"x": node.payload[0]}, (), t)
+    if node.ctor != ADD or node.sig is not TRM:
+        raise _no_rule(ISTRM_SIG, node)
     e1, e2 = node.rec
     return ISTRM_SIG.derive("isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2)), t)
 
@@ -281,7 +296,7 @@ def _sum_case(rec, w, node):
             w1[1].__class__ is Val and w1[1].vv == x1 and w2[1].__class__ is Val and w2[1].vv == x2
         ):
             raise InvalidDerivationError("premise transformers disagreed with indices")
-        return _tof1(Val(x1 + x2))
+        return _tof1(_new_val(x1 + x2))
 
     return transform
 

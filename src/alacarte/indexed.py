@@ -822,12 +822,14 @@ def _compile_fold(malg, tables, one_brand: bool):
     """``fold(w, d)``: ``ifold(malg, w, d)``, or unless ``one_brand`` ``hfold(f, malg, w, d)``, past the root checks.
 
     It issues fresh brands (one per family unless ``one_brand``) and inlines each ``rec``'s tests.  A branch per rule
-    of each ``(sig, table)`` hands a node of the rule's shape to its case; any other takes the generic step.
+    of each ``(sig, table)`` hands a node of the rule's shape to its case, its premise handles built as ``mfold``
+    builds handles; any other takes the generic step.
     """
     brands = ["b"] if one_brand else [f"b{f}" for f in range(1, len(tables) + 1)]
     recs = ", ".join(f"rec{b[1:]}" for b in brands)
-    env = dict(_object=object, _Handle=Handle, _ForeignHandleError=ForeignHandleError, _FOREIGN_HANDLE=_FOREIGN_HANDLE,
-               _wrong_index=_wrong_index, _malg=malg, _generic=istep_once if one_brand else hstep_once)
+    env = dict(_object=object, _new_object=object.__new__, _Handle=Handle, _ForeignHandleError=ForeignHandleError,
+               _FOREIGN_HANDLE=_FOREIGN_HANDLE, _wrong_index=_wrong_index, _malg=malg,
+               _generic=istep_once if one_brand else hstep_once)
     src = ["def fold(w, d):", "    n = d.root", "    premises = n.premises"]
     src.append(f"    {', '.join(brands)} = {', '.join(['_object()'] * len(brands))}")
     for b in brands:
@@ -854,7 +856,10 @@ def _compile_fold(malg, tables, one_brand: bool):
                 if not one_brand:
                     src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
                     at += "    "
-                held = "".join(f"(f{i}, ix{i}, _Handle(w{i}, b{'' if one_brand else fam})), " for i, (fam, _) in enumerate(r.premises))
+                for i, (fam, _) in enumerate(r.premises):
+                    b = "b" if one_brand else f"b{fam}"
+                    src += [f"{at}h{i} = _new_object(_Handle)", f"{at}h{i}._value = w{i}", f"{at}h{i}._brand = {b}"]
+                held = "".join(f"(f{i}, ix{i}, h{i}), " for i in range(k))
                 src += fill_src(DNode, "c", ["n.sig", "n.family", "rule", "n.params", f"({held})", "n.conclusion"], env, at)
                 node = "c"
             src.append(f"{at}return _case{f}_{j}({recs}, w, {node})")

@@ -47,9 +47,10 @@ folded children.  So a case fold builds one node per level, not ``fmap``'s
 image and then the summand's, and no level runs a comprehension; nor does
 ``fold_c`` of any other algebra, which folds two children in a tuple
 display (any other number with ``map``), nor ``lift`` of any other
-algebra, which maps with ``map``, nor ``step_once``, which builds two
-handles so and opens them inline.  ``project_left``/``project_right``/``project`` stay as
-the specification ``case`` is tested against, and for the laws.
+algebra, which maps with ``map``, nor ``mfold``, which does
+``step_once``'s work in its own ``recurse``.
+``project_left``/``project_right``/``project`` stay as the specification
+``case`` is tested against, and for the laws.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe for concurrent use without synchronization.
@@ -549,7 +550,9 @@ class Handle:
     """An opaque recursive position.
 
     Exposes no observers; the only legal consumption is passing it to the
-    ``rec`` procedure supplied to the same fold invocation.
+    ``rec`` procedure supplied to the same fold invocation.  ``mfold`` and
+    the folds ``indexed`` generates build one without ``__init__``, by
+    ``object.__new__`` and a store to each slot.
     """
 
     __slots__ = ("_value", "_brand")
@@ -560,6 +563,7 @@ class Handle:
 
 
 _FOREIGN_HANDLE = "handle consumed outside the fold that issued it"
+_new_object, _node_twin = object.__new__, _TWINS[Node]  # what ``mfold`` builds handles and nodes from
 
 
 def open_handle(h, brand):
@@ -573,8 +577,9 @@ def step_once(malg, node: Node, recurse):
     """Run one Mendler step on ``node`` with freshly branded handles.
 
     ``recurse`` is invoked on the value a handle wraps; ``mfold`` is the
-    knot-tied instance.  Exposed so the Mendler computation rule is directly
-    checkable: ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
+    knot-tied instance, with this work inline.  Exposed so the Mendler
+    computation rule is directly checkable:
+    ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
     Each step issues a fresh brand.  The handles of two slots are built in
     a tuple display, any other number with ``map``, and ``rec`` runs
     ``open_handle``'s test inline, with its message: no comprehension and
@@ -598,10 +603,50 @@ def step_once(malg, node: Node, recurse):
 
 
 def mfold(malg, t: Term):
-    """Mendler fold: the step sees subterms only as handles; one ``recurse`` serves every level."""
+    """Mendler fold: the step sees subterms only as handles; one ``recurse`` serves every level.
+
+    ``recurse`` does ``step_once``'s work itself, so a level costs it one
+    frame: a fresh brand, the handles built by ``object.__new__`` and two
+    slot stores (no ``Handle.__init__`` frame), the handle node filled in
+    place as :func:`fill_src` fills one, and a ``rec`` with ``step_once``'s
+    test and message.  A node without recursive slots is passed as it is.
+    """
 
     def recurse(s):
-        return step_once(malg, s.root, recurse)
+        brand = object()
+        node = s.root
+        rec = node.rec
+        if rec:
+            if len(rec) == 2:
+                h0 = _new_object(Handle)
+                h0._value = rec[0]
+                h0._brand = brand
+                h1 = _new_object(Handle)
+                h1._value = rec[1]
+                h1._brand = brand
+                handles = (h0, h1)
+            else:
+                handles = []
+                for value in rec:
+                    h = _new_object(Handle)
+                    h._value = value
+                    h._brand = brand
+                    handles.append(h)
+                handles = tuple(handles)
+            n = node
+            node = _node_twin()
+            node.sig = n.sig
+            node.ctor = n.ctor
+            node.rec = handles
+            node.payload = n.payload
+            node.__class__ = Node
+
+        def open_and_recurse(h):
+            if not isinstance(h, Handle) or h._brand is not brand:
+                raise ForeignHandleError(_FOREIGN_HANDLE)
+            return recurse(h._value)
+
+        return malg(open_and_recurse, node)
 
     return recurse(t)
 
@@ -650,7 +695,7 @@ def lift(alg):
     def step(rec, node):
         """``alg(fmap(rec, node))``, with ``fmap`` inline: a level costs it no frame."""
         if node.rec:
-            node = Node(node.sig, node.ctor, tuple(map(rec, node.rec)), node.payload)
+            node = _new_node(node.sig, node.ctor, tuple(map(rec, node.rec)), node.payload)
         return alg(node)
 
     return step
@@ -849,9 +894,10 @@ def _case_fold(entry: _CaseTable, mendler: bool):
 
     One branch per tagged constructor of the table hands a node of
     ``csig`` whose ``rec`` has the constructor's arity to that summand's
-    algebra, as the summand's node built from a tuple display of the
-    folded children (of ``rec`` over the handles, under ``mendler``): one
-    node per level and no comprehension.  Any other node (a foreign one,
+    algebra, as the summand's node filled inline (see :func:`fill_src`)
+    with a tuple display of the folded children (of ``rec`` over the
+    handles, under ``mendler``): one node per level, no frame to build
+    it and no comprehension.  Any other node (a foreign one,
     an unknown tag, a hand-built node with too few or too many children)
     is folded as any algebra's is: its children first, then ``copair`` on
     the ``fmap`` image, which raises ``case``'s error or the summand
@@ -860,14 +906,15 @@ def _case_fold(entry: _CaseTable, mendler: bool):
     child = "rec" if mendler else "fold"
     src = ["def lifted(rec, n):" if mendler else "def fold(t):\n    n = t.root"]
     src += ["    slots = n.rec", "    if n.sig is _csig:", "        ctor = n.ctor"]
-    env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _new_node=_new_node, _fmap=fmap)
+    env = dict(__name__=__name__, _csig=entry.csig, _copair=entry.copair, _fmap=fmap)
     for k, (tagged, (sig, ctor, alg)) in enumerate(entry.table.items()):
         arity = len(entry.csig._plans[tagged].rec_sorts)
         children = _tuple_src(f"{child}(slots[{i}])" for i in range(arity))
         src += [
             f"        {'elif' if k else 'if'} ctor == {tagged!r}:",
             f"            if {f'len(slots) == {arity}' if arity else 'not slots'}:",
-            f"                return _alg{k}(_new_node(_sig{k}, _ctor{k}, {children}, n.payload))",
+            *fill_src(Node, "m", [f"_sig{k}", f"_ctor{k}", children, "n.payload"], env, "                "),
+            f"                return _alg{k}(m)",
         ]
         env.update({f"_alg{k}": alg, f"_sig{k}": sig, f"_ctor{k}": ctor})
     src.append(f"    return _copair(_fmap({child}, n))")

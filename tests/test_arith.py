@@ -1,10 +1,11 @@
 """Evaluation, relations, and the two preservation routes."""
 
 import random
+import re
 
 import pytest
 
-from alacarte import testkit
+from alacarte import arith, testkit
 from alacarte.arith import (
     EVAL_SIG,
     N,
@@ -29,6 +30,7 @@ from alacarte.indexed import (
     WrongIndexError,
     validate,
 )
+from alacarte.kernel import Signature, coproduct
 
 
 def enum_terms(depth=4):
@@ -150,6 +152,27 @@ def test_istrm_add():
 def test_istrm_sweep():
     for t in enum_terms(4):
         assert validate(build_istrm(t))
+
+
+def _foreign_terms():
+    """Terms of a three-fragment coproduct over ``TRM``, and a literal of another coproduct of its summands."""
+    t3 = coproduct(arith.TRM, Signature("trm_g3", {"neg": ("rec",)}))
+    lit3, add3, neg3 = (t3.constructor(c) for c in ("inl:inl:lit", "inl:inr:add", "inr:neg"))
+    other = coproduct(arith.TRM_G1, arith.TRM_G2)  # the same tagged names, another signature
+    return [
+        (lit3(5), "'inl:inl:lit' of ((trm_g1+trm_g2)+trm_g3)"),
+        (add3(lit3(1), lit3(2)), "'inl:inr:add' of ((trm_g1+trm_g2)+trm_g3)"),
+        (neg3(lit3(5)), "'inr:neg' of ((trm_g1+trm_g2)+trm_g3)"),
+        (other.constructor("inl:lit")(3), "'inl:lit' of (trm_g1+trm_g2)"),
+    ]
+
+
+@pytest.mark.parametrize("t, what", _foreign_terms())
+def test_the_builders_reject_a_term_that_is_no_literal_or_addition_of_trm(t, what):
+    # neither a bare unpacking error nor, for a literal of another coproduct, a derivation of ``TRM``'s literal
+    for build, rel in ((build_eval_derivation, "Eval"), (build_typof_derivation, "TypOf"), (build_istrm, "IsTrm")):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{rel} has no rule for {what}')}$"):
+            build(t)
 
 
 # ---------------------------------------------------------------------------

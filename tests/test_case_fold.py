@@ -305,6 +305,67 @@ def test_step_once_opens_a_handle_as_open_handle_does():
     assert verdicts == [("opened", lit(1)), foreign, foreign, foreign, ("opened", lit(7)), foreign]
 
 
+class _SubHandle(kernel.Handle):
+    __slots__ = ()
+
+
+class _Impostor:  # a Handle's fields, but no Handle
+    def __init__(self, value, brand):
+        self._value, self._brand = value, brand
+
+
+def _handle_kinds(own, leaked):
+    """Own, leaked, non-handle, impostor and ``SubHandle`` candidates for the ``rec`` that issued ``own``."""
+    brand = own._brand
+    return [own, leaked, lit(1), _Impostor(lit(1), brand), _SubHandle(lit(7), brand), _SubHandle(lit(7), object())]
+
+
+def test_mfold_opens_a_handle_as_step_once_does():
+    # the step keeps its ``rec`` and first handle at an ``add`` and folds a literal to its payload
+    steps = []
+    capture = lambda rec, node: steps.append((rec, node.rec[0])) if node.rec else node.payload[0]
+    t = add(lit(1), lit(2))
+    for _ in range(2):  # two sibling folds, each with its own brand
+        mfold(capture, t)
+    (_, leaked), (by_mfold, own) = steps
+    steps.clear()
+    for _ in range(2):  # the same two steps, run by ``step_once`` with ``mfold`` as ``recurse``
+        kernel.step_once(capture, out_(t), lambda s: mfold(capture, s))
+    (_, step_leaked), (by_step, step_own) = steps
+    verdicts = [_verdict(by_mfold, h) for h in _handle_kinds(own, leaked)]
+    assert verdicts == [_verdict(by_step, h) for h in _handle_kinds(step_own, step_leaked)]
+    foreign = (kernel.ForeignHandleError, "handle consumed outside the fold that issued it")
+    assert verdicts == [("opened", 1), foreign, foreign, foreign, ("opened", 7), foreign]
+
+
+def test_a_handle_moved_between_levels_of_one_mfold_is_foreign():
+    t = add(add(lit(1), lit(2)), lit(3))
+    kept = []
+
+    def down(rec, node):
+        """The root keeps its right handle and recurses left, where the kept handle is handed to the inner ``rec``."""
+        if not node.rec:
+            return node.payload[0]
+        if not kept:
+            kept.append(node.rec[1])
+            return rec(node.rec[0])
+        return rec(kept[0])
+
+    def up(rec, node):
+        """The inner ``add`` returns its own handle, and the root hands it to its ``rec``."""
+        if not node.rec:
+            return node.payload[0]
+        inner = rec(node.rec[0])
+        return rec(inner) if isinstance(inner, kernel.Handle) else node.rec[0]
+
+    spec = lambda malg, s: kernel.step_once(malg, s.root, lambda c: spec(malg, c))
+    for malg in (down, up):
+        for run in (mfold, spec):
+            kept.clear()
+            with pytest.raises(kernel.ForeignHandleError, match="^handle consumed outside the fold that issued it$"):
+                run(malg, t)
+
+
 def _left_nested(depth):
     t = lit(0)
     for _ in range(depth):
@@ -313,13 +374,14 @@ def _left_nested(depth):
 
 
 def test_eval_folds_a_900_deep_left_nested_chain():
-    # a case fold takes one frame per level, so nearly the whole recursion limit is depth
+    # a case fold takes one frame per level, so nearly the whole recursion limit is depth;
+    # ``mfold`` of its lifted step takes three: ``mfold``'s ``recurse``, the step and ``rec``
     assert arith.eval_(_left_nested(900)) == Val(900)
-    assert mfold(lift(arith.eval_g), _left_nested(200)) == Val(200)
+    assert mfold(lift(arith.eval_g), _left_nested(300)) == Val(300)
 
 
 def test_lift_of_a_plain_algebra_folds_a_190_deep_left_nested_chain():
-    # ``lift``'s generic step maps with ``map`` and calls no ``fmap``: four frames a level, as a case fold's
+    # ``lift``'s generic step maps with ``map`` and calls no ``fmap``: three frames a level, as a case fold's
     plain = lambda n: arith.eval_g(n)
     t = _left_nested(190)
     assert mfold(lift(plain), t) == kernel.fold_c(plain, t) == Val(190)

@@ -1,13 +1,15 @@
-"""The library's hot paths build terms and derivations through the positional factories.
+"""The library's hot paths build terms, derivations, values and handles without an ``__init__`` call.
 
-``Node``, ``Term``, ``DNode`` and ``Derivation`` each have a generated
-``__init__`` and a generated factory, ``Cls._positional``, that builds the
-same value more cheaply (see ``kernel.value_class``).  Here each class's
-``__init__`` is replaced by a trap that records its call.  The inputs are
-built first, outside the trap.  Then the arith builders, both preservation
-routes, ``eval_`` and ``mfold(lift(eval_g))``, and ``in_``, ``fold_c``
-of another algebra and ``eval_g`` itself on arith nodes, the stepper,
-the expression typechecker and subject reduction run without one call.
+``Node``, ``Term``, ``DNode``, ``Derivation`` and ``arith.Val`` each have a
+generated ``__init__`` and a generated factory, ``Cls._positional``, that
+builds the same value more cheaply (see ``kernel.value_class``); ``mfold``
+and the generated indexed folds build each ``Handle`` by ``object.__new__``
+and two slot stores.  Here each class's ``__init__`` is replaced by a trap
+that records its call.  The inputs and expected values are built first,
+outside the trap.  Then the arith builders, both preservation routes,
+``eval_`` and ``mfold(lift(eval_g))``, and ``in_``, ``fold_c`` of another
+algebra and ``eval_g`` itself on arith nodes, the stepper, the expression
+typechecker and subject reduction run without one call.
 """
 
 import importlib.util
@@ -18,7 +20,7 @@ import pytest
 
 from alacarte import arith, testkit
 from alacarte.indexed import Derivation, DNode
-from alacarte.kernel import Node, Term, fold_c, in_, lift, mfold, out_
+from alacarte.kernel import Handle, Node, Term, fold_c, in_, lift, mfold, out_
 from alacarte.lang_l import step_dec, step_exp, subject_reduction
 from alacarte.lang_l.typing import typecheck_exp
 
@@ -50,16 +52,19 @@ def _trap_inits(monkeypatch):
 
         return __init__
 
-    for cls in (Node, Term, DNode, Derivation):
+    for cls in (Node, Term, DNode, Derivation, arith.Val, Handle):
         monkeypatch.setattr(cls, "__init__", trap(cls.__name__))
-    with pytest.raises(AssertionError):
-        Node(arith.TRM_G1, "lit", (), (1,))
+    for build in (lambda: Node(arith.TRM_G1, "lit", (), (1,)), lambda: arith.Val(1), lambda: Handle(1, object())):
+        with pytest.raises(AssertionError):
+            build()
+    assert calls == ["Node", "Val", "Handle"]
     calls.clear()
     return calls
 
 
 def test_the_arith_paths_call_no_init(monkeypatch):
     terms = _random_terms()
+    four = arith.Val(4)
     calls = _trap_inits(monkeypatch)
     for t in terms:
         d, td, w = arith.build_eval_derivation(t), arith.build_typof_derivation(t), arith.build_istrm(t)
@@ -69,7 +74,7 @@ def test_the_arith_paths_call_no_init(monkeypatch):
         assert fold_c(lambda n: 1 + sum(n.rec), t) == _size(t)  # an algebra that ``case`` did not return
         for out in (arith.preservation(d, td), arith.preservation_via_istrm(w, td)):
             assert out.root.conclusion == (arith._lit(v.vv), arith.N)
-    assert arith.eval_g(out_(terms[0])) == arith.Val(4)  # the copair, called on a node
+    assert arith.eval_g(out_(terms[0])) == four  # the copair, called on a node
     assert calls == []
 
 

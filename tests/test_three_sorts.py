@@ -13,15 +13,19 @@ import pytest
 from alacarte import indexed
 from alacarte.kernel import (
     ForeignHandleError,
+    Handle,
     MalformedNodeError,
+    Node,
     Signature,
     SortedAlgebra,
     Term,
     fmap_by_sort,
     in_,
+    mfold,
     mfold_by_sort,
     out_,
     signature_to_json,
+    step_once,
     step_once_by_sort,
     term_from_json,
     term_to_json,
@@ -233,6 +237,34 @@ def test_a_handle_from_another_fold_is_foreign():
     use = lambda r1, r2, r3, n: r1(kept[0])
     with pytest.raises(ForeignHandleError):
         mfold_by_sort(SortedAlgebra((use, use, use)), succ_o(zero()))
+
+
+def _tree(t: Term) -> tuple:
+    """Each node as its constructor, its children's trees in slot order and its payload."""
+    return (t.root.ctor, tuple(_tree(c) for c in t.root.rec), t.root.payload)
+
+
+def test_the_one_sort_mendler_fold_equals_a_fold_built_from_step_once():
+    # ``mfold`` takes every slot alike, whatever its sort: arities 0, 1 and 3, and payloads between slots
+    seen = []
+
+    def tree(rec, n):
+        seen.append(n)
+        return (n.ctor, tuple(rec(h) for h in n.rec), n.payload)
+
+    spec = lambda t: step_once(tree, t.root, spec)
+    terms = [t for layer in term_layers(EnumSpec(PARITY, 3, POOLS)) for t in layer]
+    assert {t.root.ctor for t in terms} == {"zero", "succ_e", "succ_o", "is_zero", "odd_test", "both"}
+    for t in terms:
+        seen.clear()
+        assert mfold(tree, t) == _tree(t)
+        by_mfold = list(seen)
+        seen.clear()
+        assert spec(t) == _tree(t)
+        assert [(n.ctor, len(n.rec), n.payload) for n in by_mfold] == [(n.ctor, len(n.rec), n.payload) for n in seen]
+        assert all(type(n) is Node and all(type(h) is Handle for h in n.rec) for n in by_mfold)
+        if not t.root.rec:
+            assert by_mfold == [t.root] and by_mfold[0] is t.root  # a leaf is passed as it is
 
 
 # ---------------------------------------------------------------------------
