@@ -8,6 +8,11 @@ over terms are given as indexed signatures:
 - ``TYPOF_SIG`` assigns every term the single numeric type ``N``,
 - ``ISTRM_SIG`` is the relational lifting of the term datatype itself.
 
+Each relation declares its index layout and each rule its subject pattern,
+so each builder is one ``indexed.search`` call.  ``ev2`` defines ``v`` from
+its premises' values, which ``sum`` checks, and ``tof1`` its ``Val`` from
+the literal, which its pattern ``(lit "v.vv")`` checks.
+
 ``preservation`` turns an evaluation derivation plus a typing derivation
 into a typing derivation for the resulting literal; it is implemented
 exclusively as an ``ifold`` whose step consumes recursive premises only
@@ -29,6 +34,7 @@ from .indexed import (
     dout,
     ifold,
     rule,
+    search,
     validate,
 )
 from .kernel import (
@@ -79,17 +85,24 @@ def add(a: Term, b: Term) -> Term:
     return in_(inject_right(TRM, TRM_G2.node("add", (a, b))))
 
 
-# The rule patterns, ``tof1``'s conclusion and the preservation
-# postconditions build their terms in one call each.  ``lit``/``add`` build
-# the same terms, with the same checks and messages, through the modular
-# injection path.
+# The rule patterns and the preservation postconditions build their terms
+# in one call each.  ``lit``/``add`` build the same terms, with the same
+# checks and messages, through the modular injection path.
 _lit = TRM.constructor(LIT, "lit")
 _add = TRM.constructor(ADD, "add")
 
 
+def _trm_node(t: Term) -> Node:
+    """The root node of ``t``, which must be a node of ``TRM``, not of another signature."""
+    node = out_(t)
+    if node.sig is not TRM:
+        raise TypeError(f"{node.ctor!r} of {node.sig.name} is not a node of arith.TRM")
+    return node
+
+
 def lit_value(t: Term) -> int:
     """Payload of a literal term."""
-    node = out_(t)
+    node = _trm_node(t)
     if node.ctor != LIT:
         raise ValueError(f"not a literal: {node.ctor}")
     return node.payload[0]
@@ -122,26 +135,18 @@ def eval_(t: Term) -> Val:
 EVAL_SIG = IndexedSignature(
     "Eval",
     [
-        rule(
-            "ev1",
-            params=("x",),
-            subject=(_lit, "x"),
-            conclusion=lambda P, s: (s, _new_val(P["x"])),
-        ),
+        rule("ev1", params=("x",), subject=(_lit, "x"), conclusion=lambda P, s: (s, _new_val(P["x"]))),
         rule(
             "ev2",
             params=("e1", "e2", "x1", "x2", "v"),
-            premises=(
-                lambda P: (P["e1"], P["x1"]),
-                lambda P: (P["e2"], P["x2"]),
-            ),
-            side=(
-                ("sum", lambda P: P["v"].vv == P["x1"].vv + P["x2"].vv),
-            ),
+            premises=(lambda P: (P["e1"], P["x1"]), lambda P: (P["e2"], P["x2"])),
+            define=(("v", lambda P, s: _new_val(P["x1"].vv + P["x2"].vv)),),
+            side=(("sum", lambda P: P["v"].vv == P["x1"].vv + P["x2"].vv),),
             subject=(_add, "e1", "e2"),
             conclusion=lambda P, s: (s, P["v"]),
         ),
     ],
+    layout=("subject", "output"),
 )
 
 TYPOF_SIG = IndexedSignature(
@@ -150,19 +155,19 @@ TYPOF_SIG = IndexedSignature(
         rule(
             "tof1",
             params=("v",),
-            conclusion=lambda P: (_lit(P["v"].vv), N),
+            define=(("v", lambda P, s: _new_val(s.root.payload[0])),),
+            subject=(_lit, "v.vv"),
+            conclusion=lambda P, s: (s, N),
         ),
         rule(
             "tof2",
             params=("e1", "e2"),
-            premises=(
-                lambda P: (P["e1"], N),
-                lambda P: (P["e2"], N),
-            ),
+            premises=(lambda P: (P["e1"], N), lambda P: (P["e2"], N)),
             subject=(_add, "e1", "e2"),
             conclusion=lambda P, s: (s, N),
         ),
     ],
+    layout=("subject", "output"),
 )
 
 ISTRM_SIG = IndexedSignature(
@@ -177,32 +182,13 @@ ISTRM_SIG = IndexedSignature(
             conclusion=lambda P, s: s,
         ),
     ],
+    layout=("subject",),
 )
-
-
-def _no_rule(rel: IndexedSignature, node: Node) -> TypeError:
-    """A builder's error for a node that is neither a literal nor an addition of ``TRM``."""
-    return TypeError(f"{rel.name} has no rule for {node.ctor!r} of {node.sig.name}")
 
 
 def build_eval_derivation(t: Term) -> Derivation:
     """A validating derivation concluding at ``(t, eval_(t))``."""
-    node = out_(t)
-    if node.ctor == LIT and node.sig is TRM:
-        return EVAL_SIG.derive("ev1", {"x": node.payload[0]}, (), t)
-    if node.ctor != ADD or node.sig is not TRM:
-        raise _no_rule(EVAL_SIG, node)
-    e1, e2 = node.rec
-    d1 = build_eval_derivation(e1)
-    d2 = build_eval_derivation(e2)
-    x1 = d1.root.conclusion[1]
-    x2 = d2.root.conclusion[1]
-    return EVAL_SIG.derive(
-        "ev2",
-        {"e1": e1, "e2": e2, "x1": x1, "x2": x2, "v": _new_val(x1.vv + x2.vv)},
-        (d1, d2),
-        t,
-    )
+    return search(EVAL_SIG, 1, None, t)[1]
 
 
 @dataclass(frozen=True)
@@ -226,28 +212,13 @@ def eval_of_derivation(d: Derivation) -> Agreement:
 
 
 def build_typof_derivation(t: Term) -> Derivation:
-    node = out_(t)
-    if node.ctor == LIT and node.sig is TRM:
-        return TYPOF_SIG.derive("tof1", {"v": _new_val(node.payload[0])})
-    if node.ctor != ADD or node.sig is not TRM:
-        raise _no_rule(TYPOF_SIG, node)
-    e1, e2 = node.rec
-    return TYPOF_SIG.derive(
-        "tof2",
-        {"e1": e1, "e2": e2},
-        (build_typof_derivation(e1), build_typof_derivation(e2)),
-        t,
-    )
+    """A validating derivation concluding at ``(t, N)``."""
+    return search(TYPOF_SIG, 1, None, t)[1]
 
 
 def build_istrm(t: Term) -> Derivation:
-    node = out_(t)
-    if node.ctor == LIT and node.sig is TRM:
-        return ISTRM_SIG.derive("isLit", {"x": node.payload[0]}, (), t)
-    if node.ctor != ADD or node.sig is not TRM:
-        raise _no_rule(ISTRM_SIG, node)
-    e1, e2 = node.rec
-    return ISTRM_SIG.derive("isAdd", {"e1": e1, "e2": e2}, (build_istrm(e1), build_istrm(e2)), t)
+    """A validating derivation of the lifted term predicate at ``t``."""
+    return search(ISTRM_SIG, 1, None, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +229,7 @@ def build_istrm(t: Term) -> Derivation:
 
 
 def _tof1(v: Val) -> Derivation:
-    return TYPOF_SIG.derive("tof1", {"v": v})
+    return TYPOF_SIG.derive("tof1", {"v": v}, (), _lit(v.vv))
 
 
 def _typed_at(td: Derivation, e: Term) -> None:
@@ -353,7 +324,7 @@ def term_of_sexpr(expr) -> Term:
 
 
 def term_to_sexpr(t: Term):
-    node = out_(t)
+    node = _trm_node(t)
     if node.ctor == LIT:
         return ["lit", node.payload[0]]
     a, b = node.rec
@@ -384,7 +355,7 @@ def _index_encoder():
     def term_text(t: Term) -> str:
         text = texts.get(id(t))
         if text is None:
-            node = t.root
+            node = _trm_node(t)
             if node.ctor == LIT:
                 text = f"(lit {sexpr._write_atom(node.payload[0])})"
             else:

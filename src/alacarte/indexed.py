@@ -43,10 +43,10 @@ read is read when they run.  All of this relies on rule expressions being
 pure: a rule monkeypatched after a derivation was built is not re-observed
 on that derivation.
 
-:func:`search` runs the rules that declare a ``subject`` pattern as a
-function from a context and a subject to an output: the table picks the
-rule.  Each family and root constructor gets its own search, generated from
-its rules' patterns on first use (see :func:`_compile_search`).
+:func:`search` runs the rules that declare a ``subject`` pattern, in the
+modes they fix (see :func:`_search_table`): the table picks the rule.  Each
+family and root constructor gets its own search, generated from its rules'
+patterns on first use (see :func:`_compile_search`).
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
@@ -91,9 +91,11 @@ class Rule:
     term the rule is about, which :func:`search` matches and ``derive``
     checks a supplied subject against: a constructor function (see
     ``kernel.Signature.constructor``) and its slots in declaration order, a
-    string binding a parameter and a tuple matching a nested constructor.
-    A rule made with a pattern by :func:`birule` has an
-    :class:`_AtSubject` conclusion.
+    string binding a parameter (``"v.vv"``: attribute ``vv`` of ``v``) and a
+    tuple matching a nested constructor; with one, :func:`birule` gives an
+    :class:`_AtSubject` conclusion.  ``defines`` are ``(parameter, (P,
+    subject) -> value)`` pairs that only :func:`search` runs, so a side
+    condition or the pattern must check what they bind.
     """
 
     family: int
@@ -103,6 +105,7 @@ class Rule:
     side_conditions: tuple[tuple[str, Callable[[Mapping], bool]], ...]
     conclusion: Callable[[Mapping], Any]
     subject: Any = None
+    defines: tuple[tuple[str, Callable[[Mapping, Any], Any]], ...] = ()
 
     def __post_init__(self):
         if self.subject is not None:
@@ -118,7 +121,7 @@ class Rule:
         return _compile_rule(self)
 
 
-def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None):
+def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None, define=()):
     """A rule of ``family`` whose ``premises`` are ``(family, index expression)`` pairs.
 
     With a ``subject`` pattern, ``conclusion`` takes ``(P, s)``: ``s`` is
@@ -128,7 +131,7 @@ def birule(family, name, params=(), premises=(), side=(), conclusion=None, subje
         raise ValueError(f"rule {name!r} needs a conclusion expression")
     if subject is not None:
         conclusion = _AtSubject(subject, conclusion)
-    return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject)
+    return Rule(family, name, tuple(params), tuple(premises), tuple(side), conclusion, subject, tuple(define))
 
 
 def _check_heads(name, pattern):
@@ -141,9 +144,9 @@ def _check_heads(name, pattern):
         patterns += [slot for slot in slots if slot.__class__ is tuple]
 
 
-def rule(name, params=(), premises=(), side=(), conclusion=None, subject=None):
+def rule(name, params=(), premises=(), side=(), conclusion=None, subject=None, define=()):
     """A family-1 rule whose premise index expressions all recurse into family 1."""
-    return birule(1, name, params, [(1, ix) for ix in premises], side, conclusion, subject)
+    return birule(1, name, params, [(1, ix) for ix in premises], side, conclusion, subject, define)
 
 
 class _AtSubject:
@@ -161,7 +164,19 @@ class _AtSubject:
 
 def _build(pattern, P):
     """The term ``pattern`` describes, its parameters read from ``P``."""
-    return pattern[0](*[_build(x, P) if x.__class__ is tuple else P[x] for x in pattern[1:]])
+    return pattern[0](*[_build(x, P) if x.__class__ is tuple else _read(x, P) for x in pattern[1:]])
+
+
+def _read(slot: str, P):
+    """The value of a pattern slot: parameter ``slot``, or for ``"v.vv"`` attribute ``vv`` of ``v``."""
+    name, dot, attr = slot.partition(".")
+    return getattr(P[name], attr) if dot else P[name]
+
+
+def _read_src(slot: str) -> str:
+    """Source reading ``slot`` from ``P``, as :func:`_read` does."""
+    name, dot, attr = slot.partition(".")
+    return f"P[{name!r}]{dot}{attr}"
 
 
 @value_class
@@ -197,13 +212,20 @@ _certify = vars(Derivation)["_certified"].__set__
 _new_dnode = DNode._positional
 
 
+# the roles of an index's positions that :func:`search` runs; an index of one role is that value itself
+_LAYOUTS = (("context", "subject", "output"), ("subject", "output"), ("subject",))
+
+
 class IndexedSignature(ByIdentity):
     """Rule names must be unique; compares by identity, and a copy of one is itself."""
 
     _witness = "a derivation"  # how the checker names a witness of family {}
 
-    def __init__(self, name: str, rules: Iterable[Rule]):
+    def __init__(self, name: str, rules: Iterable[Rule], layout=_LAYOUTS[0]):
+        if layout not in _LAYOUTS:
+            raise ValueError(f"{name}: index layout {layout!r} is not one of {', '.join(map(repr, _LAYOUTS))}")
         self.name = name
+        self.layout = layout
         self.rules: dict[str, Rule] = {}
         for r in rules:
             if r.name in self.rules:
@@ -247,13 +269,14 @@ def search(sig: IndexedSignature, family: int, context, subject):
     """The ``(output, derivation)`` of ``context |- subject => output`` in ``family``, or None.
 
     A rule applies when its ``subject`` pattern matches, with ``context``
-    bound to its first parameter; its side conditions hold, run once in
-    order; and each premise in turn has a result, which binds the next
-    parameter left unbound; premise subjects are terms of the subject's
-    signature.  Every candidate is tried, and two that apply raise
-    :class:`OverlappingRulesError`; the one that applies is built by
-    ``sig.derive``, given ``subject``.  A subject that is not a term of a
-    signature some pattern of ``sig`` is over raises ``TypeError``.
+    bound to its first parameter if ``sig.layout`` has one; its side
+    conditions hold, run once in order; and each premise in turn has a
+    result, which binds the next parameter left unbound or equals the output
+    the premise fixes; premise subjects are terms of the subject's signature.
+    Every candidate is tried, and two that apply raise :class:`OverlappingRulesError`;
+    the one that applies is built by its rule's ``derive``, given ``subject``.
+    The output is None in a layout without one.  A subject that is not a
+    term of a signature some pattern of ``sig`` is over raises ``TypeError``.
     """
     if subject.__class__ is not Term or (table := sig._search_tables.get(subject.sig)) is None:
         table = _search_table(sig, subject)
@@ -267,9 +290,9 @@ class _SearchTable(dict):
     patterns already translated; a key without candidates finds nothing.
     """
 
-    def __init__(self, candidates: dict):
+    def __init__(self, candidates: dict, layout: tuple):
         super().__init__()
-        self.candidates = candidates
+        self.candidates, self.layout = candidates, layout
 
     def __missing__(self, key):
         found = self[key] = _compile_search(self, self.candidates[key]) if key in self.candidates else _no_rule
@@ -283,27 +306,32 @@ def _no_rule(sig, context, subject):
 def _search_table(sig, subject) -> _SearchTable:
     """``search``'s table for subjects of ``subject``'s signature; nothing is generated yet.
 
-    A premise index must give the premise's context, subject and bare output,
-    and the rule must leave one parameter unbound per premise; a rule that
-    leaves another number unbound is rejected here, naming it.  A subject
-    that no pattern of ``sig`` is over is rejected with ``TypeError``, and no
-    table is kept for it.
+    Each definition must bind a parameter that nothing before it binds.  The
+    parameters still unbound are the premises' bare outputs, one per premise;
+    with none, each premise fixes its output, or the layout has none.  A rule
+    that breaks these is rejected here, naming it.  A subject that no pattern
+    of ``sig`` is over is rejected with ``TypeError``, and no table is kept for it.
     """
     term_sig = subject.sig if subject.__class__ is Term else None
     candidates: dict = {}
     for r in sig.rules.values():
         if r.subject is not None and r.subject[0].sig is term_sig:
-            bound, tests, binds = {r.params[0]}, [], []
+            binds = [(r.params[0], "context")] if "context" in sig.layout else []
+            bound, tests = {p for p, _ in binds}, []
             _pattern(r.subject, ("rec", "payload"), bound, tests, binds)
+            for p, _ in r.defines:
+                if p not in r.params or p in bound:
+                    raise ValueError(f"{sig.name}.{r.name}: defines {p!r}, which is bound already or no parameter")
+                bound.add(p)
             outputs = [p for p in r.params if p not in bound]
-            if len(outputs) != len(r.premises):
+            if outputs and (len(outputs) != len(r.premises) or "output" not in sig.layout):
                 raise ValueError(f"{sig.name}.{r.name}: unbound parameters {outputs} do not match its premises")
-            premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs))
+            premises = tuple((fam, ix, out) for (fam, ix), out in zip(r.premises, outputs or [None] * len(r.premises)))
             candidates.setdefault((r.family, r.subject[0].ctor), []).append((r, tests, binds, premises))
     if not candidates:
-        what = f"a term of {term_sig.name}" if term_sig else f"a value of type {type(subject).__name__}"
-        raise TypeError(f"{sig.name} has no rule whose subject is {what}")
-    table = sig._search_tables[term_sig] = _SearchTable(candidates)
+        what = f"{subject.root.ctor!r} of {term_sig.name}" if term_sig else f"a value of type {type(subject).__name__}"
+        raise TypeError(f"{sig.name} has no rule for {what}")
+    table = sig._search_tables[term_sig] = _SearchTable(candidates, sig.layout)
     return table
 
 
@@ -312,8 +340,8 @@ def _pattern(pattern, slots, bound: set, tests: list, binds: list):
 
     Appends to ``tests`` the test of each nested constructor, outer ones
     first, which also names that nested node; and to ``binds`` each
-    ``(parameter, slot expression)``: the node's rec slots, its payload
-    slots, then its nested patterns' binds, in order.
+    ``(slot, slot expression)``: the node's rec slots, its payload slots,
+    then its nested patterns' binds, in order; to ``bound``, their parameters.
     """
     rec, payload = [], []
     nested = []
@@ -327,7 +355,8 @@ def _pattern(pattern, slots, bound: set, tests: list, binds: list):
             tests.append(f"({node} := {slots[0]}[{at}].root).ctor == {slot[0].ctor!r}")
             nested.append((slot, (f"{node}.rec", f"{node}.payload")))
         else:
-            bound.add(slot)
+            if "." not in slot:
+                bound.add(slot)
             (payload if in_payload else rec).append((slot, f"{slots[in_payload]}[{at}]"))
     binds += rec + payload
     for slot, inner in nested:
@@ -335,7 +364,8 @@ def _pattern(pattern, slots, bound: set, tests: list, binds: list):
 
 
 def _ill_moded(sig, r, out):
-    return ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} third")
+    where = ("first", "second", "third")[sig.layout.index("output")]  # the layout's output position
+    return ValueError(f"{sig.name}.{r.name}: a premise index does not put {out!r} {where}")
 
 
 def _overlapping(sig, first, second):
@@ -347,60 +377,57 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
 
     Each candidate, in order, tests every nested constructor, then builds
     ``P`` in one dict display, runs the side conditions in order, and for
-    each premise reads its index once and searches it through ``table``.
-    Every candidate is tried, and a second that applies raises
-    :class:`OverlappingRulesError`; the one that applies is built by
-    ``sig.derive``, given the subject.
+    each premise reads its index once and searches it through ``table``; a
+    rule with definitions runs them after its premises, and then its side
+    conditions.  Every candidate is tried, and a second that applies raises
+    :class:`OverlappingRulesError`; the one that applies is built by its rule's compiled ``derive``.
     """
-    env = {
-        "_OUT": _OUT,
-        "_table": table,
-        "_ill_moded": _ill_moded,
-        "_overlapping": _overlapping,
-    }
-
-    def const(value) -> str:
-        """``value`` as source: a literal string or int, or a name bound to it in ``env``."""
-        if value.__class__ in (str, int):
-            return repr(value)
-        env[name := f"_const{len(env)}"] = value
-        return name
-
+    layout = table.layout
+    env = {"_OUT": _OUT, "_table": table, "_derives": {}, "_ill_moded": _ill_moded, "_overlapping": _overlapping}
     src = ["def search(sig, context, subject):", "    rec, payload = subject.root.rec, subject.root.payload", "    found = None"]
     for j, (r, tests, binds, premises) in enumerate(candidates):
-        env[f"_rule{j}"], env[f"_name{j}"] = r, r.name
+        env[f"_rule{j}"], env[f"_name{j}"], env["_derives"][r.name] = r, r.name, r.compiled[1]
         at = "    "
         if tests:
             src.append(f"{at}if {' and '.join(tests)}:")
             at += "    "
-        entries = "".join(f"{const(k)}: {v}, " for k, v in [(r.params[0], "context"), *binds])
-        src.append(f"{at}P = {{{entries}}}")
-        if r.side_conditions:
-            for i, (_, pred) in enumerate(r.side_conditions):
-                env[f"_side{j}_{i}"] = pred
-            src.append(f"{at}if {' and '.join(f'_side{j}_{i}(P)' for i in range(len(r.side_conditions)))}:")
+        src.append(f"{at}P = {{{''.join(f'{k!r}: {v}, ' for k, v in binds if '.' not in k)}}}")
+        for i, (_, pred) in enumerate(r.side_conditions):
+            env[f"_side{j}_{i}"] = pred
+        sides = f"if {' and '.join(f'_side{j}_{i}(P)' for i in range(len(r.side_conditions)))}:"
+        if r.side_conditions and not r.defines:
+            src.append(f"{at}{sides}")
             at += "    "
         for i, (family, ix, out) in enumerate(premises):
             env[f"_ix{j}_{i}"] = ix
-            out = const(out)
-            src += [
-                f"{at}P[{out}] = _OUT",
-                f"{at}context{i}, subject{i}, bare = _ix{j}_{i}(P)",
-                f"{at}if bare is not _OUT:",
-                f"{at}    raise _ill_moded(sig, _rule{j}, {out})",
-                f"{at}sub = _table[{const(family)}, subject{i}.root.ctor](sig, context{i}, subject{i})",
-                f"{at}if sub:",
-                f"{at}    P[{out}], w{i} = sub",
-            ]
+            names = {"context": f"context{i}", "subject": f"subject{i}", "output": f"out{i}" if out is None else "bare"}
+            context = f"context{i}" if "context" in layout else "None"
+            if out is None:  # the premise fixes its output, or the layout has none
+                fits = f" and (sub[0] is out{i} or sub[0] == out{i})" if "output" in layout else ""
+                unbind, check, bind = [], [], f"w{i} = sub[1]"
+            else:
+                unbind, fits, bind = [f"P[{out!r}] = _OUT"], "", f"P[{out!r}], w{i} = sub"
+                check = ["if bare is not _OUT:", f"    raise _ill_moded(sig, _rule{j}, {out!r})"]
+            index = f"{', '.join(names[role] for role in layout)} = _ix{j}_{i}(P)"
+            call = f"sub = _table[{family!r}, subject{i}.root.ctor](sig, {context}, subject{i})"
+            src += [at + line for line in (*unbind, index, *check, call, f"if sub{fits}:", f"    {bind}")]
+            at += "    "
+        for i, (p, define) in enumerate(r.defines):
+            env[f"_def{j}_{i}"] = define
+            src.append(f"{at}P[{p!r}] = _def{j}_{i}(P, subject)")
+        if r.side_conditions and r.defines:  # after the definitions, which they may check
+            src.append(f"{at}{sides}")
             at += "    "
         if j:
             src += [f"{at}if found is not None:", f"{at}    raise _overlapping(sig, found[0], _name{j})"]
         src.append(f"{at}found = _name{j}, P, ({''.join(f'w{i}, ' for i in range(len(premises)))})")
+    output = f"d.root.conclusion[{layout.index('output')}]" if "output" in layout else "None"
     src += [
         "    if found is None:",
         "        return None",
-        "    d = sig.derive(*found, subject)",
-        "    return d.root.conclusion[2], d",
+        "    rule_name, P, witnesses = found",
+        "    d = _derives[rule_name](sig, rule_name, P, witnesses, subject)",
+        f"    return {output}, d",
     ]
     return run_generated("\n".join(src) + "\n", env)["search"]
 
@@ -454,7 +481,7 @@ def _fit_src(pattern) -> str:
         "s.__class__ is _Term and s.sig is _tsig",
         f"(t := s.root).ctor == {pattern[0].ctor!r}",
         *tests,
-        *(f"({x} is P[{p!r}] or {x} == P[{p!r}])" for p, x in binds),
+        *(f"({x} is {_read_src(p)} or {x} == {_read_src(p)})" for p, x in binds),
     ])
 
 

@@ -175,6 +175,14 @@ def test_the_builders_reject_a_term_that_is_no_literal_or_addition_of_trm(t, wha
             build(t)
 
 
+@pytest.mark.parametrize("t, what", _foreign_terms())
+def test_the_printers_and_lit_value_reject_a_node_of_another_signature(t, what):
+    # neither a bare unpacking error nor, for a literal of another coproduct, ``TRM``'s ``(lit 3)`` or its payload
+    for read in (arith.print_term, arith.encode_index, arith.lit_value):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{what} is not a node of arith.TRM')}$"):
+            read(t)
+
+
 # ---------------------------------------------------------------------------
 # preservation
 

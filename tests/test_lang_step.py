@@ -573,8 +573,8 @@ def test_a_pattern_nested_two_deep_tests_each_level_before_binding_it():
 @pytest.mark.parametrize(
     "stepper, subject, what",
     [
-        (step_exp, arith.lit(1), "a term of (trm_g1+trm_g2)"),
-        (step_dec, arith.lit(1), "a term of (trm_g1+trm_g2)"),
+        (step_exp, arith.lit(1), "'inl:lit' of (trm_g1+trm_g2)"),
+        (step_dec, arith.lit(1), "'inl:lit' of (trm_g1+trm_g2)"),
         (step_exp, 3, "a value of type int"),
         (step_exp, vr("x").root, "a value of type Node"),
         (step_dec, None, "a value of type NoneType"),
@@ -585,5 +585,5 @@ def test_search_rejects_a_subject_no_rule_is_over_and_keeps_no_table(stepper, su
     for _ in range(2):
         with pytest.raises(TypeError) as exc:
             stepper(EMPTY_ENV, subject)
-        assert str(exc.value) == f"Step has no rule whose subject is {what}"
+        assert str(exc.value) == f"Step has no rule for {what}"
     assert STEP_SIG._search_tables == tables

@@ -3,10 +3,10 @@
 A producer that holds the term a rule instance is about passes it to
 ``derive``, which checks that it fits the rule's pattern and concludes at
 that very object.  Over the first 300 seed-1 ``lang-fuzz`` configurations,
-stepped under subject reduction, and a seeded arith corpus, every node with
-a subject pattern that the builders, the stepper, the typechecker and
-subject reduction build has a subject index that ``is`` the term it was
-derived for: the root's is the producer's term, and a premise's is the
+stepped under subject reduction, and a seeded arith corpus, every node that
+the builders, the stepper, the typechecker and subject reduction build (every
+rule has a subject pattern, ``tof1`` too) has a subject index that ``is`` the
+term it was derived for: the root's is the producer's term, and a premise's is the
 subject of the index its parent stored for it.  ``derive`` now trusts that
 fit check, so each derivation is also copied without its certificates and
 the copy must pass ``validate``, which rebuilds every subject from its
@@ -76,18 +76,15 @@ def test_every_node_concludes_at_the_term_it_was_derived_for(corpus):
         while stack:
             d, term = stack.pop()
             n = d.root
-            if d.sig.rules[n.rule].subject is None:  # ``tof1``: it builds its literal
-                continue
             assert _subject(n.conclusion) is term, n.rule
             checked[n.rule] = checked.get(n.rule, 0) + 1
             stack.extend((w, _subject(ix)) for _, ix, w in n.premises)
-    patterned = [
+    rules = [
         name
         for sig in (arith.EVAL_SIG, arith.TYPOF_SIG, arith.ISTRM_SIG, *{d.sig for d, _ in corpus})
         for name, r in sig.rules.items()
-        if r.subject is not None
     ]
-    assert sorted(checked) == sorted(set(patterned))
+    assert sorted(checked) == sorted(set(rules))
 
 
 def _uncertified(d):
