@@ -24,9 +24,10 @@ Each rule instance is built and checked in one call.
 ``din(sig.dnode(rule_name, params, witnesses))``: it computes the indices,
 runs the side conditions on ``params``, links each witness to the index it
 just computed, and returns the derivation, certified when every premise
-witness is certified too.  Every node the library builds is built so:
-``derive`` is the one trusted producer.  Given the term a rule's
-``subject`` pattern describes, it concludes at that object, not a copy.
+witness is certified too.  Every node the library builds is built so, or
+by :func:`search`, which fills it as ``derive`` does (:func:`_instance_src`)
+without checking again what its matching checked.  Given the term a rule's
+``subject`` pattern describes, each concludes at that object, not a copy.
 ``dnode`` and ``din`` stay for hand-built nodes, and ``din`` and
 ``validate`` check every node they are handed in full, whoever built it,
 building each subject from its pattern.  ``validate`` stops at certified
@@ -173,10 +174,11 @@ def _read(slot: str, P):
     return getattr(P[name], attr) if dot else P[name]
 
 
-def _read_src(slot: str) -> str:
-    """Source reading ``slot`` from ``P``, as :func:`_read` does."""
+def _fits_src(slot: str, x: str, P: str = "P") -> str:
+    """Source testing that the slot expression ``x`` ``is`` or ``==`` what ``slot`` reads in the mapping ``P`` (see :func:`_read`)."""
     name, dot, attr = slot.partition(".")
-    return f"P[{name!r}]{dot}{attr}"
+    read = f"{P}[{name!r}]{dot}{attr}"
+    return f"({x} is {read} or {x} == {read})"
 
 
 @value_class
@@ -251,7 +253,7 @@ class IndexedSignature(ByIdentity):
         signature and constructors, then each slot ``is`` or ``==`` its
         parameter.  The conclusion is then at ``subject`` itself.  A subject
         that does not fit, or any subject given to a rule without a pattern,
-        raises :class:`InvalidDerivationError` naming the rule.
+        raises :class:`InvalidDerivationError` naming the rule.  :func:`search` fills its own nodes.
         """
         r = self.rules.get(rule_name)
         if r is None:
@@ -273,8 +275,9 @@ def search(sig: IndexedSignature, family: int, context, subject):
     conditions hold, run once in order; and each premise in turn has a
     result, which binds the next parameter left unbound or equals the output
     the premise fixes; premise subjects are terms of the subject's signature.
-    Every candidate is tried, and two that apply raise :class:`OverlappingRulesError`;
-    the one that applies is built by its rule's ``derive``, given ``subject``.
+    Every candidate is tried, and two that apply raise :class:`OverlappingRulesError`.
+    The one that applies is filled here, as its rule's ``derive`` fills it at
+    ``subject``, running no side condition or premise index a second time.
     The output is None in a layout without one.  A subject that is not a
     term of a signature some pattern of ``sig`` is over raises ``TypeError``.
     """
@@ -375,26 +378,30 @@ def _overlapping(sig, first, second):
 def _compile_search(table: _SearchTable, candidates) -> Callable:
     """The search of one ``(family, root constructor)``: ``search(sig, context, subject)``.
 
-    Each candidate, in order, tests every nested constructor, then builds
-    ``P`` in one dict display, runs the side conditions in order, and for
-    each premise reads its index once and searches it through ``table``; a
-    rule with definitions runs them after its premises, and then its side
-    conditions.  Every candidate is tried, and a second that applies raises
-    :class:`OverlappingRulesError`; the one that applies is built by its rule's compiled ``derive``.
+    Each candidate ``j``, in order, tests every nested constructor, then
+    builds ``P{j}`` in one dict display, runs the side conditions in order,
+    and for each premise reads its index once and searches it through
+    ``table``; a rule with definitions runs them after its premises, and
+    then its side conditions.  Every candidate is tried, and a second that
+    applies raises :class:`OverlappingRulesError`.  The one that applies is
+    filled here by :func:`_instance_src`, running nothing again: a premise
+    stores the index it read, with its output bound, and only a dotted slot,
+    which binds nothing, and each child link are checked as ``derive`` checks them.
     """
     layout = table.layout
-    env = {"_OUT": _OUT, "_table": table, "_derives": {}, "_ill_moded": _ill_moded, "_overlapping": _overlapping}
+    env = {"_OUT": _OUT, "_table": table, "_ill_moded": _ill_moded, "_overlapping": _overlapping, "_unfit": _unfit, "_child_mismatch": _child_mismatch}
     src = ["def search(sig, context, subject):", "    rec, payload = subject.root.rec, subject.root.payload", "    found = None"]
+    fills, output = [], f"n.conclusion[{layout.index('output')}]" if "output" in layout else "None"
     for j, (r, tests, binds, premises) in enumerate(candidates):
-        env[f"_rule{j}"], env[f"_name{j}"], env["_derives"][r.name] = r, r.name, r.compiled[1]
+        env[f"_rule{j}"], env[f"_name{j}"], P = r, r.name, f"P{j}"
         at = "    "
         if tests:
             src.append(f"{at}if {' and '.join(tests)}:")
             at += "    "
-        src.append(f"{at}P = {{{''.join(f'{k!r}: {v}, ' for k, v in binds if '.' not in k)}}}")
+        src.append(f"{at}{P} = {{{''.join(f'{k!r}: {v}, ' for k, v in binds if '.' not in k)}}}")
         for i, (_, pred) in enumerate(r.side_conditions):
             env[f"_side{j}_{i}"] = pred
-        sides = f"if {' and '.join(f'_side{j}_{i}(P)' for i in range(len(r.side_conditions)))}:"
+        sides = f"if {' and '.join(f'_side{j}_{i}({P})' for i in range(len(r.side_conditions)))}:"
         if r.side_conditions and not r.defines:
             src.append(f"{at}{sides}")
             at += "    "
@@ -404,31 +411,36 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
             context = f"context{i}" if "context" in layout else "None"
             if out is None:  # the premise fixes its output, or the layout has none
                 fits = f" and (sub[0] is out{i} or sub[0] == out{i})" if "output" in layout else ""
-                unbind, check, bind = [], [], f"w{i} = sub[1]"
-            else:
-                unbind, fits, bind = [f"P[{out!r}] = _OUT"], "", f"P[{out!r}], w{i} = sub"
+                unbind, check, bind = [], [], [f"w{j}_{i} = sub[1]"]
+            else:  # its index is the one read, with the output bound
+                own = ", ".join(f"{P}[{out!r}]" if role == "output" else names[role] for role in layout)
+                unbind, fits, bind = [f"{P}[{out!r}] = _OUT"], "", [f"{P}[{out!r}], w{j}_{i} = sub", f"ix{j}_{i} = ({own}, )"]
                 check = ["if bare is not _OUT:", f"    raise _ill_moded(sig, _rule{j}, {out!r})"]
-            index = f"{', '.join(names[role] for role in layout)} = _ix{j}_{i}(P)"
+            index = f"{', '.join(names[role] for role in layout)} = {'' if out else f'ix{j}_{i} = '}_ix{j}_{i}({P})"
             call = f"sub = _table[{family!r}, subject{i}.root.ctor](sig, {context}, subject{i})"
-            src += [at + line for line in (*unbind, index, *check, call, f"if sub{fits}:", f"    {bind}")]
+            src += [at + line for line in (*unbind, index, *check, call, f"if sub{fits}:", *("    " + b for b in bind))]
             at += "    "
         for i, (p, define) in enumerate(r.defines):
             env[f"_def{j}_{i}"] = define
-            src.append(f"{at}P[{p!r}] = _def{j}_{i}(P, subject)")
+            src.append(f"{at}{P}[{p!r}] = _def{j}_{i}({P}, subject)")
         if r.side_conditions and r.defines:  # after the definitions, which they may check
             src.append(f"{at}{sides}")
             at += "    "
         if j:
-            src += [f"{at}if found is not None:", f"{at}    raise _overlapping(sig, found[0], _name{j})"]
-        src.append(f"{at}found = _name{j}, P, ({''.join(f'w{i}, ' for i in range(len(premises)))})")
-    output = f"d.root.conclusion[{layout.index('output')}]" if "output" in layout else "None"
-    src += [
-        "    if found is None:",
-        "        return None",
-        "    rule_name, P, witnesses = found",
-        "    d = _derives[rule_name](sig, rule_name, P, witnesses, subject)",
-        f"    return {output}, d",
-    ]
+            src += [f"{at}if found is not None:", f"{at}    raise _overlapping(sig, found, _name{j})"]
+        src.append(f"{at}found = _name{j}")
+        last = j == len(candidates) - 1
+        fills += [] if last else [f"    if found is _name{j}:"]
+        at = "    " if last else "        "
+        if dotted := [_fits_src(p, x, P) for p, x in binds if "." in p]:  # the nested tests name their nodes again
+            fills += [f"{at}if not ({' and '.join(tests + dotted)}):", f"{at}    raise _unfit(sig, _name{j}, _rule{j})"]
+        env[f"_conclusion{j}"] = r.conclusion
+        conclusion = _at_src(r, env, j, P, "subject") or f"_conclusion{j}({P})"
+        links, indices = [], [f"ix{j}_{i}" for i in range(len(premises))]
+        for i, ix in enumerate(indices):  # each child concludes at the index its premise asked for
+            links += [f"{at}if (c := w{j}_{i}.root.conclusion) is not {ix} and c != {ix}:", f"{at}    raise _child_mismatch(n, {i}, {ix}, w{j}_{i})"]
+        fills += [*_instance_src(r, env, f"_name{j}", P, indices, f"w{j}_", conclusion, "True", links, at), f"{at}return {output}, d"]
+    src += ["    if found is None:", "        return None", *fills]
     return run_generated("\n".join(src) + "\n", env)["search"]
 
 
@@ -481,7 +493,7 @@ def _fit_src(pattern) -> str:
         "s.__class__ is _Term and s.sig is _tsig",
         f"(t := s.root).ctor == {pattern[0].ctor!r}",
         *tests,
-        *(f"({x} is {_read_src(p)} or {x} == {_read_src(p)})" for p, x in binds),
+        *(_fits_src(p, x) for p, x in binds),
     ])
 
 
@@ -490,6 +502,27 @@ def _child_mismatch(n, i, stored, w):
         f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
         f"child concludes {w.root.conclusion!r}"
     )
+
+
+def _at_src(r, env, tag, P: str, s: str) -> str | None:
+    """``r``'s conclusion at the subject ``s`` if its own pattern gives it: a copy given another keeps the one its checker builds."""
+    if r.subject is not None and isinstance(r.conclusion, _AtSubject) and r.conclusion.pattern is r.subject:
+        env[f"_at{tag}"] = r.conclusion.at
+        return f"_at{tag}({P}, {s})"
+
+
+def _instance_src(r, env, rule_name: str, P: str, indices, w: str, conclusion: str, certified=None, checks=(), at="    "):
+    """Lines filling ``n``, ``r``'s :class:`DNode` at the mapping ``P``, then ``checks`` and ``d``, its :class:`Derivation`.
+
+    The one place that knows both layouts.  Arguments are source, premise ``i``'s witness is ``{w}{i}``,
+    and with no ``certified`` the lines stop at ``n``.
+    """
+    params = "".join(f"({p!r}, {P}[{p!r}]), " for p in r.params)
+    premises = "".join(f"({fam!r}, {ix}, {w}{i}), " for i, ((fam, _), ix) in enumerate(zip(r.premises, indices, strict=True)))
+    node = fill_src(DNode, "n", ["sig", repr(r.family), rule_name, f"({params})", f"({premises})", conclusion], env, at)
+    if certified is None:
+        return node
+    return [*node, *checks, *fill_src(Derivation, "d", ["sig", "n", certified], env, at)]
 
 
 def _compile_rule(r):
@@ -504,16 +537,15 @@ def _compile_rule(r):
     returns the :class:`Derivation`, certified when every witness is.  Given
     a subject, ``derive`` first tests that it fits the rule's pattern (see
     :func:`_fit_src`) and concludes with the conclusion's ``at`` on it.
-    Index expressions and side conditions are called, never inlined;
-    rejections are raised in ``din(dnode(...))``'s order, with its
-    messages.  Rules of the same shape generate the same source, which
-    ``run_generated`` compiles once.
+    Both fill through :func:`_instance_src`.  Index expressions and side
+    conditions are called, never inlined; rejections are raised in
+    ``din(dnode(...))``'s order, with its messages.  Rules of the same shape
+    and families generate the same source, which ``run_generated`` compiles once.
     """
     k = len(r.premises)
     env = {
         "_DNode": DNode,
         "_rule": r,
-        "_family": r.family,
         "_param_set": frozenset(r.params),
         "_conclusion": r.conclusion,
         "_params_mismatch": _params_mismatch,
@@ -525,10 +557,7 @@ def _compile_rule(r):
         "_Term": Term,
         "_unfit": _unfit,
     }
-    for i, (family, ix) in enumerate(r.premises):
-        env[f"_fam{i}"], env[f"_ix{i}"] = family, ix
-    params = "".join(f"({p!r}, P[{p!r}]), " for p in r.params)
-    premises = "".join(f"(_fam{i}, (ix{i} := _ix{i}(P)), w{i}), " for i in range(k))
+    env.update((f"_ix{i}", ix) for i, (_, ix) in enumerate(r.premises))
     instantiate = [
         "    if P.keys() != _param_set:",
         "        raise _params_mismatch(sig, rule_name, P, _rule)",
@@ -538,25 +567,23 @@ def _compile_rule(r):
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
     ]
-    node = lambda conclusion: fill_src(DNode, "n", ["sig", "_family", "rule_name", f"({params})", f"({premises})", conclusion], env)
+    indices = [f"(ix{i} := _ix{i}(P))" for i in range(k)]
     fit, conclusion = "s is not None", "_conclusion(P)"
     if r.subject is not None:
         env["_tsig"] = r.subject[0].sig
         fit = f"s is not None and not ({_fit_src(r.subject)})"
-        # a copy given another pattern keeps the conclusion its checker builds
-        if isinstance(r.conclusion, _AtSubject) and r.conclusion.pattern is r.subject:
-            env["_at"] = r.conclusion.at
-            conclusion = "_conclusion(P) if s is None else _at(P, s)"
+        if at := _at_src(r, env, "", "P", "s"):
+            conclusion = f"_conclusion(P) if s is None else {at}"
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
         env[f"_side{i}"], env[f"_label{i}"] = pred, label
         checks += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
-    for i in range(k):
+    for i, (family, _) in enumerate(r.premises):
         checks += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
             f" or not isinstance(r{i} := w{i}.root, _DNode)"
-            f" or r{i}.sig is not sig or r{i}.family != _fam{i}):",
-            f"        raise _not_a_witness(n, {i}, _fam{i})",
+            f" or r{i}.sig is not sig or r{i}.family != {family!r}):",
+            f"        raise _not_a_witness(n, {i}, {family!r})",
             f"    if r{i}.conclusion != ix{i}:",
             f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
         ]
@@ -564,15 +591,13 @@ def _compile_rule(r):
     src = [
         "def build(sig, rule_name, P, witnesses):",
         *instantiate,
-        *node("_conclusion(P)"),
+        *_instance_src(r, env, "rule_name", "P", indices, "w", "_conclusion(P)"),
         "    return n",
         "def derive(sig, rule_name, P, witnesses, s):",
         *instantiate,
         f"    if {fit}:",
         "        raise _unfit(sig, rule_name, _rule)",
-        *node(conclusion),
-        *checks,
-        *fill_src(Derivation, "d", ["sig", "n", certified], env),
+        *_instance_src(r, env, "rule_name", "P", indices, "w", conclusion, certified, checks),
         "    return d",
     ]
     run_generated("\n".join(src) + "\n", env)

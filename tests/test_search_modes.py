@@ -200,38 +200,85 @@ STEP_APPLY_SEARCH = """\
 def search(sig, context, subject):
     rec, payload = subject.root.rec, subject.root.payload
     found = None
-    P = {'rho': context, 'e1': rec[0], 'e2': rec[1], }
-    P['e1p'] = _OUT
-    context0, subject0, bare = _ix0_0(P)
+    P0 = {'rho': context, 'e1': rec[0], 'e2': rec[1], }
+    P0['e1p'] = _OUT
+    context0, subject0, bare = _ix0_0(P0)
     if bare is not _OUT:
         raise _ill_moded(sig, _rule0, 'e1p')
     sub = _table[2, subject0.root.ctor](sig, context0, subject0)
     if sub:
-        P['e1p'], w0 = sub
-        found = _name0, P, (w0, )
-    P = {'rho': context, 'v1': rec[0], 'e2': rec[1], }
-    if _side1_0(P):
-        P['e2p'] = _OUT
-        context0, subject0, bare = _ix1_0(P)
+        P0['e1p'], w0_0 = sub
+        ix0_0 = (context0, subject0, P0['e1p'], )
+        found = _name0
+    P1 = {'rho': context, 'v1': rec[0], 'e2': rec[1], }
+    if _side1_0(P1):
+        P1['e2p'] = _OUT
+        context0, subject0, bare = _ix1_0(P1)
         if bare is not _OUT:
             raise _ill_moded(sig, _rule1, 'e2p')
         sub = _table[2, subject0.root.ctor](sig, context0, subject0)
         if sub:
-            P['e2p'], w0 = sub
+            P1['e2p'], w1_0 = sub
+            ix1_0 = (context0, subject0, P1['e2p'], )
             if found is not None:
-                raise _overlapping(sig, found[0], _name1)
-            found = _name1, P, (w0, )
+                raise _overlapping(sig, found, _name1)
+            found = _name1
     if (m0 := rec[0].root).ctor == 'closure':
-        P = {'rho': context, 'v': rec[1], 'eb': m0.rec[0], 'rho0': m0.payload[0], 'p': m0.payload[1], }
-        if _side2_0(P) and _side2_1(P):
+        P2 = {'rho': context, 'v': rec[1], 'eb': m0.rec[0], 'rho0': m0.payload[0], 'p': m0.payload[1], }
+        if _side2_0(P2) and _side2_1(P2):
             if found is not None:
-                raise _overlapping(sig, found[0], _name2)
-            found = _name2, P, ()
+                raise _overlapping(sig, found, _name2)
+            found = _name2
     if found is None:
         return None
-    rule_name, P, witnesses = found
-    d = _derives[rule_name](sig, rule_name, P, witnesses, subject)
-    return d.root.conclusion[2], d
+    if found is _name0:
+        n = _DNode_twin()
+        n.sig = sig
+        n.family = 2
+        n.rule = _name0
+        n.params = (('rho', P0['rho']), ('e1', P0['e1']), ('e1p', P0['e1p']), ('e2', P0['e2']), )
+        n.premises = ((2, ix0_0, w0_0), )
+        n.conclusion = _at0(P0, subject)
+        n.__class__ = _DNode_class
+        if (c := w0_0.root.conclusion) is not ix0_0 and c != ix0_0:
+            raise _child_mismatch(n, 0, ix0_0, w0_0)
+        d = _Derivation_twin()
+        d.sig = sig
+        d.root = n
+        d._certified = True
+        d.__class__ = _Derivation_class
+        return n.conclusion[2], d
+    if found is _name1:
+        n = _DNode_twin()
+        n.sig = sig
+        n.family = 2
+        n.rule = _name1
+        n.params = (('rho', P1['rho']), ('v1', P1['v1']), ('e2', P1['e2']), ('e2p', P1['e2p']), )
+        n.premises = ((2, ix1_0, w1_0), )
+        n.conclusion = _at1(P1, subject)
+        n.__class__ = _DNode_class
+        if (c := w1_0.root.conclusion) is not ix1_0 and c != ix1_0:
+            raise _child_mismatch(n, 0, ix1_0, w1_0)
+        d = _Derivation_twin()
+        d.sig = sig
+        d.root = n
+        d._certified = True
+        d.__class__ = _Derivation_class
+        return n.conclusion[2], d
+    n = _DNode_twin()
+    n.sig = sig
+    n.family = 2
+    n.rule = _name2
+    n.params = (('rho', P2['rho']), ('rho0', P2['rho0']), ('p', P2['p']), ('eb', P2['eb']), ('v', P2['v']), )
+    n.premises = ()
+    n.conclusion = _at2(P2, subject)
+    n.__class__ = _DNode_class
+    d = _Derivation_twin()
+    d.sig = sig
+    d.root = n
+    d._certified = True
+    d.__class__ = _Derivation_class
+    return n.conclusion[2], d
 """
 
 
