@@ -31,7 +31,6 @@ from .indexed import (
     WrongIndexError,
     cases,
     derivation_to_json,
-    dout,
     ifold,
     rule,
     search,
@@ -228,23 +227,29 @@ def build_istrm(t: Term) -> Derivation:
 # returning a typing derivation of lit(v.vv) at the same type.
 
 
+_TOF1 = TYPOF_SIG.rules["tof1"]
+
+
 def _tof1(v: Val) -> Derivation:
-    return TYPOF_SIG.derive("tof1", {"v": v}, (), _lit(v.vv))
+    """``tof1`` at the literal of ``v``, through the rule's compiled ``derive`` (compiled on first use)."""
+    return _TOF1.compiled[1](TYPOF_SIG, "tof1", {"v": v}, (), _lit(v.vv))
 
 
-def _typed_at(td: Derivation, e: Term) -> None:
-    if td.root.conclusion != (e, N):
-        raise WrongIndexError(f"typing derivation concludes {td.root.conclusion!r}, expected {(e, N)!r}")
+def _mistyped(td: Derivation, e: Term) -> WrongIndexError:
+    return WrongIndexError(f"typing derivation concludes {td.root.conclusion!r}, expected {(e, N)!r}")
 
 
 # The two proof cases of both routes: over ``EVAL_SIG``, at index ``(e, v)``,
 # and over ``ISTRM_SIG``, at index ``e``.  The evaluation route also checks
-# that its premise transformers agree with the premises' values.
+# that its premise transformers agree with the premises' values.  Each check
+# is inline, and a premise's literal is read as ``lit_value`` reads it, which
+# raises its error for anything else.
 def _literal_case(rec, w, node):
     e = w[0] if node.sig is EVAL_SIG else w
 
     def transform(td: Derivation) -> Derivation:
-        _typed_at(td, e)
+        if td.root.conclusion != (e, N):
+            raise _mistyped(td, e)
         return td  # validated, and it concludes (lit x, N): tof1 at this literal
 
     return transform
@@ -255,19 +260,23 @@ def _sum_case(rec, w, node):
     e = w[0] if evaluation else w
 
     def transform(td: Derivation) -> Derivation:
-        _typed_at(td, e)
-        tnode = dout(td)
+        tnode = td.root
+        if tnode.conclusion != (e, N):
+            raise _mistyped(td, e)
         if tnode.rule != "tof2":
             raise InvalidDerivationError(f"typing of an addition must end in tof2, got {tnode.rule}")
         (_, w1, h1), (_, w2, h2) = node.premises
         (_, _, td1), (_, _, td2) = tnode.premises
-        x1 = lit_value(rec(w1, h1)(td1).root.conclusion[0])
-        x2 = lit_value(rec(w2, h2)(td2).root.conclusion[0])
+        s1 = rec(w1, h1)(td1).root.conclusion[0]
+        x1 = m.payload[0] if (m := s1.root).sig is TRM and m.ctor == LIT else lit_value(s1)
+        s2 = rec(w2, h2)(td2).root.conclusion[0]
+        x2 = m.payload[0] if (m := s2.root).sig is TRM and m.ctor == LIT else lit_value(s2)
         if evaluation and not (  # only a Val index of the same value agrees
             w1[1].__class__ is Val and w1[1].vv == x1 and w2[1].__class__ is Val and w2[1].vv == x2
         ):
             raise InvalidDerivationError("premise transformers disagreed with indices")
-        return _tof1(_new_val(x1 + x2))
+        x = x1 + x2
+        return _TOF1.compiled[1](TYPOF_SIG, "tof1", {"v": _new_val(x)}, (), _lit(x))
 
     return transform
 
@@ -276,9 +285,15 @@ _preservation_step = cases(EVAL_SIG, {"ev1": _literal_case, "ev2": _sum_case})
 _istrm_preservation_step = cases(ISTRM_SIG, {"isLit": _literal_case, "isAdd": _sum_case})
 
 
-def _concludes(out: Derivation, expected) -> Derivation:
-    if out.root.conclusion != expected:
-        raise InvalidDerivationError(f"preservation concludes {out.root.conclusion!r}, expected {expected!r}")
+def _concludes(out: Derivation, x, t) -> Derivation:
+    """``out``, which must conclude at ``(lit x, t)``; a literal that is plainly that one is not built to be compared."""
+    c = out.root.conclusion
+    if c.__class__ is tuple and len(c) == 2 and c[1] is t and x.__class__ is int and (s := c[0]).__class__ is Term:
+        m = s.root
+        if s.sig is TRM and m.__class__ is Node and m.sig is TRM and m.ctor == LIT and m.rec == () and m.payload == (x,):
+            return out
+    if c != (expected := (_lit(x), t)):
+        raise InvalidDerivationError(f"preservation concludes {c!r}, expected {expected!r}")
     return out
 
 
@@ -289,9 +304,9 @@ def preservation(d: Derivation, td: Derivation) -> Derivation:
             raise InvalidDerivationError(x.reason)
     e, v = d.root.conclusion
     e2, t = td.root.conclusion
-    if e != e2:
+    if e is not e2 and e != e2:
         raise WrongIndexError("evaluation and typing derivations disagree on the term")
-    return _concludes(ifold(_preservation_step, (e, v), d)(td), (_lit(v.vv), t))
+    return _concludes(ifold(_preservation_step, (e, v), d)(td), v.vv, t)
 
 
 def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
@@ -301,9 +316,9 @@ def preservation_via_istrm(w: Derivation, td: Derivation) -> Derivation:
             raise InvalidDerivationError(x.reason)
     e = w.root.conclusion
     e2, t = td.root.conclusion
-    if e != e2:
+    if e is not e2 and e != e2:
         raise WrongIndexError("lifting and typing derivations disagree on the term")
-    return _concludes(ifold(_istrm_preservation_step, e, w)(td), (_lit(eval_(e).vv), t))
+    return _concludes(ifold(_istrm_preservation_step, e, w)(td), eval_(e).vv, t)
 
 
 # ---------------------------------------------------------------------------

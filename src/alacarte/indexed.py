@@ -51,7 +51,8 @@ patterns on first use (see :func:`_compile_search`).
 
 ``ifold`` is the indexed Mendler fold: the step procedure receives premise
 witnesses as opaque handles and may consume them only through the supplied
-``rec`` procedure, which also enforces index coherence.  ``hfold`` is its
+``rec`` procedure, which also enforces index coherence; at a node without
+premises that ``rec`` is the shared :func:`_leaf_rec`.  ``hfold`` is its
 many-family case: a ``kernel.SortedAlgebra`` with a step per family, each
 given a ``rec`` per family.  :func:`cases` builds such a step from one proof
 case per rule, and rejects a table that is not total over the signature's
@@ -384,9 +385,13 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
     ``table``; a rule with definitions runs them after its premises, and
     then its side conditions.  Every candidate is tried, and a second that
     applies raises :class:`OverlappingRulesError`.  The one that applies is
-    filled here by :func:`_instance_src`, running nothing again: a premise
-    stores the index it read, with its output bound, and only a dotted slot,
-    which binds nothing, and each child link are checked as ``derive`` checks them.
+    filled here by :func:`_instance_src`, running nothing again.  Only a
+    dotted slot, which binds nothing, and each child link are checked, as
+    ``derive`` checks them and before the fill: a child must conclude at the
+    index its premise read, with the output bound, which is built only to be
+    compared.  The premise then holds the child's own conclusion as its
+    index, not a new equal tuple; ``derive``, which trusts no witness it is
+    handed, stores the index it computed.
     """
     layout = table.layout
     env = {"_OUT": _OUT, "_table": table, "_ill_moded": _ill_moded, "_overlapping": _overlapping, "_unfit": _unfit, "_child_mismatch": _child_mismatch}
@@ -405,21 +410,26 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
         if r.side_conditions and not r.defines:
             src.append(f"{at}{sides}")
             at += "    "
+        links = []  # each child concludes at the index its premise asked for, checked before the fill
         for i, (family, ix, out) in enumerate(premises):
             env[f"_ix{j}_{i}"] = ix
-            names = {"context": f"context{i}", "subject": f"subject{i}", "output": f"out{i}" if out is None else "bare"}
-            context = f"context{i}" if "context" in layout else "None"
+            names = {role: f"{role}{j}_{i}" for role in layout}
+            context = names.get("context", "None")
             if out is None:  # the premise fixes its output, or the layout has none
-                fits = f" and (sub[0] is out{i} or sub[0] == out{i})" if "output" in layout else ""
+                fits = f" and (sub[0] is {names['output']} or sub[0] == {names['output']})" if "output" in layout else ""
                 unbind, check, bind = [], [], [f"w{j}_{i} = sub[1]"]
+                asked, differs = f"ix{j}_{i}", f"is not ix{j}_{i} and c{i} != ix{j}_{i}"
             else:  # its index is the one read, with the output bound
-                own = ", ".join(f"{P}[{out!r}]" if role == "output" else names[role] for role in layout)
-                unbind, fits, bind = [f"{P}[{out!r}] = _OUT"], "", [f"{P}[{out!r}], w{j}_{i} = sub", f"ix{j}_{i} = ({own}, )"]
+                names["output"] = "bare"
+                asked = f"({', '.join(f'{P}[{out!r}]' if role == 'output' else names[role] for role in layout)}, )"
+                unbind, fits, bind = [f"{P}[{out!r}] = _OUT"], "", [f"{P}[{out!r}], w{j}_{i} = sub"]
                 check = ["if bare is not _OUT:", f"    raise _ill_moded(sig, _rule{j}, {out!r})"]
+                differs = f"!= {asked}"
             index = f"{', '.join(names[role] for role in layout)} = {'' if out else f'ix{j}_{i} = '}_ix{j}_{i}({P})"
-            call = f"sub = _table[{family!r}, subject{i}.root.ctor](sig, {context}, subject{i})"
+            call = f"sub = _table[{family!r}, {names['subject']}.root.ctor](sig, {context}, {names['subject']})"
             src += [at + line for line in (*unbind, index, *check, call, f"if sub{fits}:", *("    " + b for b in bind))]
             at += "    "
+            links += [f"if (c{i} := w{j}_{i}.root.conclusion) {differs}:", f"    raise _child_mismatch(_name{j}, {i}, {asked}, w{j}_{i})"]
         for i, (p, define) in enumerate(r.defines):
             env[f"_def{j}_{i}"] = define
             src.append(f"{at}{P}[{p!r}] = _def{j}_{i}({P}, subject)")
@@ -436,10 +446,9 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
             fills += [f"{at}if not ({' and '.join(tests + dotted)}):", f"{at}    raise _unfit(sig, _name{j}, _rule{j})"]
         env[f"_conclusion{j}"] = r.conclusion
         conclusion = _at_src(r, env, j, P, "subject") or f"_conclusion{j}({P})"
-        links, indices = [], [f"ix{j}_{i}" for i in range(len(premises))]
-        for i, ix in enumerate(indices):  # each child concludes at the index its premise asked for
-            links += [f"{at}if (c := w{j}_{i}.root.conclusion) is not {ix} and c != {ix}:", f"{at}    raise _child_mismatch(n, {i}, {ix}, w{j}_{i})"]
-        fills += [*_instance_src(r, env, f"_name{j}", P, indices, f"w{j}_", conclusion, "True", links, at), f"{at}return {output}, d"]
+        indices = [f"c{i}" for i in range(len(premises))]  # a premise holds its child's own conclusion
+        fills += [*(at + line for line in links), *_instance_src(r, env, f"_name{j}", P, indices, f"w{j}_", conclusion, "True", (), at)]
+        fills.append(f"{at}return {output}, d")
     src += ["    if found is None:", "        return None", *fills]
     return run_generated("\n".join(src) + "\n", env)["search"]
 
@@ -497,9 +506,9 @@ def _fit_src(pattern) -> str:
     ])
 
 
-def _child_mismatch(n, i, stored, w):
+def _child_mismatch(rule_name, i, stored, w):
     return _Rejected(
-        f"rule {n.rule}: premise {i} expects conclusion {stored!r}, "
+        f"rule {rule_name}: premise {i} expects conclusion {stored!r}, "
         f"child concludes {w.root.conclusion!r}"
     )
 
@@ -585,7 +594,7 @@ def _compile_rule(r):
             f" or r{i}.sig is not sig or r{i}.family != {family!r}):",
             f"        raise _not_a_witness(n, {i}, {family!r})",
             f"    if r{i}.conclusion != ix{i}:",
-            f"        raise _child_mismatch(n, {i}, ix{i}, w{i})",
+            f"        raise _child_mismatch(rule_name, {i}, ix{i}, w{i})",
         ]
     certified = " and ".join(f"w{i}._certified" for i in range(k)) or "True"
     src = [
@@ -656,7 +665,7 @@ def _check_node(n) -> bool:
         ):
             raise _not_a_witness(n, i, fam)
         if w.root.conclusion != stored:
-            raise _child_mismatch(n, i, stored, w)
+            raise _child_mismatch(n.rule, i, stored, w)
         if not w._certified:
             certified = False
     return certified
@@ -749,32 +758,39 @@ def _wrong_index(wi, child):
 
 
 def _index_checking_rec(brand, recurse):
-    """The ``rec`` of ``istep_once`` and ``hstep_once``: open, check the index, recurse."""
+    """The ``rec`` of ``istep_once`` and ``hstep_once``: open, check the index (its identity first), recurse."""
 
     def rec(wi, h):
         child = open_handle(h, brand)
-        if child.root.conclusion != wi:
+        if (c := child.root.conclusion) is not wi and c != wi:
             raise _wrong_index(wi, child)
         return recurse(wi, child)
 
     return rec
 
 
+def _leaf_rec(wi, h):
+    """The ``rec`` of every family at a level without premises: it issued no handle, so each one is foreign."""
+    raise ForeignHandleError(_FOREIGN_HANDLE)
+
+
 def istep_once(malg, w, node: DNode, recurse):
     """One indexed Mendler step with freshly branded premise handles, one brand for every family.
 
-    A node without premises is passed as it is; one with premises is passed
-    as a copy holding their handles, built in a tuple display for two.
+    A node without premises is passed as it is, with :func:`_leaf_rec`; one
+    with premises is passed as a copy holding their handles, built in a
+    tuple display for two.
     """
-    brand = object()
     premises = node.premises
-    if premises:
-        if len(premises) == 2:
-            (f0, ix0, w0), (f1, ix1, w1) = premises
-            handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
-        else:
-            handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in premises])
-        node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    if not premises:
+        return malg(_leaf_rec, w, node)
+    brand = object()
+    if len(premises) == 2:
+        (f0, ix0, w0), (f1, ix1, w1) = premises
+        handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
+    else:
+        handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in premises])
+    node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     return malg(_index_checking_rec(brand, recurse), w, node)
 
 
@@ -783,8 +799,8 @@ def ifold(malg, w, d: Derivation):
 
     Only the root's index is checked here, and ``rec`` checks each child's.  A :func:`cases` step runs its table's fold.
     """
-    if d.root.conclusion != w:
-        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    if (c := d.root.conclusion) is not w and c != w:
+        raise WrongIndexError(f"derivation concludes {c!r}, not {w!r}")
     if fold := _table_fold(malg, None):
         return fold(w, d)
     recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
@@ -799,18 +815,20 @@ def hstep_once(malg, w, node: DNode, *recurses):
     """One indexed Mendler step with a fresh brand and an index-checking ``rec`` per family.
 
     Family f's step is ``malg.steps[f - 1](rec_1, ..., rec_N, w, node)``.
-    A node without premises is passed as it is; one with premises as a copy
-    holding their handles, built in a tuple display for one premise.
+    A node without premises is passed as it is, with :func:`_leaf_rec` for
+    every family; one with premises as a copy holding their handles, built
+    in a tuple display for one premise.
     """
-    brands = (object(), object()) if len(recurses) == 2 else [object() for _ in recurses]
     premises = node.premises
-    if premises:
-        if len(premises) == 1:
-            ((fam, ix, wit),) = premises
-            handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
-        else:
-            handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
-        node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
+    if not premises:
+        return malg.steps[node.family - 1](*[_leaf_rec] * len(recurses), w, node)
+    brands = (object(), object()) if len(recurses) == 2 else [object() for _ in recurses]
+    if len(premises) == 1:
+        ((fam, ix, wit),) = premises
+        handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
+    else:
+        handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
+    node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     recs = map(_index_checking_rec, brands, recurses)
     return malg.steps[node.family - 1](*recs, w, node)
 
@@ -823,8 +841,8 @@ def hfold(family: int, malg, w, d: Derivation):
     """
     if d.family != family:
         raise WrongComponentError(f"hfold_{family} applied to a family-{d.family} derivation")
-    if d.root.conclusion != w:
-        raise WrongIndexError(f"derivation concludes {d.root.conclusion!r}, not {w!r}")
+    if (c := d.root.conclusion) is not w and c != w:
+        raise WrongIndexError(f"derivation concludes {c!r}, not {w!r}")
     if fold := _table_fold(malg, tuple(malg.steps)):
         return fold(w, d)
     recurse = lambda wi, di: hstep_once(malg, wi, di.root, *recurses)
@@ -873,26 +891,17 @@ def _table_fold(malg, steps: tuple | None):
 def _compile_fold(malg, tables, one_brand: bool):
     """``fold(w, d)``: ``ifold(malg, w, d)``, or unless ``one_brand`` ``hfold(f, malg, w, d)``, past the root checks.
 
-    It issues fresh brands (one per family unless ``one_brand``) and inlines each ``rec``'s tests.  A branch per rule
-    of each ``(sig, table)`` hands a node of the rule's shape to its case, its premise handles built as ``mfold``
-    builds handles; any other takes the generic step.
+    A branch per rule of each ``(sig, table)`` hands a node of the rule's shape to its case; any other takes the
+    generic step.  A rule without premises gets :func:`_leaf_rec` for every family and issues nothing.  One with
+    premises issues a fresh brand (one for every family if ``one_brand``, else one per family its premises are of)
+    and a ``rec`` per brand, which inlines ``_index_checking_rec``'s tests, and hands its case a copy of the node
+    holding the premise handles, built as ``mfold`` builds handles; a family it has no premise of gets ``_leaf_rec``.
     """
-    brands = ["b"] if one_brand else [f"b{f}" for f in range(1, len(tables) + 1)]
-    recs = ", ".join(f"rec{b[1:]}" for b in brands)
+    families = [""] if one_brand else [str(f) for f in range(1, len(tables) + 1)]
     env = dict(_object=object, _new_object=object.__new__, _Handle=Handle, _ForeignHandleError=ForeignHandleError,
-               _FOREIGN_HANDLE=_FOREIGN_HANDLE, _wrong_index=_wrong_index, _malg=malg,
+               _FOREIGN_HANDLE=_FOREIGN_HANDLE, _wrong_index=_wrong_index, _leaf_rec=_leaf_rec, _malg=malg,
                _generic=istep_once if one_brand else hstep_once)
     src = ["def fold(w, d):", "    n = d.root", "    premises = n.premises"]
-    src.append(f"    {', '.join(brands)} = {', '.join(['_object()'] * len(brands))}")
-    for b in brands:
-        src += [
-            f"    def rec{b[1:]}(wi, h):",
-            f"        if not isinstance(h, _Handle) or h._brand is not {b}:",
-            "            raise _ForeignHandleError(_FOREIGN_HANDLE)",
-            "        if (child := h._value).root.conclusion != wi:",
-            "            raise _wrong_index(wi, child)",
-            "        return fold(wi, child)",
-        ]
     for f, (sig, table) in enumerate(tables, 1):
         env[f"_sig{f}"] = sig
         family = "" if one_brand else f" and n.family == {f}"
@@ -902,20 +911,33 @@ def _compile_fold(malg, tables, one_brand: bool):
             env[f"_case{f}_{j}"], env[f"_rule{f}_{j}"], k = table[r.name], r.name, len(r.premises)
             shape = f"len(premises) == {k}" if k else "not premises"
             src += [f"        {'elif' if j else 'if'} rule == _rule{f}_{j}:", f"            if {shape}:"]
-            at, node = "                ", "n"
-            if k:
-                src.append(f"{at}{''.join(f'(f{i}, ix{i}, w{i}), ' for i in range(k))}= premises")
-                if not one_brand:
-                    src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
-                    at += "    "
-                for i, (fam, _) in enumerate(r.premises):
-                    b = "b" if one_brand else f"b{fam}"
-                    src += [f"{at}h{i} = _new_object(_Handle)", f"{at}h{i}._value = w{i}", f"{at}h{i}._brand = {b}"]
-                held = "".join(f"(f{i}, ix{i}, h{i}), " for i in range(k))
-                src += fill_src(DNode, "c", ["n.sig", "n.family", "rule", "n.params", f"({held})", "n.conclusion"], env, at)
-                node = "c"
-            src.append(f"{at}return _case{f}_{j}({recs}, w, {node})")
-    src.append(f"    return _generic(_malg, w, n, {'fold, ' * len(brands)})")
+            at = "                "
+            if not k:
+                src.append(f"{at}return _case{f}_{j}({'_leaf_rec, ' * len(families)}w, n)")
+                continue
+            src.append(f"{at}{''.join(f'(f{i}, ix{i}, w{i}), ' for i in range(k))}= premises")
+            if not one_brand:
+                src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
+                at += "    "
+            tags = [""] * k if one_brand else [str(fam) for fam, _ in r.premises]
+            used = sorted(set(tags))
+            src.append(f"{at}{', '.join(f'b{t}' for t in used)} = {', '.join(['_object()'] * len(used))}")
+            for t in used:
+                src += [
+                    f"{at}def rec{t}(wi, h):",
+                    f"{at}    if not isinstance(h, _Handle) or h._brand is not b{t}:",
+                    f"{at}        raise _ForeignHandleError(_FOREIGN_HANDLE)",
+                    f"{at}    if (c := (child := h._value).root.conclusion) is not wi and c != wi:",
+                    f"{at}        raise _wrong_index(wi, child)",
+                    f"{at}    return fold(wi, child)",
+                ]
+            for i, t in enumerate(tags):
+                src += [f"{at}h{i} = _new_object(_Handle)", f"{at}h{i}._value = w{i}", f"{at}h{i}._brand = b{t}"]
+            held = "".join(f"(f{i}, ix{i}, h{i}), " for i in range(k))
+            src += fill_src(DNode, "c", ["n.sig", "n.family", "rule", "n.params", f"({held})", "n.conclusion"], env, at)
+            recs = "".join(f"rec{t}, " if t in used else "_leaf_rec, " for t in families)
+            src.append(f"{at}return _case{f}_{j}({recs}w, c)")
+    src.append(f"    return _generic(_malg, w, n, {'fold, ' * len(families)})")
     return run_generated("\n".join(src) + "\n", env)["fold"]
 
 

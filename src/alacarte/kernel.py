@@ -20,8 +20,9 @@ Two algebra styles interpret terms:
 ``Signature.constructor(ctor)`` generates a constructor's straight-line
 function of its slots, equal to ``in_(sig.node(ctor, slots))``: it checks
 what ``node`` and then ``in_`` check, in their order and with their
-messages, and builds the term in one call.  On a coproduct a tagged
-constructor equals ``in_(inject_*(csig, summand.node(untagged, slots)))``.
+messages, and fills the node and the term in its own body.  On a
+coproduct a tagged constructor equals
+``in_(inject_*(csig, summand.node(untagged, slots)))``.
 ``lang_l``'s term constructors (``vr``, ``scope``, ...), the terms of
 ``arith``'s rule patterns and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
@@ -32,7 +33,9 @@ which compiles each distinct source once and registers it in ``linecache``; it m
 
 Handles are branded with a nonce issued per Mendler step (and per sort);
 consuming a handle under a different step or sort (or inspecting it at
-all) is a contract violation and fails fast.  A second, fold-carrying term
+all) is a contract violation and fails fast.  A step on a node without
+recursive slots issues none: its ``rec`` is the shared :func:`_leaf_rec`,
+for which every handle is foreign.  A second, fold-carrying term
 representation (:class:`FoldTerm`, a term is whatever can run any Mendler
 algebra) lives behind the same in/out/fold interface with
 ``reflect``/``reify`` conversions.
@@ -388,7 +391,8 @@ class Signature(ByIdentity):
         Generated once, straight-line, from one source: the payload kinds
         are checked in declaration order (looked up at call time), then the
         recursive slots in ``in_``'s order, with the messages ``node`` and
-        ``in_`` raise, and the term is built in one call.  On a coproduct a
+        ``in_`` raise, and the node and the term are filled in its own body
+        (see :func:`fill_src`), with no call.  On a coproduct a
         tagged constructor equals ``in_(inject_*(self, summand.node(untagged,
         slots)))``, so a payload rejection names the summand.  The function
         is called ``name``, by default the (untagged) constructor name;
@@ -418,11 +422,11 @@ class Signature(ByIdentity):
                 f"    if not isinstance({s}, _Term) or {s}.sig is not _sig{wrong_sort.format(s, sort)}:",
                 f"        raise _bad_slot(_sig, _ctor, {s}, {sort})",
             ]
-        src.append(f"    return _new_term(_sig, _new_node(_sig, _ctor, {_tuple_src(rec)}, {_tuple_src(payload)}))")
         env = dict(__name__=__name__, _kinds=_PAYLOAD_KINDS, _bad_payload=_bad_payload, _bad_slot=_bad_slot)
         env.update(_site=site, _site_ctor=site_ctor, _sig=self, _ctor=ctor, _Term=Term)
-        env.update(_new_term=_new_term, _new_node=_new_node)
         env.update((f"_sort{k}", table) for k, table in enumerate(self.sorts, 1))
+        src += fill_src(Node, "n", ["_sig", "_ctor", _tuple_src(rec), _tuple_src(payload)], env)
+        src += [*fill_src(Term, "t", ["_sig", "n"], env), "    return t"]
         fn = run_generated("\n".join(src) + "\n", env)["constructor"]
         fn.__name__ = fn.__qualname__ = name or site_ctor
         fn.sig, fn.ctor = self, ctor
@@ -573,6 +577,11 @@ def open_handle(h, brand):
     return h._value
 
 
+def _leaf_rec(h):
+    """The ``rec`` of a step on a node without recursive slots: it issued no handle, so each one is foreign."""
+    raise ForeignHandleError(_FOREIGN_HANDLE)
+
+
 def step_once(malg, node: Node, recurse):
     """Run one Mendler step on ``node`` with freshly branded handles.
 
@@ -580,19 +589,22 @@ def step_once(malg, node: Node, recurse):
     knot-tied instance, with this work inline.  Exposed so the Mendler
     computation rule is directly checkable:
     ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
-    Each step issues a fresh brand.  The handles of two slots are built in
-    a tuple display, any other number with ``map``, and ``rec`` runs
-    ``open_handle``'s test inline, with its message: no comprehension and
-    no extra call per level.
+    Each step with recursive slots issues a fresh brand.  The handles of two
+    slots are built in a tuple display, any other number with ``map``, and
+    ``rec`` runs ``open_handle``'s test inline, with its message: no
+    comprehension and no extra call per level.  A node without recursive
+    slots needs no handles: it is passed as it is, with the shared
+    :func:`_leaf_rec`.
     """
-    brand = object()
     rec = node.rec
-    if rec:  # a node without recursive slots needs no handles
-        if len(rec) == 2:
-            handles = (Handle(rec[0], brand), Handle(rec[1], brand))
-        else:
-            handles = tuple(map(Handle, rec, repeat(brand)))
-        node = _new_node(node.sig, node.ctor, handles, node.payload)
+    if not rec:
+        return malg(_leaf_rec, node)
+    brand = object()
+    if len(rec) == 2:
+        handles = (Handle(rec[0], brand), Handle(rec[1], brand))
+    else:
+        handles = tuple(map(Handle, rec, repeat(brand)))
+    node = _new_node(node.sig, node.ctor, handles, node.payload)
 
     def open_and_recurse(h):
         if not isinstance(h, Handle) or h._brand is not brand:
@@ -606,40 +618,43 @@ def mfold(malg, t: Term):
     """Mendler fold: the step sees subterms only as handles; one ``recurse`` serves every level.
 
     ``recurse`` does ``step_once``'s work itself, so a level costs it one
-    frame: a fresh brand, the handles built by ``object.__new__`` and two
-    slot stores (no ``Handle.__init__`` frame), the handle node filled in
-    place as :func:`fill_src` fills one, and a ``rec`` with ``step_once``'s
-    test and message.  A node without recursive slots is passed as it is.
+    frame.  A node without recursive slots is passed as it is, with the
+    shared :func:`_leaf_rec`: no brand and no closure.  Any other level
+    issues a fresh brand, builds its handles by ``object.__new__`` and two
+    slot stores (no ``Handle.__init__`` frame), fills the handle node in
+    place as :func:`fill_src` fills one, and makes a ``rec`` with
+    ``step_once``'s test and message.
     """
 
     def recurse(s):
-        brand = object()
         node = s.root
         rec = node.rec
-        if rec:
-            if len(rec) == 2:
-                h0 = _new_object(Handle)
-                h0._value = rec[0]
-                h0._brand = brand
-                h1 = _new_object(Handle)
-                h1._value = rec[1]
-                h1._brand = brand
-                handles = (h0, h1)
-            else:
-                handles = []
-                for value in rec:
-                    h = _new_object(Handle)
-                    h._value = value
-                    h._brand = brand
-                    handles.append(h)
-                handles = tuple(handles)
-            n = node
-            node = _node_twin()
-            node.sig = n.sig
-            node.ctor = n.ctor
-            node.rec = handles
-            node.payload = n.payload
-            node.__class__ = Node
+        if not rec:
+            return malg(_leaf_rec, node)
+        brand = object()
+        if len(rec) == 2:
+            h0 = _new_object(Handle)
+            h0._value = rec[0]
+            h0._brand = brand
+            h1 = _new_object(Handle)
+            h1._value = rec[1]
+            h1._brand = brand
+            handles = (h0, h1)
+        else:
+            handles = []
+            for value in rec:
+                h = _new_object(Handle)
+                h._value = value
+                h._brand = brand
+                handles.append(h)
+            handles = tuple(handles)
+        n = node
+        node = _node_twin()
+        node.sig = n.sig
+        node.ctor = n.ctor
+        node.rec = handles
+        node.payload = n.payload
+        node.__class__ = Node
 
         def open_and_recurse(h):
             if not isinstance(h, Handle) or h._brand is not brand:

@@ -202,24 +202,22 @@ def search(sig, context, subject):
     found = None
     P0 = {'rho': context, 'e1': rec[0], 'e2': rec[1], }
     P0['e1p'] = _OUT
-    context0, subject0, bare = _ix0_0(P0)
+    context0_0, subject0_0, bare = _ix0_0(P0)
     if bare is not _OUT:
         raise _ill_moded(sig, _rule0, 'e1p')
-    sub = _table[2, subject0.root.ctor](sig, context0, subject0)
+    sub = _table[2, subject0_0.root.ctor](sig, context0_0, subject0_0)
     if sub:
         P0['e1p'], w0_0 = sub
-        ix0_0 = (context0, subject0, P0['e1p'], )
         found = _name0
     P1 = {'rho': context, 'v1': rec[0], 'e2': rec[1], }
     if _side1_0(P1):
         P1['e2p'] = _OUT
-        context0, subject0, bare = _ix1_0(P1)
+        context1_0, subject1_0, bare = _ix1_0(P1)
         if bare is not _OUT:
             raise _ill_moded(sig, _rule1, 'e2p')
-        sub = _table[2, subject0.root.ctor](sig, context0, subject0)
+        sub = _table[2, subject1_0.root.ctor](sig, context1_0, subject1_0)
         if sub:
             P1['e2p'], w1_0 = sub
-            ix1_0 = (context0, subject0, P1['e2p'], )
             if found is not None:
                 raise _overlapping(sig, found, _name1)
             found = _name1
@@ -232,16 +230,16 @@ def search(sig, context, subject):
     if found is None:
         return None
     if found is _name0:
+        if (c0 := w0_0.root.conclusion) != (context0_0, subject0_0, P0['e1p'], ):
+            raise _child_mismatch(_name0, 0, (context0_0, subject0_0, P0['e1p'], ), w0_0)
         n = _DNode_twin()
         n.sig = sig
         n.family = 2
         n.rule = _name0
         n.params = (('rho', P0['rho']), ('e1', P0['e1']), ('e1p', P0['e1p']), ('e2', P0['e2']), )
-        n.premises = ((2, ix0_0, w0_0), )
+        n.premises = ((2, c0, w0_0), )
         n.conclusion = _at0(P0, subject)
         n.__class__ = _DNode_class
-        if (c := w0_0.root.conclusion) is not ix0_0 and c != ix0_0:
-            raise _child_mismatch(n, 0, ix0_0, w0_0)
         d = _Derivation_twin()
         d.sig = sig
         d.root = n
@@ -249,16 +247,16 @@ def search(sig, context, subject):
         d.__class__ = _Derivation_class
         return n.conclusion[2], d
     if found is _name1:
+        if (c0 := w1_0.root.conclusion) != (context1_0, subject1_0, P1['e2p'], ):
+            raise _child_mismatch(_name1, 0, (context1_0, subject1_0, P1['e2p'], ), w1_0)
         n = _DNode_twin()
         n.sig = sig
         n.family = 2
         n.rule = _name1
         n.params = (('rho', P1['rho']), ('v1', P1['v1']), ('e2', P1['e2']), ('e2p', P1['e2p']), )
-        n.premises = ((2, ix1_0, w1_0), )
+        n.premises = ((2, c0, w1_0), )
         n.conclusion = _at1(P1, subject)
         n.__class__ = _DNode_class
-        if (c := w1_0.root.conclusion) is not ix1_0 and c != ix1_0:
-            raise _child_mismatch(n, 0, ix1_0, w1_0)
         d = _Derivation_twin()
         d.sig = sig
         d.root = n
