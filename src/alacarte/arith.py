@@ -230,11 +230,6 @@ def build_istrm(t: Term) -> Derivation:
 _TOF1 = TYPOF_SIG.rules["tof1"]
 
 
-def _tof1(v: Val) -> Derivation:
-    """``tof1`` at the literal of ``v``, through the rule's compiled ``derive`` (compiled on first use)."""
-    return _TOF1.compiled[1](TYPOF_SIG, "tof1", {"v": v}, (), _lit(v.vv))
-
-
 def _mistyped(td: Derivation, e: Term) -> WrongIndexError:
     return WrongIndexError(f"typing derivation concludes {td.root.conclusion!r}, expected {(e, N)!r}")
 

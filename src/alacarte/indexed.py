@@ -26,7 +26,15 @@ runs the side conditions on ``params``, links each witness to the index it
 just computed, and returns the derivation, certified when every premise
 witness is certified too.  Every node the library builds is built so, or
 by :func:`search`, which fills it as ``derive`` does (:func:`_instance_src`)
-without checking again what its matching checked.  Given the term a rule's
+without checking again what its matching checked, or by
+``IndexedSignature.derive_given``, ``derive`` without the side conditions
+its caller names as established.  Its callers are
+the typechecker, which has just computed them, and the typing lemmas of
+subject reduction: a typing moved to another context by ``weaken`` or
+``retype_value`` and a typing rebuilt around a stepped child both keep every
+parameter those side conditions read from a certified typing, and the
+pointwise lemma ``env_typing(a ⊕ b) = env_typing(a) ⊕ env_typing(b)``
+types a union from two certified typings.  Given the term a rule's
 ``subject`` pattern describes, each concludes at that object, not a copy.
 ``dnode`` and ``din`` stay for hand-built nodes, and ``din`` and
 ``validate`` check every node they are handed in full, whoever built it,
@@ -37,7 +45,9 @@ certified.
 
 Each rule is compiled once, lazily, on its first ``dnode`` or ``derive``:
 one generated source gives the rule's own ``dnode`` body and its own
-``derive`` (see :func:`_compile_rule`).
+``derive`` (see :func:`_compile_rule`); the same lines, less the skipped
+side conditions, give a ``derive_given`` entry, compiled on its first call
+for that rule and set of labels only.
 Importing a signature compiles nothing.  The compiled code calls the rule's
 index expressions and side conditions; it never inlines them, so what they
 read is read when they run.  All of this relies on rule expressions being
@@ -121,6 +131,11 @@ class Rule:
         (see :func:`_compile_rule`).
         """
         return _compile_rule(self)
+
+    @cached_property
+    def _given(self) -> dict:
+        """``IndexedSignature.derive_given``'s entries after the rule lookup, by their labels, each compiled on first use."""
+        return {}
 
 
 def birule(family, name, params=(), premises=(), side=(), conclusion=None, subject=None, define=()):
@@ -260,6 +275,29 @@ class IndexedSignature(ByIdentity):
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
         return r.compiled[1](self, rule_name, params, witnesses, subject)
+
+    def derive_given(self, rule_name: str, given: tuple, params: Mapping[str, Any], witnesses=(), subject=None) -> Derivation:
+        """:meth:`derive`, skipping the side conditions labelled in ``given``, which the caller vouches for.
+
+        The trusted entry of a producer that has established those side
+        conditions itself, by computing them or from a lemma over a
+        certified derivation.  Everything else runs as in ``derive``, with
+        its messages: the parameter set, the witness count, the subject
+        fit, the index expressions, each child link and the certificate
+        from the witnesses.  The entry is ``derive``'s source less those
+        checks, compiled on its first call for the rule and ``given``, so a
+        rule no caller vouches for compiles nothing more; no labels is
+        ``derive`` itself.  A label the rule does not have raises
+        ``ValueError`` naming the rule and the label.
+        """
+        r = self.rules.get(rule_name)
+        if r is None:
+            raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
+        if not given:
+            entry = r.compiled[1]
+        elif (entry := r._given.get(given)) is None:
+            entry = r._given[given] = _compile_rule(r, given)
+        return entry(self, rule_name, params, witnesses, subject)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -534,7 +572,7 @@ def _instance_src(r, env, rule_name: str, P: str, indices, w: str, conclusion: s
     return [*node, *checks, *fill_src(Derivation, "d", ["sig", "n", certified], env, at)]
 
 
-def _compile_rule(r):
+def _compile_rule(r, given=None):
     """``(build, derive)`` for the rule ``r``: straight-line code from one generated source.
 
     ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
@@ -550,7 +588,15 @@ def _compile_rule(r):
     conditions are called, never inlined; rejections are raised in
     ``din(dnode(...))``'s order, with its messages.  Rules of the same shape
     and families generate the same source, which ``run_generated`` compiles once.
+
+    Given the labels ``given``, it returns ``derive_given`` alone: ``derive``'s
+    lines without the checks of the side conditions so labelled (see
+    :meth:`IndexedSignature.derive_given`).
     """
+    labels = [label for label, _ in r.side_conditions]
+    for label in given or ():
+        if label not in labels:
+            raise ValueError(f"rule {r.name!r} has no side condition {label!r}")
     k = len(r.premises)
     env = {
         "_DNode": DNode,
@@ -585,8 +631,9 @@ def _compile_rule(r):
             conclusion = f"_conclusion(P) if s is None else {at}"
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
-        env[f"_side{i}"], env[f"_label{i}"] = pred, label
-        checks += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
+        if given is None or label not in given:
+            env[f"_side{i}"], env[f"_label{i}"] = pred, label
+            checks += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
     for i, (family, _) in enumerate(r.premises):
         checks += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
@@ -597,17 +644,24 @@ def _compile_rule(r):
             f"        raise _child_mismatch(rule_name, {i}, ix{i}, w{i})",
         ]
     certified = " and ".join(f"w{i}._certified" for i in range(k)) or "True"
-    src = [
-        "def build(sig, rule_name, P, witnesses):",
-        *instantiate,
-        *_instance_src(r, env, "rule_name", "P", indices, "w", "_conclusion(P)"),
-        "    return n",
-        "def derive(sig, rule_name, P, witnesses, s):",
+    derive = [
+        f"def {'derive' if given is None else 'derive_given'}(sig, rule_name, P, witnesses, s):",
         *instantiate,
         f"    if {fit}:",
         "        raise _unfit(sig, rule_name, _rule)",
         *_instance_src(r, env, "rule_name", "P", indices, "w", conclusion, certified, checks),
         "    return d",
+    ]
+    if given is not None:
+        run_generated("\n".join(derive) + "\n", env)
+        env["derive_given"].__qualname__ = f"Rule({r.name!r}).derive_given"
+        return env["derive_given"]
+    src = [
+        "def build(sig, rule_name, P, witnesses):",
+        *instantiate,
+        *_instance_src(r, env, "rule_name", "P", indices, "w", "_conclusion(P)"),
+        "    return n",
+        *derive,
     ]
     run_generated("\n".join(src) + "\n", env)
     for fn in (env["build"], env["derive"]):

@@ -36,6 +36,7 @@ from .step import STEP_SIG
 from .typing import (
     TYPING_SIG,
     TYPOENV_SIG,
+    _vouched,
     bindings,
     retype_value,
     typecheck_exp,
@@ -74,51 +75,85 @@ def _expect(td: BiDerivation, rule_name: str, w, step_rule):
 
 
 def _children(node):
-    return tuple(wit for _, _, wit in node.premises)
+    return [wit for _, _, wit in node.premises]
 
 
-def _rebuild(rule_name, params, witnesses, w, step_rule):
-    """The typing of the step's successor ``w[2]``, concluding at that term."""
+def _rebuild(rule_name, params, witnesses, w, step_rule, given=()):
+    """The typing of the step's successor ``w[2]``, concluding at that term; ``given`` as ``derive_given`` takes it."""
     try:
-        return TYPING_SIG.derive(rule_name, params, witnesses, w[2])
+        return TYPING_SIG.derive_given(rule_name, given, params, witnesses, w[2])
     except InvalidDerivationError as exc:
         _fail(w, step_rule, f"could not rebuild {rule_name}: {exc}")
 
 
-def _td_env(gamma, d, gammap, w, step_rule, reason):
+def _td_env(gamma, d, gammap, w, step_rule, reason, given=()):
     """The ``TD-ENV`` typing of the ``env`` declaration ``d`` at ``gammap``, which must type its environment.
 
-    The rule's own ``envtyping`` side condition is that test.  ``TD-ENV``
-    has no premises and that one side condition, so once its parameters
-    match and ``d`` fits, the only rule instance the checker can reject is
-    the one that fails it: that rejection fails with ``reason``.
+    The rule's own ``envtyping`` side condition is that test, unless the
+    caller has established it (``given``).  ``TD-ENV`` has no premises and
+    that one side condition, so once its parameters match and ``d`` fits,
+    the only rule instance the checker can reject is the one that fails it:
+    that rejection fails with ``reason``.
     """
     try:
-        return TYPING_SIG.derive("TD-ENV", {"gamma": gamma, "rhop": d.root.payload[0], "gammap": gammap}, (), d)
+        return TYPING_SIG.derive_given("TD-ENV", given, {"gamma": gamma, "rhop": d.root.payload[0], "gammap": gammap}, (), d)
     except _Rejected:
         _fail(w, step_rule, reason)
     except InvalidDerivationError as exc:
         _fail(w, step_rule, f"could not rebuild TD-ENV: {exc}")
 
 
+def _types_env(td, rho, gammap) -> bool:
+    """Whether ``td``, a node of a vouched typing, is a ``TD-ENV`` of ``rho`` at ``gammap``: then ``env_typing(rho) == gammap``."""
+    n = td.root
+    if n.rule != "TD-ENV":
+        return False
+    _, (_, rhop), (_, g) = n.params
+    return (rhop is rho or rhop == rho) and (g is gammap or g == gammap)
+
+
+def _extend(w, rho1, gamma, envd, typd, scoped, step_rule):
+    """``gamma ⊕ scoped`` and the ``te_env`` typing of ``w[0] ⊕ rho1`` at it, where a scoped child steps and is typed.
+
+    By the pointwise lemma, ``env_typing(ρ ⊕ ρ1) = env_typing(ρ) ⊕
+    env_typing(ρ1)``, that typing's ``pointwise`` side condition holds, and
+    is not run again, when ``envd`` is a certified environment typing at
+    ``(w[0], gamma)`` and the vouched ``typd``'s first child is a ``TD-ENV``
+    of ``rho1`` at ``scoped``.  Otherwise it is checked.
+    """
+    extended, c = env_union(gamma, scoped), envd.root.conclusion
+    held = (
+        envd._certified and envd.sig is TYPOENV_SIG
+        and (c[0] is w[0] or c[0] == w[0]) and (c[1] is gamma or c[1] == gamma)
+        and _vouched(typd) and _types_env(typd.root.premises[0][2], rho1, scoped)
+    )
+    try:
+        params = {"rho": env_union(w[0], rho1), "gamma": extended}
+        return extended, TYPOENV_SIG.derive_given("te_env", ("pointwise",) if held else (), params)
+    except InvalidDerivationError:
+        _fail(w, step_rule, "extended environment lost its pointwise typing")
+
+
 # The one-premise congruence steps: step rule -> (typing rule, child
-# position, rewritten parameter, scope).  The step's premise steps that child
-# of the typing, and the rebuilt typing takes the step's primed parameter
-# (``e1`` becomes the step's ``e1p``).  A ``scope`` names the typing's
-# parameter whose bindings the child is typed under: that child steps under
-# ``rho ⊕ rho1`` and is typed under ``gamma ⊕`` that parameter.
+# position, rewritten parameter, scope, held).  The step's premise steps that
+# child of the typing, and the rebuilt typing takes the step's primed
+# parameter (``e1`` becomes the step's ``e1p``).  A ``scope`` names the
+# typing's parameter whose bindings the child is typed under: that child
+# steps under ``rho ⊕ rho1`` and is typed under ``gamma ⊕`` that parameter.
+# ``held`` labels the typing rule's side conditions: none reads the rewritten
+# parameter, so they hold on the rebuilt typing as on a vouched one.
 _CONGRUENCE = {
-    "E-APP1": ("T-APP", 0, "e1", None),
-    "E-APP2": ("T-APP", 1, "e2", None),
-    "E-SCOPE1": ("T-SCOPE", 0, "d", None),
-    "E-SCOPE2": ("T-SCOPE", 1, "e", "gammap"),
-    "D-MATCH1": ("TD-MATCH", 0, "e", None),
-    "D-JOIN1": ("TD-JOIN", 0, "d1", None),
-    "D-JOIN2": ("TD-JOIN", 1, "d2", "gamma1"),
+    "E-APP1": ("T-APP", 0, "e1", None, ()),
+    "E-APP2": ("T-APP", 1, "e2", None, ()),
+    "E-SCOPE1": ("T-SCOPE", 0, "d", None, ()),
+    "E-SCOPE2": ("T-SCOPE", 1, "e", "gammap", ()),
+    "D-MATCH1": ("TD-MATCH", 0, "e", None, ("pattype",)),
+    "D-JOIN1": ("TD-JOIN", 0, "d1", None, ()),
+    "D-JOIN2": ("TD-JOIN", 1, "d2", "gamma1", ()),
 }
 
 
-def _congruence(typing_rule, pos, param, scope):
+def _congruence(typing_rule, pos, param, scope, held):
     """The case of a ``_CONGRUENCE`` row: the typing rebuilt around its stepped child."""
 
     def case(rec1, rec2, w, node):
@@ -129,15 +164,12 @@ def _congruence(typing_rule, pos, param, scope):
         def transform(gamma, envd, typd):
             an = _expect(typd, typing_rule, w, node.rule)
             AP = an.params_dict()
-            children = list(_children(an))
+            children = _children(an)
             if scope is not None:
-                gamma = env_union(gamma, AP[scope])
-                try:
-                    envd = TYPOENV_SIG.derive("te_env", {"rho": env_union(w[0], P["rho1"]), "gamma": gamma})
-                except InvalidDerivationError:
-                    _fail(w, node.rule, "extended environment lost its pointwise typing")
+                gamma, envd = _extend(w, P["rho1"], gamma, envd, typd, AP[scope], node.rule)
             children[pos] = rec(wi, h)(gamma, envd, children[pos])
-            return _rebuild(typing_rule, {**AP, param: P[param + "p"]}, tuple(children), w, node.rule)
+            AP[param] = P[param + "p"]
+            return _rebuild(typing_rule, AP, tuple(children), w, node.rule, held if held and _vouched(typd) else ())
 
         return transform
 
@@ -193,10 +225,19 @@ def _d_match(rec1, rec2, w, node):
 
 
 def _d_join3(rec1, rec2, w, node):
+    P = node.params_dict()
+
     def transform(gamma, envd, typd):
-        AP = _expect(typd, "TD-JOIN", w, node.rule).params_dict()
+        an = _expect(typd, "TD-JOIN", w, node.rule)
+        AP = an.params_dict()
         gammap = env_union(AP["gamma1"], AP["gamma2"])
-        return _td_env(gamma, w[2], gammap, w, node.rule, "joined environments lost their pointwise typing")
+        # the pointwise lemma over the vouched typing's two ``TD-ENV`` children, at the successor's ``rho1 ⊕ rho2``
+        held = _vouched(typd) and (
+            _types_env(an.premises[0][2], P["rho1"], AP["gamma1"]) and _types_env(an.premises[1][2], P["rho2"], AP["gamma2"])
+            and w[2].root.payload[0] == env_union(P["rho1"], P["rho2"])
+        )
+        reason = "joined environments lost their pointwise typing"
+        return _td_env(gamma, w[2], gammap, w, node.rule, reason, ("envtyping",) if held else ())
 
     return transform
 

@@ -174,7 +174,7 @@ def typecheck_env(rho: Env) -> Optional[tuple[Env, Derivation]]:
     gamma = env_typing(rho)
     if gamma is None:
         return None
-    return gamma, TYPOENV_SIG.derive("te_env", {"rho": rho, "gamma": gamma})
+    return gamma, TYPOENV_SIG.derive_given("te_env", ("pointwise",), {"rho": rho, "gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +291,16 @@ class _Untypable(Exception):
 
 # ``_tc_exp``/``_tc_dec`` make each typing node of the term they type with
 # ``mk``: ``_tnode`` builds and checks it, concluding at that term, and
-# ``_no_node`` (for ``env_typing``) builds nothing.
+# ``_no_node`` (for ``env_typing``) builds nothing.  ``given`` labels the
+# side conditions the caller has established, by computing them: those are
+# not run again.
 
 
-def _tnode(rule_name, params, witnesses, subject) -> BiDerivation:
-    return TYPING_SIG.derive(rule_name, params, witnesses, subject)
+def _tnode(rule_name, params, witnesses, subject, given=()) -> BiDerivation:
+    return TYPING_SIG.derive_given(rule_name, given, params, witnesses, subject)
 
 
-def _no_node(rule_name, params, witnesses, subject) -> None:
+def _no_node(rule_name, params, witnesses, subject, given=()) -> None:
     return None
 
 
@@ -337,6 +339,7 @@ def _tc_exp(gamma: Env, e: Exp, path, mk=_tnode) -> tuple[Typ, Optional[BiDeriva
                 },
                 (db,),
                 e,
+                ("envtyping", "pattype"),
             )
             return Arrow(t1, t2), d
         case "apply":
@@ -379,7 +382,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
             gammap = env_typing(rhop)
             if gammap is None:
                 raise _Untypable(path + ("env",), "environment is not typable")
-            return TypeEnv(gammap), mk("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}, (), d)
+            return TypeEnv(gammap), mk("TD-ENV", {"gamma": gamma, "rhop": rhop, "gammap": gammap}, (), d, ("envtyping",))
         case "match":
             p = node.payload[0]
             e = node.rec[0]
@@ -391,7 +394,7 @@ def _tc_dec(gamma: Env, d: Dec, path, mk=_tnode) -> tuple[TypeEnv, Optional[BiDe
                 raise _Untypable(
                     path + ("match.exp",), f"expected {t1!r}, got {te!r}"
                 )
-            dd = mk("TD-MATCH", {"gamma": gamma, "p": p, "e": e, "t1": t1}, (de,), d)
+            dd = mk("TD-MATCH", {"gamma": gamma, "p": p, "e": e, "t1": t1}, (de,), d, ("pattype",))
             return TypeEnv(bindings(p)), dd
         case "join":
             d1, d2 = node.rec
@@ -448,21 +451,34 @@ _UNDER_GAMMA = {
 }
 _check_total(TYPING_SIG, _UNDER_GAMMA, "the typing transport")
 _VALUE_RULES = ("T-CON", "T-CLOS", "T-APP")
+# the side conditions that read no ``gamma``, so hold on a moved node as on
+# the certified one it moves; only ``T-VAR``'s ``bound`` reads it
+_HELD_ON_MOVE = {"TD-ENV": ("envtyping",), "TD-MATCH": ("pattype",), "T-CLOS": ("envtyping", "pattype")}
+
+
+def _vouched(td) -> bool:
+    """Whether ``td`` is a certified typing derivation: every side condition of its nodes held when it was built."""
+    return td._certified and td.sig is TYPING_SIG
 
 
 def _transport(td: BiDerivation, regamma, rules, what: str) -> BiDerivation:
     """``td`` with each node's ``gamma`` made ``regamma(gamma)``, down through the premises typed under it.
 
     A node whose rule is not one of ``rules`` raises ``InvalidDerivationError``: ``what: rule``.
+    A moved node keeps every other parameter, so when ``td`` is :func:`_vouched`
+    its ``_HELD_ON_MOVE`` side conditions are not run again.
     """
     node = td.root
     if node.rule not in rules:
         raise InvalidDerivationError(f"{what}: {node.rule}")
     P = node.params_dict()
-    premises = tuple(w for _, _, w in node.premises)
     if _UNDER_GAMMA[node.rule]:
-        premises = tuple(_transport(w, regamma, rules, what) for w in premises)
-    return _tnode(node.rule, {**P, "gamma": regamma(P["gamma"])}, premises, node.conclusion[1])
+        premises = tuple([_transport(w, regamma, rules, what) for _, _, w in node.premises])
+    else:
+        premises = tuple([w for _, _, w in node.premises])
+    P["gamma"] = regamma(P["gamma"])
+    given = _HELD_ON_MOVE.get(node.rule, ()) if _vouched(td) else ()
+    return TYPING_SIG.derive_given(node.rule, given, P, premises, node.conclusion[1])
 
 
 def weaken(prefix: Env, td: BiDerivation) -> BiDerivation:

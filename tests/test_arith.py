@@ -586,7 +586,7 @@ def test_a_node_whose_rule_has_no_preservation_case_is_not_folded_as_an_addition
 def test_a_preservation_result_with_the_wrong_conclusion_is_raised_not_asserted(monkeypatch, route):
     from alacarte import arith
 
-    wrong = lambda rec, w, node: lambda td: arith._tof1(Val(99))
+    wrong = lambda rec, w, node: lambda td: arith.TYPOF_SIG.derive("tof1", {"v": Val(99)})
     e = add(lit(1), lit(2))
     td = build_typof_derivation(e)
     if route == "evaluation":

@@ -279,8 +279,10 @@ def test_value_typing_is_context_free_on_corpus():
 
 def test_env_typing_of_nested_closures_builds_no_derivation(monkeypatch):
     calls = []
-    derive = ltyping.TYPING_SIG.derive
-    monkeypatch.setattr(ltyping.TYPING_SIG, "derive", lambda name, *args: calls.append(name) or derive(name, *args))
+    for entry in ("derive", "derive_given"):
+        built = getattr(ltyping.TYPING_SIG, entry)
+        spy = lambda name, *args, built=built: calls.append(name) or built(name, *args)
+        monkeypatch.setitem(vars(ltyping.TYPING_SIG), entry, spy)  # undone without leaving an instance attribute
     inner = Env([("y", cn("c", TY_A))])
     f = closure(inner, PVar("x", TY_A), vr("y"))  # a -> a
     g = closure(Env([("f", f)]), PVar("z", TY_A), vr("f"))  # a -> (a -> a)
@@ -288,7 +290,7 @@ def test_env_typing_of_nested_closures_builds_no_derivation(monkeypatch):
     tg = Arrow(TY_A, Arrow(TY_A, TY_A))
     assert env_typing(rho) == Env([("g", tg), ("h", Arrow(TY_B, tg))])
     assert calls == []
-    # the typechecker proper still builds, and its side conditions still run
+    # the typechecker proper still builds, handing over the side conditions it computed
     t, td = typecheck_exp(EMPTY_ENV, rho.get("h"))
     assert t == env_typing(rho).get("h") and validate_bi(td)
     assert calls.count("T-CLOS") == 1
