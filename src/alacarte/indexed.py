@@ -48,11 +48,22 @@ one generated source gives the rule's own ``dnode`` body and its own
 ``derive`` (see :func:`_compile_rule`); the same lines, less the skipped
 side conditions, give a ``derive_given`` entry, compiled on its first call
 for that rule and set of labels only.
-Importing a signature compiles nothing.  The compiled code calls the rule's
-index expressions and side conditions; it never inlines them, so what they
-read is read when they run.  All of this relies on rule expressions being
-pure: a rule monkeypatched after a derivation was built is not re-observed
-on that derivation.
+Importing a signature compiles nothing.  The compiled code, ``search``'s
+too, writes each rule expression (premise index, side condition,
+definition, conclusion or the ``at`` of an :class:`_AtSubject`) in as its
+body when :func:`_inline` can verify that body: the text its code
+positions span in its source, compiled as a lambda with its parameters,
+must give its very bytecode, constants, names and local names.  Any other
+expression (a closure, one with defaults or varargs, a nested scope, an
+assignment expression, a generator, code with no source, any callable not
+a lambda, and every expression on Python 3.10, which has no code
+positions) is called, from the same line.  ``search`` keeps parameters in
+locals (see :func:`_compile_search`).  Either way what an expression reads is read
+when it runs: a written-in body reads its module's globals through the
+module object.  ``din`` and ``validate`` call the rule's own expression
+objects, so the checker stays independent of this compiler.  All of this
+relies on rule expressions being pure: a rule monkeypatched after a
+derivation was built is not re-observed on that derivation.
 
 :func:`search` runs the rules that declare a ``subject`` pattern, in the
 modes they fix (see :func:`_search_table`): the table picks the rule.  Each
@@ -74,7 +85,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from inspect import CO_GENERATOR as _CO_GENERATOR
+from types import CodeType as _CodeType, FunctionType as _FunctionType
 from typing import Any, Callable, Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 from .kernel import _FOREIGN_HANDLE, ByIdentity, ForeignHandleError, Handle, Term, fill_src, open_handle, run_generated, value_class
 
@@ -190,11 +204,156 @@ def _read(slot: str, P):
     return getattr(P[name], attr) if dot else P[name]
 
 
-def _fits_src(slot: str, x: str, P: str = "P") -> str:
-    """Source testing that the slot expression ``x`` ``is`` or ``==`` what ``slot`` reads in the mapping ``P`` (see :func:`_read`)."""
+def _read_P(name: str) -> str:
+    """Source reading parameter ``name`` from the mapping ``P``."""
+    return f"P[{name!r}]"
+
+
+def _fits_src(slot: str, x: str, read=_read_P) -> str:
+    """Source testing that the slot expression ``x`` ``is`` or ``==`` what ``slot`` reads (see :func:`_read`), parameter ``p`` being ``read(p)``."""
     name, dot, attr = slot.partition(".")
-    read = f"{P}[{name!r}]{dot}{attr}"
-    return f"({x} is {read} or {x} == {read})"
+    value = f"{read(name)}{dot}{attr}"
+    return f"({x} is {value} or {x} == {value})"
+
+
+# ---------------------------------------------------------------------------
+# rule expressions written into the generated code
+
+
+class _Body:
+    """A rule expression's body, verified to be the lambda's own code (see :func:`_inline`).
+
+    ``text`` is its source with a hole (``\\0...\\0``) at each parameter and
+    module name it reads (see :func:`_render`).
+    """
+
+    __slots__ = ("text", "module")
+
+    def __init__(self, text, module):
+        self.text, self.module = text, module
+
+
+_BODIES: WeakKeyDictionary = WeakKeyDictionary()  # rule expression -> its _Body, or None
+_POSITIONS = hasattr(_CodeType, "co_positions")  # new in Python 3.11; without them every expression is called
+
+
+def _inline(fn, arity: int) -> _Body | None:
+    """The body of the rule expression ``fn``, a lambda of ``arity`` parameters, or None if it must be called.
+
+    The body's text is the span of ``fn``'s code positions in its source,
+    read through ``linecache``.  It is taken only if that text, compiled as
+    a lambda with ``fn``'s parameters, gives ``fn``'s very bytecode,
+    constants, names and local names.  A closure, a default, varargs, a
+    nested scope (a lambda, a comprehension), an assignment expression, a
+    generator, an f-string or code with no source is refused, and so is
+    every expression on an interpreter without code positions.  Each free
+    name must be a global of ``fn``'s module, which the inlined code reads
+    through the module object when it runs, or a builtin, which stays a builtin.
+    """
+    if fn.__class__ is not _FunctionType or fn.__code__.co_argcount != arity:
+        return None
+    if fn not in _BODIES:
+        _BODIES[fn] = _verified(fn)
+    return _BODIES[fn]
+
+
+def _verified(fn) -> _Body | None:
+    """:func:`_inline`'s verification, run once per rule expression."""
+    code = fn.__code__
+    arity = code.co_argcount
+    if (
+        not _POSITIONS or code.co_name != "<lambda>" or fn.__closure__ or fn.__defaults__ or fn.__kwdefaults__
+        or code.co_flags & _CO_GENERATOR or code.co_freevars or code.co_cellvars
+        or code.co_nlocals != arity  # an assignment expression, or a comprehension inlined into the lambda (3.12+)
+        or any(c.__class__ is _CodeType for c in code.co_consts)  # a nested scope
+    ):
+        return None
+    import ast
+    import linecache
+    import sys
+
+    lines = linecache.getlines(code.co_filename, fn.__globals__)
+    spans = [(p[0], p[2], p[1], p[3]) for p in set(code.co_positions()) if None not in p and (p[0], p[2]) != (p[1], p[3])]
+    if not spans:  # none of zero width
+        return None
+    l0, c0, _, _ = min(spans)
+    l1, c1 = max((p[2], p[3]) for p in spans)
+    if l1 > len(lines):
+        return None
+    params = code.co_varnames[:arity]
+    head = f"lambda {', '.join(params)}: (".encode()
+    chunk = "".join(lines[l0 - 1 : l1]).encode()  # positions are byte offsets
+    src = head + chunk[c0 : len(chunk) - len(lines[l1 - 1].encode()) + c1] + b")"
+    try:
+        tree = ast.parse(src, mode="eval")
+        outer = compile(tree, code.co_filename, "eval", dont_inherit=True)
+    except (SyntaxError, ValueError):
+        return None
+    copy = next(c for c in outer.co_consts if c.__class__ is _CodeType)
+    if (copy.co_code, copy.co_consts, copy.co_names, copy.co_varnames) != (code.co_code, code.co_consts, code.co_names, code.co_varnames):
+        return None
+    module = sys.modules.get(fn.__module__)
+    own = module is not None and vars(module) is fn.__globals__
+    starts = [0]  # where each line of ``src`` starts
+    for line in src.split(b"\n")[:-1]:
+        starts.append(starts[-1] + len(line) + 1)
+    holes = []
+    for node in ast.walk(tree.body.body):
+        if isinstance(node, ast.JoinedStr):  # an f-string, whose quotes a parameter's ``P['name']`` could close
+            return None
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == params[0]:
+            key = node.slice.value if isinstance(node.slice, ast.Constant) else None
+            if key.__class__ is not str or "\0" in key:
+                continue
+            hole = f"[{key}"
+        elif isinstance(node, ast.Name):
+            if node.id in params:
+                hole = "P" if node.id == params[0] else "s"
+            elif node.id in fn.__globals__ and own:
+                hole = f".{node.id}"
+            elif node.id not in fn.__globals__ and node.id in fn.__builtins__:
+                continue  # a builtin stays a builtin
+            else:  # a global of another namespace than its module's, or a name nothing binds
+                return None
+        else:
+            continue
+        holes.append((starts[node.lineno - 1] + node.col_offset, starts[node.end_lineno - 1] + node.end_col_offset, hole))
+    pieces, at = [], len(head)
+    for start, end, hole in sorted(holes, key=lambda h: (h[0], -h[1])):  # a subscript's ``P`` is within the subscript
+        if start >= at:
+            pieces += [src[at:start].decode(), f"\0{hole}\0"]
+            at = end
+    text, top = "".join(pieces) + src[at:-1].decode(), tree.body.body
+    if isinstance(top, (ast.BoolOp, ast.IfExp)) or "\n" in text and not isinstance(top, (ast.Tuple, ast.List, ast.Dict, ast.Set)):
+        text = f"({text})"  # a display's brackets, which a lambda's tuple has too, already hold its line breaks
+    return _Body(text, module)
+
+
+def _render(body: _Body, env: dict, P: str, s: str | None = None, local=None) -> str:
+    """``body``'s source at the mapping ``P`` and subject ``s``; each ``P["key"]`` is ``local(key)`` if given.
+
+    Each name of its module is read through the module object, bound in ``env``.
+    """
+    parts = body.text.split("\0")  # holes at the odd positions
+    if "\0." in body.text:
+        mods = [k for k, v in env.items() if k.startswith("_mod") and v is body.module]
+        env[mod := mods[0] if mods else f"_mod{sum(k.startswith('_mod') for k in env)}"] = body.module
+    for i in range(1, len(parts), 2):
+        kind, name = parts[i][0], parts[i][1:]
+        if kind == "[":
+            parts[i] = local(name) if local else f"{P}[{name!r}]"
+        else:
+            parts[i] = f"{mod}.{name}" if kind == "." else P if kind == "P" else s
+    return "".join(parts)
+
+
+def _expr_src(fn, env: dict, key: str, P: str, s: str | None = None, local=None) -> str:
+    """Source of the rule expression ``fn`` at ``P`` (and ``s``): its body if :func:`_inline` gives it, else a call of ``env[key] = fn``."""
+    body = _inline(fn, 1 if s is None else 2)
+    if body is not None:
+        return _render(body, env, P, s, local)
+    env[key] = fn
+    return f"{key}({P})" if s is None else f"{key}({P}, {s})"
 
 
 @value_class
@@ -418,39 +577,56 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
     """The search of one ``(family, root constructor)``: ``search(sig, context, subject)``.
 
     Each candidate ``j``, in order, tests every nested constructor, then
-    builds ``P{j}`` in one dict display, runs the side conditions in order,
-    and for each premise reads its index once and searches it through
-    ``table``; a rule with definitions runs them after its premises, and
-    then its side conditions.  Every candidate is tried, and a second that
-    applies raises :class:`OverlappingRulesError`.  The one that applies is
-    filled here by :func:`_instance_src`, running nothing again.  Only a
-    dotted slot, which binds nothing, and each child link are checked, as
-    ``derive`` checks them and before the fill: a child must conclude at the
-    index its premise read, with the output bound, which is built only to be
-    compared.  The premise then holds the child's own conclusion as its
-    index, not a new equal tuple; ``derive``, which trusts no witness it is
-    handed, stores the index it computed.
+    binds its parameters, runs the side conditions in order, and for each
+    premise reads its index once and searches it through ``table``; a rule
+    with definitions runs them after its premises, and then its side
+    conditions.  Parameter ``p`` is kept in the local ``P{j}_p`` from where
+    it is bound (see :func:`_local`).  Every rule expression is written in
+    as its body where :func:`_inline` verifies it, each ``P["p"]`` reading
+    that local, and called otherwise (:func:`_expr_src`).  A candidate with
+    an expression that is called also keeps ``P{j}``, one dict of the
+    parameters bound so far, made with the locals and updated with them,
+    and each called expression gets that dict, as the checker hands one
+    mapping to every expression of a rule instance.  Otherwise a body that
+    reads ``P`` other than as ``P["p"]`` gets a dict display of the
+    parameters bound where it runs, and no dict is built.  Every candidate is
+    tried, and a second that applies raises :class:`OverlappingRulesError`.
+    The one that applies is filled here by :func:`_instance_src`, running
+    nothing again.  Only a dotted slot, which binds nothing, and each child
+    link are checked, as ``derive`` checks them and before the fill: a
+    child must conclude at the index its premise read, with the output
+    bound, which is built only to be compared.  The premise then holds the
+    child's own conclusion as its index, not a new equal tuple; ``derive``,
+    which trusts no witness it is handed, stores the index it computed.
     """
     layout = table.layout
     env = {"_OUT": _OUT, "_table": table, "_ill_moded": _ill_moded, "_overlapping": _overlapping, "_unfit": _unfit, "_child_mismatch": _child_mismatch}
     src = ["def search(sig, context, subject):", "    rec, payload = subject.root.rec, subject.root.payload", "    found = None"]
     fills, output = [], f"n.conclusion[{layout.index('output')}]" if "output" in layout else "None"
     for j, (r, tests, binds, premises) in enumerate(candidates):
-        env[f"_rule{j}"], env[f"_name{j}"], P = r, r.name, f"P{j}"
+        env[f"_rule{j}"], env[f"_name{j}"] = r, r.name
+        bound: dict = {}  # each parameter bound so far -> its local, in the order they are bound
+        display = lambda: f"{{{''.join(f'{k!r}: {v}, ' for k, v in bound.items())}}}"
+        own_at = _own_at(r)
+        exprs = [*((fn, 1) for _, fn in (*r.side_conditions, *r.premises)), *((fn, 2) for _, fn in r.defines)]
+        shared = any(_inline(fn, arity) is None for fn, arity in [*exprs, (own_at, 2) if own_at else (r.conclusion, 1)])
+        P = lambda: f"P{j}" if shared else display()  # what a called expression, or a bare ``P``, gets
+        mirror = lambda p: [f"P{j}[{p!r}] = {bound[p]}"] if shared else []
+        read = lambda p: bound.get(p) or f"{display()}[{p!r}]"
+        expr = lambda fn, key, s=None: _expr_src(fn, env, key, P(), s, read)
+        sides = lambda: f"if {' and '.join(expr(pred, f'_side{j}_{i}') for i, (_, pred) in enumerate(r.side_conditions))}:"
         at = "    "
         if tests:
             src.append(f"{at}if {' and '.join(tests)}:")
             at += "    "
-        src.append(f"{at}{P} = {{{''.join(f'{k!r}: {v}, ' for k, v in binds if '.' not in k)}}}")
-        for i, (_, pred) in enumerate(r.side_conditions):
-            env[f"_side{j}_{i}"] = pred
-        sides = f"if {' and '.join(f'_side{j}_{i}({P})' for i in range(len(r.side_conditions)))}:"
+        src += [f"{at}{_local(bound, j, k)} = {v}" for k, v in binds if "." not in k]
+        if shared:  # the one mapping each called expression of the candidate gets, kept up to date
+            src.append(f"{at}P{j} = {display()}")
         if r.side_conditions and not r.defines:
-            src.append(f"{at}{sides}")
+            src.append(f"{at}{sides()}")
             at += "    "
         links = []  # each child concludes at the index its premise asked for, checked before the fill
         for i, (family, ix, out) in enumerate(premises):
-            env[f"_ix{j}_{i}"] = ix
             names = {role: f"{role}{j}_{i}" for role in layout}
             context = names.get("context", "None")
             if out is None:  # the premise fixes its output, or the layout has none
@@ -458,21 +634,22 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
                 unbind, check, bind = [], [], [f"w{j}_{i} = sub[1]"]
                 asked, differs = f"ix{j}_{i}", f"is not ix{j}_{i} and c{i} != ix{j}_{i}"
             else:  # its index is the one read, with the output bound
+                o = _local(bound, j, out)
                 names["output"] = "bare"
-                asked = f"({', '.join(f'{P}[{out!r}]' if role == 'output' else names[role] for role in layout)}, )"
-                unbind, fits, bind = [f"{P}[{out!r}] = _OUT"], "", [f"{P}[{out!r}], w{j}_{i} = sub"]
+                asked = f"({', '.join(o if role == 'output' else names[role] for role in layout)}, )"
+                unbind, fits, bind = [f"{o} = _OUT", *mirror(out)], "", [f"{o}, w{j}_{i} = sub", *mirror(out)]
                 check = ["if bare is not _OUT:", f"    raise _ill_moded(sig, _rule{j}, {out!r})"]
                 differs = f"!= {asked}"
-            index = f"{', '.join(names[role] for role in layout)} = {'' if out else f'ix{j}_{i} = '}_ix{j}_{i}({P})"
+            index = f"{', '.join(names[role] for role in layout)} = {'' if out else f'ix{j}_{i} = '}{expr(ix, f'_ix{j}_{i}')}"
             call = f"sub = _table[{family!r}, {names['subject']}.root.ctor](sig, {context}, {names['subject']})"
             src += [at + line for line in (*unbind, index, *check, call, f"if sub{fits}:", *("    " + b for b in bind))]
             at += "    "
             links += [f"if (c{i} := w{j}_{i}.root.conclusion) {differs}:", f"    raise _child_mismatch(_name{j}, {i}, {asked}, w{j}_{i})"]
         for i, (p, define) in enumerate(r.defines):
-            env[f"_def{j}_{i}"] = define
-            src.append(f"{at}{P}[{p!r}] = _def{j}_{i}({P}, subject)")
+            value = expr(define, f"_def{j}_{i}", "subject")  # run before ``p`` is bound
+            src += [f"{at}{_local(bound, j, p)} = {value}", *(at + m for m in mirror(p))]
         if r.side_conditions and r.defines:  # after the definitions, which they may check
-            src.append(f"{at}{sides}")
+            src.append(f"{at}{sides()}")
             at += "    "
         if j:
             src += [f"{at}if found is not None:", f"{at}    raise _overlapping(sig, found, _name{j})"]
@@ -480,15 +657,21 @@ def _compile_search(table: _SearchTable, candidates) -> Callable:
         last = j == len(candidates) - 1
         fills += [] if last else [f"    if found is _name{j}:"]
         at = "    " if last else "        "
-        if dotted := [_fits_src(p, x, P) for p, x in binds if "." in p]:  # the nested tests name their nodes again
+        if dotted := [_fits_src(p, x, read) for p, x in binds if "." in p]:  # the nested tests name their nodes again
             fills += [f"{at}if not ({' and '.join(tests + dotted)}):", f"{at}    raise _unfit(sig, _name{j}, _rule{j})"]
-        env[f"_conclusion{j}"] = r.conclusion
-        conclusion = _at_src(r, env, j, P, "subject") or f"_conclusion{j}({P})"
+        conclusion = _at_src(r, env, j, P(), "subject", read) or expr(r.conclusion, f"_conclusion{j}")
         indices = [f"c{i}" for i in range(len(premises))]  # a premise holds its child's own conclusion
-        fills += [*(at + line for line in links), *_instance_src(r, env, f"_name{j}", P, indices, f"w{j}_", conclusion, "True", (), at)]
+        fills += [*(at + line for line in links), *_instance_src(r, env, f"_name{j}", read, indices, f"w{j}_", conclusion, "True", (), at)]
         fills.append(f"{at}return {output}, d")
     src += ["    if found is None:", "        return None", *fills]
     return run_generated("\n".join(src) + "\n", env)["search"]
+
+
+def _local(names: dict, j: int, p: str) -> str:
+    """The local of search candidate ``j``'s parameter ``p``, which is bound from here on: ``P{j}_p``, or ``P{j}_{n}`` for a name no identifier can hold."""
+    if p not in names:
+        names[p] = f"P{j}_{p}" if p.isidentifier() else f"P{j}_{len(names)}"
+    return names[p]
 
 
 def ifmap(f: Callable[[Any, Any], Any], n: DNode) -> DNode:
@@ -551,20 +734,25 @@ def _child_mismatch(rule_name, i, stored, w):
     )
 
 
-def _at_src(r, env, tag, P: str, s: str) -> str | None:
-    """``r``'s conclusion at the subject ``s`` if its own pattern gives it: a copy given another keeps the one its checker builds."""
+def _own_at(r):
+    """The ``at`` of ``r``'s conclusion if its own pattern gives the subject, else None: a copy given another keeps the one its checker builds."""
     if r.subject is not None and isinstance(r.conclusion, _AtSubject) and r.conclusion.pattern is r.subject:
-        env[f"_at{tag}"] = r.conclusion.at
-        return f"_at{tag}({P}, {s})"
+        return r.conclusion.at
 
 
-def _instance_src(r, env, rule_name: str, P: str, indices, w: str, conclusion: str, certified=None, checks=(), at="    "):
-    """Lines filling ``n``, ``r``'s :class:`DNode` at the mapping ``P``, then ``checks`` and ``d``, its :class:`Derivation`.
+def _at_src(r, env, tag, P: str, s: str, local=None) -> str | None:
+    """``r``'s conclusion at the subject ``s`` if :func:`_own_at` gives it."""
+    if (at := _own_at(r)) is not None:
+        return _expr_src(at, env, f"_at{tag}", P, s, local)
+
+
+def _instance_src(r, env, rule_name: str, read, indices, w: str, conclusion: str, certified=None, checks=(), at="    "):
+    """Lines filling ``n``, ``r``'s :class:`DNode`, parameter ``p`` being ``read(p)``, then ``checks`` and ``d``, its :class:`Derivation`.
 
     The one place that knows both layouts.  Arguments are source, premise ``i``'s witness is ``{w}{i}``,
     and with no ``certified`` the lines stop at ``n``.
     """
-    params = "".join(f"({p!r}, {P}[{p!r}]), " for p in r.params)
+    params = "".join(f"({p!r}, {read(p)}), " for p in r.params)
     premises = "".join(f"({fam!r}, {ix}, {w}{i}), " for i, ((fam, _), ix) in enumerate(zip(r.premises, indices, strict=True)))
     node = fill_src(DNode, "n", ["sig", repr(r.family), rule_name, f"({params})", f"({premises})", conclusion], env, at)
     if certified is None:
@@ -583,11 +771,15 @@ def _compile_rule(r, given=None):
     child link and runs the side conditions on the caller's ``P``, then
     returns the :class:`Derivation`, certified when every witness is.  Given
     a subject, ``derive`` first tests that it fits the rule's pattern (see
-    :func:`_fit_src`) and concludes with the conclusion's ``at`` on it.
-    Both fill through :func:`_instance_src`.  Index expressions and side
-    conditions are called, never inlined; rejections are raised in
-    ``din(dnode(...))``'s order, with its messages.  Rules of the same shape
-    and families generate the same source, which ``run_generated`` compiles once.
+    :func:`_fit_src`) and concludes with the conclusion's ``at`` on it;
+    without one, and in ``build``, ``at`` gets the subject its pattern
+    builds.  Both fill through :func:`_instance_src`.  Each rule expression
+    is written in as its body reading the caller's ``P`` where
+    :func:`_inline` verifies it, and called on ``P`` otherwise (see
+    :func:`_expr_src`); rejections are raised in ``din(dnode(...))``'s
+    order, with its messages.  Rules whose expressions are written in as
+    the same text, with the same shape and families, generate the same
+    source, which ``run_generated`` compiles once.
 
     Given the labels ``given``, it returns ``derive_given`` alone: ``derive``'s
     lines without the checks of the side conditions so labelled (see
@@ -602,7 +794,6 @@ def _compile_rule(r, given=None):
         "_DNode": DNode,
         "_rule": r,
         "_param_set": frozenset(r.params),
-        "_conclusion": r.conclusion,
         "_params_mismatch": _params_mismatch,
         "_count_mismatch": _count_mismatch,
         "_side_failed": _side_failed,
@@ -612,7 +803,6 @@ def _compile_rule(r, given=None):
         "_Term": Term,
         "_unfit": _unfit,
     }
-    env.update((f"_ix{i}", ix) for i, (_, ix) in enumerate(r.premises))
     instantiate = [
         "    if P.keys() != _param_set:",
         "        raise _params_mismatch(sig, rule_name, P, _rule)",
@@ -622,18 +812,21 @@ def _compile_rule(r, given=None):
         "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
         *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
     ]
-    indices = [f"(ix{i} := _ix{i}(P))" for i in range(k)]
-    fit, conclusion = "s is not None", "_conclusion(P)"
+    indices = [f"    ix{i} = {_expr_src(ix, env, f'_ix{i}', 'P')}" for i, (_, ix) in enumerate(r.premises)]
+    fit, subject = "s is not None", None
     if r.subject is not None:
         env["_tsig"] = r.subject[0].sig
         fit = f"s is not None and not ({_fit_src(r.subject)})"
-        if at := _at_src(r, env, "", "P", "s"):
-            conclusion = f"_conclusion(P) if s is None else {at}"
+    if conclusion := _at_src(r, env, "", "P", "s"):  # at the subject given, else at the one its pattern builds
+        env["_build"], env["_pattern"] = _build, r.subject
+        subject = "s = _build(_pattern, P)"
+    else:
+        conclusion = _expr_src(r.conclusion, env, "_conclusion", "P")
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
         if given is None or label not in given:
-            env[f"_side{i}"], env[f"_label{i}"] = pred, label
-            checks += [f"    if not _side{i}(P):", f"        raise _side_failed(n, _label{i})"]
+            env[f"_label{i}"] = label
+            checks += [f"    if not {_expr_src(pred, env, f'_side{i}', 'P')}:", f"        raise _side_failed(n, _label{i})"]
     for i, (family, _) in enumerate(r.premises):
         checks += [
             f"    if (not isinstance(w{i}, _Derivation) or w{i}.sig is not sig"
@@ -649,7 +842,9 @@ def _compile_rule(r, given=None):
         *instantiate,
         f"    if {fit}:",
         "        raise _unfit(sig, rule_name, _rule)",
-        *_instance_src(r, env, "rule_name", "P", indices, "w", conclusion, certified, checks),
+        *indices,
+        *(["    if s is None:", f"        {subject}"] if subject else []),
+        *_instance_src(r, env, "rule_name", _read_P, [f"ix{i}" for i in range(k)], "w", conclusion, certified, checks),
         "    return d",
     ]
     if given is not None:
@@ -659,7 +854,9 @@ def _compile_rule(r, given=None):
     src = [
         "def build(sig, rule_name, P, witnesses):",
         *instantiate,
-        *_instance_src(r, env, "rule_name", "P", indices, "w", "_conclusion(P)"),
+        *indices,
+        *([f"    {subject}"] if subject else []),
+        *_instance_src(r, env, "rule_name", _read_P, [f"ix{i}" for i in range(k)], "w", conclusion),
         "    return n",
         *derive,
     ]

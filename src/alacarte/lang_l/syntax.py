@@ -176,22 +176,17 @@ Pat = Union[PVar, PCon, PApp]
 
 
 def bindings(p: Pat) -> Env:
-    """The typing environment a pattern induces on its variables."""
+    """The typing environment a pattern induces on its variables, read left to right on an explicit stack."""
     out: dict[str, Typ] = {}
-
-    def go(q):
-        match q:
+    stack = [p]
+    while stack:
+        match stack.pop():
             case PVar(x, t):
                 if x in out:
                     raise DuplicateBindingError(f"pattern binds {x!r} twice")
                 out[x] = t
-            case PCon():
-                pass
             case PApp(fn, arg):
-                go(fn)
-                go(arg)
-
-    go(p)
+                stack += (arg, fn)
     return Env(tuple(out.items())) if out else EMPTY_ENV
 
 

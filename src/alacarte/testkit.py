@@ -6,8 +6,8 @@ order, and generators derive all randomness from the configured seed, so
 identical configurations produce identical corpora and reports.
 
 ``oracle_eval`` is the independent evaluator used as the equivalence oracle
-for the arithmetic language; it recurses over term structure directly and
-deliberately shares no code with the kernel fold paths.
+for the arithmetic language; it recurses over term structure directly, on
+ints, and deliberately shares no code with the kernel fold paths.
 """
 
 from __future__ import annotations
@@ -183,11 +183,16 @@ def enumerate_biterms(spec: EnumSpec) -> Iterator[Term]:
 
 def oracle_eval(t: Term) -> Val:
     """Direct structural recursion; the equivalence oracle for evaluation."""
+    return Val(_oracle_int(t))
+
+
+def _oracle_int(t: Term) -> int:
+    """The value of ``t`` as an int, by recursion on its nodes; ``oracle_eval`` builds its one ``Val``."""
     node = t.root
     if node.ctor == arith.LIT:
-        return Val(node.payload[0])
+        return node.payload[0]
     a, b = node.rec
-    return Val(oracle_eval(a).vv + oracle_eval(b).vv)
+    return _oracle_int(a) + _oracle_int(b)
 
 
 ARITH_POOL_FULL = (-2, -1, 0, 1, 2)

@@ -200,45 +200,53 @@ STEP_APPLY_SEARCH = """\
 def search(sig, context, subject):
     rec, payload = subject.root.rec, subject.root.payload
     found = None
-    P0 = {'rho': context, 'e1': rec[0], 'e2': rec[1], }
-    P0['e1p'] = _OUT
-    context0_0, subject0_0, bare = _ix0_0(P0)
+    P0_rho = context
+    P0_e1 = rec[0]
+    P0_e2 = rec[1]
+    P0_e1p = _OUT
+    context0_0, subject0_0, bare = (P0_rho, P0_e1, P0_e1p)
     if bare is not _OUT:
         raise _ill_moded(sig, _rule0, 'e1p')
     sub = _table[2, subject0_0.root.ctor](sig, context0_0, subject0_0)
     if sub:
-        P0['e1p'], w0_0 = sub
+        P0_e1p, w0_0 = sub
         found = _name0
-    P1 = {'rho': context, 'v1': rec[0], 'e2': rec[1], }
-    if _side1_0(P1):
-        P1['e2p'] = _OUT
-        context1_0, subject1_0, bare = _ix1_0(P1)
+    P1_rho = context
+    P1_v1 = rec[0]
+    P1_e2 = rec[1]
+    if _mod0.is_value(P1_v1):
+        P1_e2p = _OUT
+        context1_0, subject1_0, bare = (P1_rho, P1_e2, P1_e2p)
         if bare is not _OUT:
             raise _ill_moded(sig, _rule1, 'e2p')
         sub = _table[2, subject1_0.root.ctor](sig, context1_0, subject1_0)
         if sub:
-            P1['e2p'], w1_0 = sub
+            P1_e2p, w1_0 = sub
             if found is not None:
                 raise _overlapping(sig, found, _name1)
             found = _name1
     if (m0 := rec[0].root).ctor == 'closure':
-        P2 = {'rho': context, 'v': rec[1], 'eb': m0.rec[0], 'rho0': m0.payload[0], 'p': m0.payload[1], }
-        if _side2_0(P2) and _side2_1(P2):
+        P2_rho = context
+        P2_v = rec[1]
+        P2_eb = m0.rec[0]
+        P2_rho0 = m0.payload[0]
+        P2_p = m0.payload[1]
+        if _mod0.is_value(P2_v) and _mod0.patmatch(P2_p, P2_v) is not None:
             if found is not None:
                 raise _overlapping(sig, found, _name2)
             found = _name2
     if found is None:
         return None
     if found is _name0:
-        if (c0 := w0_0.root.conclusion) != (context0_0, subject0_0, P0['e1p'], ):
-            raise _child_mismatch(_name0, 0, (context0_0, subject0_0, P0['e1p'], ), w0_0)
+        if (c0 := w0_0.root.conclusion) != (context0_0, subject0_0, P0_e1p, ):
+            raise _child_mismatch(_name0, 0, (context0_0, subject0_0, P0_e1p, ), w0_0)
         n = _DNode_twin()
         n.sig = sig
         n.family = 2
         n.rule = _name0
-        n.params = (('rho', P0['rho']), ('e1', P0['e1']), ('e1p', P0['e1p']), ('e2', P0['e2']), )
+        n.params = (('rho', P0_rho), ('e1', P0_e1), ('e1p', P0_e1p), ('e2', P0_e2), )
         n.premises = ((2, c0, w0_0), )
-        n.conclusion = _at0(P0, subject)
+        n.conclusion = (P0_rho, subject, _mod0.apply_(P0_e1p, P0_e2))
         n.__class__ = _DNode_class
         d = _Derivation_twin()
         d.sig = sig
@@ -247,15 +255,15 @@ def search(sig, context, subject):
         d.__class__ = _Derivation_class
         return n.conclusion[2], d
     if found is _name1:
-        if (c0 := w1_0.root.conclusion) != (context1_0, subject1_0, P1['e2p'], ):
-            raise _child_mismatch(_name1, 0, (context1_0, subject1_0, P1['e2p'], ), w1_0)
+        if (c0 := w1_0.root.conclusion) != (context1_0, subject1_0, P1_e2p, ):
+            raise _child_mismatch(_name1, 0, (context1_0, subject1_0, P1_e2p, ), w1_0)
         n = _DNode_twin()
         n.sig = sig
         n.family = 2
         n.rule = _name1
-        n.params = (('rho', P1['rho']), ('v1', P1['v1']), ('e2', P1['e2']), ('e2p', P1['e2p']), )
+        n.params = (('rho', P1_rho), ('v1', P1_v1), ('e2', P1_e2), ('e2p', P1_e2p), )
         n.premises = ((2, c0, w1_0), )
-        n.conclusion = _at1(P1, subject)
+        n.conclusion = (P1_rho, subject, _mod0.apply_(P1_v1, P1_e2p))
         n.__class__ = _DNode_class
         d = _Derivation_twin()
         d.sig = sig
@@ -267,9 +275,13 @@ def search(sig, context, subject):
     n.sig = sig
     n.family = 2
     n.rule = _name2
-    n.params = (('rho', P2['rho']), ('rho0', P2['rho0']), ('p', P2['p']), ('eb', P2['eb']), ('v', P2['v']), )
+    n.params = (('rho', P2_rho), ('rho0', P2_rho0), ('p', P2_p), ('eb', P2_eb), ('v', P2_v), )
     n.premises = ()
-    n.conclusion = _at2(P2, subject)
+    n.conclusion = (
+                P2_rho,
+                subject,
+                _mod0.scope(_mod0.env_(_mod0.env_union(P2_rho0, _mod0._matched_env({'rho': P2_rho, 'v': P2_v, 'eb': P2_eb, 'rho0': P2_rho0, 'p': P2_p, }, "beta", "argument"))), P2_eb),
+            )
     n.__class__ = _DNode_class
     d = _Derivation_twin()
     d.sig = sig

@@ -25,7 +25,6 @@ PINNED = [
     "alacarte/kernel.py:mfold.recurse",
     "alacarte/kernel.py:term_from_json",
     "alacarte/lang_l/syntax.py:_match",
-    "alacarte/lang_l/syntax.py:bindings.go",
     "alacarte/lang_l/syntax.py:dec_of_sexpr",
     "alacarte/lang_l/syntax.py:dec_to_sexpr",
     "alacarte/lang_l/syntax.py:encode_index",
@@ -42,8 +41,8 @@ PINNED = [
     "alacarte/lang_l/typing.py:build_typopat",
     "alacarte/lang_l/typing.py:pat_type",
     "alacarte/testkit.py:_fresh_products",
+    "alacarte/testkit.py:_oracle_int",
     "alacarte/testkit.py:_product",
-    "alacarte/testkit.py:oracle_eval",
 ]
 
 

@@ -172,6 +172,24 @@ def test_gen_same_seed_identical():
     ]
 
 
+def test_generation_leaves_no_cyclic_garbage():
+    # with the collector paused, anything only a collection could free is kept in gc.garbage
+    collecting, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        testkit.gen_well_typed_config(testkit.GenConfig(seed=1, count=300))
+        found = gc.collect()
+        garbage = sorted({type(x).__name__ for x in gc.garbage})
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if collecting:
+            gc.enable()
+    assert (found, garbage) == (0, [])
+
+
 # ---------------------------------------------------------------------------
 # law suites
 
