@@ -271,7 +271,7 @@ def _sum_case(rec, w, node):
         ):
             raise InvalidDerivationError("premise transformers disagreed with indices")
         x = x1 + x2
-        return _TOF1.compiled[1](TYPOF_SIG, "tof1", {"v": _new_val(x)}, (), _lit(x))
+        return _TOF1.compiled(TYPOF_SIG, "tof1", {"v": _new_val(x)}, (), _lit(x))
 
     return transform
 

@@ -43,12 +43,12 @@ derivations.  The certificate is invisible to equality, hashing, ``repr``
 and the constructors, so a hand-built :class:`Derivation` is never
 certified.
 
-Each rule is compiled once, lazily, on its first ``dnode`` or ``derive``:
-one generated source gives the rule's own ``dnode`` body and its own
-``derive`` (see :func:`_compile_rule`); the same lines, less the skipped
-side conditions, give a ``derive_given`` entry, compiled on its first call
-for that rule and set of labels only.
-Importing a signature compiles nothing.  The compiled code, ``search``'s
+Each rule's ``derive`` is compiled once, lazily, on its first call (see
+:func:`_compile_rule`); the same lines, less the skipped side conditions,
+give a ``derive_given`` entry, compiled on its first call for that rule
+and set of labels only.  ``dnode``, like the checker, interprets the rule
+and compiles nothing.  Importing a signature compiles nothing.  The
+compiled code, ``search``'s
 too, writes each rule expression (premise index, side condition,
 definition, conclusion or the ``at`` of an :class:`_AtSubject`) in as its
 body when :func:`_inline` can verify that body: the text its code
@@ -70,15 +70,15 @@ modes they fix (see :func:`_search_table`): the table picks the rule.  Each
 family and root constructor gets its own search, generated from its rules'
 patterns on first use (see :func:`_compile_search`).
 
-``ifold`` is the indexed Mendler fold: the step procedure receives premise
-witnesses as opaque handles and may consume them only through the supplied
-``rec`` procedure, which also enforces index coherence; at a node without
-premises that ``rec`` is the shared :func:`_leaf_rec`.  ``hfold`` is its
-many-family case: a ``kernel.SortedAlgebra`` with a step per family, each
-given a ``rec`` per family.  :func:`cases` builds such a step from one proof
-case per rule, and rejects a table that is not total over the signature's
-rules when it is built.  Its tables fold through generated code with a branch per rule, as ``kernel.case``
-tables do (see :func:`_compile_fold`), and each rule's ``derive`` fills its node and derivation in its body.
+``hfold`` is the indexed Mendler fold: a ``kernel.SortedAlgebra``'s step
+per family receives premise witnesses as opaque handles and may consume them
+only through the supplied ``rec`` of their family, which also enforces index
+coherence; at a node without premises every ``rec`` is the shared
+:func:`_leaf_rec`.  ``ifold`` is its family-1 case, of the one-step algebra.
+:func:`cases` builds a step from one proof case per rule, and rejects a table
+that is not total over the signature's rules when it is built.  Its tables
+fold through generated code with a branch per rule, as ``kernel.case``
+tables do (see :func:`_compile_fold`).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ from types import CodeType as _CodeType, FunctionType as _FunctionType
 from typing import Any, Callable, Iterable, Mapping
 from weakref import WeakKeyDictionary
 
-from .kernel import _FOREIGN_HANDLE, ByIdentity, ForeignHandleError, Handle, Term, fill_src, open_handle, run_generated, value_class
+from .kernel import _FOREIGN_HANDLE, ByIdentity, ForeignHandleError, Handle, SortedAlgebra, Term, fill_src, open_handle, run_generated, value_class
 
 
 class InvalidDerivationError(Exception):
@@ -138,8 +138,8 @@ class Rule:
             _check_heads(self.name, self.subject)
 
     @cached_property
-    def compiled(self) -> tuple[Callable, Callable]:
-        """``(build, derive)``: ``dnode`` and ``IndexedSignature.derive`` after the rule lookup.
+    def compiled(self) -> Callable:
+        """``IndexedSignature.derive`` after the rule lookup.
 
         Compiled on first use, so importing a signature compiles nothing
         (see :func:`_compile_rule`).
@@ -411,11 +411,22 @@ class IndexedSignature(ByIdentity):
         self._search_tables: dict = {}  # subject signature -> ``search``'s rule index
 
     def dnode(self, rule_name: str, params: Mapping[str, Any], witnesses=()) -> DNode:
-        """Instantiate a rule; premise and conclusion indices are computed."""
+        """Instantiate a rule, computing the indices; interpreted, as the checker is, so it compiles nothing.
+
+        It raises what :meth:`derive` raises before the side conditions, in its order: the parameter set, the
+        witness count, each premise index, the subject the rule's pattern builds, then the conclusion.
+        """
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        return r.compiled[0](self, rule_name, params, witnesses)
+        if params.keys() != set(r.params):
+            raise _params_mismatch(self, rule_name, params, r)
+        witnesses = tuple(witnesses)
+        if len(witnesses) != len(r.premises):
+            raise _count_mismatch(self, rule_name, r, witnesses)
+        premises = tuple([(fam, ix(params), w) for (fam, ix), w in zip(r.premises, witnesses)])
+        conclusion = r.conclusion(params)
+        return _new_dnode(self, r.family, rule_name, tuple([(p, params[p]) for p in r.params]), premises, conclusion)
 
     def derive(self, rule_name: str, params: Mapping[str, Any], witnesses=(), subject=None) -> Derivation:
         """``din(self.dnode(rule_name, params, witnesses))`` in one call.
@@ -433,7 +444,7 @@ class IndexedSignature(ByIdentity):
         r = self.rules.get(rule_name)
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
-        return r.compiled[1](self, rule_name, params, witnesses, subject)
+        return r.compiled(self, rule_name, params, witnesses, subject)
 
     def derive_given(self, rule_name: str, given: tuple, params: Mapping[str, Any], witnesses=(), subject=None) -> Derivation:
         """:meth:`derive`, skipping the side conditions labelled in ``given``, which the caller vouches for.
@@ -453,7 +464,7 @@ class IndexedSignature(ByIdentity):
         if r is None:
             raise InvalidDerivationError(f"{self.name} has no rule {rule_name!r}")
         if not given:
-            entry = r.compiled[1]
+            entry = r.compiled
         elif (entry := r._given.get(given)) is None:
             entry = r._given[given] = _compile_rule(r, given)
         return entry(self, rule_name, params, witnesses, subject)
@@ -746,47 +757,44 @@ def _at_src(r, env, tag, P: str, s: str, local=None) -> str | None:
         return _expr_src(at, env, f"_at{tag}", P, s, local)
 
 
-def _instance_src(r, env, rule_name: str, read, indices, w: str, conclusion: str, certified=None, checks=(), at="    "):
+def _instance_src(r, env, rule_name: str, read, indices, w: str, conclusion: str, certified: str, checks=(), at="    "):
     """Lines filling ``n``, ``r``'s :class:`DNode`, parameter ``p`` being ``read(p)``, then ``checks`` and ``d``, its :class:`Derivation`.
 
-    The one place that knows both layouts.  Arguments are source, premise ``i``'s witness is ``{w}{i}``,
-    and with no ``certified`` the lines stop at ``n``.
+    The one place that knows both layouts.  Arguments are source, and premise ``i``'s witness is ``{w}{i}``.
     """
     params = "".join(f"({p!r}, {read(p)}), " for p in r.params)
     premises = "".join(f"({fam!r}, {ix}, {w}{i}), " for i, ((fam, _), ix) in enumerate(zip(r.premises, indices, strict=True)))
     node = fill_src(DNode, "n", ["sig", repr(r.family), rule_name, f"({params})", f"({premises})", conclusion], env, at)
-    if certified is None:
-        return node
     return [*node, *checks, *fill_src(Derivation, "d", ["sig", "n", certified], env, at)]
 
 
-def _compile_rule(r, given=None):
-    """``(build, derive)`` for the rule ``r``: straight-line code from one generated source.
+def _compile_rule(r, given=()):
+    """``derive`` for the rule ``r``: straight-line code, generated.
 
-    ``build`` is ``dnode`` after the rule lookup: the parameter-set check,
-    the witness count, and a :class:`DNode` with the parameter, premise and
-    conclusion tuples unrolled.  ``derive`` is ``build`` followed, in the
-    same body, by ``_check_node``'s side conditions and child links,
-    unrolled: it keeps each premise index it computed for that premise's
-    child link and runs the side conditions on the caller's ``P``, then
-    returns the :class:`Derivation`, certified when every witness is.  Given
-    a subject, ``derive`` first tests that it fits the rule's pattern (see
-    :func:`_fit_src`) and concludes with the conclusion's ``at`` on it;
-    without one, and in ``build``, ``at`` gets the subject its pattern
-    builds.  Both fill through :func:`_instance_src`.  Each rule expression
-    is written in as its body reading the caller's ``P`` where
+    ``derive`` is ``IndexedSignature.derive`` after the rule lookup: the
+    parameter-set check, the witness count, then the premise indices and a
+    :class:`DNode` with the parameter, premise and conclusion tuples
+    unrolled, followed in the same body by ``_check_node``'s side
+    conditions and child links, unrolled: it keeps each premise index it
+    computed for that premise's child link and runs the side conditions on
+    the caller's ``P``, then returns the :class:`Derivation`, certified when
+    every witness is.  Given a subject, ``derive`` first tests that it fits
+    the rule's pattern (see :func:`_fit_src`) and concludes with the
+    conclusion's ``at`` on it; without one, ``at`` gets the subject its
+    pattern builds.  It fills through :func:`_instance_src`.  Each rule
+    expression is written in as its body reading the caller's ``P`` where
     :func:`_inline` verifies it, and called on ``P`` otherwise (see
     :func:`_expr_src`); rejections are raised in ``din(dnode(...))``'s
     order, with its messages.  Rules whose expressions are written in as
     the same text, with the same shape and families, generate the same
     source, which ``run_generated`` compiles once.
 
-    Given the labels ``given``, it returns ``derive_given`` alone: ``derive``'s
+    Given the labels ``given``, it returns ``derive_given``: ``derive``'s
     lines without the checks of the side conditions so labelled (see
     :meth:`IndexedSignature.derive_given`).
     """
     labels = [label for label, _ in r.side_conditions]
-    for label in given or ():
+    for label in given:
         if label not in labels:
             raise ValueError(f"rule {r.name!r} has no side condition {label!r}")
     k = len(r.premises)
@@ -803,15 +811,6 @@ def _compile_rule(r, given=None):
         "_Term": Term,
         "_unfit": _unfit,
     }
-    instantiate = [
-        "    if P.keys() != _param_set:",
-        "        raise _params_mismatch(sig, rule_name, P, _rule)",
-        "    if witnesses.__class__ is not tuple:",
-        "        witnesses = tuple(witnesses)",
-        f"    if len(witnesses) != {k}:",
-        "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
-        *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
-    ]
     indices = [f"    ix{i} = {_expr_src(ix, env, f'_ix{i}', 'P')}" for i, (_, ix) in enumerate(r.premises)]
     fit, subject = "s is not None", None
     if r.subject is not None:
@@ -824,7 +823,7 @@ def _compile_rule(r, given=None):
         conclusion = _expr_src(r.conclusion, env, "_conclusion", "P")
     checks = []  # on ``P``, and on ``sig`` and each ``ix{i}`` and ``w{i}``
     for i, (label, pred) in enumerate(r.side_conditions):
-        if given is None or label not in given:
+        if label not in given:
             env[f"_label{i}"] = label
             checks += [f"    if not {_expr_src(pred, env, f'_side{i}', 'P')}:", f"        raise _side_failed(n, _label{i})"]
     for i, (family, _) in enumerate(r.premises):
@@ -837,9 +836,16 @@ def _compile_rule(r, given=None):
             f"        raise _child_mismatch(rule_name, {i}, ix{i}, w{i})",
         ]
     certified = " and ".join(f"w{i}._certified" for i in range(k)) or "True"
-    derive = [
-        f"def {'derive' if given is None else 'derive_given'}(sig, rule_name, P, witnesses, s):",
-        *instantiate,
+    name = "derive_given" if given else "derive"
+    src = [
+        f"def {name}(sig, rule_name, P, witnesses, s):",
+        "    if P.keys() != _param_set:",
+        "        raise _params_mismatch(sig, rule_name, P, _rule)",
+        "    if witnesses.__class__ is not tuple:",
+        "        witnesses = tuple(witnesses)",
+        f"    if len(witnesses) != {k}:",
+        "        raise _count_mismatch(sig, rule_name, _rule, witnesses)",
+        *([f"    {''.join(f'w{i}, ' for i in range(k))}= witnesses"] if k else []),
         f"    if {fit}:",
         "        raise _unfit(sig, rule_name, _rule)",
         *indices,
@@ -847,23 +853,9 @@ def _compile_rule(r, given=None):
         *_instance_src(r, env, "rule_name", _read_P, [f"ix{i}" for i in range(k)], "w", conclusion, certified, checks),
         "    return d",
     ]
-    if given is not None:
-        run_generated("\n".join(derive) + "\n", env)
-        env["derive_given"].__qualname__ = f"Rule({r.name!r}).derive_given"
-        return env["derive_given"]
-    src = [
-        "def build(sig, rule_name, P, witnesses):",
-        *instantiate,
-        *indices,
-        *([f"    {subject}"] if subject else []),
-        *_instance_src(r, env, "rule_name", _read_P, [f"ix{i}" for i in range(k)], "w", conclusion),
-        "    return n",
-        *derive,
-    ]
-    run_generated("\n".join(src) + "\n", env)
-    for fn in (env["build"], env["derive"]):
-        fn.__qualname__ = f"Rule({r.name!r}).{fn.__name__}"
-    return env["build"], env["derive"]
+    fn = run_generated("\n".join(src) + "\n", env)[name]
+    fn.__qualname__ = f"Rule({r.name!r}).{name}"
+    return fn
 
 
 def _check_node(n) -> bool:
@@ -1009,7 +1001,7 @@ def _wrong_index(wi, child):
 
 
 def _index_checking_rec(brand, recurse):
-    """The ``rec`` of ``istep_once`` and ``hstep_once``: open, check the index (its identity first), recurse."""
+    """The ``rec`` of ``hstep_once``: open, check the index (its identity first), recurse."""
 
     def rec(wi, h):
         child = open_handle(h, brand)
@@ -1026,36 +1018,16 @@ def _leaf_rec(wi, h):
 
 
 def istep_once(malg, w, node: DNode, recurse):
-    """One indexed Mendler step with freshly branded premise handles, one brand for every family.
-
-    A node without premises is passed as it is, with :func:`_leaf_rec`; one
-    with premises is passed as a copy holding their handles, built in a
-    tuple display for two.
-    """
-    premises = node.premises
-    if not premises:
-        return malg(_leaf_rec, w, node)
-    brand = object()
-    if len(premises) == 2:
-        (f0, ix0, w0), (f1, ix1, w1) = premises
-        handles = ((f0, ix0, Handle(w0, brand)), (f1, ix1, Handle(w1, brand)))
-    else:
-        handles = tuple([(fam, ix, Handle(wit, brand)) for fam, ix, wit in premises])
-    node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
-    return malg(_index_checking_rec(brand, recurse), w, node)
+    """One indexed Mendler step of the one-step algebra: ``hstep_once(SortedAlgebra((malg,)), w, node, recurse)``."""
+    return hstep_once(SortedAlgebra((malg,)), w, node, recurse)
 
 
 def ifold(malg, w, d: Derivation):
-    """Indexed Mendler fold of ``d``, which must conclude at ``w``.
+    """Indexed Mendler fold of the family-1 derivation ``d``, which must conclude at ``w``.
 
-    Only the root's index is checked here, and ``rec`` checks each child's.  A :func:`cases` step runs its table's fold.
+    It is ``hfold(1, SortedAlgebra((malg,)), w, d)``, so another family raises :class:`WrongComponentError`.
     """
-    if (c := d.root.conclusion) is not w and c != w:
-        raise WrongIndexError(f"derivation concludes {c!r}, not {w!r}")
-    if fold := _table_fold(malg, None):
-        return fold(w, d)
-    recurse = lambda wi, di: istep_once(malg, wi, di.root, recurse)
-    return recurse(w, d)
+    return hfold(1, SortedAlgebra((malg,)), w, d)
 
 
 class WrongComponentError(Exception):
@@ -1067,18 +1039,13 @@ def hstep_once(malg, w, node: DNode, *recurses):
 
     Family f's step is ``malg.steps[f - 1](rec_1, ..., rec_N, w, node)``.
     A node without premises is passed as it is, with :func:`_leaf_rec` for
-    every family; one with premises as a copy holding their handles, built
-    in a tuple display for one premise.
+    every family; one with premises as a copy holding their handles.
     """
     premises = node.premises
     if not premises:
         return malg.steps[node.family - 1](*[_leaf_rec] * len(recurses), w, node)
-    brands = (object(), object()) if len(recurses) == 2 else [object() for _ in recurses]
-    if len(premises) == 1:
-        ((fam, ix, wit),) = premises
-        handles = ((fam, ix, Handle(wit, brands[fam - 1])),)
-    else:
-        handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
+    brands = tuple([object() for _ in recurses])
+    handles = tuple([(fam, ix, Handle(wit, brands[fam - 1])) for fam, ix, wit in premises])
     node = _new_dnode(node.sig, node.family, node.rule, node.params, handles, node.conclusion)
     recs = map(_index_checking_rec, brands, recurses)
     return malg.steps[node.family - 1](*recs, w, node)
@@ -1087,14 +1054,16 @@ def hstep_once(malg, w, node: DNode, *recurses):
 def hfold(family: int, malg, w, d: Derivation):
     """Indexed Mendler fold of a family-``family`` derivation that concludes at ``w``.
 
-    ``malg`` is a ``kernel.SortedAlgebra`` with a step per family.  If
-    :func:`cases` returned each step, it runs the fold generated from their tables.
+    ``malg`` is a ``kernel.SortedAlgebra`` with a step per family.  Only the
+    root's family and index are checked here, and each ``rec`` checks its
+    child's index.  If :func:`cases` returned each step, it runs the fold
+    generated from their tables.
     """
     if d.family != family:
         raise WrongComponentError(f"hfold_{family} applied to a family-{d.family} derivation")
     if (c := d.root.conclusion) is not w and c != w:
         raise WrongIndexError(f"derivation concludes {c!r}, not {w!r}")
-    if fold := _table_fold(malg, tuple(malg.steps)):
+    if fold := _table_fold(malg):
         return fold(w, d)
     recurse = lambda wi, di: hstep_once(malg, wi, di.root, *recurses)
     recurses = (recurse,) * len(malg.steps)
@@ -1125,39 +1094,38 @@ def cases(sig: IndexedSignature, table: Mapping[str, Callable]) -> Callable:
     return step
 
 
-def _table_fold(malg, steps: tuple | None):
-    """The fold generated from the tables of ``malg``'s steps (``steps``, else ``malg``); None unless :func:`cases` made each."""
-    key, steps = steps, (malg,) if steps is None else steps
+def _table_fold(malg):
+    """The fold generated from the tables of ``malg``'s steps; None unless :func:`cases` made each."""
+    steps = tuple(malg.steps)
     first = getattr(steps[0], "_cases", None) if steps else None
     if first is None or first[0] is not steps[0]:
         return None
-    if (fold := first[3].get(key)) is None:  # a kept fold's key holds the very steps it was generated for
+    if (fold := first[3].get(steps)) is None:  # a kept fold's key holds the very steps it was generated for
         entries = [getattr(step, "_cases", (None,)) for step in steps]
         if any(entry[0] is not step for entry, step in zip(entries, steps)):
             return None
-        fold = first[3][key] = _compile_fold(malg, [(sig, table) for _, sig, table, _ in entries], key is None)
+        fold = first[3][steps] = _compile_fold(malg, [(sig, table) for _, sig, table, _ in entries])
     return fold
 
 
-def _compile_fold(malg, tables, one_brand: bool):
-    """``fold(w, d)``: ``ifold(malg, w, d)``, or unless ``one_brand`` ``hfold(f, malg, w, d)``, past the root checks.
+def _compile_fold(malg, tables):
+    """``fold(w, d)``: ``hfold(f, malg, w, d)`` past the root checks, ``tables`` being its steps' ``(sig, table)``.
 
-    A branch per rule of each ``(sig, table)`` hands a node of the rule's shape to its case; any other takes the
-    generic step.  A rule without premises gets :func:`_leaf_rec` for every family and issues nothing.  One with
-    premises issues a fresh brand (one for every family if ``one_brand``, else one per family its premises are of)
-    and a ``rec`` per brand, which inlines ``_index_checking_rec``'s tests, and hands its case a copy of the node
+    A branch per family-``f`` rule of each ``f``-th table hands a node of the rule's shape and premise families
+    to its case; any other node takes the generic step.  A rule without premises gets :func:`_leaf_rec` for every
+    family and issues nothing.  One with premises issues a fresh brand per family its premises are of, and a
+    ``rec`` per brand, which inlines ``_index_checking_rec``'s tests, and hands its case a copy of the node
     holding the premise handles, built as ``mfold`` builds handles; a family it has no premise of gets ``_leaf_rec``.
     """
-    families = [""] if one_brand else [str(f) for f in range(1, len(tables) + 1)]
+    families = range(1, len(tables) + 1)
     env = dict(_object=object, _new_object=object.__new__, _Handle=Handle, _ForeignHandleError=ForeignHandleError,
                _FOREIGN_HANDLE=_FOREIGN_HANDLE, _wrong_index=_wrong_index, _leaf_rec=_leaf_rec, _malg=malg,
-               _generic=istep_once if one_brand else hstep_once)
+               _generic=hstep_once)
     src = ["def fold(w, d):", "    n = d.root", "    premises = n.premises"]
     for f, (sig, table) in enumerate(tables, 1):
         env[f"_sig{f}"] = sig
-        family = "" if one_brand else f" and n.family == {f}"
-        src += [f"    {'elif' if f > 1 else 'if'} n.sig is _sig{f}{family}:", "        rule = n.rule"]
-        fits = lambda r: one_brand or r.family == f and all(0 < fam <= len(tables) for fam, _ in r.premises)
+        src += [f"    {'elif' if f > 1 else 'if'} n.sig is _sig{f} and n.family == {f}:", "        rule = n.rule"]
+        fits = lambda r: r.family == f and all(0 < fam <= len(tables) for fam, _ in r.premises)
         for j, r in enumerate(filter(fits, sig.rules.values())):
             env[f"_case{f}_{j}"], env[f"_rule{f}_{j}"], k = table[r.name], r.name, len(r.premises)
             shape = f"len(premises) == {k}" if k else "not premises"
@@ -1167,11 +1135,9 @@ def _compile_fold(malg, tables, one_brand: bool):
                 src.append(f"{at}return _case{f}_{j}({'_leaf_rec, ' * len(families)}w, n)")
                 continue
             src.append(f"{at}{''.join(f'(f{i}, ix{i}, w{i}), ' for i in range(k))}= premises")
-            if not one_brand:
-                src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
-                at += "    "
-            tags = [""] * k if one_brand else [str(fam) for fam, _ in r.premises]
-            used = sorted(set(tags))
+            src.append(f"{at}if {' and '.join(f'f{i} == {fam}' for i, (fam, _) in enumerate(r.premises))}:")
+            at += "    "
+            used = sorted({fam for fam, _ in r.premises})
             src.append(f"{at}{', '.join(f'b{t}' for t in used)} = {', '.join(['_object()'] * len(used))}")
             for t in used:
                 src += [
@@ -1182,8 +1148,8 @@ def _compile_fold(malg, tables, one_brand: bool):
                     f"{at}        raise _wrong_index(wi, child)",
                     f"{at}    return fold(wi, child)",
                 ]
-            for i, t in enumerate(tags):
-                src += [f"{at}h{i} = _new_object(_Handle)", f"{at}h{i}._value = w{i}", f"{at}h{i}._brand = b{t}"]
+            for i, (fam, _) in enumerate(r.premises):
+                src += [f"{at}h{i} = _new_object(_Handle)", f"{at}h{i}._value = w{i}", f"{at}h{i}._brand = b{fam}"]
             held = "".join(f"(f{i}, ix{i}, h{i}), " for i in range(k))
             src += fill_src(DNode, "c", ["n.sig", "n.family", "rule", "n.params", f"({held})", "n.conclusion"], env, at)
             recs = "".join(f"rec{t}, " if t in used else "_leaf_rec, " for t in families)

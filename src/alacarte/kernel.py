@@ -27,7 +27,7 @@ coproduct a tagged constructor equals
 ``arith``'s rule patterns and the enumerators' terms are built by such
 functions; folds, JSON decoding, the laws and the public
 ``arith.lit``/``add`` build through ``node`` and ``in_``.  Generated code (these constructors,
-the value classes' ``__init__``, ``__eq__`` and factory, each rule's ``dnode`` and
+the value classes' ``__init__``, ``__eq__`` and factory, each rule's
 ``derive``, each search and the folds of ``case`` and ``indexed.cases`` tables) goes through ``run_generated``,
 which compiles each distinct source once and registers it in ``linecache``; it may build values in its own body.
 
@@ -94,7 +94,7 @@ def run_generated(src: str, env: dict) -> dict:
     outputs coincide (two rules of the same shape, say) share one code
     object; every run still binds its own functions in its own ``env``.
     The source is registered in ``linecache`` under a name listing the
-    functions it defines, such as ``<generated build, derive #12>``, so a
+    functions it defines, such as ``<generated search #12>``, so a
     traceback through generated code shows its lines.
     """
     code = _COMPILED.get(src)
@@ -589,22 +589,16 @@ def step_once(malg, node: Node, recurse):
     knot-tied instance, with this work inline.  Exposed so the Mendler
     computation rule is directly checkable:
     ``mfold(m, in_(n)) == step_once(m, n, lambda s: mfold(m, s))``.
-    Each step with recursive slots issues a fresh brand.  The handles of two
-    slots are built in a tuple display, any other number with ``map``, and
-    ``rec`` runs ``open_handle``'s test inline, with its message: no
-    comprehension and no extra call per level.  A node without recursive
-    slots needs no handles: it is passed as it is, with the shared
-    :func:`_leaf_rec`.
+    Each step with recursive slots issues a fresh brand, and ``rec`` runs
+    ``open_handle``'s test inline, with its message.  A node without
+    recursive slots needs no handles: it is passed as it is, with the
+    shared :func:`_leaf_rec`.
     """
     rec = node.rec
     if not rec:
         return malg(_leaf_rec, node)
     brand = object()
-    if len(rec) == 2:
-        handles = (Handle(rec[0], brand), Handle(rec[1], brand))
-    else:
-        handles = tuple(map(Handle, rec, repeat(brand)))
-    node = _new_node(node.sig, node.ctor, handles, node.payload)
+    node = _new_node(node.sig, node.ctor, tuple(map(Handle, rec, repeat(brand))), node.payload)
 
     def open_and_recurse(h):
         if not isinstance(h, Handle) or h._brand is not brand:

@@ -71,7 +71,7 @@ STEP_SIG = IndexedBiSignature(
             params=("rho", "p", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                (match_, lambda P: patmatch(P["p"], P["v"]) is not None),
+                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
             conclusion=lambda P, s: (P["rho"], s, env_(_matched_env(P, "match", "subject"))),
         ),
@@ -134,7 +134,7 @@ STEP_SIG = IndexedBiSignature(
             params=("rho", "rho0", "p", "eb", "v"),
             side=(
                 ("value", lambda P: is_value(P["v"])),
-                (match_, lambda P: patmatch(P["p"], P["v"]) is not None),
+                ("match", lambda P: patmatch(P["p"], P["v"]) is not None),
             ),
             conclusion=lambda P, s: (
                 P["rho"],

@@ -8,7 +8,8 @@ family they recurse into.  This module keeps the 2-sort call shapes:
 ``bifmap``, ``bistep_once`` and ``bifold_1``/``bifold_2`` (names of one
 ``bifold``) call the kernel's sorted functions; ``BiMendlerAlgebra`` builds
 a two-step ``kernel.SortedAlgebra``; ``hfold_1``/``hfold_2`` are
-``indexed.hfold`` of family 1 and 2; and the ``Bi*`` classes, ``birule``,
+``indexed.hfold`` of family 1 and 2, as ``indexed.ifold`` is of a one-step
+algebra; and the ``Bi*`` classes, ``birule``,
 ``hstep_once``, ``hfold`` and ``WrongComponentError`` are the kernel's and
 ``indexed``'s own.
 
@@ -21,7 +22,8 @@ and ``validate_bi`` (the bodies of ``indexed.din`` and
 ``indexed.validate``), ``bi_derivation_to_json``
 (``indexed.derivation_to_json``'s walker), ``hfold_1`` and ``hfold_2``.
 ``IndexedBiSignature.dnode`` rebinds ``IndexedSignature.dnode`` into the
-class's own ``__dict__`` for the same reason.
+class's own ``__dict__`` for the same reason.  ``hstep_once`` is
+``indexed``'s own, and a generic-path ``indexed.ifold`` steps through it.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ def test_importing_generates_no_fold_and_the_first_fold_is_kept():
     ifold(arith._preservation_step, d.root.conclusion, d)
     folds = dict(arith._preservation_step._cases[3])
     ifold(arith._preservation_step, d.root.conclusion, d)
-    assert list(folds) == [None] and arith._preservation_step._cases[3] == folds
+    assert list(folds) == [(arith._preservation_step,)] and arith._preservation_step._cases[3] == folds
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_the_hook_sees_each_target_called():
     e = add(lit(1), lit(2))
     d, td = arith.build_eval_derivation(e), arith.build_typof_derivation(e)
     seen = _calls(FOLD_TARGETS, lambda: _generic_ifold(arith._preservation_step, d.root.conclusion, d)(td))
-    assert seen == {"istep_once": 3, "cases' step": 3}
+    assert seen == {"istep_once": 3, "hstep_once": 3, "cases' step": 3}  # ``istep_once`` is the one-family ``hstep_once``
     stepd = next(stepd for _, stepd in _step_derivations(5))
     assert _calls(FOLD_TARGETS, lambda: _generic_hfold(TP_ALG, stepd.root.conclusion, stepd))["hstep_once"] > 0
     n = d.root

@@ -110,7 +110,7 @@ def test_a_side_condition_that_cannot_inline_is_called_with_the_same_outcomes(ho
     assert _outcomes(sig) == _outcomes(EVAL_SIG)
     search(sig, 1, None, add(lit(1), lit(2)))
     assert "if _side0_0(P0):" in _source(sig._search_tables[arith.TRM][1, arith.ADD])
-    assert "    if not _side0(P):" in _source(sig.rules["ev2"].compiled[1])
+    assert "    if not _side0(P):" in _source(sig.rules["ev2"].compiled)
 
 
 def test_a_generator_and_an_f_string_are_called():
@@ -161,7 +161,7 @@ def test_two_lambdas_on_one_line_each_inline_their_own_body():
     assert bodies == ["(P['e1'], P['x1'])", "(P['e2'], P['x2'])"]
     sig = _eval_with(premises=premises)
     assert _outcomes(sig) == _outcomes(EVAL_SIG)
-    assert "    ix0 = (P['e1'], P['x1'])\n    ix1 = (P['e2'], P['x2'])\n" in _source(sig.rules["ev2"].compiled[1])
+    assert "    ix0 = (P['e1'], P['x1'])\n    ix1 = (P['e2'], P['x2'])\n" in _source(sig.rules["ev2"].compiled)
 
 
 def test_a_spy_on_a_global_an_inlined_side_condition_reads_sees_every_call(monkeypatch):
@@ -183,7 +183,7 @@ def test_a_spy_on_a_global_an_inlined_side_condition_reads_sees_every_call(monke
     with pytest.raises(InvalidDerivationError, match="side condition 'pointwise' failed"):
         TYPOENV_SIG.derive("te_env", {"rho": rho, "gamma": EMPTY_ENV})
     assert calls == [rho] * 4
-    assert "_mod0.env_typing(P['rho'])" in _source(TYPOENV_SIG.rules["te_env"].compiled[1])
+    assert "_mod0.env_typing(P['rho'])" in _source(TYPOENV_SIG.rules["te_env"].compiled)
 
 
 def test_an_exception_in_an_inlined_expression_propagates_as_the_lambdas_would():

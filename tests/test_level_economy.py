@@ -254,7 +254,7 @@ PRESERVATION_FOLD = """\
 def fold(w, d):
     n = d.root
     premises = n.premises
-    if n.sig is _sig1:
+    if n.sig is _sig1 and n.family == 1:
         rule = n.rule
         if rule == _rule1_0:
             if not premises:
@@ -262,28 +262,29 @@ def fold(w, d):
         elif rule == _rule1_1:
             if len(premises) == 2:
                 (f0, ix0, w0), (f1, ix1, w1), = premises
-                b = _object()
-                def rec(wi, h):
-                    if not isinstance(h, _Handle) or h._brand is not b:
-                        raise _ForeignHandleError(_FOREIGN_HANDLE)
-                    if (c := (child := h._value).root.conclusion) is not wi and c != wi:
-                        raise _wrong_index(wi, child)
-                    return fold(wi, child)
-                h0 = _new_object(_Handle)
-                h0._value = w0
-                h0._brand = b
-                h1 = _new_object(_Handle)
-                h1._value = w1
-                h1._brand = b
-                c = _DNode_twin()
-                c.sig = n.sig
-                c.family = n.family
-                c.rule = rule
-                c.params = n.params
-                c.premises = ((f0, ix0, h0), (f1, ix1, h1), )
-                c.conclusion = n.conclusion
-                c.__class__ = _DNode_class
-                return _case1_1(rec, w, c)
+                if f0 == 1 and f1 == 1:
+                    b1 = _object()
+                    def rec1(wi, h):
+                        if not isinstance(h, _Handle) or h._brand is not b1:
+                            raise _ForeignHandleError(_FOREIGN_HANDLE)
+                        if (c := (child := h._value).root.conclusion) is not wi and c != wi:
+                            raise _wrong_index(wi, child)
+                        return fold(wi, child)
+                    h0 = _new_object(_Handle)
+                    h0._value = w0
+                    h0._brand = b1
+                    h1 = _new_object(_Handle)
+                    h1._value = w1
+                    h1._brand = b1
+                    c = _DNode_twin()
+                    c.sig = n.sig
+                    c.family = n.family
+                    c.rule = rule
+                    c.params = n.params
+                    c.premises = ((f0, ix0, h0), (f1, ix1, h1), )
+                    c.conclusion = n.conclusion
+                    c.__class__ = _DNode_class
+                    return _case1_1(rec1, w, c)
     return _generic(_malg, w, n, fold, )
 """
 
@@ -291,5 +292,5 @@ def fold(w, d):
 def test_the_fold_of_the_preservation_step_is_pinned():
     d = arith.build_eval_derivation(add(lit(1), lit(2)))
     arith.preservation(d, arith.build_typof_derivation(add(lit(1), lit(2))))
-    code = arith._preservation_step._cases[3][None].__code__
+    code = arith._preservation_step._cases[3][(arith._preservation_step,)].__code__
     assert "".join(linecache.getlines(code.co_filename)) == PRESERVATION_FOLD

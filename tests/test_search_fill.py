@@ -40,7 +40,7 @@ def _spied(sig, calls):
     """A copy of ``sig`` whose side conditions, premise indices and conclusions record the ``P`` they ran on.
 
     ``calls`` gets ``(what, rule name, P)`` for each call.  Each copied
-    rule's compiled ``build`` and ``derive`` are traps, so a search that
+    rule's compiled ``derive`` is a trap, so a search that
     calls either fails.
     """
 
@@ -61,7 +61,7 @@ def _spied(sig, calls):
             premises=tuple((fam, spy(("index", i), r.name, ix)) for i, (fam, ix) in enumerate(r.premises)),
             conclusion=conclusion,
         )
-        copy.__dict__["compiled"] = (_derive_ran, _derive_ran)
+        copy.__dict__["compiled"] = _derive_ran
         rules.append(copy)
     return type(sig)(sig.name, rules, sig.layout)
 
